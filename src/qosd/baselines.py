@@ -8,8 +8,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import BlownBudgetError, InfeasibleBoxError
+from .framework import potential_paths
 from .instance import QosdInstance
-from .pathcore import BudgetVector, Path, pair_shortest_paths
+from .pathcore import BudgetVector, Path
 from .report import Deadline, RunReport
 
 
@@ -21,7 +22,8 @@ def run_cc(
     seed: int | None = None,
 ) -> RunReport:
     """Centrality cutting: repeatedly max out the edge appearing most often
-    among the unseparated pairs' current shortest paths."""
+    among the unseparated pairs' current shortest paths. ``threads`` is
+    accepted and ignored."""
     deadline = Deadline.ensure(deadline)
     start = time.perf_counter()
     m = instance.graph.m
@@ -30,11 +32,7 @@ def run_cc(
     rounds = 0
     while True:
         deadline.check("centrality cutting")
-        paths = [
-            p
-            for p in pair_shortest_paths(instance, BudgetVector(x), threads=threads)
-            if p is not None
-        ]
+        paths = potential_paths(instance, BudgetVector(x))
         if not paths:
             break
         counts: dict[int, int] = {}

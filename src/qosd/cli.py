@@ -92,7 +92,10 @@ def _read_pairs(path: str) -> list[tuple[int, int]]:
             parts = stripped.split()
             if len(parts) != 2:
                 raise ParseError(f"expected 's t', got {stripped!r}", line_no)
-            pairs.append((int(parts[0]), int(parts[1])))
+            try:
+                pairs.append((int(parts[0]), int(parts[1])))
+            except ValueError:
+                raise ParseError(f"non-integer node id in {stripped!r}", line_no) from None
     return pairs
 
 
@@ -129,7 +132,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="expert override of the rounding inflation factor")
     solve.add_argument("--seed", type=int, default=0)
     solve.add_argument("--time-limit", type=float, default=86400.0)
-    solve.add_argument("--threads", type=int, default=1)
     solve.add_argument("--output", help="write the budget vector here")
 
     experiment = sub.add_parser("experiment", help="run a qosd-config v1 batch")
@@ -145,7 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_instance_args(validate)
     validate.add_argument("--vector", required=True)
     validate.add_argument("--seed", type=int, default=0)
-    validate.add_argument("--threads", type=int, default=1)
 
     gen = sub.add_parser("gen", help="emit a seeded ER instance file")
     gen.add_argument("--n", type=int, required=True)
@@ -165,7 +166,6 @@ def _cmd_solve(args) -> int:
         instance,
         args.algorithm,
         seed=args.seed,
-        threads=args.threads,
         deadline=Deadline(args.time_limit),
         q=args.q,
         alpha=args.alpha,
@@ -225,7 +225,7 @@ def _cmd_validate(args) -> int:
     if not vector.within_box(instance.box):
         print("feasible=false (vector exceeds the box)")
         return EXIT_INFEASIBLE
-    remaining = unseparated_pairs(instance, vector, threads=args.threads)
+    remaining = unseparated_pairs(instance, vector)
     if remaining:
         print(f"feasible=false unseparated_pairs={remaining}")
         return EXIT_INFEASIBLE

@@ -6,6 +6,7 @@ import csv
 import hashlib
 import io
 import json
+import time
 from dataclasses import dataclass, field
 
 from .baselines import oracle_opt, run_cc
@@ -42,7 +43,6 @@ class ExperimentConfig:
     repetitions: int = 5
     master_seed: int = 0
     time_limit: float = 86_400.0      # one day per run
-    threads: int = 1
     q: int = 1
     alpha: float = 0.8
     epsilon: float = 0.3
@@ -69,7 +69,7 @@ def parse_config(text: str) -> ExperimentConfig:
     if not lines or lines[0].strip() != CONFIG_HEADER:
         raise ConfigError(f"missing header {CONFIG_HEADER!r}")
     kwargs: dict = {}
-    int_keys = {"er_n", "k", "repetitions", "master_seed", "threads", "q"}
+    int_keys = {"er_n", "k", "repetitions", "master_seed", "q"}
     float_keys = {"er_rho", "time_limit", "alpha", "epsilon", "delta"}
     for line_no, raw in enumerate(lines[1:], start=2):
         line = raw.split("#", 1)[0].strip()
@@ -110,7 +110,6 @@ def run_algorithm(
     algorithm: str,
     *,
     seed: int = 0,
-    threads: int = 1,
     deadline: Deadline | float | None = None,
     q: int = 1,
     alpha: float = 0.8,
@@ -122,26 +121,22 @@ def run_algorithm(
 ) -> RunReport:
     """Dispatch one named solver with common knobs."""
     if algorithm in ("ig", "at"):
-        return run_iterative(
-            instance, algorithm, threads=threads, deadline=deadline, seed=seed
-        )
+        return run_iterative(instance, algorithm, deadline=deadline, seed=seed)
     if algorithm == "sa":
         config = SaConfig(
             q=q, alpha=alpha, epsilon=epsilon, delta=delta,
             sample_mode=sample_mode, samples_per_round=samples, seed=seed,
         )
-        return run_sa(instance, config, threads=threads, deadline=deadline)
+        return run_sa(instance, config, deadline=deadline)
     if algorithm == "lr":
         return run_lr(
             instance, delta=delta, seed=seed,
-            eta_override=eta_override, threads=threads, deadline=deadline,
+            eta_override=eta_override, deadline=deadline,
         )
     if algorithm == "cc":
-        return run_cc(instance, threads=threads, deadline=deadline, seed=seed)
+        return run_cc(instance, deadline=deadline, seed=seed)
     if algorithm == "oracle":
-        import time as _time
-
-        start = _time.perf_counter()
+        start = time.perf_counter()
         result = oracle_opt(instance)
         return RunReport(
             algorithm="oracle",
@@ -149,7 +144,7 @@ def run_algorithm(
             norm=result.opt_norm,
             outer_iterations=0,
             inner_iterations=result.explored,
-            wall_time=_time.perf_counter() - start,
+            wall_time=time.perf_counter() - start,
             feasible=True,
             seed=seed,
             extras={"feasible_paths": result.feasible_paths},
@@ -171,8 +166,10 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
     """Every (threshold, repetition, algorithm) cell as one CSV-ready row.
 
     Each returned budget vector is re-verified with an independent
-    separation check; incompatible algorithm/model combinations and
-    timeouts become per-row errors, never batch failures.
+    separation check. Every ``QosdError`` a solver raises becomes a per-row
+    error (``timeout``, ``nonlinear-weights``, else ``"<Class>: <msg>"``),
+    never a batch failure; a failed oracle gets its own error row and the
+    other algorithms run without ``opt``.
     """
     rows: list[dict] = []
     for threshold in config.thresholds:
@@ -184,32 +181,23 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
                     rows.append(_error_row(config, alg, threshold, 0, f"instance: {exc}"))
                 continue
             model = config.model if config.source == "er" else "file"
-            opt_norm: int | None = None
-            if "oracle" in config.algorithms:
-                oracle_report = run_algorithm(instance, "oracle")
-                opt_norm = oracle_report.norm
+            oracle = _attempt(instance, "oracle") if "oracle" in config.algorithms else None
+            opt_norm = oracle.norm if isinstance(oracle, RunReport) else None
             for alg_index, alg in enumerate(config.algorithms):
                 seed = derive_seed(config.master_seed, threshold, repetition, alg_index)
                 if alg == "oracle":
-                    report = oracle_report
+                    report = oracle
                 else:
-                    try:
-                        report = run_algorithm(
-                            instance, alg,
-                            seed=seed, threads=config.threads,
-                            deadline=Deadline(config.time_limit),
-                            q=config.q, alpha=config.alpha,
-                            epsilon=config.epsilon, delta=config.delta,
-                            sample_mode=config.sample_mode, samples=config.samples,
-                        )
-                    except SolverTimeout:
-                        rows.append(_error_row(config, alg, threshold, seed, "timeout", model))
-                        continue
-                    except NonlinearWeightsError:
-                        rows.append(
-                            _error_row(config, alg, threshold, seed, "nonlinear-weights", model)
-                        )
-                        continue
+                    report = _attempt(
+                        instance, alg,
+                        seed=seed, deadline=Deadline(config.time_limit),
+                        q=config.q, alpha=config.alpha,
+                        epsilon=config.epsilon, delta=config.delta,
+                        sample_mode=config.sample_mode, samples=config.samples,
+                    )
+                if isinstance(report, str):
+                    rows.append(_error_row(config, alg, threshold, seed, report, model))
+                    continue
                 verified = not unseparated_pairs(instance, report.budget)
                 extras = dict(report.extras)
                 extras["verified"] = verified
@@ -233,6 +221,18 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
                     }
                 )
     return rows
+
+
+def _attempt(instance: QosdInstance, algorithm: str, **knobs) -> RunReport | str:
+    """The solver's report, or the per-row error label of the QosdError it raised."""
+    try:
+        return run_algorithm(instance, algorithm, **knobs)
+    except SolverTimeout:
+        return "timeout"
+    except NonlinearWeightsError:
+        return "nonlinear-weights"
+    except QosdError as exc:
+        return f"{type(exc).__name__}: {exc}"
 
 
 def _error_row(config, alg, threshold, seed, message, model=None) -> dict:

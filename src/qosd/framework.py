@@ -18,11 +18,9 @@ from .report import Deadline, RunReport
 Blocker = Callable[..., BudgetVector]
 
 
-def potential_paths(
-    instance: QosdInstance, x: BudgetVector, *, threads: int = 1
-) -> list[Path]:
+def potential_paths(instance: QosdInstance, x: BudgetVector) -> list[Path]:
     """One shortest path (below T under x) per still-unseparated pair."""
-    return [p for p in pair_shortest_paths(instance, x, threads=threads) if p is not None]
+    return [p for p in pair_shortest_paths(instance, x) if p is not None]
 
 
 def run_iterative(
@@ -40,6 +38,8 @@ def run_iterative(
     ``(instance, candidate_set, trace=list) -> BudgetVector``. A round that
     contributes no new path means the previous blocking failed; that is a
     logic error surfaced as ``StallError`` rather than a silent loop.
+    ``threads`` is accepted and ignored: every search runs in the caller's
+    thread.
     """
     from .at import block_adaptive
     from .ig import block_greedy
@@ -66,7 +66,7 @@ def run_iterative(
     inner = 0
     while True:
         deadline.check(f"{name} outer iteration {outer}")
-        fresh = potential_paths(instance, x, threads=threads)
+        fresh = potential_paths(instance, x)
         if not fresh:
             break
         if candidates.add_all(fresh) == 0:
@@ -85,7 +85,7 @@ def run_iterative(
         inner += len(trace)
 
     elapsed = time.perf_counter() - start
-    feasible = not [p for p in pair_shortest_paths(instance, x, threads=threads) if p]
+    feasible = not potential_paths(instance, x)
     return RunReport(
         algorithm=name,
         budget=x,

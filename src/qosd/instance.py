@@ -477,6 +477,8 @@ def load_instance(stream: IO[str], *, validate_box: bool = True) -> QosdInstance
         try:
             if key in ("directed", "n", "m", "T", "k"):
                 header[key] = int(parts[1])
+                if key == "directed" and header[key] != 1:
+                    raise ParseError("only 'directed 1' graphs are supported", line_no)
             elif key == "edge":
                 u, v = int(parts[1]), int(parts[2])
                 tag = parts[3]

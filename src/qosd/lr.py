@@ -7,19 +7,17 @@ import math
 import random
 import time
 from dataclasses import dataclass
-from heapq import heappop, heappush
 
 import numpy as np
 from scipy.optimize import linprog
 
 from .errors import IterationLimitError, NonlinearWeightsError, QosdError, StallError
 from .instance import QosdInstance
-from .pathcore import BudgetVector, CandidateSet, Path, unseparated_pairs
+from .pathcore import BudgetVector, CandidateSet, Path, path_below, unseparated_pairs
 from .report import Deadline, RunReport
 
 FEAS_TOL = 1e-6
 SNAP_TOL = 1e-9
-_INF = float("inf")
 
 
 @dataclass
@@ -87,78 +85,37 @@ def solve_lp(instance: QosdInstance, paths: CandidateSet | list[Path]) -> LpSolu
     return LpSolution(fractional, float(result.fun), path_set)
 
 
-def _fractional_shortest(
-    graph, lengths: list[float], source: int, target: int, threshold: float
-) -> tuple[float, list[int]]:
-    # real-valued Dijkstra; lengths are alpha_e + beta_e x'_e >= 1
-    n = graph.n
-    dist = [_INF] * n
-    parent_edge = [-1] * n
-    settled = bytearray(n)
-    dist[source] = 0.0
-    heap = [(0.0, source)]
-    while heap:
-        d, u = heappop(heap)
-        if settled[u]:
-            continue
-        if d >= threshold:
-            break
-        settled[u] = 1
-        if u == target:
-            break
-        for v, ei in graph.out_adj[u]:
-            if settled[v]:
-                continue
-            nd = d + lengths[ei]
-            if nd < dist[v]:
-                dist[v] = nd
-                parent_edge[v] = ei
-                heappush(heap, (nd, v))
-            elif nd == dist[v] and ei < parent_edge[v]:
-                parent_edge[v] = ei
-    return dist[target], parent_edge
-
-
 def constraint_generation(
     instance: QosdInstance,
     *,
-    threads: int = 1,
     deadline: Deadline | float | None = None,
     iteration_cap: int | None = None,
     stats: dict | None = None,
 ) -> LpSolution:
     """Grow the LP one round of violated shortest paths at a time until the
-    fractional optimum keeps every pair at length >= T (within tolerance)."""
+    fractional optimum keeps every pair at length >= T (within tolerance).
+
+    The separation oracle is :func:`pathcore.path_below` on the float
+    lengths alpha_e + beta_e x'_e (all >= 1) with the strict bound
+    T * (1 - FEAS_TOL); ties break by the lowest edge index, as in the
+    path queries of IG and AT.
+    """
     betas, alphas = _affine_coeffs(instance)
     deadline = Deadline.ensure(deadline)
     cap = iteration_cap if iteration_cap is not None else 10 * instance.k * instance.hop_bound
-    graph = instance.graph
-    threshold = instance.threshold
+    m = instance.graph.m
     active = CandidateSet()
-    solution = LpSolution([0.0] * graph.m, 0.0, active)
+    solution = LpSolution([0.0] * m, 0.0, active)
+    cutoff = instance.threshold * (1.0 - FEAS_TOL)
     rounds = 0
     while True:
         deadline.check("constraint generation")
-        lengths = [
-            alphas[e] + betas[e] * solution.fractional[e] for e in range(graph.m)
-        ]
-        cutoff = threshold * (1.0 - FEAS_TOL)
-        violated: list[Path] = []
-        for i, (s, t) in enumerate(instance.pairs):
-            d, parent_edge = _fractional_shortest(graph, lengths, s, t, threshold)
-            if d < cutoff:
-                nodes = [t]
-                edges = []
-                cur = t
-                while cur != s:
-                    ei = parent_edge[cur]
-                    edges.append(ei)
-                    cur = graph.edges[ei][0]
-                    nodes.append(cur)
-                nodes.reverse()
-                edges.reverse()
-                initial = sum(instance.weights[e].table[0] for e in edges)
-                violated.append(Path(tuple(nodes), tuple(edges), initial, i))
+        lengths = [alphas[e] + betas[e] * solution.fractional[e] for e in range(m)]
+        found = (
+            path_below(instance, lengths, pair, cutoff, i)
+            for i, pair in enumerate(instance.pairs)
+        )
+        violated = [p for p in found if p is not None]
         if not violated:
             if stats is not None:
                 stats["rounds"] = rounds
@@ -219,11 +176,15 @@ def run_lr(
     max_retries: int = 10,
 ) -> RunReport:
     """Constraint generation, then rounding with retries and a ceiling
-    fallback, so the returned vector is always feasible."""
+    fallback, so the returned vector is always feasible.
+
+    ``threads`` is accepted and ignored: every search runs in the caller's
+    thread.
+    """
     deadline = Deadline.ensure(deadline)
     start = time.perf_counter()
     cg_stats: dict = {}
-    lp = constraint_generation(instance, threads=threads, deadline=deadline, stats=cg_stats)
+    lp = constraint_generation(instance, deadline=deadline, stats=cg_stats)
     betas, _ = _affine_coeffs(instance)
     eta_value = (
         eta_override
@@ -231,27 +192,19 @@ def run_lr(
         else eta(instance.graph.n, instance.hop_bound, max(betas), delta)
     )
     rng = random.Random(seed)
-    retries = 0
     fallback = False
-    x: BudgetVector | None = None
-    for attempt in range(max_retries):
+    for retries in range(max_retries):
         deadline.check("rounding")
-        candidate = round_solution(instance, lp, eta_value, rng)
-        if not unseparated_pairs(instance, candidate, threads=threads):
-            x = candidate
-            retries = attempt
+        x = round_solution(instance, lp, eta_value, rng)
+        if not unseparated_pairs(instance, x):
             break
-    if x is None:
+    else:
+        # an infinite eta takes the ceiling of every fractional component
         retries = max_retries
         fallback = True
-        values = []
-        for e, xe in enumerate(lp.fractional):
-            nearest = round(xe)
-            v = int(nearest) if abs(xe - nearest) <= SNAP_TOL else math.ceil(xe)
-            values.append(min(v, instance.box[e]))
-        x = BudgetVector(values)
+        x = round_solution(instance, lp, math.inf, rng)
 
-    feasible = not unseparated_pairs(instance, x, threads=threads)
+    feasible = not unseparated_pairs(instance, x)
     return RunReport(
         algorithm="lr",
         budget=x,

@@ -1,13 +1,14 @@
-"""Budget vectors, path metrics, pruned shortest paths and separation checks.
+"""Budget vectors, path metrics, the shortest-path kernel and separation checks.
 
-Everything here is exact integer arithmetic. Shortest-path queries prune
-at the threshold: only paths strictly shorter than T ever matter, and all
-edge weights are >= 1, so a Dijkstra pop at distance >= T ends the search.
+:func:`dijkstra` is the one shortest-path search; IG and AT harvest paths,
+LR separates and SA builds its shortest-path trees with it. Queries stop
+at a bound: only paths strictly shorter than T ever matter, and all edge
+weights are >= 1, so a pop at distance >= T ends the search. Everything
+but LR's fractional lengths is exact integer arithmetic.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import TYPE_CHECKING, Iterable, Sequence
@@ -181,24 +182,27 @@ def blocks_all(instance: "QosdInstance", paths: Sequence[Path], x: BudgetVector)
     return d_value(instance, paths, x) == len(paths) * instance.threshold
 
 
-def _dijkstra_below_threshold(
-    graph,
-    lengths: Sequence[int],
+def dijkstra(
+    adj: Sequence[Sequence[tuple[int, int]]],
+    lengths: Sequence[float],
     source: int,
-    target: int,
-    threshold: float,
-    prune: bool = True,
-) -> tuple[float, list[int]]:
-    """Distance and predecessor-edge array for one pair.
+    *,
+    bound: float = _INF,
+    target: int = -1,
+    tie_key: Sequence | None = None,
+) -> tuple[list[float], list[int]]:
+    """Distances from ``source`` over ``adj`` and the edge each node is reached by.
 
-    Pops in (distance, node) order; a pop at distance >= threshold ends the
-    search when pruning (all remaining entries are at least as far). Among
-    equal-length routes into a node the lower predecessor edge index wins —
-    with all weights >= 1 every candidate predecessor relaxes before the
-    node itself settles, so the rule is complete.
+    ``adj[u]`` lists ``(v, e)``: ``graph.out_adj`` gives distances from
+    ``source``, ``graph.in_adj`` distances to it (``parent_edge[v]`` is then
+    v's first edge toward ``source``). Nodes pop in (distance, node) order;
+    only nodes strictly nearer than ``bound`` settle, and the search ends
+    once ``target`` settles. Ties go to the edge with the lowest
+    ``tie_key[e]``, or the lowest edge index when ``tie_key`` is None. With
+    every length >= 1 each tight edge into a node relaxes before the node
+    settles, so the rule is complete for every settled node.
     """
-    n = graph.n
-    out_adj = graph.out_adj
+    n = len(adj)
     dist: list[float] = [_INF] * n
     parent_edge = [-1] * n
     settled = bytearray(n)
@@ -208,12 +212,12 @@ def _dijkstra_below_threshold(
         d, u = heappop(heap)
         if settled[u]:
             continue
-        if prune and d >= threshold:
+        if d >= bound:
             break
         settled[u] = 1
         if u == target:
             break
-        for v, ei in out_adj[u]:
+        for v, ei in adj[u]:
             if settled[v]:
                 continue
             nd = d + lengths[ei]
@@ -222,23 +226,37 @@ def _dijkstra_below_threshold(
                 dist[v] = nd
                 parent_edge[v] = ei
                 heappush(heap, (nd, v))
-            elif nd == dv and ei < parent_edge[v]:
+            elif nd == dv and (
+                ei < parent_edge[v] if tie_key is None
+                else tie_key[ei] < tie_key[parent_edge[v]]
+            ):
                 parent_edge[v] = ei
-    return dist[target], parent_edge
+    return dist, parent_edge
 
 
-def _reconstruct(graph, weights, parent_edge, source: int, target: int, pair_index):
-    nodes = [target]
+def path_below(
+    instance: "QosdInstance",
+    lengths: Sequence[float],
+    pair: tuple[int, int],
+    bound: float,
+    pair_index: int | None = None,
+) -> Path | None:
+    """Shortest s-t path under ``lengths`` if strictly shorter than ``bound``,
+    else None; rebuilt backward from t along :func:`dijkstra`'s parent edges."""
+    s, t = pair
+    graph = instance.graph
+    dist, parent_edge = dijkstra(graph.out_adj, lengths, s, bound=bound, target=t)
+    if dist[t] >= bound:
+        return None
+    nodes = [t]
     edges = []
-    cur = target
-    while cur != source:
-        ei = parent_edge[cur]
+    while nodes[-1] != s:
+        ei = parent_edge[nodes[-1]]
         edges.append(ei)
-        cur = graph.edges[ei][0]
-        nodes.append(cur)
+        nodes.append(graph.edges[ei][0])
     nodes.reverse()
     edges.reverse()
-    initial = sum(weights[e].table[0] for e in edges)
+    initial = sum(instance.weights[e].table[0] for e in edges)
     return Path(tuple(nodes), tuple(edges), initial, pair_index)
 
 
@@ -249,47 +267,22 @@ def shortest_path(
     *,
     pair_index: int | None = None,
     lengths: Sequence[int] | None = None,
-    prune: bool = True,
 ) -> Path | None:
     """Minimum-length path under f_e(x_e) if its length is below T, else None."""
     if lengths is None:
         lengths = edge_lengths(instance, x)
-    s, t = pair
-    d, parent_edge = _dijkstra_below_threshold(
-        instance.graph, lengths, s, t, instance.threshold, prune
-    )
-    if d >= instance.threshold:
-        return None
-    return _reconstruct(instance.graph, instance.weights, parent_edge, s, t, pair_index)
+    return path_below(instance, lengths, pair, instance.threshold, pair_index)
 
 
-def pair_shortest_paths(
-    instance: "QosdInstance",
-    x: BudgetVector,
-    *,
-    threads: int = 1,
-) -> list[Path | None]:
-    """Per-pair shortest path below T (None when the pair is separated).
-
-    Pairs are independent tasks; results are joined in pair order so the
-    output is identical for any thread count.
-    """
+def pair_shortest_paths(instance: "QosdInstance", x: BudgetVector) -> list[Path | None]:
+    """Per-pair shortest path below T (None when the pair is separated), in pair order."""
     lengths = edge_lengths(instance, x)
-
-    def query(item: tuple[int, tuple[int, int]]) -> Path | None:
-        i, pair = item
-        return shortest_path(instance, x, pair, pair_index=i, lengths=lengths)
-
-    items = list(enumerate(instance.pairs))
-    if threads > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(query, items))
-    return [query(it) for it in items]
+    return [
+        shortest_path(instance, x, pair, pair_index=i, lengths=lengths)
+        for i, pair in enumerate(instance.pairs)
+    ]
 
 
-def unseparated_pairs(
-    instance: "QosdInstance", x: BudgetVector, *, threads: int = 1
-) -> list[int]:
+def unseparated_pairs(instance: "QosdInstance", x: BudgetVector) -> list[int]:
     """Indices of pairs still connected below T; empty means x is feasible."""
-    found = pair_shortest_paths(instance, x, threads=threads)
-    return [i for i, p in enumerate(found) if p is not None]
+    return [i for i, p in enumerate(pair_shortest_paths(instance, x)) if p is not None]

@@ -11,17 +11,13 @@ from __future__ import annotations
 import math
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from heapq import heappop, heappush
 
 from .errors import GammaZeroError, InfeasibleBoxError
 from .framework import potential_paths
 from .instance import QosdInstance, concave_ratio
-from .pathcore import BudgetVector, Path, edge_lengths, unseparated_pairs
+from .pathcore import BudgetVector, Path, dijkstra, edge_lengths, unseparated_pairs
 from .report import Deadline, RunReport
-
-_INF = float("inf")
 
 
 @dataclass(frozen=True)
@@ -68,34 +64,15 @@ class SaConfig:
 def build_sp_tree(instance: QosdInstance, x: BudgetVector, sink: int) -> list[int | None]:
     """Next hop toward ``sink`` on a shortest path under f_e(x_e), per node.
 
-    One reverse-graph Dijkstra; equal-distance candidates resolve to the
-    lowest next-hop id. Nodes that cannot reach the sink map to None.
+    One :func:`pathcore.dijkstra` over the reverse graph. Ties compare the
+    out-edges' ``(node, next hop)`` tuples, so among equal-distance routes
+    the lowest next-hop id wins. Nodes that cannot reach the sink, and the
+    sink itself, map to None.
     """
     graph = instance.graph
-    lengths = edge_lengths(instance, x)
-    n = graph.n
-    dist: list[float] = [_INF] * n
-    next_hop: list[int | None] = [None] * n
-    settled = bytearray(n)
-    dist[sink] = 0
-    heap: list[tuple[float, int]] = [(0, sink)]
-    while heap:
-        d, u = heappop(heap)
-        if settled[u]:
-            continue
-        settled[u] = 1
-        for w, ei in graph.in_adj[u]:
-            if settled[w]:
-                continue
-            nd = d + lengths[ei]
-            dw = dist[w]
-            if nd < dw:
-                dist[w] = nd
-                next_hop[w] = u
-                heappush(heap, (nd, w))
-            elif nd == dw and next_hop[w] is not None and u < next_hop[w]:
-                next_hop[w] = u
-    return next_hop
+    edges = graph.edges
+    _, first_edge = dijkstra(graph.in_adj, edge_lengths(instance, x), sink, tie_key=edges)
+    return [edges[e][1] if e >= 0 else None for e in first_edge]
 
 
 def sample_path(
@@ -298,25 +275,21 @@ def _draw_samples(
     round_idx: int,
     attempt: int,
     count: int,
-    threads: int,
 ) -> list[SampledPath]:
     lengths = edge_lengths(instance, x)
-
-    def one(i: int) -> SampledPath:
-        rng = _derived_rng(master, round_idx, attempt, i)
-        return sample_path(instance, x, trees, alpha, rng, lengths=lengths)
-
-    indices = range(count)
-    if threads > 1 and count > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one, indices))
-    return [one(i) for i in indices]
+    return [
+        sample_path(
+            instance, x, trees, alpha, _derived_rng(master, round_idx, attempt, i),
+            lengths=lengths,
+        )
+        for i in range(count)
+    ]
 
 
-def _exact_unit_step(instance: QosdInstance, x: BudgetVector, threads: int) -> int:
+def _exact_unit_step(instance: QosdInstance, x: BudgetVector) -> int:
     """Fallback: best unit increment by exact gain over the current
     shortest paths; guarantees progress when sampling keeps missing."""
-    paths = potential_paths(instance, x, threads=threads)
+    paths = potential_paths(instance, x)
     if not paths:
         return -1
     threshold = instance.threshold
@@ -364,7 +337,9 @@ def run_sa(
     Each round rebuilds the shortest-path trees under the current budget,
     draws fresh samples and adds the greedy chunk. A zero chunk escalates
     by doubling the sample count up to three times, then falls back to one
-    exact unit step so progress is unconditional.
+    exact unit step so progress is unconditional. ``threads`` is accepted
+    and ignored: walks are drawn in the caller's thread, each from its own
+    derived seed.
     """
     config = config or SaConfig()
     deadline = Deadline.ensure(deadline)
@@ -391,33 +366,30 @@ def run_sa(
     sinks = sorted({t for _, t in instance.pairs})
     while True:
         deadline.check("sampling round")
-        if not unseparated_pairs(instance, x, threads=threads):
+        if not unseparated_pairs(instance, x):
             break
         trees = {t: build_sp_tree(instance, x, t) for t in sinks}
-        progressed = False
         for attempt in range(4):  # base try plus three doublings
             if attempt > 0:
                 escalations += 1
             count = base_count * (2**attempt)
             samples = _draw_samples(
-                instance, x, trees, config.alpha, config.seed,
-                rounds, attempt, count, threads,
+                instance, x, trees, config.alpha, config.seed, rounds, attempt, count
             )
             samples_drawn += count
             chunk = greedy_chunk(instance, samples, x, config.q)
             if chunk.norm > 0:
                 x = x.plus(chunk)
-                progressed = True
                 break
-        if not progressed:
-            edge = _exact_unit_step(instance, x, threads)
+        else:
+            edge = _exact_unit_step(instance, x)
             if edge < 0:
                 break
             x = x.plus(BudgetVector.unit(m, edge))
             fallbacks += 1
         rounds += 1
 
-    feasible = not unseparated_pairs(instance, x, threads=threads)
+    feasible = not unseparated_pairs(instance, x)
     return RunReport(
         algorithm="sa",
         budget=x,

@@ -97,6 +97,38 @@ class TestRunExperiment:
         assert "nonlinear-weights" in by_alg["lr"]["extras"]
         assert by_alg["ig"]["feasible"] == "true"
 
+    def test_solver_error_reported_per_row(self):
+        # flat concave increments at T=10: IG finds no improving unit, AT does
+        config = ExperimentConfig(
+            er_n=60, model="concave", thresholds=[10], algorithms=["at", "ig"],
+            repetitions=1,
+        )
+        by_alg = {row["algorithm"]: row for row in run_experiment(config)}
+        assert json.loads(by_alg["ig"]["extras"])["error"].startswith("InfeasibleBoxError: ")
+        assert by_alg["ig"]["feasible"] == "false"
+        assert json.loads(by_alg["at"]["extras"])["verified"] is True
+        assert by_alg["at"]["feasible"] == "true"
+
+    def test_failed_oracle_gets_own_row(self, monkeypatch):
+        import qosd.experiment
+        from qosd import BlownBudgetError
+
+        def blown(instance):
+            raise BlownBudgetError("node limit reached")
+
+        monkeypatch.setattr(qosd.experiment, "oracle_opt", blown)
+        config = ExperimentConfig(
+            er_n=8, er_rho=0.3, thresholds=[3], k=2,
+            algorithms=["oracle", "ig"], repetitions=1, master_seed=3,
+        )
+        by_alg = {row["algorithm"]: row for row in run_experiment(config)}
+        assert json.loads(by_alg["oracle"]["extras"]) == {
+            "error": "BlownBudgetError: node limit reached"
+        }
+        ig_extras = json.loads(by_alg["ig"]["extras"])
+        assert ig_extras["verified"] is True
+        assert "opt" not in ig_extras
+
 
 class TestCli:
     def test_gen_solve_validate_round_trip(self, tmp_path, capsys):
@@ -171,6 +203,28 @@ class TestCli:
         ])
         # /dev/null pairs file -> no pairs -> invalid instance -> usage error
         assert code == 1
+
+    def test_non_integer_pair_token_exits_1(self, tmp_path, capsys):
+        edges_file = tmp_path / "edges.txt"
+        edges_file.write_text("0 1\n1 3\n0 2\n2 3\n")
+        pairs_file = tmp_path / "pairs.txt"
+        pairs_file.write_text("# pairs\n0 3\n0 x\n")
+        code = main([
+            "solve", "--edges", str(edges_file), "--algorithm", "ig",
+            "--threshold", "4", "--pairs-file", str(pairs_file),
+        ])
+        assert code == 1
+        assert "line 3" in capsys.readouterr().err
+
+    def test_threads_option_removed(self, tmp_path):
+        edges_file = tmp_path / "edges.txt"
+        edges_file.write_text("0 1\n1 3\n0 2\n2 3\n")
+        solve = ["solve", "--edges", str(edges_file), "--algorithm", "ig",
+                 "--threshold", "3", "--random-pairs", "2", "--pair-seed", "1"]
+        assert main(solve) == 0
+        assert main(solve + ["--threads", "2"]) == 1
+        with pytest.raises(ConfigError, match="unknown key 'threads'"):
+            parse_config("qosd-config v1\nthreads = 2\n")
 
     def test_solve_edge_list_random_pairs(self, tmp_path, capsys):
         edges_file = tmp_path / "edges.txt"

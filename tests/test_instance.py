@@ -235,3 +235,11 @@ class TestRoundTrip:
     def test_header_required(self):
         with pytest.raises(ParseError):
             load_instance(io.StringIO("nope\n"))
+
+    @pytest.mark.parametrize("value", ["0", "2"])
+    def test_only_directed_one_accepted(self, value):
+        buffer = io.StringIO()
+        save_instance(make_er_instance(12, 0.3, 4, 3, "linear", seed=9), buffer)
+        text = buffer.getvalue().replace("directed 1\n", f"directed {value}\n")
+        with pytest.raises(ParseError, match="line 2"):
+            load_instance(io.StringIO(text))

@@ -13,6 +13,7 @@ from qosd import (
     QosdError,
     QosdInstance,
     WeightFunction,
+    build_sp_tree,
     build_weights,
     concave_ratio,
     d_value,
@@ -21,7 +22,7 @@ from qosd import (
     shortest_path,
     unseparated_pairs,
 )
-from qosd.pathcore import _dijkstra_below_threshold, edge_lengths
+from qosd.pathcore import dijkstra, edge_lengths
 
 from conftest import diamond_instance
 
@@ -193,8 +194,8 @@ def test_prune_soundness(seed):
     inst = QosdInstance(graph, weights, [(0, 7)], 4, validate_box=False)
     x = BudgetVector([rng.randint(0, w.cap) for w in weights])
     lengths = edge_lengths(inst, x)
-    d_pruned, _ = _dijkstra_below_threshold(graph, lengths, 0, 7, inst.threshold, True)
-    d_full, _ = _dijkstra_below_threshold(graph, lengths, 0, 7, inst.threshold, False)
+    d_pruned = dijkstra(graph.out_adj, lengths, 0, bound=inst.threshold, target=7)[0][7]
+    d_full = dijkstra(graph.out_adj, lengths, 0, target=7)[0][7]
     if d_full < inst.threshold:
         assert d_pruned == d_full
     else:
@@ -245,3 +246,81 @@ def test_lemma_concavity_quick():
         dxz = d_value(inst, paths, bx.plus(z)) - d_value(inst, paths, bx)
         dyz = d_value(inst, paths, by.plus(z)) - d_value(inst, paths, by)
         assert Fraction(dxz) >= gamma * Fraction(dyz)
+
+
+def _shuffled_instance(seed: int) -> tuple[QosdInstance, BudgetVector]:
+    # random digraph whose edge indices do not follow (src, dst) order
+    rng = random.Random(seed)
+    n = rng.randint(3, 8)
+    edges = [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < 0.45]
+    if not edges:
+        edges = [(0, 1)]
+    rng.shuffle(edges)
+    weights = []
+    for _ in edges:
+        table = [rng.randint(1, 3)]
+        for _ in range(rng.randint(1, 3)):
+            table.append(table[-1] + rng.randint(0, 2))
+        weights.append(WeightFunction(tuple(table)))
+    pair = (rng.randrange(n), rng.randrange(n - 1))
+    pair = (pair[0], pair[1] + (pair[1] >= pair[0]))
+    inst = QosdInstance(Graph(n, edges), weights, [pair], rng.randint(2, 9), validate_box=False)
+    return inst, BudgetVector([rng.randint(0, w.cap) for w in weights])
+
+
+def _bellman_ford(n, edges, lengths, source):
+    dist = [float("inf")] * n
+    dist[source] = 0
+    for _ in range(n - 1):
+        for e, (u, v) in enumerate(edges):
+            if dist[u] + lengths[e] < dist[v]:
+                dist[v] = dist[u] + lengths[e]
+    return dist
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10_000))
+def test_kernel_distances_both_directions(seed):
+    inst, x = _shuffled_instance(seed)
+    graph = inst.graph
+    lengths = edge_lengths(inst, x)
+    s, t = inst.pairs[0]
+    reverse = [(v, u) for u, v in graph.edges]
+    assert dijkstra(graph.out_adj, lengths, s)[0] == _bellman_ford(graph.n, graph.edges, lengths, s)
+    assert dijkstra(graph.in_adj, lengths, t)[0] == _bellman_ford(graph.n, reverse, lengths, t)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10_000))
+def test_shortest_path_takes_lowest_index_tight_in_edge(seed):
+    inst, x = _shuffled_instance(seed)
+    edges = inst.graph.edges
+    lengths = edge_lengths(inst, x)
+    s, t = inst.pairs[0]
+    dist = _bellman_ford(inst.graph.n, edges, lengths, s)
+    found = shortest_path(inst, x, (s, t))
+    if dist[t] >= inst.threshold:
+        assert found is None
+        return
+    assert found.node_seq[0] == s and found.node_seq[-1] == t
+    for e in found.edge_seq:
+        head = edges[e][1]
+        tight = [f for f, (u, v) in enumerate(edges) if v == head and dist[u] + lengths[f] == dist[v]]
+        assert e == min(tight)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10_000))
+def test_sp_tree_next_hop_is_lowest_id_on_a_shortest_route(seed):
+    inst, x = _shuffled_instance(seed)
+    graph = inst.graph
+    lengths = edge_lengths(inst, x)
+    sink = inst.pairs[0][1]
+    to_sink = _bellman_ford(graph.n, [(v, u) for u, v in graph.edges], lengths, sink)
+    tree = build_sp_tree(inst, x, sink)
+    for w in range(graph.n):
+        hops = [
+            v for e, (u, v) in enumerate(graph.edges)
+            if u == w and w != sink and lengths[e] + to_sink[v] == to_sink[w] < float("inf")
+        ]
+        assert tree[w] == (min(hops) if hops else None)
