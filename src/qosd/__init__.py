@@ -5,7 +5,7 @@ and a threshold T, find a small total budget of weight increases under
 which every target pair's shortest-path distance reaches T.
 """
 
-from .at import ChunkIncrement, block_adaptive
+from .at import block_adaptive
 from .baselines import OracleResult, enumerate_feasible_paths, min_budget_to_block, oracle_opt, run_cc
 from .errors import (
     BlownBudgetError,
@@ -42,6 +42,7 @@ from .pathcore import (
     BudgetVector,
     CandidateSet,
     Path,
+    PathSupport,
     blocks_all,
     d_value,
     edge_lengths,

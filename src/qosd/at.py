@@ -3,27 +3,12 @@ best gain-per-unit ratio, scanning every spendable amount exactly."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable
 
 from .errors import InfeasibleBoxError
 from .instance import QosdInstance
-from .pathcore import BudgetVector, Path
+from .pathcore import BudgetVector, Path, PathSupport
 from .report import Deadline
-
-
-@dataclass(frozen=True)
-class ChunkIncrement:
-    """A candidate budget chunk: ``amount`` units on one edge."""
-
-    edge: int
-    amount: int
-    gain: int
-
-    @property
-    def ratio(self) -> Fraction:
-        return Fraction(self.gain, self.amount)
 
 
 def block_adaptive(
@@ -33,81 +18,20 @@ def block_adaptive(
     trace: list | None = None,
     deadline: Deadline | float | None = None,
 ) -> BudgetVector:
-    """Blocks every candidate path by repeatedly adding the best-ratio chunk.
-
-    Ratio comparisons use integer cross-multiplication, never floats. Per
-    edge, among equal-ratio amounts the smallest amount is kept (so with
-    concave or linear tables the choice degenerates to the unit step and
-    the run matches the greedy blocker bit for bit); across edges ties
-    break by higher gain, then smaller amount, then lower edge index.
+    """Blocks every candidate path by repeatedly adding the best-ratio chunk
+    (:meth:`PathSupport.best_chunk` holds the exact ratio and tie rules; with
+    concave or linear tables the run matches the greedy blocker bit for bit).
     """
-    path_list = list(paths)
-    threshold = instance.threshold
-    weights = instance.weights
-    box = instance.box
     deadline = Deadline.ensure(deadline)
-
-    m = instance.graph.m
-    x = [0] * m
-    lengths = [sum(weights[e].table[0] for e in p.edge_seq) for p in path_list]
-    support: dict[int, list[int]] = {}
-    for pi, p in enumerate(path_list):
-        for e in p.edge_seq:
-            support.setdefault(e, []).append(pi)
-    support_edges = sorted(support)
-
-    gap = sum(threshold - min(threshold, ln) for ln in lengths)
-    while gap > 0:
+    support = PathSupport(instance, paths)
+    while support.gap > 0:
         deadline.check("adaptive trading")
-        best: ChunkIncrement | None = None
-        for e in support_edges:
-            xe = x[e]
-            room = box[e] - xe
-            if room <= 0:
-                continue
-            table = weights[e].table
-            base = table[xe]
-            shorts = [threshold - lengths[pi] for pi in support[e]]
-            shorts = [s for s in shorts if s > 0]
-            if not shorts:
-                continue
-            edge_best_gain = 0
-            edge_best_z = 0
-            for z in range(1, room + 1):
-                delta = table[xe + z] - base
-                if delta == 0:
-                    continue
-                gain = sum(s if delta > s else delta for s in shorts)
-                # keep the smallest z among equal ratios: strict improvement only
-                if edge_best_z == 0 or gain * edge_best_z > edge_best_gain * z:
-                    edge_best_gain = gain
-                    edge_best_z = z
-            if edge_best_z == 0:
-                continue
-            cand = ChunkIncrement(e, edge_best_z, edge_best_gain)
-            if best is None:
-                best = cand
-                continue
-            lhs = cand.gain * best.amount
-            rhs = best.gain * cand.amount
-            if lhs > rhs or (
-                lhs == rhs
-                and (
-                    cand.gain > best.gain
-                    or (cand.gain == best.gain and cand.amount < best.amount)
-                )
-            ):
-                best = cand
-        if best is None:
+        edge, amount, gain = support.best_chunk()
+        if edge < 0:
             raise InfeasibleBoxError(
                 "no chunk improves D while paths remain below T"
             )
-        xe = x[best.edge]
-        delta = weights[best.edge].table[xe + best.amount] - weights[best.edge].table[xe]
-        x[best.edge] = xe + best.amount
-        for pi in support[best.edge]:
-            lengths[pi] += delta
-        gap -= best.gain
+        support.apply(edge, amount)
         if trace is not None:
-            trace.append((best.edge, best.amount, best.gain))
-    return BudgetVector(x)
+            trace.append((edge, amount, gain))
+    return BudgetVector(support.x)

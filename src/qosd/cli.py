@@ -268,13 +268,7 @@ def main(argv: list[str] | None = None) -> int:
     except (InfeasibleBoxError, NonlinearWeightsError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except InvalidInstanceError as exc:
-        if "infeasible-box" in str(exc):
-            print(f"infeasible: {exc}", file=sys.stderr)
-            return EXIT_INFEASIBLE
-        print(f"invalid input: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ParseError, ConfigError, FileNotFoundError) as exc:
+    except (InvalidInstanceError, ParseError, ConfigError, FileNotFoundError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except QosdError as exc:

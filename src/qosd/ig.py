@@ -7,7 +7,7 @@ from typing import Iterable
 
 from .errors import InfeasibleBoxError
 from .instance import QosdInstance
-from .pathcore import BudgetVector, Path
+from .pathcore import BudgetVector, Path, PathSupport
 from .report import Deadline
 
 
@@ -27,53 +27,16 @@ def block_greedy(
     is still below T (with flat weight increments this can trigger even
     inside a feasible box; the trading blocker handles those instances).
     """
-    path_list = list(paths)
-    threshold = instance.threshold
-    weights = instance.weights
-    box = instance.box
     deadline = Deadline.ensure(deadline)
-
-    m = instance.graph.m
-    x = [0] * m
-    lengths = [sum(weights[e].table[0] for e in p.edge_seq) for p in path_list]
-    support: dict[int, list[int]] = {}
-    for pi, p in enumerate(path_list):
-        for e in p.edge_seq:
-            support.setdefault(e, []).append(pi)
-    support_edges = sorted(support)
-
-    gap = sum(threshold - min(threshold, ln) for ln in lengths)
-    steps = 0
-    while gap > 0:
+    support = PathSupport(instance, paths)
+    while support.gap > 0:
         deadline.check("greedy blocking")
-        best_edge = -1
-        best_gain = 0
-        for e in support_edges:
-            xe = x[e]
-            if xe >= box[e]:
-                continue
-            delta = weights[e].table[xe + 1] - weights[e].table[xe]
-            if delta == 0:
-                continue
-            gain = 0
-            for pi in support[e]:
-                short = threshold - lengths[pi]
-                if short > 0:
-                    gain += short if delta > short else delta
-            if gain > best_gain:
-                best_gain = gain
-                best_edge = e
-        if best_edge < 0:
+        edge, gain = support.best_unit()
+        if edge < 0:
             raise InfeasibleBoxError(
                 "no unit increment improves D while paths remain below T"
             )
-        xe = x[best_edge]
-        delta = weights[best_edge].table[xe + 1] - weights[best_edge].table[xe]
-        x[best_edge] = xe + 1
-        for pi in support[best_edge]:
-            lengths[pi] += delta
-        gap -= best_gain
-        steps += 1
+        support.apply(edge, 1)
         if trace is not None:
-            trace.append((best_edge, 1, best_gain))
-    return BudgetVector(x)
+            trace.append((edge, 1, gain))
+    return BudgetVector(support.x)

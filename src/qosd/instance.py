@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import IO, Iterable, Sequence
 
-from .errors import InvalidInstanceError, ParseError
+from .errors import InfeasibleBoxError, InvalidInstanceError, ParseError
 
 WEIGHT_MODELS = ("linear", "convex", "concave", "cutting", "heterogeneous")
 
@@ -176,7 +176,7 @@ class QosdInstance:
         at_cap = BudgetVector(self.box)
         remaining = unseparated_pairs(self, at_cap)
         if remaining:
-            raise InvalidInstanceError(
+            raise InfeasibleBoxError(
                 f"infeasible-box: pairs {remaining} stay connected below T "
                 "even with every edge at its cap"
             )

@@ -197,14 +197,15 @@ def run_lr(
         deadline.check("rounding")
         x = round_solution(instance, lp, eta_value, rng)
         if not unseparated_pairs(instance, x):
+            feasible = True
             break
     else:
         # an infinite eta takes the ceiling of every fractional component
         retries = max_retries
         fallback = True
         x = round_solution(instance, lp, math.inf, rng)
+        feasible = not unseparated_pairs(instance, x)
 
-    feasible = not unseparated_pairs(instance, x)
     return RunReport(
         algorithm="lr",
         budget=x,

@@ -1,10 +1,16 @@
-"""Budget vectors, path metrics, the shortest-path kernel and separation checks.
+"""Budget vectors, path metrics, the shortest-path kernel, separation checks
+and the blockers' gain structure.
 
 :func:`dijkstra` is the one shortest-path search; IG and AT harvest paths,
 LR separates and SA builds its shortest-path trees with it. Queries stop
 at a bound: only paths strictly shorter than T ever matter, and all edge
 weights are >= 1, so a pop at distance >= T ends the search. Everything
 but LR's fractional lengths is exact integer arithmetic.
+
+:class:`PathSupport` is the one place where a blocker's path lengths, edge
+support and capped-gain scan live: IG's unit steps, AT's best-ratio
+chunks, SA's estimator-weighted chunk and SA's exact fallback step all
+pick their increments from it.
 """
 
 from __future__ import annotations
@@ -286,3 +292,128 @@ def pair_shortest_paths(instance: "QosdInstance", x: BudgetVector) -> list[Path 
 def unseparated_pairs(instance: "QosdInstance", x: BudgetVector) -> list[int]:
     """Indices of pairs still connected below T; empty means x is feasible."""
     return [i for i, p in enumerate(pair_shortest_paths(instance, x)) if p is not None]
+
+
+class PathSupport:
+    """Lengths, edge support and shortfall of a path set under a budget x.
+
+    ``x`` starts as a copy of the given vector (zeros when None),
+    ``lengths[i]`` is path i's length under x, ``support`` maps each edge to
+    the indices of the paths using it (``edges`` is its sorted key list) and
+    ``gap`` = sum(T - min(T, length)) = |P| * T - D, which is 0 exactly when
+    x blocks every path. Each scan covers every support edge in one call, so
+    the hot loop makes no Python call per edge.
+    """
+
+    def __init__(
+        self,
+        instance: "QosdInstance",
+        paths: Iterable[Path],
+        x: Iterable[int] | None = None,
+        path_weight: Sequence[float] | None = None,
+    ):
+        self.threshold = instance.threshold
+        self.weights = instance.weights
+        self.box = instance.box
+        self.x = [0] * instance.graph.m if x is None else list(x)
+        weights, xv = self.weights, self.x
+        path_list = list(paths)
+        self.lengths = [sum(weights[e].table[xv[e]] for e in p.edge_seq) for p in path_list]
+        self.path_weight = [1] * len(path_list) if path_weight is None else list(path_weight)
+        support: dict[int, list[int]] = {}
+        for pi, p in enumerate(path_list):
+            for e in p.edge_seq:
+                support.setdefault(e, []).append(pi)
+        self.support = support
+        self.edges = sorted(support)
+        self.gap = sum(self.threshold - min(self.threshold, ln) for ln in self.lengths)
+
+    def best_unit(self) -> tuple[int, float]:
+        """The unit increment with the largest gain: the sum, over the edge's
+        paths still below T, of the capped length increase times the path's
+        weight (1 when no ``path_weight`` was given). Ties go to the lowest
+        edge; ``(-1, 0)`` when no unit has positive gain."""
+        threshold, lengths, path_weight = self.threshold, self.lengths, self.path_weight
+        weights, box, x, support = self.weights, self.box, self.x, self.support
+        best_edge = -1
+        best_gain = 0
+        for e in self.edges:
+            xe = x[e]
+            if xe >= box[e]:
+                continue
+            table = weights[e].table
+            delta = table[xe + 1] - table[xe]
+            if delta == 0:
+                continue
+            gain = 0
+            for pi in support[e]:
+                short = threshold - lengths[pi]
+                if short > 0:
+                    gain += (short if delta > short else delta) * path_weight[pi]
+            if gain > best_gain:
+                best_gain = gain
+                best_edge = e
+        return best_edge, best_gain
+
+    def best_chunk(self) -> tuple[int, int, int]:
+        """The ``(edge, amount, gain)`` chunk with the best gain-per-unit ratio
+        over every spendable amount; ``(-1, 0, 0)`` when none has positive gain.
+
+        Gains are unweighted (``path_weight`` does not apply), and ratios are
+        compared by integer cross-multiplication. Per edge the smallest of
+        equal-ratio amounts is kept, so with concave or linear tables this is
+        :meth:`best_unit`'s step; across edges ties go to the higher gain,
+        then the smaller amount, then the lower edge.
+        """
+        threshold, lengths = self.threshold, self.lengths
+        weights, box, x, support = self.weights, self.box, self.x, self.support
+        best_edge, best_amount, best_gain = -1, 0, 0
+        for e in self.edges:
+            xe = x[e]
+            room = box[e] - xe
+            if room <= 0:
+                continue
+            shorts = [threshold - lengths[pi] for pi in support[e]]
+            shorts = [s for s in shorts if s > 0]
+            if not shorts:
+                continue
+            table = weights[e].table
+            base = table[xe]
+            edge_gain = 0
+            edge_z = 0
+            for z in range(1, room + 1):
+                delta = table[xe + z] - base
+                if delta == 0:
+                    continue
+                gain = sum(s if delta > s else delta for s in shorts)
+                # keep the smallest z among equal ratios: strict improvement only
+                if edge_z == 0 or gain * edge_z > edge_gain * z:
+                    edge_gain = gain
+                    edge_z = z
+            if edge_z == 0:
+                continue
+            # a first candidate always wins: both products are 0 and its gain is >= 1
+            lhs = edge_gain * best_amount
+            rhs = best_gain * edge_z
+            if lhs > rhs or (
+                lhs == rhs
+                and (edge_gain > best_gain or (edge_gain == best_gain and edge_z < best_amount))
+            ):
+                best_edge, best_amount, best_gain = e, edge_z, edge_gain
+        return best_edge, best_amount, best_gain
+
+    def apply(self, edge: int, amount: int) -> None:
+        """Add ``amount`` units on ``edge``; ``gap`` drops by the unweighted
+        shortfall this closes."""
+        xe = self.x[edge]
+        table = self.weights[edge].table
+        delta = table[xe + amount] - table[xe]
+        self.x[edge] = xe + amount
+        threshold, lengths = self.threshold, self.lengths
+        closed = 0
+        for pi in self.support[edge]:
+            ln = lengths[pi]
+            if ln < threshold:
+                closed += min(threshold - ln, delta)
+            lengths[pi] = ln + delta
+        self.gap -= closed

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .errors import GammaZeroError, InfeasibleBoxError
 from .framework import potential_paths
 from .instance import QosdInstance, concave_ratio
-from .pathcore import BudgetVector, Path, dijkstra, edge_lengths, unseparated_pairs
+from .pathcore import BudgetVector, Path, PathSupport, dijkstra, edge_lengths, r_value
 from .report import Deadline, RunReport
 
 
@@ -61,17 +61,26 @@ class SaConfig:
             raise ValueError(f"unknown sample mode {self.sample_mode!r}")
 
 
-def build_sp_tree(instance: QosdInstance, x: BudgetVector, sink: int) -> list[int | None]:
+def build_sp_tree(
+    instance: QosdInstance,
+    x: BudgetVector,
+    sink: int,
+    *,
+    lengths: list[int] | None = None,
+) -> list[int | None]:
     """Next hop toward ``sink`` on a shortest path under f_e(x_e), per node.
 
     One :func:`pathcore.dijkstra` over the reverse graph. Ties compare the
     out-edges' ``(node, next hop)`` tuples, so among equal-distance routes
     the lowest next-hop id wins. Nodes that cannot reach the sink, and the
-    sink itself, map to None.
+    sink itself, map to None. ``lengths`` is ``edge_lengths(instance, x)``
+    when the caller already has it.
     """
+    if lengths is None:
+        lengths = edge_lengths(instance, x)
     graph = instance.graph
     edges = graph.edges
-    _, first_edge = dijkstra(graph.in_adj, edge_lengths(instance, x), sink, tie_key=edges)
+    _, first_edge = dijkstra(graph.in_adj, lengths, sink, tie_key=edges)
     return [edges[e][1] if e >= 0 else None for e in first_edge]
 
 
@@ -149,19 +158,10 @@ def estimate_B(instance: QosdInstance, samples: list[SampledPath], x: BudgetVect
     """Importance-weighted mean of capped path lengths over the samples."""
     if not samples:
         raise ValueError("cannot estimate from an empty sample set")
-    threshold = instance.threshold
-    weights = instance.weights
     total = 0.0
     for sp in samples:
-        if not sp.feasible:
-            continue
-        ln = 0
-        for e in sp.path.edge_seq:
-            ln += weights[e].table[x.values[e]]
-            if ln >= threshold:
-                ln = threshold
-                break
-        total += ln / sp.rho
+        if sp.feasible:
+            total += r_value(instance, sp.path, x) / sp.rho
     return total / len(samples)
 
 
@@ -212,53 +212,19 @@ def greedy_chunk(
 ) -> BudgetVector:
     """Up to q unit-greedy steps on the estimator's marginal gain,
     restricted to edges of feasible samples with box room left."""
-    threshold = instance.threshold
-    weights = instance.weights
-    box = instance.box
-    m = instance.graph.m
-    v = [0] * m
-
     live = [sp for sp in samples if sp.feasible]
     if not live or q <= 0:
-        return BudgetVector(v)
+        return BudgetVector.zeros(instance.graph.m)
     inv = 1.0 / len(samples)
-    sample_weight = [inv / sp.rho for sp in live]
-    lengths = []
-    for sp in live:
-        ln = sum(weights[e].table[x.values[e]] for e in sp.path.edge_seq)
-        lengths.append(ln)
-    support: dict[int, list[int]] = {}
-    for si, sp in enumerate(live):
-        for e in sp.path.edge_seq:
-            support.setdefault(e, []).append(si)
-    support_edges = sorted(support)
-
+    support = PathSupport(
+        instance, [sp.path for sp in live], x, [inv / sp.rho for sp in live]
+    )
     for _ in range(q):
-        best_edge = -1
-        best_gain = 0.0
-        for e in support_edges:
-            xe = x.values[e] + v[e]
-            if xe >= box[e]:
-                continue
-            delta = weights[e].table[xe + 1] - weights[e].table[xe]
-            if delta == 0:
-                continue
-            gain = 0.0
-            for si in support[e]:
-                short = threshold - lengths[si]
-                if short > 0:
-                    gain += (short if delta > short else delta) * sample_weight[si]
-            if gain > best_gain:
-                best_gain = gain
-                best_edge = e
-        if best_edge < 0:
+        edge, _ = support.best_unit()
+        if edge < 0:
             break
-        xe = x.values[best_edge] + v[best_edge]
-        delta = weights[best_edge].table[xe + 1] - weights[best_edge].table[xe]
-        v[best_edge] += 1
-        for si in support[best_edge]:
-            lengths[si] += delta
-    return BudgetVector(v)
+        support.apply(edge, 1)
+    return BudgetVector([a - b for a, b in zip(support.x, x.values)])
 
 
 def _derived_rng(master: int, round_idx: int, attempt: int, index: int) -> random.Random:
@@ -275,8 +241,8 @@ def _draw_samples(
     round_idx: int,
     attempt: int,
     count: int,
+    lengths: list[int],
 ) -> list[SampledPath]:
-    lengths = edge_lengths(instance, x)
     return [
         sample_path(
             instance, x, trees, alpha, _derived_rng(master, round_idx, attempt, i),
@@ -284,45 +250,6 @@ def _draw_samples(
         )
         for i in range(count)
     ]
-
-
-def _exact_unit_step(instance: QosdInstance, x: BudgetVector) -> int:
-    """Fallback: best unit increment by exact gain over the current
-    shortest paths; guarantees progress when sampling keeps missing."""
-    paths = potential_paths(instance, x)
-    if not paths:
-        return -1
-    threshold = instance.threshold
-    weights = instance.weights
-    box = instance.box
-    lengths = {}
-    support: dict[int, list[Path]] = {}
-    for p in paths:
-        lengths[p.key] = sum(weights[e].table[x.values[e]] for e in p.edge_seq)
-        for e in p.edge_seq:
-            support.setdefault(e, []).append(p)
-    best_edge = -1
-    best_gain = 0
-    for e in sorted(support):
-        xe = x.values[e]
-        if xe >= box[e]:
-            continue
-        delta = weights[e].table[xe + 1] - weights[e].table[xe]
-        if delta == 0:
-            continue
-        gain = 0
-        for p in support[e]:
-            short = threshold - lengths[p.key]
-            if short > 0:
-                gain += short if delta > short else delta
-        if gain > best_gain:
-            best_gain = gain
-            best_edge = e
-    if best_edge < 0:
-        raise InfeasibleBoxError(
-            "no unit increment improves the current shortest paths"
-        )
-    return best_edge
 
 
 def run_sa(
@@ -337,7 +264,9 @@ def run_sa(
     Each round rebuilds the shortest-path trees under the current budget,
     draws fresh samples and adds the greedy chunk. A zero chunk escalates
     by doubling the sample count up to three times, then falls back to one
-    exact unit step so progress is unconditional. ``threads`` is accepted
+    exact unit step on the round's shortest paths below T, so progress is
+    unconditional. The loop ends only when a sweep under the final budget
+    finds no such path, so the report is feasible. ``threads`` is accepted
     and ignored: walks are drawn in the caller's thread, each from its own
     derived seed.
     """
@@ -366,15 +295,18 @@ def run_sa(
     sinks = sorted({t for _, t in instance.pairs})
     while True:
         deadline.check("sampling round")
-        if not unseparated_pairs(instance, x):
+        paths = potential_paths(instance, x)
+        if not paths:
             break
-        trees = {t: build_sp_tree(instance, x, t) for t in sinks}
+        lengths = edge_lengths(instance, x)
+        trees = {t: build_sp_tree(instance, x, t, lengths=lengths) for t in sinks}
         for attempt in range(4):  # base try plus three doublings
             if attempt > 0:
                 escalations += 1
             count = base_count * (2**attempt)
             samples = _draw_samples(
-                instance, x, trees, config.alpha, config.seed, rounds, attempt, count
+                instance, x, trees, config.alpha, config.seed, rounds, attempt, count,
+                lengths,
             )
             samples_drawn += count
             chunk = greedy_chunk(instance, samples, x, config.q)
@@ -382,14 +314,15 @@ def run_sa(
                 x = x.plus(chunk)
                 break
         else:
-            edge = _exact_unit_step(instance, x)
+            edge, _ = PathSupport(instance, paths, x).best_unit()
             if edge < 0:
-                break
+                raise InfeasibleBoxError(
+                    "no unit increment improves the current shortest paths"
+                )
             x = x.plus(BudgetVector.unit(m, edge))
             fallbacks += 1
         rounds += 1
 
-    feasible = not unseparated_pairs(instance, x)
     return RunReport(
         algorithm="sa",
         budget=x,
@@ -397,7 +330,7 @@ def run_sa(
         outer_iterations=rounds,
         inner_iterations=x.norm,
         wall_time=time.perf_counter() - start,
-        feasible=feasible,
+        feasible=True,
         seed=config.seed,
         extras={
             "samples_drawn": samples_drawn,

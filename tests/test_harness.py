@@ -1,6 +1,10 @@
 import csv
+import importlib.util
+import inspect
 import io
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -173,6 +177,24 @@ class TestCli:
         assert code == 2
         assert "non-affine" in capsys.readouterr().err
 
+    def test_infeasible_box_instance_exits_2(self, tmp_path, capsys):
+        # one edge that reaches only 2 of T=5 even at its cap
+        inst_file = tmp_path / "inst.txt"
+        inst_file.write_text(
+            "qosd-instance v1\nn 2\nm 1\nT 5\nk 1\nedge 0 1 custom 1 2\npair 0 1\n"
+        )
+        assert main(["solve", "--instance", str(inst_file), "--algorithm", "ig"]) == 2
+        assert "infeasible-box" in capsys.readouterr().err
+
+    def test_self_loop_instance_exits_1(self, tmp_path, capsys):
+        inst_file = tmp_path / "inst.txt"
+        inst_file.write_text(
+            "qosd-instance v1\nn 2\nm 2\nT 3\nk 1\n"
+            "edge 0 0 custom 1 3\nedge 0 1 custom 1 3\npair 0 1\n"
+        )
+        assert main(["solve", "--instance", str(inst_file), "--algorithm", "ig"]) == 1
+        assert "self-loop" in capsys.readouterr().err
+
     def test_usage_error_exits_1(self):
         assert main(["solve", "--algorithm", "nonsense"]) == 1
         assert main(["bogus-command"]) == 1
@@ -235,3 +257,23 @@ class TestCli:
         ])
         assert code == 0
         assert "feasible=true" in capsys.readouterr().out
+
+
+def test_bench_span_names_are_public_qosd_functions(monkeypatch):
+    # perfbench/run.py derives per-layer metrics from spans named
+    # "<module>.<function>"; a renamed or privatised function would read 0
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    monkeypatch.syspath_prepend(str(bench))  # run.py imports its sibling modules
+    spec = importlib.util.spec_from_file_location("perfbench_run", bench / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, run)  # its dataclasses look it up
+    spec.loader.exec_module(run)
+    names = set(run.SPAN_METRICS) | set(run.OBSERVERS) | set(run.SWEEPS)
+    assert names
+    for name in sorted(names):
+        module, function = name.split(".")
+        assert module in run.MEASURED_MODULES, name
+        mod = importlib.import_module(f"qosd.{module}")
+        obj = getattr(mod, function, None)
+        assert inspect.isfunction(obj) and obj.__module__ == mod.__name__, name
+        assert not function.startswith("_"), name

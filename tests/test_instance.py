@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from qosd import (
     Graph,
+    InfeasibleBoxError,
     InvalidInstanceError,
     ParseError,
     QosdInstance,
@@ -208,7 +209,7 @@ class TestQosdInstance:
         # single edge that can never reach the threshold
         g = Graph(2, [(0, 1)])
         weights = [WeightFunction((1, 2))]
-        with pytest.raises(InvalidInstanceError, match="infeasible-box"):
+        with pytest.raises(InfeasibleBoxError, match="infeasible-box"):
             QosdInstance(g, weights, [(0, 1)], 5)
 
     def test_disconnected_pair_is_fine(self):

@@ -10,6 +10,7 @@ from qosd import (
     CandidateSet,
     Graph,
     Path,
+    PathSupport,
     QosdError,
     QosdInstance,
     WeightFunction,
@@ -324,3 +325,73 @@ def test_sp_tree_next_hop_is_lowest_id_on_a_shortest_route(seed):
             if u == w and w != sink and lengths[e] + to_sink[v] == to_sink[w] < float("inf")
         ]
         assert tree[w] == (min(hops) if hops else None)
+
+
+def _random_paths(inst: QosdInstance, rng: random.Random) -> list[Path]:
+    # simple walks from random nodes; PathSupport does not care which pair a path serves
+    graph = inst.graph
+    paths = []
+    for _ in range(rng.randint(1, 6)):
+        u = rng.randrange(graph.n)
+        nodes, edges = [u], []
+        for _ in range(rng.randint(1, 4)):
+            steps = [(v, e) for v, e in graph.out_adj[u] if v not in nodes]
+            if not steps:
+                break
+            u, e = rng.choice(steps)
+            nodes.append(u)
+            edges.append(e)
+        if edges:
+            initial = sum(inst.weights[e].table[0] for e in edges)
+            paths.append(Path(tuple(nodes), tuple(edges), initial))
+    return paths
+
+
+def _brute_best_unit(inst, paths, x, path_weight):
+    """Argmax over support edges of the weighted rise in capped path lengths
+    from one more unit, lowest edge on ties; (-1, 0) when nothing rises."""
+    best_edge, best_gain = -1, 0
+    for e in sorted({e for p in paths for e in p.edge_seq}):
+        if x[e] >= inst.box[e]:
+            continue
+        bumped = x.plus(BudgetVector.unit(len(x), e))
+        if path_weight is None:
+            gain = d_value(inst, paths, bumped) - d_value(inst, paths, x)
+        else:
+            gain = 0
+            for p, w in zip(paths, path_weight):
+                rise = r_value(inst, p, bumped) - r_value(inst, p, x)
+                if rise:
+                    gain += rise * w
+        if gain > best_gain:
+            best_edge, best_gain = e, gain
+    return best_edge, best_gain
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 10_000))
+def test_path_support_matches_brute_force(weighted, seed):
+    inst, x = _shuffled_instance(seed)
+    rng = random.Random(seed)
+    paths = _random_paths(inst, rng)
+    # quarter weights are exact in binary and still tie
+    path_weight = [rng.randint(1, 12) / 4 for _ in paths] if weighted else None
+    support = PathSupport(inst, paths, x, path_weight)
+    threshold = inst.threshold
+    step = 0
+    while True:
+        x = BudgetVector(support.x)
+        assert support.lengths == [sum(inst.weights[e].table[x[e]] for e in p.edge_seq) for p in paths]
+        assert support.gap == len(paths) * threshold - d_value(inst, paths, x)
+        edge, gain = support.best_unit()
+        assert (edge, gain) == _brute_best_unit(inst, paths, x, path_weight)
+        if edge < 0:
+            break
+        # alternate unit steps with AT's chunks so apply also sees amounts > 1
+        amount = 1
+        if step % 2:
+            edge, amount, _ = support.best_chunk()
+            assert edge >= 0
+        support.apply(edge, amount)
+        step += 1
