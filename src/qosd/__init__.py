@@ -6,9 +6,8 @@ which every target pair's shortest-path distance reaches T.
 """
 
 from .at import block_adaptive
-from .baselines import OracleResult, enumerate_feasible_paths, min_budget_to_block, oracle_opt, run_cc
+from .baselines import min_budget_to_block, oracle_opt, run_cc
 from .errors import (
-    BlownBudgetError,
     ConfigError,
     GammaZeroError,
     InfeasibleBoxError,
@@ -37,7 +36,7 @@ from .instance import (
     sample_pairs,
     save_instance,
 )
-from .lr import LpSolution, constraint_generation, eta, round_solution, run_lr, solve_lp
+from .lr import LpSolution, constraint_generation, eta, path_rows, round_solution, run_lr, solve_lp
 from .pathcore import (
     BudgetVector,
     CandidateSet,

@@ -1,16 +1,24 @@
-"""Centrality-cutting heuristic, exhaustive path enumeration and the exact
-minimum-budget oracle used to validate the approximation algorithms."""
+"""Centrality-cutting heuristic and the exact minimum-budget oracle.
+
+The oracle is shortest-path interdiction as an integer program (Israeli &
+Wood, 2002) with lazy path constraints: it solves the model on the paths
+found so far, adds every pair's shortest path still below T under that
+optimum, and stops when there is none, so the last optimum is exact."""
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable
 
-from .errors import BlownBudgetError, InfeasibleBoxError
+import numpy as np
+from scipy import sparse
+from scipy.optimize import Bounds, LinearConstraint, milp
+
+from .errors import InfeasibleBoxError, QosdError, StallError
 from .framework import potential_paths
 from .instance import QosdInstance
-from .pathcore import BudgetVector, Path
+from .lr import path_rows
+from .pathcore import BudgetVector, CandidateSet, Path
 from .report import Deadline, RunReport
 
 
@@ -60,142 +68,80 @@ def run_cc(
     )
 
 
-def enumerate_feasible_paths(instance: QosdInstance, limit: int = 1_000_000) -> list[Path]:
-    """All simple paths per pair with initial-weight length below T.
+def min_budget_to_block(instance: QosdInstance, paths: Iterable[Path]) -> BudgetVector:
+    """Smallest-norm vector within the box under which every given path
+    reaches T, by one MILP solve.
 
-    Depth-first with pruning at accumulated length >= T and at the hop
-    bound; intended for desk-scale instances, aborts past ``limit`` paths.
+    Binary z_{e,i} = [x_e >= i] for i = 1..cap_e on the paths' edges, with
+    cost 1 and length coefficient f_e(i) - f_e(i-1); the ordering rows
+    z_{e,i} >= z_{e,i+1} make the path length sum f_e(0) + coeff * z equal
+    f_e(x_e) for every nondecreasing table.
     """
-    graph = instance.graph
-    weights = instance.weights
-    threshold = instance.threshold
-    hop_bound = instance.hop_bound
-    out: list[Path] = []
-
-    for pair_index, (s, t) in enumerate(instance.pairs):
-        stack_nodes = [s]
-        stack_edges: list[int] = []
-        visited = {s}
-
-        def dfs(u: int, acc: int) -> None:
-            if u == t:
-                out.append(
-                    Path(tuple(stack_nodes), tuple(stack_edges), acc, pair_index)
-                )
-                if len(out) > limit:
-                    raise BlownBudgetError(f"more than {limit} feasible paths")
-                return
-            if len(stack_edges) >= hop_bound:
-                return
-            for v, ei in graph.out_adj[u]:
-                if v in visited:
-                    continue
-                nxt = acc + weights[ei].table[0]
-                if nxt >= threshold:
-                    continue
-                visited.add(v)
-                stack_nodes.append(v)
-                stack_edges.append(ei)
-                dfs(v, nxt)
-                stack_edges.pop()
-                stack_nodes.pop()
-                visited.remove(v)
-
-        dfs(s, 0)
-    return out
-
-
-@dataclass
-class OracleResult:
-    """Exact minimum blocking budget with a witness vector."""
-
-    opt_norm: int
-    witness: BudgetVector
-    feasible_paths: int
-    explored: int
-
-
-def min_budget_to_block(
-    instance: QosdInstance,
-    paths: Sequence[Path],
-    *,
-    node_limit: int = 50_000_000,
-) -> OracleResult:
-    """Smallest-norm vector within the box blocking every given path.
-
-    Searches budget vectors in order of increasing norm (iterative
-    deepening over the support of the paths), so the first hit is exact.
-    """
-    threshold = instance.threshold
-    weights = instance.weights
+    paths = list(paths)
     box = instance.box
-    m = instance.graph.m
-
-    support = sorted({e for p in paths for e in p.edge_seq})
-    base_lengths = [p.initial_length for p in paths]
-    if all(ln >= threshold for ln in base_lengths):
-        return OracleResult(0, BudgetVector.zeros(m), len(paths), 1)
-
-    edge_paths: dict[int, list[int]] = {e: [] for e in support}
-    for pi, p in enumerate(paths):
-        for e in p.edge_seq:
-            edge_paths[e].append(pi)
-
-    explored = 0
-    lengths = list(base_lengths)
-    assignment = {e: 0 for e in support}
-    max_norm = sum(box[e] for e in support)
-
-    def blocked_count() -> int:
-        return sum(1 for ln in lengths if ln >= threshold)
-
-    def dfs(idx: int, remaining: int) -> bool:
-        nonlocal explored
-        explored += 1
-        if explored > node_limit:
-            raise BlownBudgetError(f"oracle search exceeded {node_limit} nodes")
-        if remaining == 0:
-            return all(ln >= threshold for ln in lengths)
-        if idx == len(support):
-            return False
-        if blocked_count() == len(lengths):
-            # a strictly smaller norm would already have been found
-            return False
-        e = support[idx]
+    weights = instance.weights
+    columns: dict[int, list[tuple[int, int]]] = {}
+    order = []
+    width = 0
+    for e in sorted({e for p in paths for e in p.edge_seq}):
         table = weights[e].table
-        base = table[0]
-        for value in range(0, min(box[e], remaining) + 1):
-            delta = table[value] - base
-            if value:
-                for pi in edge_paths[e]:
-                    lengths[pi] += delta
-                assignment[e] = value
-            if dfs(idx + 1, remaining - value):
-                return True
-            if value:
-                for pi in edge_paths[e]:
-                    lengths[pi] -= delta
-                assignment[e] = 0
-        return False
+        columns[e] = [(width + i - 1, table[i] - table[i - 1]) for i in range(1, box[e] + 1)]
+        order.extend(range(width, width + box[e] - 1))
+        width += box[e]
+    x = [0] * instance.graph.m
+    rows = path_rows(instance, paths, columns, width)
+    if rows is None:
+        return BudgetVector(x)
+    if width == 0:
+        raise InfeasibleBoxError("no edge of a short path has budget to spend")
+    A, need = rows
+    # row j of I - shift is z_j - z_{j+1}; keep those within one edge
+    ordering = (sparse.eye_array(width) - sparse.eye_array(width, k=1)).tocsr()[order]
+    result = milp(
+        np.ones(width),
+        integrality=np.ones(width),
+        bounds=Bounds(0, 1),
+        constraints=[LinearConstraint(A, need, np.inf), LinearConstraint(ordering, 0, np.inf)],
+        options={"mip_rel_gap": 0},
+    )
+    if result.status == 2:
+        raise InfeasibleBoxError("no vector within the box blocks every path")
+    if not result.success:
+        raise QosdError(f"MILP solve failed unexpectedly: {result.message}")
+    z = np.round(result.x)
+    for e, terms in columns.items():
+        x[e] = int(sum(z[j] for j, _ in terms))
+    return BudgetVector(x)
 
-    for target in range(1, max_norm + 1):
-        if dfs(0, target):
-            values = [0] * m
-            for e, v in assignment.items():
-                values[e] = v
-            return OracleResult(target, BudgetVector(values), len(paths), explored)
-    raise InfeasibleBoxError("no vector within the box blocks every path")
 
-
-def oracle_opt(
-    instance: QosdInstance,
-    *,
-    path_limit: int = 1_000_000,
-    node_limit: int = 50_000_000,
-) -> OracleResult:
-    """Exact optimum for the full instance: enumerate all feasible paths,
-    then run the norm-ordered lattice search."""
-    feasible = enumerate_feasible_paths(instance, limit=path_limit)
-    if not feasible:
-        return OracleResult(0, BudgetVector.zeros(instance.graph.m), 0, 0)
-    return min_budget_to_block(instance, feasible, node_limit=node_limit)
+def oracle_opt(instance: QosdInstance, *, deadline: Deadline | float | None = None) -> RunReport:
+    """Exact optimum for the full instance: re-solve
+    :func:`min_budget_to_block` on a growing path set until no pair has a
+    path below T. Each round is one outer and one inner iteration."""
+    deadline = Deadline.ensure(deadline)
+    start = time.perf_counter()
+    active = CandidateSet()
+    x = BudgetVector.zeros(instance.graph.m)
+    rounds = 0
+    while True:
+        deadline.check("oracle")
+        fresh = potential_paths(instance, x)
+        if not fresh:
+            break
+        if active.add_all(fresh) == 0:
+            raise StallError(
+                "the oracle re-proposed only known paths; its optimum left a "
+                "constraint path below T"
+            )
+        rounds += 1
+        x = min_budget_to_block(instance, active)
+    return RunReport(
+        algorithm="oracle",
+        budget=x,
+        norm=x.norm,
+        outer_iterations=rounds,
+        inner_iterations=rounds,
+        wall_time=time.perf_counter() - start,
+        feasible=True,
+        extras={"constraint_paths": len(active)},
+    )

@@ -1,9 +1,9 @@
 """Command-line entry point.
 
-Subcommands: solve (one instance, one algorithm), experiment (config
-file), oracle, validate (budget vector against an instance), gen (emit an
-ER instance file). Exit codes: 0 ok, 1 usage, 2 infeasible, 3 timeout,
-4 internal error.
+Subcommands: solve (one instance, one algorithm, the exact oracle
+included), experiment (config file), validate (budget vector against an
+instance), gen (emit an ER instance file). Exit codes: 0 ok, 1 usage,
+2 infeasible, 3 timeout, 4 internal error.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .baselines import oracle_opt
 from .errors import (
     ConfigError,
     InfeasibleBoxError,
@@ -21,8 +20,9 @@ from .errors import (
     QosdError,
     SolverTimeout,
 )
-from .experiment import parse_config, run_algorithm, run_experiment, rows_to_csv
+from .experiment import ALGORITHMS, parse_config, run_algorithm, run_experiment, rows_to_csv
 from .instance import (
+    WEIGHT_MODELS,
     QosdInstance,
     build_weights,
     generate_er,
@@ -105,8 +105,7 @@ def _add_instance_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--undirected", action="store_true",
                         help="treat the edge list as undirected")
     parser.add_argument("--threshold", type=int, help="distance threshold T")
-    parser.add_argument("--weight-model", default="linear",
-                        choices=["linear", "convex", "concave", "cutting", "heterogeneous"])
+    parser.add_argument("--weight-model", default="linear", choices=WEIGHT_MODELS)
     parser.add_argument("--pairs-file", help="file of 's t' lines")
     parser.add_argument("--random-pairs", type=int, default=10, metavar="K")
     parser.add_argument("--pair-seed", type=int, default=0)
@@ -118,8 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     solve = sub.add_parser("solve", help="run one algorithm on one instance")
     _add_instance_args(solve)
-    solve.add_argument("--algorithm", required=True,
-                       choices=["ig", "at", "sa", "lr", "cc", "oracle"])
+    solve.add_argument("--algorithm", required=True, choices=ALGORITHMS)
     solve.add_argument("--alpha", type=float, default=0.8)
     solve.add_argument("--q", type=int, default=1)
     solve.add_argument("--epsilon", type=float, default=0.3)
@@ -138,11 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
     experiment.add_argument("config", help="config file path")
     experiment.add_argument("--output", help="override the config's output path")
 
-    oracle = sub.add_parser("oracle", help="exact minimum budget (desk scale)")
-    _add_instance_args(oracle)
-    oracle.add_argument("--seed", type=int, default=0)
-    oracle.add_argument("--output", help="write the witness vector here")
-
     validate = sub.add_parser("validate", help="check a vector against an instance")
     _add_instance_args(validate)
     validate.add_argument("--vector", required=True)
@@ -153,8 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--rho", type=float, required=True)
     gen.add_argument("--threshold", type=int, required=True)
     gen.add_argument("--pairs", type=int, default=10)
-    gen.add_argument("--weight-model", default="linear",
-                     choices=["linear", "convex", "concave", "cutting", "heterogeneous"])
+    gen.add_argument("--weight-model", default="linear", choices=WEIGHT_MODELS)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--output", required=True)
     return parser
@@ -203,18 +195,6 @@ def _cmd_experiment(args) -> int:
     return EXIT_OK
 
 
-def _cmd_oracle(args) -> int:
-    instance = _load_cli_instance(args)
-    result = oracle_opt(instance)
-    print(
-        f"opt={result.opt_norm} feasible_paths={result.feasible_paths} "
-        f"explored={result.explored}"
-    )
-    if args.output:
-        write_vector(result.witness, args.output)
-    return EXIT_OK
-
-
 def _cmd_validate(args) -> int:
     instance = _load_cli_instance(args)
     vector = read_vector(args.vector)
@@ -256,7 +236,6 @@ def main(argv: list[str] | None = None) -> int:
     handlers = {
         "solve": _cmd_solve,
         "experiment": _cmd_experiment,
-        "oracle": _cmd_oracle,
         "validate": _cmd_validate,
         "gen": _cmd_gen,
     }

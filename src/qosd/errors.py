@@ -39,10 +39,6 @@ class NonlinearWeightsError(QosdError):
     """LP-based solving requested on non-affine weight tables."""
 
 
-class BlownBudgetError(QosdError):
-    """Enumeration or exact search exceeded its configured limit."""
-
-
 class GammaZeroError(QosdError):
     """Theoretical sample sizing is undefined at concave ratio zero."""
 

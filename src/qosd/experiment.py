@@ -6,7 +6,6 @@ import csv
 import hashlib
 import io
 import json
-import time
 from dataclasses import dataclass, field
 
 from .baselines import oracle_opt, run_cc
@@ -136,19 +135,7 @@ def run_algorithm(
     if algorithm == "cc":
         return run_cc(instance, deadline=deadline, seed=seed)
     if algorithm == "oracle":
-        start = time.perf_counter()
-        result = oracle_opt(instance)
-        return RunReport(
-            algorithm="oracle",
-            budget=result.witness,
-            norm=result.opt_norm,
-            outer_iterations=0,
-            inner_iterations=result.explored,
-            wall_time=time.perf_counter() - start,
-            feasible=True,
-            seed=seed,
-            extras={"feasible_paths": result.feasible_paths},
-        )
+        return oracle_opt(instance, deadline=deadline)
     raise ConfigError(f"unknown algorithm {algorithm!r}")
 
 
@@ -181,7 +168,11 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
                     rows.append(_error_row(config, alg, threshold, 0, f"instance: {exc}"))
                 continue
             model = config.model if config.source == "er" else "file"
-            oracle = _attempt(instance, "oracle") if "oracle" in config.algorithms else None
+            oracle = (
+                _attempt(instance, "oracle", deadline=Deadline(config.time_limit))
+                if "oracle" in config.algorithms
+                else None
+            )
             opt_norm = oracle.norm if isinstance(oracle, RunReport) else None
             for alg_index, alg in enumerate(config.algorithms):
                 seed = derive_seed(config.master_seed, threshold, repetition, alg_index)

@@ -1,5 +1,8 @@
 """LP relaxation with lazy constraint generation and randomized rounding,
-for instances whose weight tables are affine in the budget."""
+for instances whose weight tables are affine in the budget.
+
+:func:`path_rows` builds the path-length rows of this LP and of the exact
+oracle's integer program (:func:`baselines.min_budget_to_block`)."""
 
 from __future__ import annotations
 
@@ -7,6 +10,7 @@ import math
 import random
 import time
 from dataclasses import dataclass
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 from scipy.optimize import linprog
@@ -44,44 +48,61 @@ def _affine_coeffs(instance: QosdInstance) -> tuple[list[int], list[int]]:
     return betas, alphas
 
 
+def path_rows(
+    instance: QosdInstance,
+    paths: Iterable[Path],
+    columns: Mapping[int, Sequence[tuple[int, float]]],
+    width: int,
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Dense rows ``A`` and right-hand sides ``need`` of ``A y >= need``, one
+    per path that is still short at zero budget.
+
+    ``need = T - sum_{e in p} f_e(0)``; row entry j sums the coefficients of
+    the ``(column, coefficient)`` terms ``columns[e]`` over the path's edges.
+    Paths that already reach T get no row; None when none is left.
+    """
+    weights = instance.weights
+    rows = []
+    need = []
+    for p in paths:
+        gap = instance.threshold - sum(weights[e].table[0] for e in p.edge_seq)
+        if gap <= 0:
+            continue
+        row = np.zeros(width)
+        for e in p.edge_seq:
+            for j, coeff in columns[e]:
+                row[j] += coeff
+        rows.append(row)
+        need.append(gap)
+    if not rows:
+        return None
+    return np.vstack(rows), np.array(need, dtype=float)
+
+
 def solve_lp(instance: QosdInstance, paths: CandidateSet | list[Path]) -> LpSolution:
     """min sum(x) s.t. sum_{e in p} beta_e x_e >= T - sum_{e in p} alpha_e
     for every path, 0 <= x_e <= b_e; deterministic for fixed input."""
-    betas, alphas = _affine_coeffs(instance)
+    betas, _ = _affine_coeffs(instance)
     path_set = paths if isinstance(paths, CandidateSet) else CandidateSet(paths)
     m = instance.graph.m
-    if len(path_set) == 0:
-        return LpSolution([0.0] * m, 0.0, path_set)
-
     support = sorted({e for p in path_set for e in p.edge_seq})
-    col = {e: j for j, e in enumerate(support)}
-    rows = []
-    rhs = []
-    for p in path_set:
-        need = instance.threshold - sum(alphas[e] for e in p.edge_seq)
-        if need <= 0:
-            continue  # vacuous: initial weights already reach T
-        row = np.zeros(len(support))
-        for e in p.edge_seq:
-            row[col[e]] -= betas[e]
-        rows.append(row)
-        rhs.append(-need)
-    if not rows:
+    columns = {e: [(j, betas[e])] for j, e in enumerate(support)}
+    rows = path_rows(instance, path_set, columns, len(support))
+    if rows is None:
         return LpSolution([0.0] * m, 0.0, path_set)
-
-    bounds = [(0.0, float(instance.box[e])) for e in support]
+    A, need = rows
     result = linprog(
         c=np.ones(len(support)),
-        A_ub=np.vstack(rows),
-        b_ub=np.array(rhs, dtype=float),
-        bounds=bounds,
+        A_ub=-A,
+        b_ub=-need,
+        bounds=[(0.0, float(instance.box[e])) for e in support],
         method="highs",
     )
     if not result.success:
         raise QosdError(f"LP solve failed unexpectedly: {result.message}")
     fractional = [0.0] * m
-    for e in support:
-        fractional[e] = float(result.x[col[e]])
+    for j, e in enumerate(support):
+        fractional[e] = float(result.x[j])
     return LpSolution(fractional, float(result.fun), path_set)
 
 

@@ -103,7 +103,7 @@ def test_c02_oracle_optimality_gap():
     below_opt = []
     for seed in range(50):
         inst = make_er_instance(8, 0.3, 3, 2, "linear", seed=seed)
-        opt = oracle_opt(inst).opt_norm
+        opt = oracle_opt(inst).norm
         for alg in ratios:
             report = _run_named(inst, alg, seed)
             if report.norm < opt:
@@ -266,7 +266,7 @@ def test_c06_lp_rounding_statistics():
     for seed in range(20):
         inst = make_er_instance(8, 0.3, 3, 2, "linear", seed=seed)
         lp = constraint_generation(inst)
-        if lp.objective > oracle_opt(inst).opt_norm + 1e-6:
+        if lp.objective > oracle_opt(inst).norm + 1e-6:
             lp_vs_opt_ok = False
     elapsed = time.perf_counter() - t0
     ok = rate <= 0.27 and mean(norms) <= mean(bounds) and lp_vs_opt_ok and elapsed < 600

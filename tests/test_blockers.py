@@ -155,6 +155,6 @@ class TestOracleBound:
             paths = potential_paths(inst, BudgetVector.zeros(inst.graph.m))
             if not paths:
                 continue
-            opt = min_budget_to_block(inst, paths).opt_norm
+            opt = min_budget_to_block(inst, paths).norm
             assert block_greedy(inst, paths).norm >= opt
             assert block_adaptive(inst, paths).norm >= opt

@@ -115,19 +115,20 @@ class TestRunExperiment:
 
     def test_failed_oracle_gets_own_row(self, monkeypatch):
         import qosd.experiment
-        from qosd import BlownBudgetError
+        from qosd import StallError
 
-        def blown(instance):
-            raise BlownBudgetError("node limit reached")
+        def blown(instance, **kwargs):
+            assert kwargs["deadline"].seconds == 30.0
+            raise StallError("re-proposed only known paths")
 
         monkeypatch.setattr(qosd.experiment, "oracle_opt", blown)
         config = ExperimentConfig(
             er_n=8, er_rho=0.3, thresholds=[3], k=2,
-            algorithms=["oracle", "ig"], repetitions=1, master_seed=3,
+            algorithms=["oracle", "ig"], repetitions=1, master_seed=3, time_limit=30.0,
         )
         by_alg = {row["algorithm"]: row for row in run_experiment(config)}
         assert json.loads(by_alg["oracle"]["extras"]) == {
-            "error": "BlownBudgetError: node limit reached"
+            "error": "StallError: re-proposed only known paths"
         }
         ig_extras = json.loads(by_alg["ig"]["extras"])
         assert ig_extras["verified"] is True
@@ -204,8 +205,8 @@ class TestCli:
         inst_file = tmp_path / "inst.txt"
         main(["gen", "--n", "8", "--rho", "0.3", "--threshold", "3",
               "--pairs", "2", "--seed", "11", "--output", str(inst_file)])
-        assert main(["oracle", "--instance", str(inst_file)]) == 0
-        assert "opt=" in capsys.readouterr().out
+        assert main(["solve", "--instance", str(inst_file), "--algorithm", "oracle"]) == 0
+        assert "algorithm=oracle norm=" in capsys.readouterr().out
 
     def test_experiment_subcommand(self, tmp_path, capsys):
         config_file = tmp_path / "batch.cfg"

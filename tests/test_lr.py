@@ -192,7 +192,7 @@ class TestRunLr:
         for seed in range(5):
             inst = make_er_instance(8, 0.3, 3, 2, "linear", seed=seed)
             lp = constraint_generation(inst)
-            opt = oracle_opt(inst).opt_norm
+            opt = oracle_opt(inst).norm
             assert lp.objective <= opt + 1e-6
 
     def test_eta_override(self, inst_a):
