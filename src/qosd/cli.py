@@ -25,9 +25,10 @@ from .instance import (
     WEIGHT_MODELS,
     QosdInstance,
     build_weights,
-    generate_er,
     load_edge_list,
     load_instance,
+    make_er_instance,
+    read_int_pairs,
     sample_pairs,
     save_instance,
 )
@@ -75,28 +76,12 @@ def _load_cli_instance(args) -> QosdInstance:
             graph = load_edge_list(handle, directed=not args.undirected)
         weights = build_weights(graph, args.weight_model, args.threshold, seed=args.seed)
         if args.pairs_file:
-            pairs = _read_pairs(args.pairs_file)
+            with open(args.pairs_file) as handle:
+                pairs = read_int_pairs(handle)
         else:
             pairs = sample_pairs(graph, args.random_pairs, args.pair_seed)
         return QosdInstance(graph, weights, pairs, args.threshold)
     raise ConfigError("provide --instance FILE or --edges FILE")
-
-
-def _read_pairs(path: str) -> list[tuple[int, int]]:
-    pairs = []
-    with open(path) as handle:
-        for line_no, line in enumerate(handle, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            parts = stripped.split()
-            if len(parts) != 2:
-                raise ParseError(f"expected 's t', got {stripped!r}", line_no)
-            try:
-                pairs.append((int(parts[0]), int(parts[1])))
-            except ValueError:
-                raise ParseError(f"non-integer node id in {stripped!r}", line_no) from None
-    return pairs
 
 
 def _add_instance_args(parser: argparse.ArgumentParser) -> None:
@@ -214,15 +199,14 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    graph = generate_er(args.n, args.rho, args.seed)
-    weights = build_weights(graph, args.weight_model, args.threshold, seed=args.seed + 1)
-    pairs = sample_pairs(graph, args.pairs, args.seed + 2)
-    instance = QosdInstance(graph, weights, pairs, args.threshold)
+    instance = make_er_instance(
+        args.n, args.rho, args.threshold, args.pairs, args.weight_model, args.seed
+    )
     with open(args.output, "w") as handle:
         save_instance(instance, handle)
     print(
-        f"wrote instance n={graph.n} m={graph.m} T={args.threshold} "
-        f"k={len(pairs)} to {args.output}"
+        f"wrote instance n={instance.graph.n} m={instance.graph.m} T={args.threshold} "
+        f"k={instance.k} to {args.output}"
     )
     return EXIT_OK
 

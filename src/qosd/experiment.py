@@ -227,21 +227,13 @@ def _attempt(instance: QosdInstance, algorithm: str, **knobs) -> RunReport | str
 
 
 def _error_row(config, alg, threshold, seed, message, model=None) -> dict:
-    return {
-        "algorithm": alg,
-        "n": config.er_n if config.source == "er" else "",
-        "m": "",
-        "model": model or config.model,
-        "T": threshold,
-        "k": config.k,
-        "seed": seed,
-        "norm": "",
-        "outer_iters": "",
-        "inner_iters": "",
-        "wall_time_s": "",
-        "feasible": "false",
-        "extras": json.dumps({"error": message}),
-    }
+    row = dict.fromkeys(CSV_COLUMNS, "")
+    row.update(
+        algorithm=alg, n=config.er_n if config.source == "er" else "",
+        model=model or config.model, T=threshold, k=config.k, seed=seed,
+        feasible="false", extras=json.dumps({"error": message}),
+    )
+    return row
 
 
 def rows_to_csv(rows: list[dict]) -> str:

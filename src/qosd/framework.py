@@ -18,9 +18,10 @@ from .report import Deadline, RunReport
 Blocker = Callable[..., BudgetVector]
 
 
-def potential_paths(instance: QosdInstance, x: BudgetVector) -> list[Path]:
-    """One shortest path (below T under x) per still-unseparated pair."""
-    return [p for p in pair_shortest_paths(instance, x) if p is not None]
+def potential_paths(instance: QosdInstance, x: BudgetVector, *, lengths: list[int] | None = None) -> list[Path]:
+    """One shortest path (below T under x) per still-unseparated pair;
+    ``lengths`` is ``edge_lengths(instance, x)`` when the caller has it."""
+    return [p for p in pair_shortest_paths(instance, x, lengths=lengths) if p is not None]
 
 
 def run_iterative(

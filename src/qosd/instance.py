@@ -31,7 +31,7 @@ class Graph:
     edges are rejected (loaders drop them before construction).
     """
 
-    __slots__ = ("n", "edges", "out_adj", "in_adj", "max_out_degree", "_edge_index")
+    __slots__ = ("n", "edges", "out_adj", "in_adj", "max_out_degree", "_edge_index", "_csr")
 
     def __init__(self, n: int, edges: Sequence[tuple[int, int]]):
         if n <= 0:
@@ -55,6 +55,7 @@ class Graph:
         self.in_adj = in_adj
         self.max_out_degree = max((len(a) for a in out_adj), default=0)
         self._edge_index = seen
+        self._csr: dict = {}  # pathcore.csr_view's cache
 
     @property
     def m(self) -> int:
@@ -171,6 +172,10 @@ class QosdInstance:
         return len(self.pairs)
 
     def _check_box_feasible(self) -> None:
+        # a pair has s != t, so each of its paths has an edge that alone reaches T
+        threshold = self.threshold
+        if all(w.table[-1] >= threshold for w in self.weights):
+            return
         from .pathcore import BudgetVector, unseparated_pairs
 
         at_cap = BudgetVector(self.box)
@@ -188,31 +193,32 @@ class QosdInstance:
         )
 
 
+def read_int_pairs(lines: Iterable[str]) -> list[tuple[int, int]]:
+    """Two integers per line; blank lines and '#' comments are skipped."""
+    pairs = []
+    for line_no, line in enumerate(lines, start=1):
+        parts = line.split()
+        if not parts or parts[0].startswith("#"):
+            continue
+        if len(parts) != 2:
+            raise ParseError(f"expected two node ids, got {line.strip()!r}", line_no)
+        try:
+            pairs.append((int(parts[0]), int(parts[1])))
+        except ValueError:
+            raise ParseError(f"non-integer node id in {line.strip()!r}", line_no) from None
+    return pairs
+
+
 def load_edge_list(lines: Iterable[str], directed: bool = True) -> Graph:
     """Parse a SNAP-style edge list: '#' comments, one "src dst" per line.
 
     Raw node ids are compacted to [0, n) by ascending id. Self-loops and
     duplicate edges are dropped; undirected input inserts both directions.
     """
-    raw_edges: list[tuple[int, int]] = []
-    ids: set[int] = set()
-    for line_no, line in enumerate(lines, start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        parts = stripped.split()
-        if len(parts) != 2:
-            raise ParseError(f"expected 'src dst', got {stripped!r}", line_no)
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError(f"non-integer node id in {stripped!r}", line_no) from None
-        raw_edges.append((u, v))
-        ids.add(u)
-        ids.add(v)
+    raw_edges = read_int_pairs(lines)
     if not raw_edges:
         raise InvalidInstanceError("edge list contains no edges")
-    rank = {node: i for i, node in enumerate(sorted(ids))}
+    rank = {node: i for i, node in enumerate(sorted({u for edge in raw_edges for u in edge}))}
     seen: set[tuple[int, int]] = set()
     edges: list[tuple[int, int]] = []
     for u_raw, v_raw in raw_edges:

@@ -17,7 +17,7 @@ from scipy.optimize import linprog
 
 from .errors import IterationLimitError, NonlinearWeightsError, QosdError, StallError
 from .instance import QosdInstance
-from .pathcore import BudgetVector, CandidateSet, Path, path_below, unseparated_pairs
+from .pathcore import BudgetVector, CandidateSet, Path, path_below, source_rows, unseparated_pairs
 from .report import Deadline, RunReport
 
 FEAS_TOL = 1e-6
@@ -116,10 +116,12 @@ def constraint_generation(
     """Grow the LP one round of violated shortest paths at a time until the
     fractional optimum keeps every pair at length >= T (within tolerance).
 
-    The separation oracle is :func:`pathcore.path_below` on the float
-    lengths alpha_e + beta_e x'_e (all >= 1) with the strict bound
-    T * (1 - FEAS_TOL); ties break by the lowest edge index, as in the
-    path queries of IG and AT.
+    The separation oracle is one :func:`pathcore.distances` call over every
+    pair's source on the float lengths alpha_e + beta_e x'_e (all >= 1),
+    bounded by T * (1 - FEAS_TOL), and :func:`pathcore.path_below` on each
+    pair's row. As in IG and AT's sweeps, a path enters each node by its
+    lowest-index tight in-edge, tested by the same float64 sum that gave
+    the distances, so fractional ties resolve exactly as the kernel's.
     """
     betas, alphas = _affine_coeffs(instance)
     deadline = Deadline.ensure(deadline)
@@ -132,10 +134,9 @@ def constraint_generation(
     while True:
         deadline.check("constraint generation")
         lengths = [alphas[e] + betas[e] * solution.fractional[e] for e in range(m)]
-        found = (
-            path_below(instance, lengths, pair, cutoff, i)
-            for i, pair in enumerate(instance.pairs)
-        )
+        rows = source_rows(instance, lengths, cutoff)
+        found = (path_below(instance, lengths, pair, cutoff, i, row)
+                 for i, (pair, row) in enumerate(zip(instance.pairs, rows)))
         violated = [p for p in found if p is not None]
         if not violated:
             if stats is not None:
@@ -210,7 +211,8 @@ def run_lr(
     eta_value = (
         eta_override
         if eta_override is not None
-        else eta(instance.graph.n, instance.hop_bound, max(betas), delta)
+        # all-flat tables leave beta_max 0 and nothing to round; floor it at 1
+        else eta(instance.graph.n, instance.hop_bound, max(max(betas), 1), delta)
     )
     rng = random.Random(seed)
     fallback = False

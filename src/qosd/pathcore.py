@@ -1,11 +1,17 @@
 """Budget vectors, path metrics, the shortest-path kernel, separation checks
 and the blockers' gain structure.
 
-:func:`dijkstra` is the one shortest-path search; IG and AT harvest paths,
-LR separates and SA builds its shortest-path trees with it. Queries stop
-at a bound: only paths strictly shorter than T ever matter, and all edge
-weights are >= 1, so a pop at distance >= T ends the search. Everything
-but LR's fractional lengths is exact integer arithmetic.
+:func:`distances` is the one shortest-path search: a single
+``scipy.sparse.csgraph.dijkstra`` call from a batch of sources over a CSR
+view of the graph (or of its transpose) that is cached on the graph, with
+only its data array refilled from the current edge lengths. IG and AT
+harvest paths, LR separates and SA builds its shortest-path trees from its
+distance rows. A sweep stops at a bound, because only paths strictly
+shorter than T ever matter. Paths are rebuilt backward from t along the
+lowest-index tight in-edge, and SA trees take the lowest-id tight next hop;
+both rules read only the exact float64 distances, so every output is fixed
+by the lengths alone. Everything but LR's fractional lengths is exact
+integer arithmetic.
 
 :class:`PathSupport` is the one place where a blocker's path lengths, edge
 support and capped-gain scan live: IG's unit steps, AT's best-ratio
@@ -16,13 +22,16 @@ pick their increments from it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heappop, heappush
 from typing import TYPE_CHECKING, Iterable, Sequence
+
+import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra as csgraph_dijkstra
 
 from .errors import QosdError
 
 if TYPE_CHECKING:
-    from .instance import QosdInstance
+    from .instance import Graph, QosdInstance
 
 _INF = float("inf")
 
@@ -75,8 +84,6 @@ class BudgetVector:
         self._require_same_dim(other)
         return BudgetVector([max(a - b, 0) for a, b in zip(self.values, other.values)])
 
-    __add__ = plus
-
     def dominated_by(self, other: "BudgetVector") -> bool:
         self._require_same_dim(other)
         return all(a <= b for a, b in zip(self.values, other.values))
@@ -85,9 +92,6 @@ class BudgetVector:
         return len(self.values) == len(box) and all(
             v <= c for v, c in zip(self.values, box)
         )
-
-    def copy(self) -> "BudgetVector":
-        return BudgetVector(self.values)
 
     def __getitem__(self, edge: int) -> int:
         return self.values[edge]
@@ -188,56 +192,34 @@ def blocks_all(instance: "QosdInstance", paths: Sequence[Path], x: BudgetVector)
     return d_value(instance, paths, x) == len(paths) * instance.threshold
 
 
-def dijkstra(
-    adj: Sequence[Sequence[tuple[int, int]]],
-    lengths: Sequence[float],
-    source: int,
-    *,
-    bound: float = _INF,
-    target: int = -1,
-    tie_key: Sequence | None = None,
-) -> tuple[list[float], list[int]]:
-    """Distances from ``source`` over ``adj`` and the edge each node is reached by.
+def csr_view(graph: "Graph", reverse: bool) -> tuple[csr_matrix, np.ndarray, np.ndarray]:
+    """The graph (its transpose when ``reverse``) as a CSR matrix with entries in
+    (row, column) order, and each entry's edge index and row. Cached on the graph
+    on first use; callers refill ``data``, so calls on one graph must not overlap."""
+    if reverse not in graph._csr:
+        ends = np.array(graph.edges, dtype=np.int32).reshape(-1, 2).T
+        rows, cols = ends[::-1] if reverse else ends
+        perm = np.lexsort((cols, rows))
+        indptr = np.r_[0, np.cumsum(np.bincount(rows, minlength=graph.n))].astype(np.int32)
+        matrix = csr_matrix((np.zeros(len(perm)), cols[perm], indptr), shape=(graph.n, graph.n))
+        graph._csr[reverse] = (matrix, perm, rows[perm])
+    return graph._csr[reverse]
 
-    ``adj[u]`` lists ``(v, e)``: ``graph.out_adj`` gives distances from
-    ``source``, ``graph.in_adj`` distances to it (``parent_edge[v]`` is then
-    v's first edge toward ``source``). Nodes pop in (distance, node) order;
-    only nodes strictly nearer than ``bound`` settle, and the search ends
-    once ``target`` settles. Ties go to the edge with the lowest
-    ``tie_key[e]``, or the lowest edge index when ``tie_key`` is None. With
-    every length >= 1 each tight edge into a node relaxes before the node
-    settles, so the rule is complete for every settled node.
+
+def distances(
+    instance: "QosdInstance", lengths: Sequence[float], sources: Sequence[int],
+    *, bound: float = _INF, reverse: bool = False,
+) -> np.ndarray:
+    """Row i holds the distances from ``sources[i]`` under ``lengths`` (to it
+    when ``reverse``), from one ``scipy.sparse.csgraph.dijkstra`` call.
+
+    Entries strictly below ``bound`` are exact; all others read >= ``bound``.
+    Each distance is the float64 sum d[u] + lengths[e] along a shortest path,
+    so integer lengths stay exact and the same sum recognises tight edges.
     """
-    n = len(adj)
-    dist: list[float] = [_INF] * n
-    parent_edge = [-1] * n
-    settled = bytearray(n)
-    dist[source] = 0
-    heap: list[tuple[float, int]] = [(0, source)]
-    while heap:
-        d, u = heappop(heap)
-        if settled[u]:
-            continue
-        if d >= bound:
-            break
-        settled[u] = 1
-        if u == target:
-            break
-        for v, ei in adj[u]:
-            if settled[v]:
-                continue
-            nd = d + lengths[ei]
-            dv = dist[v]
-            if nd < dv:
-                dist[v] = nd
-                parent_edge[v] = ei
-                heappush(heap, (nd, v))
-            elif nd == dv and (
-                ei < parent_edge[v] if tie_key is None
-                else tie_key[ei] < tie_key[parent_edge[v]]
-            ):
-                parent_edge[v] = ei
-    return dist, parent_edge
+    matrix, perm, _ = csr_view(instance.graph, reverse)
+    np.take(np.asarray(lengths, dtype=np.float64), perm, out=matrix.data)
+    return csgraph_dijkstra(matrix, directed=True, indices=sources, limit=bound)
 
 
 def path_below(
@@ -246,20 +228,25 @@ def path_below(
     pair: tuple[int, int],
     bound: float,
     pair_index: int | None = None,
+    dist: np.ndarray | None = None,
 ) -> Path | None:
-    """Shortest s-t path under ``lengths`` if strictly shorter than ``bound``,
-    else None; rebuilt backward from t along :func:`dijkstra`'s parent edges."""
+    """Shortest s-t path under ``lengths`` if strictly shorter than ``bound``, else
+    None; ``dist`` is s's row of :func:`distances` (computed when None). The path is
+    rebuilt from t, entering each v by its lowest-index tight in-edge (d[u] + len == d[v])."""
     s, t = pair
-    graph = instance.graph
-    dist, parent_edge = dijkstra(graph.out_adj, lengths, s, bound=bound, target=t)
-    if dist[t] >= bound:
+    if dist is None:
+        dist = distances(instance, lengths, [s], bound=bound)[0]
+    if not dist[t] < bound:
         return None
+    in_adj = instance.graph.in_adj
     nodes = [t]
     edges = []
     while nodes[-1] != s:
-        ei = parent_edge[nodes[-1]]
+        dv = dist[nodes[-1]]
+        # lengths are >= 1, so a tight in-edge comes from a nearer node
+        u, ei = next((u, ei) for u, ei in in_adj[nodes[-1]] if dist[u] + lengths[ei] == dv)
         edges.append(ei)
-        nodes.append(graph.edges[ei][0])
+        nodes.append(u)
     nodes.reverse()
     edges.reverse()
     initial = sum(instance.weights[e].table[0] for e in edges)
@@ -273,19 +260,33 @@ def shortest_path(
     *,
     pair_index: int | None = None,
     lengths: Sequence[int] | None = None,
+    dist: np.ndarray | None = None,
 ) -> Path | None:
-    """Minimum-length path under f_e(x_e) if its length is below T, else None."""
+    """Minimum-length path under f_e(x_e) if its length is below T, else None;
+    ``dist`` as in :func:`path_below`."""
     if lengths is None:
         lengths = edge_lengths(instance, x)
-    return path_below(instance, lengths, pair, instance.threshold, pair_index)
+    return path_below(instance, lengths, pair, instance.threshold, pair_index, dist)
 
 
-def pair_shortest_paths(instance: "QosdInstance", x: BudgetVector) -> list[Path | None]:
-    """Per-pair shortest path below T (None when the pair is separated), in pair order."""
-    lengths = edge_lengths(instance, x)
+def source_rows(instance: "QosdInstance", lengths: Sequence[float], bound: float) -> list[np.ndarray]:
+    """Each pair's source row of one :func:`distances` call over the unique sources."""
+    sources, row = np.unique([s for s, _ in instance.pairs], return_inverse=True)
+    dist = distances(instance, lengths, sources, bound=bound)
+    return [dist[r] for r in row]
+
+
+def pair_shortest_paths(
+    instance: "QosdInstance", x: BudgetVector, *, lengths: list[int] | None = None
+) -> list[Path | None]:
+    """Per-pair shortest path below T (None when the pair is separated), in
+    pair order, from one :func:`distances` call."""
+    if lengths is None:
+        lengths = edge_lengths(instance, x)
+    rows = source_rows(instance, lengths, instance.threshold)
     return [
-        shortest_path(instance, x, pair, pair_index=i, lengths=lengths)
-        for i, pair in enumerate(instance.pairs)
+        shortest_path(instance, x, pair, pair_index=i, lengths=lengths, dist=row)
+        for i, (pair, row) in enumerate(zip(instance.pairs, rows))
     ]
 
 

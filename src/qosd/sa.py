@@ -12,11 +12,14 @@ import math
 import random
 import time
 from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
 
 from .errors import GammaZeroError, InfeasibleBoxError
 from .framework import potential_paths
 from .instance import QosdInstance, concave_ratio
-from .pathcore import BudgetVector, Path, PathSupport, dijkstra, edge_lengths, r_value
+from .pathcore import BudgetVector, Path, PathSupport, csr_view, distances, edge_lengths, r_value
 from .report import Deadline, RunReport
 
 
@@ -66,22 +69,31 @@ def build_sp_tree(
     x: BudgetVector,
     sink: int,
     *,
-    lengths: list[int] | None = None,
+    lengths: Sequence[float] | None = None,
+    dist: np.ndarray | None = None,
 ) -> list[int | None]:
     """Next hop toward ``sink`` on a shortest path under f_e(x_e), per node.
 
-    One :func:`pathcore.dijkstra` over the reverse graph. Ties compare the
-    out-edges' ``(node, next hop)`` tuples, so among equal-distance routes
-    the lowest next-hop id wins. Nodes that cannot reach the sink, and the
-    sink itself, map to None. ``lengths`` is ``edge_lengths(instance, x)``
-    when the caller already has it.
+    ``dist`` is the sink's row of ``pathcore.distances(..., reverse=True)``
+    (computed when None). Node w's next hop is the lowest-id v over its tight
+    out-edges (lengths[e] + d[v] == d[w]), found for all nodes at once. The
+    sink and nodes that cannot reach it map to None. ``lengths`` is
+    ``edge_lengths(instance, x)`` when the caller already has it.
     """
     if lengths is None:
         lengths = edge_lengths(instance, x)
-    graph = instance.graph
-    edges = graph.edges
-    _, first_edge = dijkstra(graph.in_adj, lengths, sink, tie_key=edges)
-    return [edges[e][1] if e >= 0 else None for e in first_edge]
+    if dist is None:
+        dist = distances(instance, lengths, [sink], reverse=True)[0]
+    matrix, perm, tails = csr_view(instance.graph, False)
+    heads, to_tail = matrix.indices, dist[tails]
+    step = np.asarray(lengths, dtype=np.float64)[perm] + dist[heads]
+    tight = np.flatnonzero((step == to_tail) & (to_tail < np.inf) & (tails != sink))
+    # entries run in (tail, head) order: a tail's first tight entry has its lowest head
+    nodes, first = np.unique(tails[tight], return_index=True)
+    tree: list[int | None] = [None] * instance.graph.n
+    for w, v in zip(nodes.tolist(), heads[tight[first]].tolist()):
+        tree[w] = v
+    return tree
 
 
 def sample_path(
@@ -295,11 +307,13 @@ def run_sa(
     sinks = sorted({t for _, t in instance.pairs})
     while True:
         deadline.check("sampling round")
-        paths = potential_paths(instance, x)
+        lengths = edge_lengths(instance, x)
+        paths = potential_paths(instance, x, lengths=lengths)
         if not paths:
             break
-        lengths = edge_lengths(instance, x)
-        trees = {t: build_sp_tree(instance, x, t, lengths=lengths) for t in sinks}
+        floats = np.asarray(lengths, dtype=np.float64)
+        rows = distances(instance, floats, sinks, reverse=True)
+        trees = {t: build_sp_tree(instance, x, t, lengths=floats, dist=d) for t, d in zip(sinks, rows)}
         for attempt in range(4):  # base try plus three doublings
             if attempt > 0:
                 escalations += 1

@@ -212,6 +212,17 @@ class TestQosdInstance:
         with pytest.raises(InfeasibleBoxError, match="infeasible-box"):
             QosdInstance(g, weights, [(0, 1)], 5)
 
+    def test_box_check_needs_no_search_when_caps_reach_threshold(self, monkeypatch):
+        # every generated table tops out at T, so one edge of any path reaches it
+        import qosd.pathcore
+
+        def search(*args, **kwargs):
+            raise AssertionError("the box check ran a shortest-path sweep")
+
+        monkeypatch.setattr(qosd.pathcore, "pair_shortest_paths", search)
+        inst = make_er_instance(40, 0.15, 5, 6, "heterogeneous", seed=3)
+        assert inst.k == 6
+
     def test_disconnected_pair_is_fine(self):
         g = Graph(3, [(0, 1)])
         weights = [WeightFunction((1, 2, 3))]

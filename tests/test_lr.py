@@ -207,3 +207,12 @@ class TestRunLr:
         lp = constraint_generation(inst_a)
         if any(abs(f - round(f)) > 1e-9 for f in lp.fractional):
             assert report.extras["fallback"]
+
+    def test_flat_tables_give_zero_vector(self):
+        # every affine table is flat (beta_max 0) and x = 0 already separates
+        graph = Graph(3, [(1, 2), (2, 1)])
+        inst = QosdInstance(graph, [WeightFunction((2, 2))] * 2, [(0, 1), (0, 2)], 3)
+        report = run_lr(inst, delta=0.2, seed=511)
+        assert report.budget == BudgetVector.zeros(2)
+        assert report.feasible
+        assert not unseparated_pairs(inst, report.budget)

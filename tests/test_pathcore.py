@@ -23,7 +23,7 @@ from qosd import (
     shortest_path,
     unseparated_pairs,
 )
-from qosd.pathcore import dijkstra, edge_lengths
+from qosd.pathcore import distances, edge_lengths
 
 from conftest import diamond_instance
 
@@ -195,8 +195,8 @@ def test_prune_soundness(seed):
     inst = QosdInstance(graph, weights, [(0, 7)], 4, validate_box=False)
     x = BudgetVector([rng.randint(0, w.cap) for w in weights])
     lengths = edge_lengths(inst, x)
-    d_pruned = dijkstra(graph.out_adj, lengths, 0, bound=inst.threshold, target=7)[0][7]
-    d_full = dijkstra(graph.out_adj, lengths, 0, target=7)[0][7]
+    d_pruned = distances(inst, lengths, [0], bound=inst.threshold)[0][7]
+    d_full = distances(inst, lengths, [0])[0][7]
     if d_full < inst.threshold:
         assert d_pruned == d_full
     else:
@@ -287,8 +287,29 @@ def test_kernel_distances_both_directions(seed):
     lengths = edge_lengths(inst, x)
     s, t = inst.pairs[0]
     reverse = [(v, u) for u, v in graph.edges]
-    assert dijkstra(graph.out_adj, lengths, s)[0] == _bellman_ford(graph.n, graph.edges, lengths, s)
-    assert dijkstra(graph.in_adj, lengths, t)[0] == _bellman_ford(graph.n, reverse, lengths, t)
+    assert distances(inst, lengths, [s])[0].tolist() == _bellman_ford(graph.n, graph.edges, lengths, s)
+    assert distances(inst, lengths, [t], reverse=True)[0].tolist() == _bellman_ford(graph.n, reverse, lengths, t)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 40))
+def test_kernel_bounded_quarter_lengths(seed, quarters):
+    # LR's case: fractional lengths >= 1; quarters are exact in binary and still tie
+    inst, _ = _shuffled_instance(seed)
+    graph = inst.graph
+    rng = random.Random(seed)
+    lengths = [rng.randint(4, 16) / 4 for _ in graph.edges]
+    bound = quarters / 4
+    reverse = [(v, u) for u, v in graph.edges]
+    for flip, edges in ((False, graph.edges), (True, reverse)):
+        sources = sorted({s for pair in inst.pairs for s in pair})
+        rows = distances(inst, lengths, sources, bound=bound, reverse=flip)
+        for source, row in zip(sources, rows):
+            for got, want in zip(row.tolist(), _bellman_ford(graph.n, edges, lengths, source)):
+                if want < bound:
+                    assert got == want
+                else:
+                    assert got >= bound
 
 
 @settings(max_examples=150, deadline=None)
