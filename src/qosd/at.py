@@ -1,5 +1,5 @@
 """Trading blocker: per iteration, pick the (edge, amount) chunk with the
-best gain-per-unit ratio, scanning every spendable amount exactly."""
+best gain-per-unit ratio over every spendable amount."""
 
 from __future__ import annotations
 

@@ -161,10 +161,19 @@ class QosdInstance:
         self.weights = list(weights)
         self.pairs = [(s, t) for s, t in pairs]
         self.threshold = threshold
-        self.min_initial_weight = min(w.initial for w in self.weights) if self.weights else 1
+        self.box = []
+        lowest = lowest_top = math.inf
+        for w in self.weights:
+            table = w.table
+            self.box.append(len(table) - 1)
+            if table[0] < lowest:
+                lowest = table[0]
+            if table[-1] < lowest_top:
+                lowest_top = table[-1]
+        self.min_initial_weight = lowest if self.weights else 1
         self.hop_bound = math.ceil(threshold / self.min_initial_weight)
-        self.box = [w.cap for w in self.weights]
-        if validate_box:
+        # a pair has s != t, so each of its paths has an edge that alone reaches T
+        if validate_box and lowest_top < threshold:
             self._check_box_feasible()
 
     @property
@@ -172,10 +181,6 @@ class QosdInstance:
         return len(self.pairs)
 
     def _check_box_feasible(self) -> None:
-        # a pair has s != t, so each of its paths has an edge that alone reaches T
-        threshold = self.threshold
-        if all(w.table[-1] >= threshold for w in self.weights):
-            return
         from .pathcore import BudgetVector, unseparated_pairs
 
         at_cap = BudgetVector(self.box)

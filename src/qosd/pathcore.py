@@ -16,12 +16,16 @@ integer arithmetic.
 :class:`PathSupport` is the one place where a blocker's path lengths, edge
 support and capped-gain scan live: IG's unit steps, AT's best-ratio
 chunks, SA's estimator-weighted chunk and SA's exact fallback step all
-pick their increments from it.
+pick their increments from it. It caches each edge's best unit and chunk;
+after a step it rescans only the stepped edge and the edges of the paths
+below T that the step lengthened.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
@@ -161,10 +165,6 @@ class CandidateSet:
     def __contains__(self, path: Path) -> bool:
         return path.key in self._seen
 
-    @property
-    def paths(self) -> list[Path]:
-        return list(self._paths)
-
 
 def edge_lengths(instance: "QosdInstance", x: BudgetVector) -> list[int]:
     """Current weight f_e(x_e) for every edge."""
@@ -302,8 +302,15 @@ class PathSupport:
     ``lengths[i]`` is path i's length under x, ``support`` maps each edge to
     the indices of the paths using it (``edges`` is its sorted key list) and
     ``gap`` = sum(T - min(T, length)) = |P| * T - D, which is 0 exactly when
-    x blocks every path. Each scan covers every support edge in one call, so
-    the hot loop makes no Python call per edge.
+    x blocks every path.
+
+    Each edge's best unit gain and best chunk are cached, and each cache
+    rescans only its dirty edges. An edge's entry reads only its own x and
+    table and the shortfalls of its paths, and :meth:`apply` on e changes
+    only x[e] and the lengths of e's paths. A path already at T or above
+    keeps a shortfall of 0, so ``apply`` dirties e and the edges of e's
+    paths that were below T (none more when the step adds no length). Every
+    other entry is what a full rescan would compute, for any table.
     """
 
     def __init__(
@@ -318,16 +325,21 @@ class PathSupport:
         self.box = instance.box
         self.x = [0] * instance.graph.m if x is None else list(x)
         weights, xv = self.weights, self.x
-        path_list = list(paths)
-        self.lengths = [sum(weights[e].table[xv[e]] for e in p.edge_seq) for p in path_list]
-        self.path_weight = [1] * len(path_list) if path_weight is None else list(path_weight)
+        self.path_edges = [p.edge_seq for p in paths]
+        self.lengths = [sum(weights[e].table[xv[e]] for e in seq) for seq in self.path_edges]
+        self.path_weight = [1] * len(self.path_edges) if path_weight is None else list(path_weight)
         support: dict[int, list[int]] = {}
-        for pi, p in enumerate(path_list):
-            for e in p.edge_seq:
+        for pi, seq in enumerate(self.path_edges):
+            for e in seq:
                 support.setdefault(e, []).append(pi)
         self.support = support
         self.edges = sorted(support)
         self.gap = sum(self.threshold - min(self.threshold, ln) for ln in self.lengths)
+        # per-edge caches, in edge order
+        self._unit_gains = dict.fromkeys(self.edges, 0)
+        self._chunks = dict.fromkeys(self.edges, (0, 0))
+        self._unit_dirty = set(self.edges)
+        self._chunk_dirty = set(self.edges)
 
     def best_unit(self) -> tuple[int, float]:
         """The unit increment with the largest gain: the sum, over the edge's
@@ -336,25 +348,23 @@ class PathSupport:
         edge; ``(-1, 0)`` when no unit has positive gain."""
         threshold, lengths, path_weight = self.threshold, self.lengths, self.path_weight
         weights, box, x, support = self.weights, self.box, self.x, self.support
-        best_edge = -1
-        best_gain = 0
-        for e in self.edges:
+        gains = self._unit_gains
+        for e in self._unit_dirty:
             xe = x[e]
-            if xe >= box[e]:
-                continue
-            table = weights[e].table
-            delta = table[xe + 1] - table[xe]
-            if delta == 0:
-                continue
+            delta = weights[e].table[xe + 1] - weights[e].table[xe] if xe < box[e] else 0
             gain = 0
-            for pi in support[e]:
-                short = threshold - lengths[pi]
-                if short > 0:
-                    gain += (short if delta > short else delta) * path_weight[pi]
-            if gain > best_gain:
-                best_gain = gain
-                best_edge = e
-        return best_edge, best_gain
+            if delta:
+                for pi in support[e]:
+                    short = threshold - lengths[pi]
+                    if short > 0:
+                        gain += (short if delta > short else delta) * path_weight[pi]
+            gains[e] = gain
+        self._unit_dirty.clear()
+        values = list(gains.values())
+        best_gain = max(values, default=0)
+        if best_gain > 0:
+            return self.edges[values.index(best_gain)], best_gain
+        return -1, 0
 
     def best_chunk(self) -> tuple[int, int, int]:
         """The ``(edge, amount, gain)`` chunk with the best gain-per-unit ratio
@@ -365,32 +375,45 @@ class PathSupport:
         equal-ratio amounts is kept, so with concave or linear tables this is
         :meth:`best_unit`'s step; across edges ties go to the higher gain,
         then the smaller amount, then the lower edge.
+
+        Per edge, with the positive shortfalls sorted and ``pre`` their prefix
+        sums, amount z with delta = table[x + z] - table[x] gains
+        pre[k] + delta * (n - k), where k shortfalls lie below delta. Deltas
+        never fall, so a z whose delta equals the previous one's has the same
+        gain at more units and cannot strictly improve the ratio, and once
+        delta reaches the largest shortfall the gain is maximal and every
+        later z has a lower ratio.
         """
         threshold, lengths = self.threshold, self.lengths
         weights, box, x, support = self.weights, self.box, self.x, self.support
-        best_edge, best_amount, best_gain = -1, 0, 0
-        for e in self.edges:
+        chunks = self._chunks
+        for e in self._chunk_dirty:
             xe = x[e]
-            room = box[e] - xe
-            if room <= 0:
-                continue
-            shorts = [threshold - lengths[pi] for pi in support[e]]
-            shorts = [s for s in shorts if s > 0]
-            if not shorts:
-                continue
-            table = weights[e].table
-            base = table[xe]
-            edge_gain = 0
-            edge_z = 0
-            for z in range(1, room + 1):
-                delta = table[xe + z] - base
-                if delta == 0:
-                    continue
-                gain = sum(s if delta > s else delta for s in shorts)
-                # keep the smallest z among equal ratios: strict improvement only
-                if edge_z == 0 or gain * edge_z > edge_gain * z:
-                    edge_gain = gain
-                    edge_z = z
+            shorts = sorted(s for s in (threshold - lengths[pi] for pi in support[e]) if s > 0)
+            edge_gain = edge_z = 0
+            if shorts:
+                table = weights[e].table
+                base = table[xe]
+                pre = list(accumulate(shorts, initial=0))
+                n, top = len(shorts), shorts[-1]
+                last = 0
+                for z in range(1, box[e] - xe + 1):
+                    delta = table[xe + z] - base
+                    if delta == last:
+                        continue
+                    last = delta
+                    k = bisect_left(shorts, delta)
+                    gain = pre[k] + delta * (n - k)
+                    # keep the smallest z among equal ratios: strict improvement only
+                    if edge_z == 0 or gain * edge_z > edge_gain * z:
+                        edge_gain = gain
+                        edge_z = z
+                    if delta >= top:
+                        break
+            chunks[e] = (edge_z, edge_gain)
+        self._chunk_dirty.clear()
+        best_edge, best_amount, best_gain = -1, 0, 0
+        for e, (edge_z, edge_gain) in chunks.items():
             if edge_z == 0:
                 continue
             # a first candidate always wins: both products are 0 and its gain is >= 1
@@ -411,10 +434,14 @@ class PathSupport:
         delta = table[xe + amount] - table[xe]
         self.x[edge] = xe + amount
         threshold, lengths = self.threshold, self.lengths
+        dirty = {edge}
         closed = 0
         for pi in self.support[edge]:
             ln = lengths[pi]
-            if ln < threshold:
+            if ln < threshold and delta:
                 closed += min(threshold - ln, delta)
+                dirty.update(self.path_edges[pi])
             lengths[pi] = ln + delta
         self.gap -= closed
+        self._unit_dirty |= dirty
+        self._chunk_dirty |= dirty

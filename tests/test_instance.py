@@ -223,6 +223,30 @@ class TestQosdInstance:
         inst = make_er_instance(40, 0.15, 5, 6, "heterogeneous", seed=3)
         assert inst.k == 6
 
+    def test_mixed_tables_one_below_threshold(self, monkeypatch):
+        import qosd.pathcore
+
+        g = Graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
+        weights = [WeightFunction(t) for t in [(3, 3, 9), (2, 6), (5,), (4, 4, 5, 8)]]
+        # the direct edge 0 -> 2 tops out at 5 < T = 6, so pair (0, 2) stays below T
+        with pytest.raises(InfeasibleBoxError) as info:
+            QosdInstance(g, weights, [(0, 3), (0, 2)], 6)
+        assert str(info.value) == (
+            "infeasible-box: pairs [1] stay connected below T even with every edge at its cap"
+        )
+        sweeps = []
+        sweep = qosd.pathcore.pair_shortest_paths
+        monkeypatch.setattr(
+            qosd.pathcore, "pair_shortest_paths", lambda *a, **k: sweeps.append(a) or sweep(*a, **k)
+        )
+        inst = QosdInstance(g, weights, [(1, 3)], 6)
+        assert len(sweeps) == 1
+        assert (inst.min_initial_weight, inst.hop_bound, inst.box) == (2, 3, [2, 1, 0, 3])
+        QosdInstance(g, weights, [(0, 2)], 6, validate_box=False)
+        # every table reaches T = 5, so no path can stay below it
+        QosdInstance(g, weights, [(0, 2)], 5)
+        assert len(sweeps) == 1
+
     def test_disconnected_pair_is_fine(self):
         g = Graph(3, [(0, 1)])
         weights = [WeightFunction((1, 2, 3))]

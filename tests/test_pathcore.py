@@ -249,8 +249,9 @@ def test_lemma_concavity_quick():
         assert Fraction(dxz) >= gamma * Fraction(dyz)
 
 
-def _shuffled_instance(seed: int) -> tuple[QosdInstance, BudgetVector]:
-    # random digraph whose edge indices do not follow (src, dst) order
+def _shuffled_instance(seed: int, max_cap: int = 3) -> tuple[QosdInstance, BudgetVector]:
+    # random digraph whose edge indices do not follow (src, dst) order; tables
+    # have flat steps and jumps
     rng = random.Random(seed)
     n = rng.randint(3, 8)
     edges = [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < 0.45]
@@ -260,7 +261,7 @@ def _shuffled_instance(seed: int) -> tuple[QosdInstance, BudgetVector]:
     weights = []
     for _ in edges:
         table = [rng.randint(1, 3)]
-        for _ in range(rng.randint(1, 3)):
+        for _ in range(rng.randint(1, max_cap)):
             table.append(table[-1] + rng.randint(0, 2))
         weights.append(WeightFunction(tuple(table)))
     pair = (rng.randrange(n), rng.randrange(n - 1))
@@ -389,11 +390,36 @@ def _brute_best_unit(inst, paths, x, path_weight):
     return best_edge, best_gain
 
 
-@pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+def _brute_best_chunk(inst, paths, x):
+    """Every amount 1..room on every support edge, gaining the rise in D: per
+    edge the best ratio at its smallest amount, across edges the best ratio,
+    then the higher gain, the smaller amount, the lower edge; (-1, 0, 0) when
+    nothing rises."""
+    base = d_value(inst, paths, x)
+    best, best_key = (-1, 0, 0), None
+    for e in sorted({e for p in paths for e in p.edge_seq}):
+        edge_best = None  # (ratio, amount, gain)
+        for z in range(1, inst.box[e] - x[e] + 1):
+            gain = d_value(inst, paths, x.plus(BudgetVector.unit(len(x), e, z))) - base
+            if gain > 0 and (edge_best is None or Fraction(gain, z) > edge_best[0]):
+                edge_best = (Fraction(gain, z), z, gain)
+        if edge_best is not None:
+            ratio, z, gain = edge_best
+            key = (ratio, gain, -z, -e)
+            if best_key is None or key > best_key:
+                best, best_key = (e, z, gain), key
+    return best
+
+
+@pytest.mark.parametrize(
+    "weighted, max_cap",
+    [(False, 3), (True, 3), (False, 8), (True, 8)],
+    ids=["unweighted", "weighted", "unweighted-long", "weighted-long"],
+)
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 10_000))
-def test_path_support_matches_brute_force(weighted, seed):
-    inst, x = _shuffled_instance(seed)
+def test_path_support_matches_brute_force(weighted, max_cap, seed):
+    inst, x = _shuffled_instance(seed, max_cap)
     rng = random.Random(seed)
     paths = _random_paths(inst, rng)
     # quarter weights are exact in binary and still tie
@@ -407,12 +433,15 @@ def test_path_support_matches_brute_force(weighted, seed):
         assert support.gap == len(paths) * threshold - d_value(inst, paths, x)
         edge, gain = support.best_unit()
         assert (edge, gain) == _brute_best_unit(inst, paths, x, path_weight)
+        chunk = support.best_chunk()
+        assert chunk == _brute_best_chunk(inst, paths, x)
+        # alternate unit steps with AT's chunks so apply also sees amounts > 1,
+        # and take chunks once flat unit steps leave no unit gain
+        if step % 2 or edge < 0:
+            edge, amount, _ = chunk
+        else:
+            amount = 1
         if edge < 0:
             break
-        # alternate unit steps with AT's chunks so apply also sees amounts > 1
-        amount = 1
-        if step % 2:
-            edge, amount, _ = support.best_chunk()
-            assert edge >= 0
         support.apply(edge, amount)
         step += 1
