@@ -7,6 +7,7 @@ optimum, and stops when there is none, so the last optimum is exact."""
 
 from __future__ import annotations
 
+import math
 import time
 from typing import Iterable
 
@@ -14,11 +15,11 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, milp
 
-from .errors import InfeasibleBoxError, QosdError, StallError
-from .framework import potential_paths
+from .errors import InfeasibleBoxError, QosdError
+from .framework import _generate, potential_paths
 from .instance import QosdInstance
 from .lr import path_rows
-from .pathcore import BudgetVector, CandidateSet, Path
+from .pathcore import BudgetVector, Path
 from .report import Deadline, RunReport
 
 
@@ -118,23 +119,12 @@ def oracle_opt(instance: QosdInstance, *, deadline: Deadline | float | None = No
     """Exact optimum for the full instance: re-solve
     :func:`min_budget_to_block` on a growing path set until no pair has a
     path below T. Each round is one outer and one inner iteration."""
-    deadline = Deadline.ensure(deadline)
     start = time.perf_counter()
-    active = CandidateSet()
-    x = BudgetVector.zeros(instance.graph.m)
-    rounds = 0
-    while True:
-        deadline.check("oracle")
-        fresh = potential_paths(instance, x)
-        if not fresh:
-            break
-        if active.add_all(fresh) == 0:
-            raise StallError(
-                "the oracle re-proposed only known paths; its optimum left a "
-                "constraint path below T"
-            )
-        rounds += 1
-        x = min_budget_to_block(instance, active)
+    x, active, rounds = _generate(
+        instance, BudgetVector.zeros(instance.graph.m), lambda x: potential_paths(instance, x),
+        lambda paths: min_budget_to_block(instance, paths),
+        deadline=Deadline.ensure(deadline), cap=math.inf, what="oracle",
+    )
     return RunReport(
         algorithm="oracle",
         budget=x,

@@ -24,7 +24,7 @@ class InfeasibleBoxError(QosdError):
 
 
 class StallError(QosdError):
-    """An outer iteration re-proposed only known paths (blocker bug)."""
+    """A path-generation round re-proposed only known paths (solve-step bug)."""
 
 
 class IterationLimitError(QosdError):

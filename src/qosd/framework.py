@@ -1,14 +1,16 @@
-"""Outer iterative scaffold shared by the greedy and trading blockers.
+"""Lazy path generation (Israeli & Wood, 2002), shared by IG/AT's outer
+iteration, LR's constraint generation and the exact oracle.
 
-Each outer round harvests every unseparated pair's current shortest path
-into the candidate set, resets the budget to zero and re-blocks the whole
-set, until no pair has a path below the threshold.
+Each round separates: it finds every pair's path still below T under the
+current solution. The round adds those paths to the candidate set and
+re-solves on the whole set (IG and AT re-block it from zero), until no
+pair has a path below T.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Callable
+from typing import Callable, TypeVar
 
 from .errors import IterationLimitError, StallError
 from .instance import QosdInstance
@@ -16,12 +18,52 @@ from .pathcore import BudgetVector, CandidateSet, Path, pair_shortest_paths
 from .report import Deadline, RunReport
 
 Blocker = Callable[..., BudgetVector]
+S = TypeVar("S")
 
 
 def potential_paths(instance: QosdInstance, x: BudgetVector, *, lengths: list[int] | None = None) -> list[Path]:
     """One shortest path (below T under x) per still-unseparated pair;
     ``lengths`` is ``edge_lengths(instance, x)`` when the caller has it."""
     return [p for p in pair_shortest_paths(instance, x, lengths=lengths) if p is not None]
+
+
+def _generate(
+    instance: QosdInstance,
+    x: S,
+    separate: Callable[[S], list[Path]],
+    solve: Callable[[CandidateSet], S],
+    *,
+    deadline: Deadline,
+    cap: float | None,
+    what: str,
+) -> tuple[S, CandidateSet, int]:
+    """Alternate ``separate(x)`` and ``x = solve(paths)`` until separation
+    finds no path; returns the last x, the candidate set and the rounds.
+
+    A round whose paths are all known means the last solve left one of
+    them below T: a logic error, raised as ``StallError`` rather than a
+    silent loop. ``cap`` bounds the rounds (None: 10 * k * h).
+    """
+    cap = 10 * instance.k * instance.hop_bound if cap is None else cap
+    paths = CandidateSet()
+    rounds = 0
+    while True:
+        deadline.check(f"{what} round {rounds}")
+        fresh = separate(x)
+        if not fresh:
+            return x, paths, rounds
+        if paths.add_all(fresh) == 0:
+            raise StallError(
+                f"{what} round {rounds} re-proposed only known paths; "
+                "its last solve left a candidate path below T"
+            )
+        rounds += 1
+        if rounds > cap:
+            raise IterationLimitError(
+                f"{what} exceeded {cap} rounds "
+                f"(|P|={len(paths)}, k={instance.k}, h={instance.hop_bound})"
+            )
+        x = solve(paths)
 
 
 def run_iterative(
@@ -36,65 +78,45 @@ def run_iterative(
     """Alternate path harvesting with full re-blocking until separation.
 
     ``blocker`` is "ig", "at", or any callable with the blocker signature
-    ``(instance, candidate_set, trace=list) -> BudgetVector``. A round that
-    contributes no new path means the previous blocking failed; that is a
-    logic error surfaced as ``StallError`` rather than a silent loop. The
-    loop ends only when a sweep under the final x finds no path below T, so
-    the report is feasible.
+    ``(instance, candidate_set, trace=list) -> BudgetVector``. The loop ends
+    only when a sweep under the final x finds no path below T, so the
+    report is feasible.
     ``threads`` is accepted and ignored: every search runs in the caller's
     thread.
     """
     from .at import block_adaptive
     from .ig import block_greedy
 
-    if blocker == "ig":
-        blocker_fn: Blocker = block_greedy
-        name = "ig"
-    elif blocker == "at":
-        blocker_fn = block_adaptive
-        name = "at"
-    elif callable(blocker):
-        blocker_fn = blocker
-        name = getattr(blocker, "__name__", "custom")
+    named: dict[str, Blocker] = {"ig": block_greedy, "at": block_adaptive}
+    if callable(blocker):
+        blocker_fn, name = blocker, getattr(blocker, "__name__", "custom")
+    elif isinstance(blocker, str) and blocker in named:
+        blocker_fn, name = named[blocker], blocker
     else:
         raise ValueError(f"unknown blocker {blocker!r}")
 
     deadline = Deadline.ensure(deadline)
-    cap = iteration_cap if iteration_cap is not None else 10 * instance.k * instance.hop_bound
     start = time.perf_counter()
-
-    candidates = CandidateSet()
-    x = BudgetVector.zeros(instance.graph.m)
-    outer = 0
     inner = 0
-    while True:
-        deadline.check(f"{name} outer iteration {outer}")
-        fresh = potential_paths(instance, x)
-        if not fresh:
-            break
-        if candidates.add_all(fresh) == 0:
-            raise StallError(
-                f"outer iteration {outer} re-proposed only known paths; "
-                "the previous blocking left a candidate path below T"
-            )
-        outer += 1
-        if outer > cap:
-            raise IterationLimitError(
-                f"exceeded {cap} outer iterations "
-                f"(|P|={len(candidates)}, k={instance.k}, h={instance.hop_bound})"
-            )
+
+    def block(candidates: CandidateSet) -> BudgetVector:
+        nonlocal inner
         trace: list = []
         x = blocker_fn(instance, candidates, trace=trace, deadline=deadline)
         inner += len(trace)
+        return x
 
-    elapsed = time.perf_counter() - start
+    x, candidates, outer = _generate(
+        instance, BudgetVector.zeros(instance.graph.m), lambda x: potential_paths(instance, x), block,
+        deadline=deadline, cap=iteration_cap, what=name,
+    )
     return RunReport(
         algorithm=name,
         budget=x,
         norm=x.norm,
         outer_iterations=outer,
         inner_iterations=inner,
-        wall_time=elapsed,
+        wall_time=time.perf_counter() - start,
         feasible=True,
         seed=seed,
         extras={"candidate_paths": len(candidates)},

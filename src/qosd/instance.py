@@ -100,14 +100,6 @@ class WeightFunction:
     def cap(self) -> int:
         return len(self.table) - 1
 
-    @property
-    def initial(self) -> int:
-        return self.table[0]
-
-    @property
-    def maximum(self) -> int:
-        return self.table[-1]
-
     def affine_coeffs(self) -> tuple[int, int] | None:
         """(beta, alpha) when the table is exactly affine in the budget, else None.
 

@@ -15,7 +15,8 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 from scipy.optimize import linprog
 
-from .errors import IterationLimitError, NonlinearWeightsError, QosdError, StallError
+from .errors import NonlinearWeightsError, QosdError
+from .framework import _generate
 from .instance import QosdInstance
 from .pathcore import BudgetVector, CandidateSet, Path, path_below, source_rows, unseparated_pairs
 from .report import Deadline, RunReport
@@ -26,11 +27,13 @@ SNAP_TOL = 1e-9
 
 @dataclass
 class LpSolution:
-    """Fractional optimum over the active constraint paths."""
+    """Fractional optimum over the active constraint paths, found in
+    ``rounds`` rounds of constraint generation."""
 
     fractional: list[float]
     objective: float
     constraint_paths: CandidateSet
+    rounds: int = 0
 
 
 def _affine_coeffs(instance: QosdInstance) -> tuple[list[int], list[int]]:
@@ -111,7 +114,6 @@ def constraint_generation(
     *,
     deadline: Deadline | float | None = None,
     iteration_cap: int | None = None,
-    stats: dict | None = None,
 ) -> LpSolution:
     """Grow the LP one round of violated shortest paths at a time until the
     fractional optimum keeps every pair at length >= T (within tolerance).
@@ -124,34 +126,23 @@ def constraint_generation(
     the distances, so fractional ties resolve exactly as the kernel's.
     """
     betas, alphas = _affine_coeffs(instance)
-    deadline = Deadline.ensure(deadline)
-    cap = iteration_cap if iteration_cap is not None else 10 * instance.k * instance.hop_bound
     m = instance.graph.m
-    active = CandidateSet()
-    solution = LpSolution([0.0] * m, 0.0, active)
     cutoff = instance.threshold * (1.0 - FEAS_TOL)
-    rounds = 0
-    while True:
-        deadline.check("constraint generation")
+
+    def separate(solution: LpSolution) -> list[Path]:
         lengths = [alphas[e] + betas[e] * solution.fractional[e] for e in range(m)]
         rows = source_rows(instance, lengths, cutoff)
         found = (path_below(instance, lengths, pair, cutoff, i, row)
                  for i, (pair, row) in enumerate(zip(instance.pairs, rows)))
-        violated = [p for p in found if p is not None]
-        if not violated:
-            if stats is not None:
-                stats["rounds"] = rounds
-            return solution
-        added = active.add_all(violated)
-        if added == 0:
-            raise StallError(
-                "constraint generation re-proposed only known paths; the LP "
-                "left a constraint violated beyond tolerance"
-            )
-        rounds += 1
-        if rounds > cap:
-            raise IterationLimitError(f"constraint generation exceeded {cap} rounds")
-        solution = solve_lp(instance, active)
+        return [p for p in found if p is not None]
+
+    solution, _, rounds = _generate(
+        instance, LpSolution([0.0] * m, 0.0, CandidateSet()), separate,
+        lambda paths: solve_lp(instance, paths),
+        deadline=Deadline.ensure(deadline), cap=iteration_cap, what="constraint generation",
+    )
+    solution.rounds = rounds
+    return solution
 
 
 def eta(n: int, h: int, beta_max: int, delta: float) -> float:
@@ -205,8 +196,7 @@ def run_lr(
     """
     deadline = Deadline.ensure(deadline)
     start = time.perf_counter()
-    cg_stats: dict = {}
-    lp = constraint_generation(instance, deadline=deadline, stats=cg_stats)
+    lp = constraint_generation(instance, deadline=deadline)
     betas, _ = _affine_coeffs(instance)
     eta_value = (
         eta_override
@@ -233,7 +223,7 @@ def run_lr(
         algorithm="lr",
         budget=x,
         norm=x.norm,
-        outer_iterations=cg_stats.get("rounds", 0),
+        outer_iterations=lp.rounds,
         inner_iterations=retries + 1,
         wall_time=time.perf_counter() - start,
         feasible=feasible,

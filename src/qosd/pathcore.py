@@ -43,15 +43,15 @@ _INF = float("inf")
 class BudgetVector:
     """Length-m vector of nonnegative integer budget units.
 
-    Lattice operations return new vectors and never clamp to a box;
-    callers check ``within_box`` where the cap constraint matters.
+    ``plus`` returns a new vector and never clamps to a box; callers check
+    ``within_box`` where the cap constraint matters.
     """
 
     __slots__ = ("values", "norm")
 
     def __init__(self, values: Iterable[int]):
         vals = list(values)
-        if any(v < 0 for v in vals):
+        if min(vals, default=0) < 0:
             raise QosdError("budget components must be nonnegative")
         self.values = vals
         self.norm = sum(vals)
@@ -66,31 +66,10 @@ class BudgetVector:
         vals[edge] = amount
         return cls(vals)
 
-    def _require_same_dim(self, other: "BudgetVector") -> None:
-        if len(self.values) != len(other.values):
-            raise QosdError(
-                f"dimension mismatch: {len(self.values)} vs {len(other.values)}"
-            )
-
-    def join(self, other: "BudgetVector") -> "BudgetVector":
-        self._require_same_dim(other)
-        return BudgetVector([max(a, b) for a, b in zip(self.values, other.values)])
-
-    def meet(self, other: "BudgetVector") -> "BudgetVector":
-        self._require_same_dim(other)
-        return BudgetVector([min(a, b) for a, b in zip(self.values, other.values)])
-
     def plus(self, other: "BudgetVector") -> "BudgetVector":
-        self._require_same_dim(other)
+        if len(self.values) != len(other.values):
+            raise QosdError(f"dimension mismatch: {len(self.values)} vs {len(other.values)}")
         return BudgetVector([a + b for a, b in zip(self.values, other.values)])
-
-    def monus(self, other: "BudgetVector") -> "BudgetVector":
-        self._require_same_dim(other)
-        return BudgetVector([max(a - b, 0) for a, b in zip(self.values, other.values)])
-
-    def dominated_by(self, other: "BudgetVector") -> bool:
-        self._require_same_dim(other)
-        return all(a <= b for a, b in zip(self.values, other.values))
 
     def within_box(self, box: Sequence[int]) -> bool:
         return len(self.values) == len(box) and all(
@@ -161,9 +140,6 @@ class CandidateSet:
 
     def __len__(self) -> int:
         return len(self._paths)
-
-    def __contains__(self, path: Path) -> bool:
-        return path.key in self._seen
 
 
 def edge_lengths(instance: "QosdInstance", x: BudgetVector) -> list[int]:

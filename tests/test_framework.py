@@ -4,12 +4,16 @@ from qosd import (
     BudgetVector,
     IterationLimitError,
     QosdInstance,
+    SolverTimeout,
     StallError,
     WeightFunction,
+    constraint_generation,
+    oracle_opt,
     potential_paths,
     run_iterative,
     unseparated_pairs,
 )
+from qosd.lr import LpSolution
 
 from conftest import diamond_instance, single_edge_instance
 
@@ -88,3 +92,42 @@ class TestRunIterative:
         a = run_iterative(inst_a, "ig", threads=1)
         b = run_iterative(inst_a, "ig", threads=4)
         assert a.budget == b.budget
+
+
+# the three callers of the shared lazy path-generation loop
+LAZY_SOLVERS = {
+    "run_iterative": run_iterative,
+    "constraint_generation": constraint_generation,
+    "oracle_opt": oracle_opt,
+}
+
+
+def _zero_blocker(instance, paths, *, trace=None, deadline=None):
+    return BudgetVector.zeros(instance.graph.m)
+
+
+def _stalling(name, monkeypatch):
+    """Solver ``name`` with a solve step that keeps the zero start."""
+    if name == "run_iterative":
+        return lambda inst: run_iterative(inst, _zero_blocker)
+    if name == "constraint_generation":
+        monkeypatch.setattr(
+            "qosd.lr.solve_lp", lambda inst, paths: LpSolution([0.0] * inst.graph.m, 0.0, paths)
+        )
+    else:
+        monkeypatch.setattr(
+            "qosd.baselines.min_budget_to_block", lambda inst, paths: BudgetVector.zeros(inst.graph.m)
+        )
+    return LAZY_SOLVERS[name]
+
+
+class TestSharedLoop:
+    @pytest.mark.parametrize("name", LAZY_SOLVERS)
+    def test_expired_deadline(self, name, inst_a):
+        with pytest.raises(SolverTimeout):
+            LAZY_SOLVERS[name](inst_a, deadline=-1.0)
+
+    @pytest.mark.parametrize("name", LAZY_SOLVERS)
+    def test_stall_when_solve_keeps_zero_start(self, name, inst_a, monkeypatch):
+        with pytest.raises(StallError, match="re-proposed only known paths"):
+            _stalling(name, monkeypatch)(inst_a)

@@ -7,6 +7,7 @@ from qosd import (
     BudgetVector,
     CandidateSet,
     Graph,
+    IterationLimitError,
     NonlinearWeightsError,
     Path,
     QosdInstance,
@@ -74,10 +75,14 @@ class TestSolveLp:
 
 class TestConstraintGeneration:
     def test_diamond_two_rounds(self, inst_a):
-        stats = {}
-        lp = constraint_generation(inst_a, stats=stats)
+        lp = constraint_generation(inst_a)
+        assert lp.rounds == 2
         assert lp.objective == pytest.approx(2.0, abs=1e-6)
         assert sorted(p.edge_seq for p in lp.constraint_paths) == [(0, 1), (2, 3)]
+
+    def test_iteration_cap(self, inst_a):
+        with pytest.raises(IterationLimitError):
+            constraint_generation(inst_a, iteration_cap=1)
 
     def test_already_separated(self):
         g = Graph(2, [(0, 1)])
