@@ -13,12 +13,11 @@ from typing import Iterable
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import Bounds, LinearConstraint, milp
 
-from .errors import InfeasibleBoxError, QosdError
+from .errors import InfeasibleBoxError
 from .framework import _generate, potential_paths
 from .instance import QosdInstance
-from .lr import path_rows
+from .lr import _solve_highs, path_rows
 from .pathcore import BudgetVector, Path
 from .report import Deadline, RunReport
 
@@ -80,12 +79,11 @@ def min_budget_to_block(instance: QosdInstance, paths: Iterable[Path]) -> Budget
     """
     paths = list(paths)
     box = instance.box
-    weights = instance.weights
     columns: dict[int, list[tuple[int, int]]] = {}
     order = []
     width = 0
     for e in sorted({e for p in paths for e in p.edge_seq}):
-        table = weights[e].table
+        table = instance.weights[e].table
         columns[e] = [(width + i - 1, table[i] - table[i - 1]) for i in range(1, box[e] + 1)]
         order.extend(range(width, width + box[e] - 1))
         width += box[e]
@@ -98,20 +96,12 @@ def min_budget_to_block(instance: QosdInstance, paths: Iterable[Path]) -> Budget
     A, need = rows
     # row j of I - shift is z_j - z_{j+1}; keep those within one edge
     ordering = (sparse.eye_array(width) - sparse.eye_array(width, k=1)).tocsr()[order]
-    result = milp(
-        np.ones(width),
-        integrality=np.ones(width),
-        bounds=Bounds(0, 1),
-        constraints=[LinearConstraint(A, need, np.inf), LinearConstraint(ordering, 0, np.inf)],
-        options={"mip_rel_gap": 0},
-    )
-    if result.status == 2:
-        raise InfeasibleBoxError("no vector within the box blocks every path")
-    if not result.success:
-        raise QosdError(f"MILP solve failed unexpectedly: {result.message}")
-    z = np.round(result.x)
+    # milp's form need <= A z, as the form decides which optimum HiGHS returns
+    lower = np.concatenate([need, np.zeros(len(order))])
+    upper = np.full(len(lower), np.inf)
+    z, _ = _solve_highs(sparse.vstack([A, ordering]), lower, upper, [1.0] * width, integral=True)
     for e, terms in columns.items():
-        x[e] = int(sum(z[j] for j, _ in terms))
+        x[e] = round(sum(z[j] for j, _ in terms))
     return BudgetVector(x)
 
 

@@ -22,21 +22,22 @@ def block_greedy(
     path in ``paths`` reaches the threshold.
 
     Only edges on candidate paths can change D, so the scan is restricted
-    to that support. Ties go to the lowest edge index. Raises
-    ``InfeasibleBoxError`` when no unit has positive gain while some path
-    is still below T (with flat weight increments this can trigger even
-    inside a feasible box; the trading blocker handles those instances).
+    to that support. Ties go to the lowest edge index. When flat weight
+    increments leave no unit with positive gain, the step is the best-ratio
+    chunk instead (:meth:`PathSupport.best_step`); ``InfeasibleBoxError``
+    only when no chunk has positive gain either while some path is still
+    below T.
     """
     deadline = Deadline.ensure(deadline)
     support = PathSupport(instance, paths)
     while support.gap > 0:
         deadline.check("greedy blocking")
-        edge, gain = support.best_unit()
+        edge, amount, gain = support.best_step()
         if edge < 0:
             raise InfeasibleBoxError(
-                "no unit increment improves D while paths remain below T"
+                "no unit or chunk improves D while paths remain below T"
             )
-        support.apply(edge, 1)
+        support.apply(edge, amount)
         if trace is not None:
-            trace.append((edge, 1, gain))
+            trace.append((edge, amount, gain))
     return BudgetVector(support.x)

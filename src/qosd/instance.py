@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import IO, Iterable, Sequence
 
-from .errors import InfeasibleBoxError, InvalidInstanceError, ParseError
+from .errors import InfeasibleBoxError, InvalidInstanceError, NonlinearWeightsError, ParseError
 
 WEIGHT_MODELS = ("linear", "convex", "concave", "cutting", "heterogeneous")
 
@@ -127,7 +127,7 @@ class QosdInstance:
     raised).
     """
 
-    __slots__ = ("graph", "weights", "pairs", "threshold", "min_initial_weight", "hop_bound", "box")
+    __slots__ = ("graph", "weights", "pairs", "threshold", "min_initial_weight", "hop_bound", "box", "_affine")
 
     def __init__(
         self,
@@ -164,6 +164,7 @@ class QosdInstance:
                 lowest_top = table[-1]
         self.min_initial_weight = lowest if self.weights else 1
         self.hop_bound = math.ceil(threshold / self.min_initial_weight)
+        self._affine: tuple[list[int], list[int]] | None = None
         # a pair has s != t, so each of its paths has an edge that alone reaches T
         if validate_box and lowest_top < threshold:
             self._check_box_feasible()
@@ -171,6 +172,20 @@ class QosdInstance:
     @property
     def k(self) -> int:
         return len(self.pairs)
+
+    def affine_coeffs(self) -> tuple[list[int], list[int]]:
+        """Per-edge ``(betas, alphas)`` of the affine weight tables, computed on
+        first use and kept (the tables do not change after construction);
+        ``NonlinearWeightsError`` names the first edge whose table is not affine."""
+        if self._affine is None:
+            coeffs = [wf.affine_coeffs() for wf in self.weights]
+            if None in coeffs:
+                raise NonlinearWeightsError(
+                    f"edge {coeffs.index(None)} has a non-affine weight table; LP "
+                    "solving needs linear (or cutting) weights"
+                )
+            self._affine = ([c[0] for c in coeffs], [c[1] for c in coeffs])
+        return self._affine
 
     def _check_box_feasible(self) -> None:
         from .pathcore import BudgetVector, unseparated_pairs

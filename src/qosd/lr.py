@@ -2,7 +2,8 @@
 for instances whose weight tables are affine in the budget.
 
 :func:`path_rows` builds the path-length rows of this LP and of the exact
-oracle's integer program (:func:`baselines.min_budget_to_block`)."""
+oracle's integer program (:func:`baselines.min_budget_to_block`), and
+:func:`_solve_highs` solves both."""
 
 from __future__ import annotations
 
@@ -13,9 +14,11 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy import sparse
+# scipy's private HiGHS binding: tests/test_lr.py checks it against linprog and milp
+from scipy.optimize._highspy import _core as highs
 
-from .errors import NonlinearWeightsError, QosdError
+from .errors import InfeasibleBoxError, QosdError
 from .framework import _generate
 from .instance import QosdInstance
 from .pathcore import BudgetVector, CandidateSet, Path, path_below, source_rows, unseparated_pairs
@@ -36,77 +39,87 @@ class LpSolution:
     rounds: int = 0
 
 
-def _affine_coeffs(instance: QosdInstance) -> tuple[list[int], list[int]]:
-    betas: list[int] = []
-    alphas: list[int] = []
-    for i, wf in enumerate(instance.weights):
-        coeffs = wf.affine_coeffs()
-        if coeffs is None:
-            raise NonlinearWeightsError(
-                f"edge {i} has a non-affine weight table; LP solving needs "
-                "linear (or cutting) weights"
-            )
-        betas.append(coeffs[0])
-        alphas.append(coeffs[1])
-    return betas, alphas
-
-
 def path_rows(
     instance: QosdInstance,
     paths: Iterable[Path],
     columns: Mapping[int, Sequence[tuple[int, float]]],
     width: int,
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Dense rows ``A`` and right-hand sides ``need`` of ``A y >= need``, one
+) -> tuple[sparse.csr_array, np.ndarray] | None:
+    """Sparse rows ``A`` and right-hand sides ``need`` of ``A y >= need``, one
     per path that is still short at zero budget.
 
     ``need = T - sum_{e in p} f_e(0)``; row entry j sums the coefficients of
-    the ``(column, coefficient)`` terms ``columns[e]`` over the path's edges.
-    Paths that already reach T get no row; None when none is left.
+    the ``(column, coefficient)`` terms ``columns[e]`` over the path's edges
+    (sums of 0 are not stored). Paths that already reach T get no row; None
+    when none is left.
     """
-    weights = instance.weights
-    rows = []
-    need = []
+    row_index, col_index, data, need = [], [], [], []
     for p in paths:
-        gap = instance.threshold - sum(weights[e].table[0] for e in p.edge_seq)
+        gap = instance.threshold - sum(instance.weights[e].table[0] for e in p.edge_seq)
         if gap <= 0:
             continue
-        row = np.zeros(width)
-        for e in p.edge_seq:
-            for j, coeff in columns[e]:
-                row[j] += coeff
-        rows.append(row)
+        terms = [term for e in p.edge_seq for term in columns[e]]
+        row_index += [len(need)] * len(terms)
+        col_index += [j for j, _ in terms]
+        data += [coeff for _, coeff in terms]
         need.append(gap)
-    if not rows:
+    if not need:
         return None
-    return np.vstack(rows), np.array(need, dtype=float)
+    A = sparse.csr_array((np.array(data, dtype=float), (row_index, col_index)), shape=(len(need), width))
+    A.eliminate_zeros()
+    return A, np.array(need, dtype=float)
+
+
+def _solve_highs(A: sparse.sparray, lower: np.ndarray, upper: np.ndarray, ub: Sequence[float],
+                 *, integral: bool = False) -> tuple[np.ndarray, float]:
+    """``(y, objective)`` of min sum(y) s.t. lower <= A y <= upper, 0 <= y <= ub
+    (y integral when asked) by one HiGHS run, with the options ``linprog``
+    passes: presolve on, dual simplex, no debug checks or log; integral runs
+    add ``mip_rel_gap = 0``. Infeasible raises ``InfeasibleBoxError``, any
+    other non-optimum ``QosdError``."""
+    columnwise = A.tocsc()
+    lp = highs.HighsLp()
+    matrix = lp.a_matrix_
+    lp.num_row_, lp.num_col_ = matrix.num_row_, matrix.num_col_ = A.shape
+    matrix.format_ = highs.MatrixFormat.kColwise
+    matrix.start_, matrix.index_, matrix.value_ = columnwise.indptr, columnwise.indices, columnwise.data
+    lp.col_cost_, lp.col_lower_ = np.ones(A.shape[1]), np.zeros(A.shape[1])
+    lp.col_upper_ = np.asarray(ub, dtype=float)
+    lp.row_lower_, lp.row_upper_ = lower, upper
+    options = highs.HighsOptions()
+    options.presolve, options.output_flag, options.log_to_console = "on", False, False
+    options.simplex_strategy = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    options.highs_debug_level = highs.HighsDebugLevel.kHighsDebugLevelNone
+    if integral:
+        lp.integrality_ = [highs.HighsVarType.kInteger] * A.shape[1]
+        options.mip_rel_gap = 0.0
+    solver = highs._Highs()
+    solver.passOptions(options)
+    solver.passModel(lp)
+    solver.run()
+    status = solver.getModelStatus()
+    if status != highs.HighsModelStatus.kOptimal:
+        error = InfeasibleBoxError if status == highs.HighsModelStatus.kInfeasible else QosdError
+        raise error(f"no optimum within the box: HiGHS reports {solver.modelStatusToString(status)}")
+    return np.array(solver.getSolution().col_value), solver.getInfo().objective_function_value
 
 
 def solve_lp(instance: QosdInstance, paths: CandidateSet | list[Path]) -> LpSolution:
     """min sum(x) s.t. sum_{e in p} beta_e x_e >= T - sum_{e in p} alpha_e
     for every path, 0 <= x_e <= b_e; deterministic for fixed input."""
-    betas, _ = _affine_coeffs(instance)
+    betas, _ = instance.affine_coeffs()
     path_set = paths if isinstance(paths, CandidateSet) else CandidateSet(paths)
-    m = instance.graph.m
     support = sorted({e for p in path_set for e in p.edge_seq})
     columns = {e: [(j, betas[e])] for j, e in enumerate(support)}
     rows = path_rows(instance, path_set, columns, len(support))
     if rows is None:
-        return LpSolution([0.0] * m, 0.0, path_set)
+        return LpSolution([0.0] * instance.graph.m, 0.0, path_set)
     A, need = rows
-    result = linprog(
-        c=np.ones(len(support)),
-        A_ub=-A,
-        b_ub=-need,
-        bounds=[(0.0, float(instance.box[e])) for e in support],
-        method="highs",
-    )
-    if not result.success:
-        raise QosdError(f"LP solve failed unexpectedly: {result.message}")
-    fractional = [0.0] * m
-    for j, e in enumerate(support):
-        fractional[e] = float(result.x[j])
-    return LpSolution(fractional, float(result.fun), path_set)
+    # linprog's A_ub form -A y <= -need: the form decides which optimal vertex HiGHS returns
+    y, objective = _solve_highs(-A, np.full(len(need), -np.inf), -need, [instance.box[e] for e in support])
+    fractional = np.zeros(instance.graph.m)
+    fractional[support] = y
+    return LpSolution(fractional.tolist(), objective, path_set)
 
 
 def constraint_generation(
@@ -125,7 +138,7 @@ def constraint_generation(
     lowest-index tight in-edge, tested by the same float64 sum that gave
     the distances, so fractional ties resolve exactly as the kernel's.
     """
-    betas, alphas = _affine_coeffs(instance)
+    betas, alphas = instance.affine_coeffs()
     m = instance.graph.m
     cutoff = instance.threshold * (1.0 - FEAS_TOL)
 
@@ -197,13 +210,10 @@ def run_lr(
     deadline = Deadline.ensure(deadline)
     start = time.perf_counter()
     lp = constraint_generation(instance, deadline=deadline)
-    betas, _ = _affine_coeffs(instance)
-    eta_value = (
-        eta_override
-        if eta_override is not None
+    eta_value = eta_override
+    if eta_value is None:
         # all-flat tables leave beta_max 0 and nothing to round; floor it at 1
-        else eta(instance.graph.n, instance.hop_bound, max(max(betas), 1), delta)
-    )
+        eta_value = eta(instance.graph.n, instance.hop_bound, max(max(instance.affine_coeffs()[0]), 1), delta)
     rng = random.Random(seed)
     fallback = False
     for retries in range(max_retries):

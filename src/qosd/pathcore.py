@@ -15,10 +15,10 @@ integer arithmetic.
 
 :class:`PathSupport` is the one place where a blocker's path lengths, edge
 support and capped-gain scan live: IG's unit steps, AT's best-ratio
-chunks, SA's estimator-weighted chunk and SA's exact fallback step all
-pick their increments from it. It caches each edge's best unit and chunk;
-after a step it rescans only the stepped edge and the edges of the paths
-below T that the step lengthened.
+chunks, SA's estimator-weighted chunk and IG's and SA's exact steps
+(:meth:`PathSupport.best_step`) all pick their increments from it. It
+caches each edge's best unit and chunk; after a step it rescans only the
+stepped edge and the edges of the paths below T that the step lengthened.
 """
 
 from __future__ import annotations
@@ -401,6 +401,13 @@ class PathSupport:
             ):
                 best_edge, best_amount, best_gain = e, edge_z, edge_gain
         return best_edge, best_amount, best_gain
+
+    def best_step(self) -> tuple[int, int, float]:
+        """:meth:`best_unit`'s ``(edge, 1, gain)``, or :meth:`best_chunk`'s
+        ``(edge, amount, gain)`` when a flat next increment leaves no unit
+        with positive gain; ``(-1, 0, 0)`` when neither has one."""
+        edge, gain = self.best_unit()
+        return (edge, 1, gain) if edge >= 0 else self.best_chunk()
 
     def apply(self, edge: int, amount: int) -> None:
         """Add ``amount`` units on ``edge``; ``gap`` drops by the unweighted

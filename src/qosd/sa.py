@@ -276,7 +276,8 @@ def run_sa(
     Each round rebuilds the shortest-path trees under the current budget,
     draws fresh samples and adds the greedy chunk. A zero chunk escalates
     by doubling the sample count up to three times, then falls back to one
-    exact unit step on the round's shortest paths below T, so progress is
+    exact step on the round's shortest paths below T (a unit, or the
+    best-ratio chunk across a flat increment), so progress is
     unconditional. The loop ends only when a sweep under the final budget
     finds no such path, so the report is feasible. ``threads`` is accepted
     and ignored: walks are drawn in the caller's thread, each from its own
@@ -328,12 +329,12 @@ def run_sa(
                 x = x.plus(chunk)
                 break
         else:
-            edge, _ = PathSupport(instance, paths, x).best_unit()
+            edge, amount, _ = PathSupport(instance, paths, x).best_step()
             if edge < 0:
                 raise InfeasibleBoxError(
-                    "no unit increment improves the current shortest paths"
+                    "no unit or chunk improves the current shortest paths"
                 )
-            x = x.plus(BudgetVector.unit(m, edge))
+            x = x.plus(BudgetVector.unit(m, edge, amount))
             fallbacks += 1
         rounds += 1
 

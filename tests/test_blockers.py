@@ -6,8 +6,11 @@ import pytest
 
 from qosd import (
     BudgetVector,
+    Graph,
     InfeasibleBoxError,
     Path,
+    QosdInstance,
+    WeightFunction,
     block_adaptive,
     block_greedy,
     blocks_all,
@@ -60,9 +63,17 @@ class TestBlockGreedy:
         reduced[last_edge] -= amount
         assert not blocks_all(inst_a, paths, BudgetVector(reduced))
 
-    def test_flat_increment_raises(self):
-        # crossing a zero increment needs more than unit lookahead
+    def test_crosses_flat_increment(self):
+        # no unit step has gain across the zero increment: the step is the 2-unit chunk
         inst = single_edge_instance((1, 1, 3), 2)
+        trace = []
+        x = block_greedy(inst, [Path((0, 1), (0,), 1, 0)], trace=trace)
+        assert x == BudgetVector([2])
+        assert trace == [(0, 2, 1)]
+
+    def test_raises_when_no_chunk_helps(self):
+        # the table stays flat up to its cap, so no step lengthens the path
+        inst = QosdInstance(Graph(2, [(0, 1)]), [WeightFunction((1, 1, 1))], [(0, 1)], 2, validate_box=False)
         with pytest.raises(InfeasibleBoxError):
             block_greedy(inst, [Path((0, 1), (0,), 1, 0)])
 

@@ -102,16 +102,18 @@ class TestRunExperiment:
         assert by_alg["ig"]["feasible"] == "true"
 
     def test_solver_error_reported_per_row(self):
-        # flat concave increments at T=10: IG finds no improving unit, AT does
+        # flat concave increments at T=10 give concave ratio 0, where SA's
+        # theoretical sample count diverges; AT and IG still solve
         config = ExperimentConfig(
-            er_n=60, model="concave", thresholds=[10], algorithms=["at", "ig"],
-            repetitions=1,
+            er_n=60, model="concave", thresholds=[10], algorithms=["at", "ig", "sa"],
+            repetitions=1, sample_mode="theoretical",
         )
         by_alg = {row["algorithm"]: row for row in run_experiment(config)}
-        assert json.loads(by_alg["ig"]["extras"])["error"].startswith("InfeasibleBoxError: ")
-        assert by_alg["ig"]["feasible"] == "false"
-        assert json.loads(by_alg["at"]["extras"])["verified"] is True
-        assert by_alg["at"]["feasible"] == "true"
+        assert json.loads(by_alg["sa"]["extras"])["error"].startswith("GammaZeroError: ")
+        assert by_alg["sa"]["feasible"] == "false"
+        for alg in ("at", "ig"):
+            assert json.loads(by_alg[alg]["extras"])["verified"] is True, alg
+            assert by_alg[alg]["feasible"] == "true", alg
 
     def test_failed_oracle_gets_own_row(self, monkeypatch):
         import qosd.experiment

@@ -1,15 +1,20 @@
 import math
 import random
 
+import numpy as np
 import pytest
+from scipy import sparse
+from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
 from qosd import (
     BudgetVector,
     CandidateSet,
     Graph,
+    InfeasibleBoxError,
     IterationLimitError,
     NonlinearWeightsError,
     Path,
+    QosdError,
     QosdInstance,
     WeightFunction,
     build_weights,
@@ -17,12 +22,14 @@ from qosd import (
     eta,
     make_er_instance,
     oracle_opt,
+    path_rows,
+    potential_paths,
     round_solution,
     run_lr,
     solve_lp,
     unseparated_pairs,
 )
-from qosd.lr import LpSolution
+from qosd.lr import LpSolution, _solve_highs, highs
 
 from conftest import diamond_instance
 
@@ -71,6 +78,134 @@ class TestSolveLp:
         a = solve_lp(inst_a, diamond_candidates()).fractional
         b = solve_lp(inst_a, diamond_candidates()).fractional
         assert a == b
+
+
+def _random_model(seed, rows, cols):
+    """Nonnegative integer rows, about 40% zeros, with ``need`` met by a
+    fractional point inside the integer box (so also by its ceiling)."""
+    rng = np.random.default_rng(seed)
+    A = rng.integers(1, 4, size=(rows, cols)) * (rng.random((rows, cols)) >= 0.4)
+    ub = rng.integers(1, 5, size=cols).astype(float)
+    need = np.floor(A @ (rng.random(cols) * ub))
+    return A.astype(float), need, ub
+
+
+class TestSolveHighs:
+    """``_solve_highs`` drives scipy's private HiGHS binding directly; these
+    pin it to the public ``linprog`` and ``milp``, so a scipy release that
+    changes the binding fails here instead of moving LR's outputs."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_lp_matches_linprog(self, seed):
+        A, need, ub = _random_model(seed, 8, 12)
+        y, objective = _solve_highs(sparse.csr_array(-A), np.full(len(need), -np.inf), -need, ub)
+        ref = linprog(np.ones(len(ub)), A_ub=-A, b_ub=-need, bounds=[(0.0, u) for u in ub], method="highs")
+        assert ref.success
+        assert np.array_equal(y, ref.x)
+        assert objective == ref.fun
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_mip_matches_milp(self, seed):
+        A, need, ub = _random_model(seed, 6, 8)
+        y, objective = _solve_highs(sparse.csr_array(A), need, np.full(len(need), np.inf), ub, integral=True)
+        ref = milp(
+            np.ones(len(ub)), integrality=np.ones(len(ub)), bounds=Bounds(0, ub),
+            constraints=LinearConstraint(A, need, np.inf), options={"mip_rel_gap": 0},
+        )
+        assert ref.success
+        assert objective == ref.fun
+        assert np.array_equal(y, np.round(y)) and np.all(A @ y >= need) and np.all(y <= ub)
+
+    def test_infeasible_raises_infeasible_box(self):
+        A = sparse.csr_array(np.array([[1.0, 1.0]]))
+        with pytest.raises(InfeasibleBoxError, match="Infeasible"):
+            _solve_highs(A, np.array([3.0]), np.array([np.inf]), [1.0, 1.0])
+
+    def test_other_status_raises_qosd_error(self, monkeypatch):
+        class Stopped(highs._Highs):
+            def getModelStatus(self):
+                return highs.HighsModelStatus.kIterationLimit
+
+        monkeypatch.setattr(highs, "_Highs", Stopped)
+        A = sparse.csr_array(np.array([[1.0, 1.0]]))
+        with pytest.raises(QosdError, match="Iteration limit") as info:
+            _solve_highs(A, np.array([1.0]), np.array([np.inf]), [1.0, 1.0])
+        assert not isinstance(info.value, InfeasibleBoxError)
+
+
+def _dense_rows(instance, paths, columns, width):
+    """The dense rows (one np.zeros row per short path, stacked) that
+    :func:`path_rows` replaced: the reference its CSR rows must equal."""
+    rows, need = [], []
+    for p in paths:
+        gap = instance.threshold - sum(instance.weights[e].table[0] for e in p.edge_seq)
+        if gap <= 0:
+            continue
+        row = np.zeros(width)
+        for e in p.edge_seq:
+            for j, coeff in columns[e]:
+                row[j] += coeff
+        rows.append(row)
+        need.append(gap)
+    return (np.vstack(rows), np.array(need, dtype=float)) if rows else None
+
+
+def _lp_columns(instance, paths):
+    """:func:`solve_lp`'s columns: one per support edge, coefficient beta_e."""
+    betas, _ = instance.affine_coeffs()
+    support = sorted({e for p in paths for e in p.edge_seq})
+    return {e: [(j, betas[e])] for j, e in enumerate(support)}, len(support)
+
+
+def _oracle_columns(instance, paths):
+    """:func:`min_budget_to_block`'s columns: one per budget unit of each
+    support edge, coefficient f_e(i) - f_e(i-1) (0 on a flat step)."""
+    columns, width = {}, 0
+    for e in sorted({e for p in paths for e in p.edge_seq}):
+        table = instance.weights[e].table
+        columns[e] = [(width + i - 1, table[i] - table[i - 1]) for i in range(1, instance.box[e] + 1)]
+        width += instance.box[e]
+    return columns, width
+
+
+class TestPathRows:
+    @pytest.mark.parametrize(
+        "model,layout",
+        [("linear", _lp_columns), ("linear", _oracle_columns), ("cutting", _lp_columns),
+         ("cutting", _oracle_columns), ("concave", _oracle_columns), ("heterogeneous", _oracle_columns)],
+    )
+    @pytest.mark.parametrize("seed", range(3))
+    def test_equal_to_dense_rows(self, model, layout, seed):
+        # T=10 concave tables have flat steps, so the oracle layout has zero coefficients
+        inst = make_er_instance(30, 0.15, 10, 6, model, seed=seed)
+        paths = potential_paths(inst, BudgetVector.zeros(inst.graph.m))
+        paths += potential_paths(inst, BudgetVector([min(1, b) for b in inst.box]))
+        columns, width = layout(inst, paths)
+        A, need = path_rows(inst, paths, columns, width)
+        dense, dense_need = _dense_rows(inst, paths, columns, width)
+        assert isinstance(A, sparse.csr_array) and A.has_canonical_format
+        assert np.array_equal(A.toarray(), dense)
+        assert np.array_equal(need, dense_need)
+        assert np.all(A.data != 0)
+        # what HiGHS gets is the CSC that linprog built from the dense rows
+        ours, theirs = (-A).tocsc(), sparse.csc_array(-dense)
+        for field in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(ours, field), getattr(theirs, field))
+
+    def test_vacuous_paths_and_zero_coefficients_skipped(self):
+        # edge 0 is flat (beta 0); the path over edges 2, 3 already reaches T=4
+        g = Graph(4, [(0, 1), (1, 3), (0, 2), (2, 3)])
+        weights = [WeightFunction((1, 1, 1), "linear", (0, 1)), WeightFunction((1, 2, 3), "linear", (1, 1)),
+                   WeightFunction((2, 3), "linear", (1, 2)), WeightFunction((2, 3), "linear", (1, 2))]
+        inst = QosdInstance(g, weights, [(0, 3)], 4, validate_box=False)
+        short, vacuous = Path((0, 1, 3), (0, 1), 2, 0), Path((0, 2, 3), (2, 3), 4, 0)
+        columns, width = _lp_columns(inst, [short, vacuous])
+        A, need = path_rows(inst, [short, vacuous], columns, width)
+        assert A.shape == (1, 4)
+        assert A.indices.tolist() == [1] and A.data.tolist() == [1.0]
+        assert need.tolist() == [2.0]
+        assert path_rows(inst, [vacuous], columns, width) is None
+        assert path_rows(inst, [], columns, width) is None
 
 
 class TestConstraintGeneration:
