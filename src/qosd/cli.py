@@ -62,6 +62,8 @@ def read_vector(path: str) -> BudgetVector:
         raise ParseError("malformed vector file") from None
     if len(values) != m:
         raise ParseError(f"expected {m} components, found {len(values)}")
+    if min(values, default=0) < 0:
+        raise ParseError("budget components must be nonnegative")
     return BudgetVector(values)
 
 

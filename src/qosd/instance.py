@@ -31,7 +31,7 @@ class Graph:
     edges are rejected (loaders drop them before construction).
     """
 
-    __slots__ = ("n", "edges", "out_adj", "in_adj", "max_out_degree", "_edge_index", "_csr")
+    __slots__ = ("n", "edges", "out_adj", "in_adj", "max_out_degree", "_csr")
 
     def __init__(self, n: int, edges: Sequence[tuple[int, int]]):
         if n <= 0:
@@ -54,15 +54,11 @@ class Graph:
         self.out_adj = out_adj
         self.in_adj = in_adj
         self.max_out_degree = max((len(a) for a in out_adj), default=0)
-        self._edge_index = seen
         self._csr: dict = {}  # pathcore.csr_view's cache
 
     @property
     def m(self) -> int:
         return len(self.edges)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return (u, v) in self._edge_index
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m}, d={self.max_out_degree})"
@@ -73,14 +69,12 @@ class WeightFunction:
     """Monotone integer weight table for one edge.
 
     ``table[i]`` is the edge weight at budget ``i``; the cap (maximum
-    spendable budget) is ``len(table) - 1``. ``linear_coeffs`` is
-    ``(beta, alpha)`` with ``table[i] == beta * i + alpha``, present
-    exactly when ``model_tag == "linear"``.
+    spendable budget) is ``len(table) - 1``. A ``"linear"`` table must be
+    affine in the budget.
     """
 
     table: tuple[int, ...]
     model_tag: str = "custom"
-    linear_coeffs: tuple[int, int] | None = None
 
     def __post_init__(self):
         if not self.table:
@@ -89,12 +83,8 @@ class WeightFunction:
             raise InvalidInstanceError("initial weight must be positive")
         if any(b < a for a, b in zip(self.table, self.table[1:])):
             raise InvalidInstanceError("weight table must be nondecreasing")
-        if (self.model_tag == "linear") != (self.linear_coeffs is not None):
-            raise InvalidInstanceError("linear_coeffs present iff model_tag is linear")
-        if self.linear_coeffs is not None:
-            beta, alpha = self.linear_coeffs
-            if any(self.table[i] != beta * i + alpha for i in range(len(self.table))):
-                raise InvalidInstanceError("linear table does not match its coefficients")
+        if self.model_tag == "linear" and self.affine_coeffs() is None:
+            raise InvalidInstanceError("linear table is not affine")
 
     @property
     def cap(self) -> int:
@@ -106,8 +96,6 @@ class WeightFunction:
         Cutting tables ([w, T], cap 1) are affine even though their tag is
         not "linear"; LP-based solving accepts them through this check.
         """
-        if self.linear_coeffs is not None:
-            return self.linear_coeffs
         if self.cap == 0:
             return (1, self.table[0])
         beta = self.table[1] - self.table[0]
@@ -266,7 +254,7 @@ def generate_er(n: int, rho: float, seed: int) -> Graph:
 def _linear_table(threshold: int) -> WeightFunction:
     # beta=1 reaches T exactly at budget T-1
     table = tuple(x + 1 for x in range(threshold))
-    return WeightFunction(table, "linear", (1, 1))
+    return WeightFunction(table, "linear")
 
 def _convex_table(threshold: int) -> WeightFunction:
     root = math.isqrt(threshold - 1)
@@ -291,14 +279,11 @@ def build_weights(
     graph: Graph,
     model: str,
     threshold: int,
-    cap_policy: int | None = None,
     seed: int = 0,
 ) -> list[WeightFunction]:
     """One weight table per edge for the named model.
 
     Every generated table starts at 1 and tops out at exactly ``threshold``.
-    ``cap_policy`` optionally requests a per-edge cap; it is raised when too
-    small for the model to reach the threshold (never an error).
     ``heterogeneous`` assigns linear/convex/concave per edge via ``seed``.
     """
     if threshold < 2:
@@ -308,18 +293,12 @@ def build_weights(
 
     def one(tag: str) -> WeightFunction:
         if tag == "linear":
-            wf = _linear_table(threshold)
-        elif tag == "convex":
-            wf = _convex_table(threshold)
-        elif tag == "concave":
-            wf = _concave_table(threshold)
-        else:
-            wf = _cutting_table(threshold)
-        if cap_policy is not None and cap_policy > wf.cap:
-            # padding flattens the tail at T, which breaks the exact linear form
-            padded = wf.table + (wf.table[-1],) * (cap_policy - wf.cap)
-            wf = WeightFunction(padded, "custom")
-        return wf
+            return _linear_table(threshold)
+        if tag == "convex":
+            return _convex_table(threshold)
+        if tag == "concave":
+            return _concave_table(threshold)
+        return _cutting_table(threshold)
 
     if model == "heterogeneous":
         rng = random.Random(seed)
@@ -386,33 +365,16 @@ def make_er_instance(
     model: str = "linear",
     seed: int = 0,
     *,
-    exclude_direct_pairs: bool = False,
     validate_box: bool = True,
 ) -> QosdInstance:
     """Convenience builder: seeded ER graph + model weights + sampled pairs.
 
     Sub-seeds are fixed offsets of ``seed`` (graph: seed, weights: seed+1,
     pairs: seed+2) so an instance is a pure function of its arguments.
-    ``exclude_direct_pairs`` rejects pairs joined by a single edge.
     """
     graph = generate_er(n, rho, seed)
     weights = build_weights(graph, model, threshold, seed=seed + 1)
-    if exclude_direct_pairs:
-        rng = random.Random(seed + 2)
-        chosen: set[tuple[int, int]] = set()
-        pairs: list[tuple[int, int]] = []
-        limit = n * (n - 1) * 50
-        draws = 0
-        while len(pairs) < k:
-            draws += 1
-            if draws > limit:
-                raise InvalidInstanceError("could not sample enough non-adjacent pairs")
-            s, t = rng.randrange(n), rng.randrange(n)
-            if s != t and (s, t) not in chosen and not graph.has_edge(s, t):
-                chosen.add((s, t))
-                pairs.append((s, t))
-    else:
-        pairs = sample_pairs(graph, k, seed + 2)
+    pairs = sample_pairs(graph, k, seed + 2)
     return QosdInstance(graph, weights, pairs, threshold, validate_box=validate_box)
 
 
@@ -433,7 +395,7 @@ def make_layered_flat_instance(
     exploit the cheap final jump while amount-aware blocking can.
     """
     rng = random.Random(seed)
-    linear = WeightFunction(tuple(range(1, threshold + 1)), "linear", (1, 1))
+    linear = WeightFunction(tuple(range(1, threshold + 1)), "linear")
     stair = WeightFunction((1, 1, threshold))
     edges: list[tuple[int, int]] = []
     tables: list[WeightFunction] = []
@@ -501,13 +463,10 @@ def load_instance(stream: IO[str], *, validate_box: bool = True) -> QosdInstance
                 u, v = int(parts[1]), int(parts[2])
                 tag = parts[3]
                 table = tuple(int(x) for x in parts[4:])
-                coeffs = None
-                if tag == "linear":
-                    if len(table) < 2:
-                        raise ParseError("linear table needs at least two entries", line_no)
-                    coeffs = (table[1] - table[0], table[0])
+                if tag == "linear" and len(table) < 2:
+                    raise ParseError("linear table needs at least two entries", line_no)
                 edges.append((u, v))
-                weights.append(WeightFunction(table, tag, coeffs))
+                weights.append(WeightFunction(table, tag))
             elif key == "pair":
                 pairs.append((int(parts[1]), int(parts[2])))
             else:

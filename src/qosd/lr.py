@@ -18,14 +18,16 @@ from scipy import sparse
 # scipy's private HiGHS binding: tests/test_lr.py checks it against linprog and milp
 from scipy.optimize._highspy import _core as highs
 
-from .errors import InfeasibleBoxError, QosdError
+from .errors import ConfigError, InfeasibleBoxError, QosdError
 from .framework import _generate
 from .instance import QosdInstance
-from .pathcore import BudgetVector, CandidateSet, Path, path_below, source_rows, unseparated_pairs
+from .pathcore import BudgetVector, CandidateSet, Path, pair_shortest_paths, unseparated_pairs
 from .report import Deadline, RunReport
 
 FEAS_TOL = 1e-6
 SNAP_TOL = 1e-9
+# rounding attempts before the ceiling fallback
+MAX_RETRIES = 10
 
 
 @dataclass
@@ -131,12 +133,12 @@ def constraint_generation(
     """Grow the LP one round of violated shortest paths at a time until the
     fractional optimum keeps every pair at length >= T (within tolerance).
 
-    The separation oracle is one :func:`pathcore.distances` call over every
-    pair's source on the float lengths alpha_e + beta_e x'_e (all >= 1),
-    bounded by T * (1 - FEAS_TOL), and :func:`pathcore.path_below` on each
-    pair's row. As in IG and AT's sweeps, a path enters each node by its
-    lowest-index tight in-edge, tested by the same float64 sum that gave
-    the distances, so fractional ties resolve exactly as the kernel's.
+    The separation oracle is IG and AT's sweep,
+    :func:`pathcore.pair_shortest_paths`, on the float lengths
+    alpha_e + beta_e x'_e (all >= 1), bounded by T * (1 - FEAS_TOL). A path
+    enters each node by its lowest-index tight in-edge, tested by the same
+    float64 sum that gave the distances, so fractional ties resolve exactly
+    as the kernel's.
     """
     betas, alphas = instance.affine_coeffs()
     m = instance.graph.m
@@ -144,10 +146,7 @@ def constraint_generation(
 
     def separate(solution: LpSolution) -> list[Path]:
         lengths = [alphas[e] + betas[e] * solution.fractional[e] for e in range(m)]
-        rows = source_rows(instance, lengths, cutoff)
-        found = (path_below(instance, lengths, pair, cutoff, i, row)
-                 for i, (pair, row) in enumerate(zip(instance.pairs, rows)))
-        return [p for p in found if p is not None]
+        return [p for p in pair_shortest_paths(instance, None, lengths=lengths, bound=cutoff) if p is not None]
 
     solution, _, rounds = _generate(
         instance, LpSolution([0.0] * m, 0.0, CandidateSet()), separate,
@@ -161,7 +160,7 @@ def constraint_generation(
 def eta(n: int, h: int, beta_max: int, delta: float) -> float:
     """Inflation factor beta/(1-e^-beta) * (h ln n - ln delta + 1)."""
     if not (0.0 < delta < 1.0):
-        raise ValueError("delta must lie in (0, 1)")
+        raise ConfigError("delta must lie in (0, 1)")
     if beta_max < 1:
         raise ValueError("beta_max must be at least 1")
     prefactor = beta_max / (1.0 - math.exp(-beta_max))
@@ -199,7 +198,6 @@ def run_lr(
     eta_override: float | None = None,
     threads: int = 1,
     deadline: Deadline | float | None = None,
-    max_retries: int = 10,
 ) -> RunReport:
     """Constraint generation, then rounding with retries and a ceiling
     fallback, so the returned vector is always feasible.
@@ -216,7 +214,7 @@ def run_lr(
         eta_value = eta(instance.graph.n, instance.hop_bound, max(max(instance.affine_coeffs()[0]), 1), delta)
     rng = random.Random(seed)
     fallback = False
-    for retries in range(max_retries):
+    for retries in range(MAX_RETRIES):
         deadline.check("rounding")
         x = round_solution(instance, lp, eta_value, rng)
         if not unseparated_pairs(instance, x):
@@ -224,7 +222,7 @@ def run_lr(
             break
     else:
         # an infinite eta takes the ceiling of every fractional component
-        retries = max_retries
+        retries = MAX_RETRIES
         fallback = True
         x = round_solution(instance, lp, math.inf, rng)
         feasible = not unseparated_pairs(instance, x)

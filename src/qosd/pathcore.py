@@ -198,17 +198,24 @@ def distances(
     return csgraph_dijkstra(matrix, directed=True, indices=sources, limit=bound)
 
 
-def path_below(
+def shortest_path(
     instance: "QosdInstance",
-    lengths: Sequence[float],
+    x: BudgetVector | None,
     pair: tuple[int, int],
-    bound: float,
+    *,
     pair_index: int | None = None,
+    lengths: Sequence[float] | None = None,
     dist: np.ndarray | None = None,
+    bound: float | None = None,
 ) -> Path | None:
-    """Shortest s-t path under ``lengths`` if strictly shorter than ``bound``, else
-    None; ``dist`` is s's row of :func:`distances` (computed when None). The path is
-    rebuilt from t, entering each v by its lowest-index tight in-edge (d[u] + len == d[v])."""
+    """Shortest s-t path under ``lengths`` (f_e(x_e) when None) if strictly
+    shorter than ``bound`` (T when None), else None; ``dist`` is s's row of
+    :func:`distances` (computed when None). The path is rebuilt from t,
+    entering each v by its lowest-index tight in-edge (d[u] + len == d[v])."""
+    if lengths is None:
+        lengths = edge_lengths(instance, x)
+    if bound is None:
+        bound = instance.threshold
     s, t = pair
     if dist is None:
         dist = distances(instance, lengths, [s], bound=bound)[0]
@@ -229,40 +236,24 @@ def path_below(
     return Path(tuple(nodes), tuple(edges), initial, pair_index)
 
 
-def shortest_path(
+def pair_shortest_paths(
     instance: "QosdInstance",
-    x: BudgetVector,
-    pair: tuple[int, int],
+    x: BudgetVector | None,
     *,
-    pair_index: int | None = None,
-    lengths: Sequence[int] | None = None,
-    dist: np.ndarray | None = None,
-) -> Path | None:
-    """Minimum-length path under f_e(x_e) if its length is below T, else None;
-    ``dist`` as in :func:`path_below`."""
+    lengths: Sequence[float] | None = None,
+    bound: float | None = None,
+) -> list[Path | None]:
+    """Per-pair :func:`shortest_path` (None when the pair is separated), in
+    pair order, from one :func:`distances` call over the unique sources."""
     if lengths is None:
         lengths = edge_lengths(instance, x)
-    return path_below(instance, lengths, pair, instance.threshold, pair_index, dist)
-
-
-def source_rows(instance: "QosdInstance", lengths: Sequence[float], bound: float) -> list[np.ndarray]:
-    """Each pair's source row of one :func:`distances` call over the unique sources."""
+    if bound is None:
+        bound = instance.threshold
     sources, row = np.unique([s for s, _ in instance.pairs], return_inverse=True)
     dist = distances(instance, lengths, sources, bound=bound)
-    return [dist[r] for r in row]
-
-
-def pair_shortest_paths(
-    instance: "QosdInstance", x: BudgetVector, *, lengths: list[int] | None = None
-) -> list[Path | None]:
-    """Per-pair shortest path below T (None when the pair is separated), in
-    pair order, from one :func:`distances` call."""
-    if lengths is None:
-        lengths = edge_lengths(instance, x)
-    rows = source_rows(instance, lengths, instance.threshold)
     return [
-        shortest_path(instance, x, pair, pair_index=i, lengths=lengths, dist=row)
-        for i, (pair, row) in enumerate(zip(instance.pairs, rows))
+        shortest_path(instance, x, pair, pair_index=i, lengths=lengths, dist=dist[r], bound=bound)
+        for i, (pair, r) in enumerate(zip(instance.pairs, row))
     ]
 
 

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import GammaZeroError, InfeasibleBoxError
+from .errors import ConfigError, GammaZeroError, InfeasibleBoxError
 from .framework import potential_paths
 from .instance import QosdInstance, concave_ratio
 from .pathcore import BudgetVector, Path, PathSupport, csr_view, distances, edge_lengths, r_value
@@ -57,11 +57,11 @@ class SaConfig:
 
     def __post_init__(self):
         if self.q < 1:
-            raise ValueError("q must be a positive integer")
+            raise ConfigError("q must be a positive integer")
         if not (0.0 <= self.alpha < 1.0):
-            raise ValueError("alpha must lie in [0, 1)")
+            raise ConfigError("alpha must lie in [0, 1)")
         if self.sample_mode not in ("practical", "theoretical"):
-            raise ValueError(f"unknown sample mode {self.sample_mode!r}")
+            raise ConfigError(f"unknown sample mode {self.sample_mode!r}")
 
 
 def build_sp_tree(
@@ -191,7 +191,7 @@ def sample_count(
     coefficient is evaluated in the log domain. Undefined at gamma = 0.
     """
     if not (0 < epsilon < 1 and 0 < delta_round < 1):
-        raise ValueError("epsilon and delta_round must lie in (0, 1)")
+        raise ConfigError("epsilon and delta_round must lie in (0, 1)")
     if gamma is None:
         gamma = concave_ratio(instance.weights)
     gamma = float(gamma)
@@ -242,26 +242,6 @@ def greedy_chunk(
 def _derived_rng(master: int, round_idx: int, attempt: int, index: int) -> random.Random:
     # string seeding hashes with sha512, stable across runs and platforms
     return random.Random(f"{master}:{round_idx}:{attempt}:{index}")
-
-
-def _draw_samples(
-    instance: QosdInstance,
-    x: BudgetVector,
-    trees: dict[int, list[int | None]],
-    alpha: float,
-    master: int,
-    round_idx: int,
-    attempt: int,
-    count: int,
-    lengths: list[int],
-) -> list[SampledPath]:
-    return [
-        sample_path(
-            instance, x, trees, alpha, _derived_rng(master, round_idx, attempt, i),
-            lengths=lengths,
-        )
-        for i in range(count)
-    ]
 
 
 def run_sa(
@@ -319,10 +299,11 @@ def run_sa(
             if attempt > 0:
                 escalations += 1
             count = base_count * (2**attempt)
-            samples = _draw_samples(
-                instance, x, trees, config.alpha, config.seed, rounds, attempt, count,
-                lengths,
-            )
+            samples = [
+                sample_path(instance, x, trees, config.alpha, _derived_rng(config.seed, rounds, attempt, i),
+                            lengths=lengths)
+                for i in range(count)
+            ]
             samples_drawn += count
             chunk = greedy_chunk(instance, samples, x, config.q)
             if chunk.norm > 0:

@@ -28,8 +28,5 @@ def inst_a() -> QosdInstance:
 
 def single_edge_instance(table: tuple[int, ...], threshold: int, tag: str = "custom") -> QosdInstance:
     graph = Graph(2, [(0, 1)])
-    coeffs = None
-    if tag == "linear":
-        coeffs = (table[1] - table[0], table[0])
-    weights = [WeightFunction(table, tag, coeffs)]
+    weights = [WeightFunction(table, tag)]
     return QosdInstance(graph, weights, [(0, 1)], threshold)

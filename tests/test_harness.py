@@ -115,6 +115,16 @@ class TestRunExperiment:
             assert json.loads(by_alg[alg]["extras"])["verified"] is True, alg
             assert by_alg[alg]["feasible"] == "true", alg
 
+    def test_bad_knob_reported_per_row(self):
+        config = parse_config(
+            "qosd-config v1\ner_n = 10\nT = 3\nk = 2\nrepetitions = 1\n"
+            "algorithms = sa,lr,ig\nsample_mode = bogus\ndelta = 1.5\n"
+        )
+        by_alg = {row["algorithm"]: row for row in run_experiment(config)}
+        assert json.loads(by_alg["sa"]["extras"]) == {"error": "ConfigError: unknown sample mode 'bogus'"}
+        assert json.loads(by_alg["lr"]["extras"]) == {"error": "ConfigError: delta must lie in (0, 1)"}
+        assert by_alg["ig"]["feasible"] == "true"
+
     def test_failed_oracle_gets_own_row(self, monkeypatch):
         import qosd.experiment
         from qosd import StallError
@@ -240,6 +250,38 @@ class TestCli:
         ])
         assert code == 1
         assert "line 3" in capsys.readouterr().err
+
+    def test_linear_table_not_affine_exits_1(self, tmp_path, capsys):
+        inst_file = tmp_path / "inst.txt"
+        inst_file.write_text(
+            "qosd-instance v1\nn 2\nm 1\nT 3\nk 1\nedge 0 1 linear 1 2 4\npair 0 1\n"
+        )
+        assert main(["solve", "--instance", str(inst_file), "--algorithm", "ig"]) == 1
+        assert "invalid input: linear table is not affine" in capsys.readouterr().err
+
+    def test_negative_vector_entry_exits_1(self, tmp_path, capsys):
+        inst_file = tmp_path / "inst.txt"
+        vec_file = tmp_path / "x.txt"
+        inst_file.write_text(
+            "qosd-instance v1\nn 2\nm 1\nT 3\nk 1\nedge 0 1 linear 1 2 3\npair 0 1\n"
+        )
+        vec_file.write_text("qosd-vector v1\n1\n-1\n")
+        assert main(["validate", "--instance", str(inst_file), "--vector", str(vec_file)]) == 1
+        assert "invalid input: budget components must be nonnegative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("knobs", [
+        ["--algorithm", "sa", "--q", "0"],
+        ["--algorithm", "sa", "--alpha", "1.0"],
+        ["--algorithm", "sa", "--sample-mode", "theoretical", "--epsilon", "1.5"],
+        ["--algorithm", "lr", "--delta", "1.5"],
+    ])
+    def test_bad_knob_exits_1(self, tmp_path, capsys, knobs):
+        inst_file = tmp_path / "inst.txt"
+        main(["gen", "--n", "8", "--rho", "0.3", "--threshold", "3",
+              "--pairs", "2", "--seed", "11", "--output", str(inst_file)])
+        capsys.readouterr()
+        assert main(["solve", "--instance", str(inst_file)] + knobs) == 1
+        assert "invalid input: " in capsys.readouterr().err
 
     def test_threads_option_removed(self, tmp_path):
         edges_file = tmp_path / "edges.txt"

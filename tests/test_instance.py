@@ -92,6 +92,15 @@ class TestGenerateEr:
             generate_er(5, 0.0, seed=0)
 
 
+class TestWeightFunction:
+    def test_linear_tag_needs_affine_table(self):
+        with pytest.raises(InvalidInstanceError, match="not affine"):
+            WeightFunction((1, 2, 4), "linear")
+        assert WeightFunction((1, 2, 4)).affine_coeffs() is None
+        assert WeightFunction((2, 4, 6), "linear").affine_coeffs() == (2, 2)
+        assert WeightFunction((3, 3), "linear").affine_coeffs() == (0, 3)
+
+
 class TestBuildWeights:
     def test_cutting_tables(self):
         g = diamond_graph()
@@ -104,7 +113,7 @@ class TestBuildWeights:
         wf = build_weights(g, "linear", 4)[0]
         assert wf.table == (1, 2, 3, 4)
         assert wf.cap == 3
-        assert wf.linear_coeffs == (1, 1)
+        assert wf.affine_coeffs() == (1, 1)
 
     def test_heterogeneous_deterministic(self):
         g = generate_er(30, 0.2, seed=3)
@@ -121,11 +130,6 @@ class TestBuildWeights:
             assert wf.table[0] == 1
             assert max(wf.table) == threshold
             assert all(b >= a for a, b in zip(wf.table, wf.table[1:]))
-
-    def test_small_cap_policy_adjusted_up_not_error(self):
-        g = diamond_graph()
-        wf = build_weights(g, "linear", 5, cap_policy=1)[0]
-        assert max(wf.table) == 5
 
     def test_threshold_too_small(self):
         with pytest.raises(InvalidInstanceError):
@@ -271,6 +275,13 @@ class TestRoundTrip:
     def test_header_required(self):
         with pytest.raises(ParseError):
             load_instance(io.StringIO("nope\n"))
+
+    def test_linear_edge_records_checked(self):
+        head = "qosd-instance v1\nn 2\nm 1\nT 3\nk 1\npair 0 1\n"
+        with pytest.raises(ParseError, match="at least two entries"):
+            load_instance(io.StringIO(head + "edge 0 1 linear 3\n"))
+        loaded = load_instance(io.StringIO(head + "edge 0 1 linear 1 2 3\n"))
+        assert loaded.affine_coeffs() == ([1], [1])
 
     @pytest.mark.parametrize("value", ["0", "2"])
     def test_only_directed_one_accepted(self, value):

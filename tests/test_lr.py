@@ -9,6 +9,7 @@ from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 from qosd import (
     BudgetVector,
     CandidateSet,
+    ConfigError,
     Graph,
     InfeasibleBoxError,
     IterationLimitError,
@@ -52,7 +53,7 @@ class TestSolveLp:
     def test_vacuous_constraint_ignored(self):
         # initial length already >= T: the path adds no constraint
         g = Graph(3, [(0, 1), (1, 2)])
-        weights = [WeightFunction((2, 3), "linear", (1, 2))] * 2
+        weights = [WeightFunction((2, 3), "linear")] * 2
         inst = QosdInstance(g, weights, [(0, 2)], 4)
         lp = solve_lp(inst, [Path((0, 1, 2), (0, 1), 4, 0)])
         assert lp.objective == 0.0
@@ -195,8 +196,8 @@ class TestPathRows:
     def test_vacuous_paths_and_zero_coefficients_skipped(self):
         # edge 0 is flat (beta 0); the path over edges 2, 3 already reaches T=4
         g = Graph(4, [(0, 1), (1, 3), (0, 2), (2, 3)])
-        weights = [WeightFunction((1, 1, 1), "linear", (0, 1)), WeightFunction((1, 2, 3), "linear", (1, 1)),
-                   WeightFunction((2, 3), "linear", (1, 2)), WeightFunction((2, 3), "linear", (1, 2))]
+        weights = [WeightFunction((1, 1, 1), "linear"), WeightFunction((1, 2, 3), "linear"),
+                   WeightFunction((2, 3), "linear"), WeightFunction((2, 3), "linear")]
         inst = QosdInstance(g, weights, [(0, 3)], 4, validate_box=False)
         short, vacuous = Path((0, 1, 3), (0, 1), 2, 0), Path((0, 2, 3), (2, 3), 4, 0)
         columns, width = _lp_columns(inst, [short, vacuous])
@@ -221,7 +222,7 @@ class TestConstraintGeneration:
 
     def test_already_separated(self):
         g = Graph(2, [(0, 1)])
-        inst = QosdInstance(g, [WeightFunction((2, 3), "linear", (1, 2))], [(0, 1)], 2)
+        inst = QosdInstance(g, [WeightFunction((2, 3), "linear")], [(0, 1)], 2)
         lp = constraint_generation(inst)
         assert lp.objective == 0.0
         assert len(lp.constraint_paths) == 0
@@ -263,7 +264,7 @@ class TestEta:
         assert eta(4, 3, 1, 0.05) > eta(4, 3, 1, 0.5)
 
     def test_bad_arguments(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             eta(4, 3, 1, 0.0)
         with pytest.raises(ValueError):
             eta(4, 3, 0, 0.5)
@@ -342,7 +343,7 @@ class TestRunLr:
 
     def test_ceiling_fallback_feasible(self, inst_a):
         # eta so small that nothing rounds up: retries exhaust, ceil fires
-        report = run_lr(inst_a, delta=0.1, seed=0, eta_override=1e-9, max_retries=3)
+        report = run_lr(inst_a, delta=0.1, seed=0, eta_override=1e-9)
         assert report.feasible
         lp = constraint_generation(inst_a)
         if any(abs(f - round(f)) > 1e-9 for f in lp.fractional):

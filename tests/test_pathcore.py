@@ -9,6 +9,8 @@ from qosd import (
     BudgetVector,
     CandidateSet,
     Graph,
+    make_er_instance,
+    pair_shortest_paths,
     Path,
     PathSupport,
     QosdError,
@@ -107,6 +109,14 @@ class TestShortestPath:
     def test_budget_shifts_route(self, inst_a):
         p = shortest_path(inst_a, BudgetVector([2, 0, 0, 0]), (0, 3))
         assert p.node_seq == (0, 2, 3)
+
+    def test_bound_is_strict(self, inst_a):
+        # both diamond routes have length 2 at x = 0
+        x = BudgetVector.zeros(4)
+        assert shortest_path(inst_a, x, (0, 3), bound=2) is None
+        assert shortest_path(inst_a, x, (0, 3), bound=2.5).edge_seq == (0, 1)
+        assert shortest_path(inst_a, None, (0, 3), lengths=[1.5, 1.0, 1.0, 1.0], bound=2.5).edge_seq == (2, 3)
+        assert shortest_path(inst_a, None, (0, 3), lengths=[1.5, 1.0, 1.0, 1.5], bound=2.5) is None
 
     def test_unseparated_lists(self, inst_a):
         assert unseparated_pairs(inst_a, BudgetVector.zeros(4)) == [0]
@@ -307,6 +317,47 @@ def test_shortest_path_takes_lowest_index_tight_in_edge(seed):
         head = edges[e][1]
         tight = [f for f, (u, v) in enumerate(edges) if v == head and dist[u] + lengths[f] == dist[v]]
         assert e == min(tight)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 40))
+def test_fractional_shortest_path_takes_lowest_index_tight_in_edge(seed, quarters):
+    # LR's separation: quarter lengths are exact in binary, so ties survive the float sums
+    inst, _ = _shuffled_instance(seed)
+    edges = inst.graph.edges
+    rng = random.Random(seed)
+    lengths = [rng.randint(4, 16) / 4 for _ in edges]
+    bound = quarters / 4
+    s, t = inst.pairs[0]
+    dist = _bellman_ford(inst.graph.n, edges, lengths, s)
+    found = shortest_path(inst, None, (s, t), lengths=lengths, bound=bound)
+    if not dist[t] < bound:
+        assert found is None
+        return
+    assert found.node_seq[0] == s and found.node_seq[-1] == t
+    assert sum(lengths[e] for e in found.edge_seq) == dist[t]
+    for e in found.edge_seq:
+        head = edges[e][1]
+        tight = [f for f, (u, v) in enumerate(edges) if v == head and dist[u] + lengths[f] == dist[v]]
+        assert e == min(tight)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.integers(4, 24))
+def test_pair_sweep_equals_per_pair_queries(seed, quarters):
+    inst = make_er_instance(14, 0.25, 5, 8, "heterogeneous", seed=seed)
+    rng = random.Random(seed)
+    lengths = [rng.randint(4, 12) / 4 for _ in inst.graph.edges]
+    bound = quarters / 4
+    swept = pair_shortest_paths(inst, None, lengths=lengths, bound=bound)
+    assert swept == [
+        shortest_path(inst, None, pair, pair_index=i, lengths=lengths, bound=bound)
+        for i, pair in enumerate(inst.pairs)
+    ]
+    x = BudgetVector([rng.randint(0, cap) for cap in inst.box])
+    assert pair_shortest_paths(inst, x) == [
+        shortest_path(inst, x, pair, pair_index=i) for i, pair in enumerate(inst.pairs)
+    ]
 
 
 @settings(max_examples=150, deadline=None)
