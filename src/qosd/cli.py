@@ -34,6 +34,7 @@ from .instance import (
 )
 from .pathcore import BudgetVector, unseparated_pairs
 from .report import Deadline
+from .sa import SAMPLE_MODES, SaConfig
 
 VECTOR_HEADER = "qosd-vector v1"
 
@@ -105,14 +106,14 @@ def build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="run one algorithm on one instance")
     _add_instance_args(solve)
     solve.add_argument("--algorithm", required=True, choices=ALGORITHMS)
-    solve.add_argument("--alpha", type=float, default=0.8)
-    solve.add_argument("--q", type=int, default=1)
-    solve.add_argument("--epsilon", type=float, default=0.3)
-    solve.add_argument("--delta", type=float, default=0.2)
-    solve.add_argument("--samples", type=int, default=0,
-                       help="samples per round (0 = practical default)")
-    solve.add_argument("--sample-mode", default="practical",
-                       choices=["practical", "theoretical"])
+    defaults = SaConfig()
+    solve.add_argument("--alpha", type=float, default=defaults.alpha)
+    solve.add_argument("--q", type=int, default=defaults.q)
+    solve.add_argument("--epsilon", type=float, default=defaults.epsilon)
+    solve.add_argument("--delta", type=float, default=defaults.delta)
+    solve.add_argument("--samples", type=int, default=defaults.samples_per_round,
+                       help="samples per round (unset or 0: max(100, 10k))")
+    solve.add_argument("--sample-mode", default=defaults.sample_mode, choices=SAMPLE_MODES)
     solve.add_argument("--eta", type=float, default=None,
                        help="expert override of the rounding inflation factor")
     solve.add_argument("--seed", type=int, default=0)
@@ -141,19 +142,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_solve(args) -> int:
     instance = _load_cli_instance(args)
-    report = run_algorithm(
-        instance,
-        args.algorithm,
-        seed=args.seed,
-        deadline=Deadline(args.time_limit),
-        q=args.q,
-        alpha=args.alpha,
-        epsilon=args.epsilon,
-        delta=args.delta,
-        sample_mode=args.sample_mode,
-        samples=args.samples or None,
-        eta_override=args.eta,
-    )
+    knobs = SaConfig(q=args.q, alpha=args.alpha, epsilon=args.epsilon, delta=args.delta,
+                     sample_mode=args.sample_mode, samples_per_round=args.samples or None)
+    report = run_algorithm(instance, args.algorithm, seed=args.seed, deadline=Deadline(args.time_limit),
+                           sa=knobs, eta_override=args.eta)
     print(
         f"algorithm={report.algorithm} norm={report.norm} "
         f"feasible={str(report.feasible).lower()} "

@@ -6,7 +6,7 @@ import csv
 import hashlib
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .baselines import oracle_opt, run_cc
 from .errors import ConfigError, NonlinearWeightsError, QosdError, SolverTimeout
@@ -42,12 +42,7 @@ class ExperimentConfig:
     repetitions: int = 5
     master_seed: int = 0
     time_limit: float = 86_400.0      # one day per run
-    q: int = 1
-    alpha: float = 0.8
-    epsilon: float = 0.3
-    delta: float = 0.2
-    sample_mode: str = "practical"
-    samples: int | None = None
+    sa: SaConfig = SaConfig()         # SA's knobs (LR reads delta); checked by the solvers
     output: str | None = None
 
     def __post_init__(self):
@@ -68,8 +63,10 @@ def parse_config(text: str) -> ExperimentConfig:
     if not lines or lines[0].strip() != CONFIG_HEADER:
         raise ConfigError(f"missing header {CONFIG_HEADER!r}")
     kwargs: dict = {}
-    int_keys = {"er_n", "k", "repetitions", "master_seed", "q"}
-    float_keys = {"er_rho", "time_limit", "alpha", "epsilon", "delta"}
+    knobs: dict = {}
+    int_keys = {"er_n", "k", "repetitions", "master_seed"}
+    float_keys = {"er_rho", "time_limit"}
+    knob_types = {"q": int, "alpha": float, "epsilon": float, "delta": float, "sample_mode": str}
     for line_no, raw in enumerate(lines[1:], start=2):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -86,15 +83,18 @@ def parse_config(text: str) -> ExperimentConfig:
                 kwargs["thresholds"] = [int(v) for v in value.split(",") if v.strip()]
             elif key == "algorithms":
                 kwargs["algorithms"] = [v.strip() for v in value.split(",") if v.strip()]
+            elif key in knob_types:
+                knobs[key] = knob_types[key](value)
             elif key == "samples":
-                kwargs["samples"] = int(value) if int(value) > 0 else None
-            elif key in ("source", "model", "sample_mode", "instance_file", "output"):
+                # 0 means the practical default; a negative count is left for SA to reject
+                knobs["samples_per_round"] = int(value) or None
+            elif key in ("source", "model", "instance_file", "output"):
                 kwargs[key] = value
             else:
                 raise ConfigError(f"line {line_no}: unknown key {key!r}")
         except ValueError:
             raise ConfigError(f"line {line_no}: bad value for {key!r}: {value!r}") from None
-    return ExperimentConfig(**kwargs)
+    return ExperimentConfig(**kwargs, sa=SaConfig(**knobs))
 
 
 def derive_seed(master_seed: int, threshold: int, repetition: int, algorithm_index: int) -> int:
@@ -110,26 +110,17 @@ def run_algorithm(
     *,
     seed: int = 0,
     deadline: Deadline | float | None = None,
-    q: int = 1,
-    alpha: float = 0.8,
-    epsilon: float = 0.3,
-    delta: float = 0.2,
-    sample_mode: str = "practical",
-    samples: int | None = None,
+    sa: SaConfig = SaConfig(),
     eta_override: float | None = None,
 ) -> RunReport:
-    """Dispatch one named solver with common knobs."""
+    """Dispatch one named solver; SA runs ``sa`` under ``seed``, LR reads its ``delta``."""
     if algorithm in ("ig", "at"):
         return run_iterative(instance, algorithm, deadline=deadline, seed=seed)
     if algorithm == "sa":
-        config = SaConfig(
-            q=q, alpha=alpha, epsilon=epsilon, delta=delta,
-            sample_mode=sample_mode, samples_per_round=samples, seed=seed,
-        )
-        return run_sa(instance, config, deadline=deadline)
+        return run_sa(instance, replace(sa, seed=seed), deadline=deadline)
     if algorithm == "lr":
         return run_lr(
-            instance, delta=delta, seed=seed,
+            instance, delta=sa.delta, seed=seed,
             eta_override=eta_override, deadline=deadline,
         )
     if algorithm == "cc":
@@ -179,13 +170,8 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
                 if alg == "oracle":
                     report = oracle
                 else:
-                    report = _attempt(
-                        instance, alg,
-                        seed=seed, deadline=Deadline(config.time_limit),
-                        q=config.q, alpha=config.alpha,
-                        epsilon=config.epsilon, delta=config.delta,
-                        sample_mode=config.sample_mode, samples=config.samples,
-                    )
+                    report = _attempt(instance, alg, seed=seed, deadline=Deadline(config.time_limit),
+                                      sa=config.sa)
                 if isinstance(report, str):
                     rows.append(_error_row(config, alg, threshold, seed, report, model))
                     continue

@@ -364,8 +364,6 @@ def make_er_instance(
     k: int,
     model: str = "linear",
     seed: int = 0,
-    *,
-    validate_box: bool = True,
 ) -> QosdInstance:
     """Convenience builder: seeded ER graph + model weights + sampled pairs.
 
@@ -375,25 +373,20 @@ def make_er_instance(
     graph = generate_er(n, rho, seed)
     weights = build_weights(graph, model, threshold, seed=seed + 1)
     pairs = sample_pairs(graph, k, seed + 2)
-    return QosdInstance(graph, weights, pairs, threshold, validate_box=validate_box)
+    return QosdInstance(graph, weights, pairs, threshold)
 
 
-def make_layered_flat_instance(
-    seed: int,
-    side: int = 8,
-    middle: int = 10,
-    rho: float = 0.45,
-    threshold: int = 6,
-    k: int = 5,
-) -> QosdInstance:
+def make_layered_flat_instance(seed: int) -> QosdInstance:
     """Two-layer instance for the concave-ratio sensitivity experiment.
 
-    Sources connect to a middle layer with linear edges; middle-to-sink
-    edges carry a flat-then-jump table (1, 1, T) whose zero increment
-    followed by a positive one forces concave ratio 0. Every source-sink
-    path is linear-then-staircase, so unit-greedy blocking can never
-    exploit the cheap final jump while amount-aware blocking can.
+    Eight sources connect to ten middle nodes with linear edges; middle-to-
+    sink edges (eight sinks) carry a flat-then-jump table (1, 1, T) whose
+    zero increment followed by a positive one forces concave ratio 0. Each
+    possible edge is present with probability 0.45; T = 6 and five pairs.
+    Every source-sink path is linear-then-staircase, so unit-greedy blocking
+    can never exploit the cheap final jump while amount-aware blocking can.
     """
+    side, middle, rho, threshold, k = 8, 10, 0.45, 6, 5
     rng = random.Random(seed)
     linear = WeightFunction(tuple(range(1, threshold + 1)), "linear")
     stair = WeightFunction((1, 1, threshold))
@@ -439,7 +432,7 @@ def save_instance(instance: QosdInstance, stream: IO[str]) -> None:
         stream.write(f"pair {s} {t}\n")
 
 
-def load_instance(stream: IO[str], *, validate_box: bool = True) -> QosdInstance:
+def load_instance(stream: IO[str]) -> QosdInstance:
     """Read the format written by :func:`save_instance`."""
     lines = [ln.rstrip("\n") for ln in stream]
     if not lines or lines[0].strip() != INSTANCE_HEADER:
@@ -481,4 +474,4 @@ def load_instance(stream: IO[str], *, validate_box: bool = True) -> QosdInstance
     if len(pairs) != header["k"]:
         raise ParseError(f"expected {header['k']} pairs, found {len(pairs)}")
     graph = Graph(header["n"], edges)
-    return QosdInstance(graph, weights, pairs, header["T"], validate_box=validate_box)
+    return QosdInstance(graph, weights, pairs, header["T"])

@@ -192,7 +192,7 @@ def round_solution(
 
 def run_lr(
     instance: QosdInstance,
-    delta: float = 0.1,
+    delta: float = 0.2,
     seed: int = 0,
     *,
     eta_override: float | None = None,
@@ -202,16 +202,19 @@ def run_lr(
     """Constraint generation, then rounding with retries and a ceiling
     fallback, so the returned vector is always feasible.
 
-    ``threads`` is accepted and ignored: every search runs in the caller's
-    thread.
+    :func:`eta` checks ``delta`` before any LP, also when a positive
+    ``eta_override`` replaces its factor. ``threads`` is accepted and
+    ignored: every search runs in the caller's thread.
     """
     deadline = Deadline.ensure(deadline)
     start = time.perf_counter()
+    # all-flat tables leave beta_max 0 and nothing to round; floor it at 1
+    eta_value = eta(instance.graph.n, instance.hop_bound, max(max(instance.affine_coeffs()[0]), 1), delta)
+    if eta_override is not None:
+        if not eta_override > 0:
+            raise ConfigError("eta must be positive")
+        eta_value = eta_override
     lp = constraint_generation(instance, deadline=deadline)
-    eta_value = eta_override
-    if eta_value is None:
-        # all-flat tables leave beta_max 0 and nothing to round; floor it at 1
-        eta_value = eta(instance.graph.n, instance.hop_bound, max(max(instance.affine_coeffs()[0]), 1), delta)
     rng = random.Random(seed)
     fallback = False
     for retries in range(MAX_RETRIES):

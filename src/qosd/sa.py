@@ -34,13 +34,16 @@ class SampledPath:
 
     path: Path
     rho: float
-    pair_index: int
     feasible: bool
 
 
-@dataclass
+SAMPLE_MODES = ("practical", "theoretical")
+
+
+@dataclass(frozen=True)
 class SaConfig:
-    """Knobs for the sampling solver.
+    """The sampling solver's knobs and the defaults of every front door (LR
+    reads ``delta``); :func:`run_sa` checks them all, whatever the mode.
 
     ``samples_per_round=None`` uses the practical default max(100, 10k);
     theoretical mode sizes rounds with :func:`sample_count` instead and is
@@ -51,17 +54,9 @@ class SaConfig:
     alpha: float = 0.8
     epsilon: float = 0.3
     delta: float = 0.2
-    sample_mode: str = "practical"
+    sample_mode: str = SAMPLE_MODES[0]
     samples_per_round: int | None = None
     seed: int = 0
-
-    def __post_init__(self):
-        if self.q < 1:
-            raise ConfigError("q must be a positive integer")
-        if not (0.0 <= self.alpha < 1.0):
-            raise ConfigError("alpha must lie in [0, 1)")
-        if self.sample_mode not in ("practical", "theoretical"):
-            raise ConfigError(f"unknown sample mode {self.sample_mode!r}")
 
 
 def build_sp_tree(
@@ -103,7 +98,6 @@ def sample_path(
     alpha: float,
     rng: random.Random,
     *,
-    pair_index: int | None = None,
     lengths: list[int] | None = None,
 ) -> SampledPath:
     """One biased self-avoiding walk for a uniformly chosen pair.
@@ -118,8 +112,7 @@ def sample_path(
     weights = instance.weights
     graph = instance.graph
     threshold = instance.threshold
-    if pair_index is None:
-        pair_index = rng.randrange(instance.k)
+    pair_index = rng.randrange(instance.k)
     s, t = instance.pairs[pair_index]
     tree = trees[t]
 
@@ -163,7 +156,7 @@ def sample_path(
         u = v
     feasible = u == t and initial < threshold
     path = Path(tuple(nodes), tuple(edges), initial, pair_index)
-    return SampledPath(path, rho, pair_index, feasible)
+    return SampledPath(path, rho, feasible)
 
 
 def estimate_B(instance: QosdInstance, samples: list[SampledPath], x: BudgetVector) -> float:
@@ -222,8 +215,10 @@ def greedy_chunk(
     x: BudgetVector,
     q: int,
 ) -> BudgetVector:
-    """Up to q unit-greedy steps on the estimator's marginal gain,
-    restricted to edges of feasible samples with box room left."""
+    """Up to q greedy steps on the estimator's marginal gain, restricted to
+    edges of feasible samples with box room left: IG's step rule
+    (:meth:`PathSupport.best_step`), so a flat next increment is crossed by
+    the best-ratio chunk instead of ending the chunk."""
     live = [sp for sp in samples if sp.feasible]
     if not live or q <= 0:
         return BudgetVector.zeros(instance.graph.m)
@@ -232,10 +227,10 @@ def greedy_chunk(
         instance, [sp.path for sp in live], x, [inv / sp.rho for sp in live]
     )
     for _ in range(q):
-        edge, _ = support.best_unit()
+        edge, amount, _ = support.best_step()
         if edge < 0:
             break
-        support.apply(edge, 1)
+        support.apply(edge, amount)
     return BudgetVector([a - b for a, b in zip(support.x, x.values)])
 
 
@@ -261,9 +256,20 @@ def run_sa(
     unconditional. The loop ends only when a sweep under the final budget
     finds no such path, so the report is feasible. ``threads`` is accepted
     and ignored: walks are drawn in the caller's thread, each from its own
-    derived seed.
+    derived seed. ``config`` is checked first, the sample mode before the
+    other knobs.
     """
     config = config or SaConfig()
+    if config.sample_mode not in SAMPLE_MODES:
+        raise ConfigError(f"unknown sample mode {config.sample_mode!r}")
+    if config.q < 1:
+        raise ConfigError("q must be a positive integer")
+    if not (0.0 <= config.alpha < 1.0):
+        raise ConfigError("alpha must lie in [0, 1)")
+    if not (0.0 < config.epsilon < 1.0 and 0.0 < config.delta < 1.0):
+        raise ConfigError("epsilon and delta must lie in (0, 1)")
+    if config.samples_per_round is not None and config.samples_per_round < 1:
+        raise ConfigError("samples_per_round must be None or at least 1")
     deadline = Deadline.ensure(deadline)
     start = time.perf_counter()
 
@@ -273,11 +279,7 @@ def run_sa(
             instance, config.q, config.epsilon, config.delta / max(total_box, 1)
         )
     else:
-        base_count = (
-            config.samples_per_round
-            if config.samples_per_round
-            else max(100, 10 * instance.k)
-        )
+        base_count = config.samples_per_round or max(100, 10 * instance.k)
 
     m = instance.graph.m
     x = BudgetVector.zeros(m)

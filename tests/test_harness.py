@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from qosd import ConfigError, ExperimentConfig, derive_seed, parse_config, run_experiment, rows_to_csv
+from qosd import ConfigError, ExperimentConfig, SaConfig, derive_seed, parse_config, run_experiment, rows_to_csv
 from qosd.cli import main
 from qosd.experiment import CSV_COLUMNS
 
@@ -106,7 +106,7 @@ class TestRunExperiment:
         # theoretical sample count diverges; AT and IG still solve
         config = ExperimentConfig(
             er_n=60, model="concave", thresholds=[10], algorithms=["at", "ig", "sa"],
-            repetitions=1, sample_mode="theoretical",
+            repetitions=1, sa=SaConfig(sample_mode="theoretical"),
         )
         by_alg = {row["algorithm"]: row for row in run_experiment(config)}
         assert json.loads(by_alg["sa"]["extras"])["error"].startswith("GammaZeroError: ")
@@ -123,6 +123,20 @@ class TestRunExperiment:
         by_alg = {row["algorithm"]: row for row in run_experiment(config)}
         assert json.loads(by_alg["sa"]["extras"]) == {"error": "ConfigError: unknown sample mode 'bogus'"}
         assert json.loads(by_alg["lr"]["extras"]) == {"error": "ConfigError: delta must lie in (0, 1)"}
+        assert by_alg["ig"]["feasible"] == "true"
+
+    def test_negative_samples_reported_per_row(self):
+        # samples = 0 means the default; a negative count reaches SA, which rejects it
+        assert parse_config("qosd-config v1\nsamples = 0\n").sa.samples_per_round is None
+        config = parse_config(
+            "qosd-config v1\ner_n = 10\nT = 3\nk = 2\nrepetitions = 1\n"
+            "algorithms = sa,ig\nsamples = -3\n"
+        )
+        by_alg = {row["algorithm"]: row for row in run_experiment(config)}
+        assert json.loads(by_alg["sa"]["extras"]) == {
+            "error": "ConfigError: samples_per_round must be None or at least 1"
+        }
+        assert by_alg["sa"]["feasible"] == "false"
         assert by_alg["ig"]["feasible"] == "true"
 
     def test_failed_oracle_gets_own_row(self, monkeypatch):
@@ -274,6 +288,12 @@ class TestCli:
         ["--algorithm", "sa", "--alpha", "1.0"],
         ["--algorithm", "sa", "--sample-mode", "theoretical", "--epsilon", "1.5"],
         ["--algorithm", "lr", "--delta", "1.5"],
+        # checked whatever the mode, and also when --eta overrides LR's factor
+        ["--algorithm", "sa", "--epsilon", "5"],
+        ["--algorithm", "sa", "--delta", "7"],
+        ["--algorithm", "sa", "--samples", "-3"],
+        ["--algorithm", "lr", "--delta", "1.5", "--eta", "2"],
+        ["--algorithm", "lr", "--eta", "-1"],
     ])
     def test_bad_knob_exits_1(self, tmp_path, capsys, knobs):
         inst_file = tmp_path / "inst.txt"
@@ -282,6 +302,32 @@ class TestCli:
         capsys.readouterr()
         assert main(["solve", "--instance", str(inst_file)] + knobs) == 1
         assert "invalid input: " in capsys.readouterr().err
+
+    def test_sa_knob_ignored_by_ig(self, tmp_path, capsys):
+        inst_file = tmp_path / "inst.txt"
+        main(["gen", "--n", "8", "--rho", "0.3", "--threshold", "3",
+              "--pairs", "2", "--seed", "11", "--output", str(inst_file)])
+        assert main(["solve", "--instance", str(inst_file), "--algorithm", "ig", "--q", "0"]) == 0
+        assert "feasible=true" in capsys.readouterr().out
+
+    def test_time_limit_expired_exits_3(self, tmp_path, capsys):
+        inst_file = tmp_path / "inst.txt"
+        main(["gen", "--n", "8", "--rho", "0.3", "--threshold", "3",
+              "--pairs", "2", "--seed", "11", "--output", str(inst_file)])
+        capsys.readouterr()
+        assert main(["solve", "--instance", str(inst_file), "--algorithm", "ig", "--time-limit", "-1"]) == 3
+        assert capsys.readouterr().err.startswith("timeout: ")
+
+    def test_validate_vector_above_cap_exits_2(self, tmp_path, capsys):
+        # table (1, 2, 3) caps the edge at 2; a vector of 3 exceeds the box
+        inst_file = tmp_path / "inst.txt"
+        vec_file = tmp_path / "x.txt"
+        inst_file.write_text(
+            "qosd-instance v1\nn 2\nm 1\nT 3\nk 1\nedge 0 1 linear 1 2 3\npair 0 1\n"
+        )
+        vec_file.write_text("qosd-vector v1\n1\n3\n")
+        assert main(["validate", "--instance", str(inst_file), "--vector", str(vec_file)]) == 2
+        assert "feasible=false (vector exceeds the box)" in capsys.readouterr().out
 
     def test_threads_option_removed(self, tmp_path):
         edges_file = tmp_path / "edges.txt"

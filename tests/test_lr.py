@@ -341,13 +341,30 @@ class TestRunLr:
         assert report.extras["eta"] == 2.5
         assert report.feasible
 
-    def test_ceiling_fallback_feasible(self, inst_a):
-        # eta so small that nothing rounds up: retries exhaust, ceil fires
-        report = run_lr(inst_a, delta=0.1, seed=0, eta_override=1e-9)
+    def test_ceiling_fallback_feasible(self):
+        # on the directed 3-cycle every pair's one path has two of the three
+        # edges, so the LP puts 0.5 on each; eta so small that nothing rounds
+        # up exhausts the retries and the ceiling fallback fires
+        graph = Graph(3, [(0, 1), (1, 2), (2, 0)])
+        inst = QosdInstance(graph, build_weights(graph, "linear", 3), [(0, 2), (1, 0), (2, 1)], 3)
+        assert constraint_generation(inst).fractional == pytest.approx([0.5, 0.5, 0.5])
+        report = run_lr(inst, delta=0.1, seed=0, eta_override=1e-9)
+        assert report.extras["retries"] == 10
+        assert report.extras["fallback"] is True
+        assert report.norm == 3
         assert report.feasible
-        lp = constraint_generation(inst_a)
-        if any(abs(f - round(f)) > 1e-9 for f in lp.fractional):
-            assert report.extras["fallback"]
+        assert not unseparated_pairs(inst, report.budget)
+
+    @pytest.mark.parametrize("knobs", [{"delta": 1.5, "eta_override": 2.0}, {"eta_override": -1.0}])
+    def test_bad_knob_raises_before_any_lp(self, inst_a, monkeypatch, knobs):
+        import qosd.lr
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("constraint generation ran")
+
+        monkeypatch.setattr(qosd.lr, "constraint_generation", unreachable)
+        with pytest.raises(ConfigError):
+            run_lr(inst_a, **knobs)
 
     def test_flat_tables_give_zero_vector(self):
         # every affine table is flat (beta_max 0) and x = 0 already separates

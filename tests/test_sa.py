@@ -6,6 +6,7 @@ import pytest
 
 from qosd import (
     BudgetVector,
+    ConfigError,
     GammaZeroError,
     Graph,
     QosdInstance,
@@ -22,7 +23,7 @@ from qosd import (
 )
 from qosd.sa import SampledPath, _derived_rng
 
-from conftest import diamond_instance
+from conftest import diamond_instance, single_edge_instance
 
 
 class TestBuildSpTree:
@@ -160,13 +161,13 @@ class TestEstimateB:
     def test_exact_arithmetic_single_sample(self, inst_a):
         from qosd import Path
 
-        sp = SampledPath(Path((0, 2, 3), (2, 3), 2, 0), 0.2, 0, True)
+        sp = SampledPath(Path((0, 2, 3), (2, 3), 2, 0), 0.2, True)
         assert estimate_B(inst_a, [sp], BudgetVector.zeros(4)) == pytest.approx(10.0)
 
     def test_all_infeasible_gives_zero(self, inst_a):
         from qosd import Path
 
-        sp = SampledPath(Path((0, 1), (0,), 1, 0), 0.8, 0, False)
+        sp = SampledPath(Path((0, 1), (0,), 1, 0), 0.8, False)
         assert estimate_B(inst_a, [sp], BudgetVector.zeros(4)) == 0.0
 
     def test_empty_sample_set_rejected(self, inst_a):
@@ -237,6 +238,14 @@ class TestGreedyChunk:
         ]
         assert greedy_chunk(inst_a, samples, x, q=3).norm == 0
 
+    def test_crosses_flat_increment(self):
+        from qosd import Path
+
+        # table (1, 1, 5): the first unit gains nothing, two units reach T
+        inst = single_edge_instance((1, 1, 5), 5)
+        sample = SampledPath(Path((0, 1), (0,), 1, 0), 1.0, True)
+        assert greedy_chunk(inst, [sample], BudgetVector.zeros(1), q=1) == BudgetVector([2])
+
 
 class TestRunSa:
     def test_diamond_optimal_mostly(self, inst_a):
@@ -268,6 +277,15 @@ class TestRunSa:
         )
         assert report.feasible
         assert report.extras["samples_per_round"] == 15973
+
+    @pytest.mark.parametrize("knobs", [
+        {"sample_mode": "bogus"}, {"q": 0}, {"alpha": 1.0}, {"epsilon": 5.0}, {"delta": 7.0},
+        {"samples_per_round": 0}, {"samples_per_round": -3},
+    ])
+    def test_bad_knob_raises_whatever_the_mode(self, inst_a, knobs):
+        # practical mode never calls sample_count, so run_sa checks every knob itself
+        with pytest.raises(ConfigError):
+            run_sa(inst_a, SaConfig(**knobs))
 
     def test_threads_identical_result(self):
         inst = make_er_instance(25, 0.2, 4, 5, "linear", seed=8)
