@@ -99,7 +99,8 @@ def min_budget_to_block(instance: QosdInstance, paths: Iterable[Path]) -> Budget
     # milp's form need <= A z, as the form decides which optimum HiGHS returns
     lower = np.concatenate([need, np.zeros(len(order))])
     upper = np.full(len(lower), np.inf)
-    z, _ = _solve_highs(sparse.vstack([A, ordering]), lower, upper, [1.0] * width, integral=True)
+    model = sparse.vstack([A, ordering]).tocsc()
+    z, _ = _solve_highs((model.indptr, model.indices, model.data), lower, upper, [1.0] * width, integral=True)
     for e, terms in columns.items():
         x[e] = round(sum(z[j] for j, _ in terms))
     return BudgetVector(x)

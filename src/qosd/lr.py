@@ -1,16 +1,20 @@
 """LP relaxation with lazy constraint generation and randomized rounding,
 for instances whose weight tables are affine in the budget.
 
-:func:`path_rows` builds the path-length rows of this LP and of the exact
+Constraint generation caches each path's LP row once, when the path enters
+the candidate set (:class:`_LpRows`), and hands each round's LP to HiGHS
+column-wise from that cache. :func:`path_rows` builds the rows of the exact
 oracle's integer program (:func:`baselines.min_budget_to_block`), and
-:func:`_solve_highs` solves both."""
+:func:`_solve_highs` solves both models."""
 
 from __future__ import annotations
 
 import math
 import random
 import time
+from bisect import insort
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -53,7 +57,8 @@ def path_rows(
     ``need = T - sum_{e in p} f_e(0)``; row entry j sums the coefficients of
     the ``(column, coefficient)`` terms ``columns[e]`` over the path's edges
     (sums of 0 are not stored). Paths that already reach T get no row; None
-    when none is left.
+    when none is left. The oracle's model is built from these rows; LR's LP
+    caches the same rows per path instead (:class:`_LpRows`).
     """
     row_index, col_index, data, need = [], [], [], []
     for p in paths:
@@ -72,31 +77,48 @@ def path_rows(
     return A, np.array(need, dtype=float)
 
 
-def _solve_highs(A: sparse.sparray, lower: np.ndarray, upper: np.ndarray, ub: Sequence[float],
-                 *, integral: bool = False) -> tuple[np.ndarray, float]:
-    """``(y, objective)`` of min sum(y) s.t. lower <= A y <= upper, 0 <= y <= ub
-    (y integral when asked) by one HiGHS run, with the options ``linprog``
-    passes: presolve on, dual simplex, no debug checks or log; integral runs
-    add ``mip_rel_gap = 0``. Infeasible raises ``InfeasibleBoxError``, any
-    other non-optimum ``QosdError``."""
-    columnwise = A.tocsc()
-    lp = highs.HighsLp()
-    matrix = lp.a_matrix_
-    lp.num_row_, lp.num_col_ = matrix.num_row_, matrix.num_col_ = A.shape
-    matrix.format_ = highs.MatrixFormat.kColwise
-    matrix.start_, matrix.index_, matrix.value_ = columnwise.indptr, columnwise.indices, columnwise.data
-    lp.col_cost_, lp.col_lower_ = np.ones(A.shape[1]), np.zeros(A.shape[1])
-    lp.col_upper_ = np.asarray(ub, dtype=float)
-    lp.row_lower_, lp.row_upper_ = lower, upper
+def _highs_options(integral: bool) -> highs.HighsOptions:
+    """The options ``linprog`` passes HiGHS: presolve on, dual simplex, no
+    debug checks or log; integral runs add ``mip_rel_gap = 0``."""
     options = highs.HighsOptions()
     options.presolve, options.output_flag, options.log_to_console = "on", False, False
     options.simplex_strategy = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
     options.highs_debug_level = highs.HighsDebugLevel.kHighsDebugLevelNone
     if integral:
-        lp.integrality_ = [highs.HighsVarType.kInteger] * A.shape[1]
         options.mip_rel_gap = 0.0
+    return options
+
+
+# built once: passOptions copies them into each run's own solver
+_LP_OPTIONS, _MIP_OPTIONS = _highs_options(False), _highs_options(True)
+
+
+def _solve_highs(
+    columns: tuple[Sequence[int], Sequence[int], Sequence[float]],
+    lower: Sequence[float],
+    upper: Sequence[float],
+    ub: Sequence[float],
+    *,
+    integral: bool = False,
+) -> tuple[np.ndarray, float]:
+    """``(y, objective)`` of min sum(y) s.t. lower <= A y <= upper, 0 <= y <= ub
+    (y integral when asked) by one cold HiGHS run on a fresh solver.
+
+    ``columns`` is A column-wise, as the ``(indptr, indices, data)`` of a
+    CSC matrix with ``len(lower)`` rows and ``len(ub)`` columns. Infeasible
+    raises ``InfeasibleBoxError``, any other non-optimum ``QosdError``."""
+    num_row, num_col = len(lower), len(ub)
+    lp = highs.HighsLp()
+    matrix = lp.a_matrix_
+    lp.num_row_, lp.num_col_ = matrix.num_row_, matrix.num_col_ = num_row, num_col
+    matrix.format_ = highs.MatrixFormat.kColwise
+    matrix.start_, matrix.index_, matrix.value_ = columns
+    lp.col_cost_, lp.col_lower_, lp.col_upper_ = [1.0] * num_col, [0.0] * num_col, ub
+    lp.row_lower_, lp.row_upper_ = lower, upper
+    if integral:
+        lp.integrality_ = [highs.HighsVarType.kInteger] * num_col
     solver = highs._Highs()
-    solver.passOptions(options)
+    solver.passOptions(_MIP_OPTIONS if integral else _LP_OPTIONS)
     solver.passModel(lp)
     solver.run()
     status = solver.getModelStatus()
@@ -106,19 +128,71 @@ def _solve_highs(A: sparse.sparray, lower: np.ndarray, upper: np.ndarray, ub: Se
     return np.array(solver.getSolution().col_value), solver.getInfo().objective_function_value
 
 
-def solve_lp(instance: QosdInstance, paths: CandidateSet | list[Path]) -> LpSolution:
+class _LpRows:
+    """The LP's rows over a growing candidate set, cached as paths enter it.
+
+    A path's row never changes, so :meth:`extend` reads each new path once:
+    its edges join the sorted ``support`` (the LP's columns, the edges of
+    vacuous paths included), and a path still short at zero budget becomes
+    the next row, with bound ``-need`` in ``upper`` and its number appended
+    to ``rows[e]`` for each of its edges with beta_e != 0. :meth:`columns`
+    is then ``(-A).tocsc()`` of :func:`path_rows`' matrix for the same
+    columns, entry for entry, built without it.
+    """
+
+    def __init__(self, instance: QosdInstance):
+        self.instance = instance
+        self.betas = instance.affine_coeffs()[0]
+        self.read = 0
+        self.support: list[int] = []
+        self.rows: dict[int, list[int]] = {}
+        self.upper: list[float] = []
+
+    def extend(self, paths: CandidateSet) -> None:
+        """Cache the paths added to ``paths`` since the last call."""
+        weights, betas, rows = self.instance.weights, self.betas, self.rows
+        for p in islice(paths, self.read, None):
+            gap = self.instance.threshold - sum(weights[e].table[0] for e in p.edge_seq)
+            for e in p.edge_seq:
+                if e not in rows:
+                    rows[e] = []
+                    insort(self.support, e)
+                if gap > 0 and betas[e]:
+                    rows[e].append(len(self.upper))
+            if gap > 0:
+                self.upper.append(float(-gap))
+        self.read = len(paths)
+
+    def columns(self) -> tuple[list[int], list[int], list[float]]:
+        """``(start, index, value)`` of -A, one column per support edge."""
+        start, index, value = [0], [], []
+        for e in self.support:
+            rows = self.rows[e]
+            index += rows
+            value += [-float(self.betas[e])] * len(rows)
+            start.append(len(index))
+        return start, index, value
+
+
+def solve_lp(
+    instance: QosdInstance, paths: CandidateSet | list[Path], *, rows: _LpRows | None = None
+) -> LpSolution:
     """min sum(x) s.t. sum_{e in p} beta_e x_e >= T - sum_{e in p} alpha_e
-    for every path, 0 <= x_e <= b_e; deterministic for fixed input."""
-    betas, _ = instance.affine_coeffs()
+    for every path, 0 <= x_e <= b_e; deterministic for fixed input.
+
+    ``rows`` is the cache that earlier calls on the same growing candidate
+    set filled (constraint generation passes one); a fresh one otherwise."""
     path_set = paths if isinstance(paths, CandidateSet) else CandidateSet(paths)
-    support = sorted({e for p in path_set for e in p.edge_seq})
-    columns = {e: [(j, betas[e])] for j, e in enumerate(support)}
-    rows = path_rows(instance, path_set, columns, len(support))
     if rows is None:
+        rows = _LpRows(instance)
+    rows.extend(path_set)
+    if not rows.upper:
         return LpSolution([0.0] * instance.graph.m, 0.0, path_set)
-    A, need = rows
+    support = rows.support
     # linprog's A_ub form -A y <= -need: the form decides which optimal vertex HiGHS returns
-    y, objective = _solve_highs(-A, np.full(len(need), -np.inf), -need, [instance.box[e] for e in support])
+    y, objective = _solve_highs(
+        rows.columns(), [-math.inf] * len(rows.upper), rows.upper, [instance.box[e] for e in support]
+    )
     fractional = np.zeros(instance.graph.m)
     fractional[support] = y
     return LpSolution(fractional.tolist(), objective, path_set)
@@ -138,19 +212,20 @@ def constraint_generation(
     alpha_e + beta_e x'_e (all >= 1), bounded by T * (1 - FEAS_TOL). A path
     enters each node by its lowest-index tight in-edge, tested by the same
     float64 sum that gave the distances, so fractional ties resolve exactly
-    as the kernel's.
+    as the kernel's. Every round's LP reuses one :class:`_LpRows` cache.
     """
-    betas, alphas = instance.affine_coeffs()
+    betas, alphas = (np.array(c, dtype=float) for c in instance.affine_coeffs())
     m = instance.graph.m
     cutoff = instance.threshold * (1.0 - FEAS_TOL)
+    rows = _LpRows(instance)
 
     def separate(solution: LpSolution) -> list[Path]:
-        lengths = [alphas[e] + betas[e] * solution.fractional[e] for e in range(m)]
+        lengths = (alphas + betas * np.array(solution.fractional)).tolist()
         return [p for p in pair_shortest_paths(instance, None, lengths=lengths, bound=cutoff) if p is not None]
 
     solution, _, rounds = _generate(
         instance, LpSolution([0.0] * m, 0.0, CandidateSet()), separate,
-        lambda paths: solve_lp(instance, paths),
+        lambda paths: solve_lp(instance, paths, rows=rows),
         deadline=Deadline.ensure(deadline), cap=iteration_cap, what="constraint generation",
     )
     solution.rounds = rounds

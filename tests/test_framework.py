@@ -112,7 +112,7 @@ def _stalling(name, monkeypatch):
         return lambda inst: run_iterative(inst, _zero_blocker)
     if name == "constraint_generation":
         monkeypatch.setattr(
-            "qosd.lr.solve_lp", lambda inst, paths: LpSolution([0.0] * inst.graph.m, 0.0, paths)
+            "qosd.lr.solve_lp", lambda inst, paths, **_: LpSolution([0.0] * inst.graph.m, 0.0, paths)
         )
     else:
         monkeypatch.setattr(

@@ -91,6 +91,12 @@ def _random_model(seed, rows, cols):
     return A.astype(float), need, ub
 
 
+def _colwise(A):
+    """``(indptr, indices, data)`` of ``A`` in CSC form, as ``_solve_highs`` takes it."""
+    csc = sparse.csc_array(A)
+    return csc.indptr, csc.indices, csc.data
+
+
 class TestSolveHighs:
     """``_solve_highs`` drives scipy's private HiGHS binding directly; these
     pin it to the public ``linprog`` and ``milp``, so a scipy release that
@@ -99,7 +105,7 @@ class TestSolveHighs:
     @pytest.mark.parametrize("seed", range(20))
     def test_lp_matches_linprog(self, seed):
         A, need, ub = _random_model(seed, 8, 12)
-        y, objective = _solve_highs(sparse.csr_array(-A), np.full(len(need), -np.inf), -need, ub)
+        y, objective = _solve_highs(_colwise(-A), np.full(len(need), -np.inf), -need, ub)
         ref = linprog(np.ones(len(ub)), A_ub=-A, b_ub=-need, bounds=[(0.0, u) for u in ub], method="highs")
         assert ref.success
         assert np.array_equal(y, ref.x)
@@ -108,7 +114,7 @@ class TestSolveHighs:
     @pytest.mark.parametrize("seed", range(10))
     def test_mip_matches_milp(self, seed):
         A, need, ub = _random_model(seed, 6, 8)
-        y, objective = _solve_highs(sparse.csr_array(A), need, np.full(len(need), np.inf), ub, integral=True)
+        y, objective = _solve_highs(_colwise(A), need, np.full(len(need), np.inf), ub, integral=True)
         ref = milp(
             np.ones(len(ub)), integrality=np.ones(len(ub)), bounds=Bounds(0, ub),
             constraints=LinearConstraint(A, need, np.inf), options={"mip_rel_gap": 0},
@@ -118,7 +124,7 @@ class TestSolveHighs:
         assert np.array_equal(y, np.round(y)) and np.all(A @ y >= need) and np.all(y <= ub)
 
     def test_infeasible_raises_infeasible_box(self):
-        A = sparse.csr_array(np.array([[1.0, 1.0]]))
+        A = _colwise(np.array([[1.0, 1.0]]))
         with pytest.raises(InfeasibleBoxError, match="Infeasible"):
             _solve_highs(A, np.array([3.0]), np.array([np.inf]), [1.0, 1.0])
 
@@ -128,7 +134,7 @@ class TestSolveHighs:
                 return highs.HighsModelStatus.kIterationLimit
 
         monkeypatch.setattr(highs, "_Highs", Stopped)
-        A = sparse.csr_array(np.array([[1.0, 1.0]]))
+        A = _colwise(np.array([[1.0, 1.0]]))
         with pytest.raises(QosdError, match="Iteration limit") as info:
             _solve_highs(A, np.array([1.0]), np.array([np.inf]), [1.0, 1.0])
         assert not isinstance(info.value, InfeasibleBoxError)
@@ -169,6 +175,16 @@ def _oracle_columns(instance, paths):
     return columns, width
 
 
+def _flat_and_vacuous():
+    """Edge 0 is flat (beta 0) on the short path over edges 0, 1; the path
+    over edges 2, 3 already reaches T=4."""
+    g = Graph(4, [(0, 1), (1, 3), (0, 2), (2, 3)])
+    weights = [WeightFunction((1, 1, 1), "linear"), WeightFunction((1, 2, 3), "linear"),
+               WeightFunction((2, 3), "linear"), WeightFunction((2, 3), "linear")]
+    inst = QosdInstance(g, weights, [(0, 3)], 4, validate_box=False)
+    return inst, Path((0, 1, 3), (0, 1), 2, 0), Path((0, 2, 3), (2, 3), 4, 0)
+
+
 class TestPathRows:
     @pytest.mark.parametrize(
         "model,layout",
@@ -194,12 +210,7 @@ class TestPathRows:
             assert np.array_equal(getattr(ours, field), getattr(theirs, field))
 
     def test_vacuous_paths_and_zero_coefficients_skipped(self):
-        # edge 0 is flat (beta 0); the path over edges 2, 3 already reaches T=4
-        g = Graph(4, [(0, 1), (1, 3), (0, 2), (2, 3)])
-        weights = [WeightFunction((1, 1, 1), "linear"), WeightFunction((1, 2, 3), "linear"),
-                   WeightFunction((2, 3), "linear"), WeightFunction((2, 3), "linear")]
-        inst = QosdInstance(g, weights, [(0, 3)], 4, validate_box=False)
-        short, vacuous = Path((0, 1, 3), (0, 1), 2, 0), Path((0, 2, 3), (2, 3), 4, 0)
+        inst, short, vacuous = _flat_and_vacuous()
         columns, width = _lp_columns(inst, [short, vacuous])
         A, need = path_rows(inst, [short, vacuous], columns, width)
         assert A.shape == (1, 4)
@@ -207,6 +218,122 @@ class TestPathRows:
         assert need.tolist() == [2.0]
         assert path_rows(inst, [vacuous], columns, width) is None
         assert path_rows(inst, [], columns, width) is None
+
+
+def _with_flat_edges(seed):
+    """An n=60 linear instance whose every seventh edge has a flat table."""
+    inst = make_er_instance(60, 0.1, 5, 10, "linear", seed=seed)
+    weights = [WeightFunction((w.table[0],) * len(w.table), "linear") if e % 7 == 0 else w
+               for e, w in enumerate(inst.weights)]
+    return QosdInstance(inst.graph, weights, inst.pairs, inst.threshold)
+
+
+def _recording(monkeypatch, name, calls, record=lambda *args, **kwargs: args):
+    """Patch ``qosd.lr.<name>`` to append ``record(*args, **kwargs)`` of each
+    call to ``calls`` before making it."""
+    import qosd.lr
+
+    original = getattr(qosd.lr, name)
+
+    def recorded(*args, **kwargs):
+        calls.append(record(*args, **kwargs))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(qosd.lr, name, recorded)
+
+
+class TestLpRows:
+    """What LR hands HiGHS each round, built from rows cached as paths enter
+    the candidate set, is the model ``path_rows`` builds from scratch."""
+
+    INSTANCES = {
+        "linear": lambda: make_er_instance(60, 0.1, 5, 10, "linear", seed=1000),
+        "cutting": lambda: make_er_instance(30, 0.15, 5, 6, "cutting", seed=1),
+        "flat-edges": lambda: _with_flat_edges(1001),
+    }
+
+    @pytest.mark.parametrize("name", INSTANCES)
+    def test_every_round_matches_path_rows(self, name, monkeypatch):
+        inst = self.INSTANCES[name]()
+        betas, _ = inst.affine_coeffs()
+        solves, models = [], []
+        # the round's paths: the candidate set keeps growing after the call
+        _recording(monkeypatch, "solve_lp", solves, lambda instance, paths, **_: list(paths))
+        # copies: the cache keeps growing the list of row bounds it passes
+        _recording(monkeypatch, "_solve_highs", models, lambda *args, **_: [list(a) for a in args])
+        lp = constraint_generation(inst)
+        # no round was all vacuous paths, so each solve ran HiGHS once
+        assert len(solves) == len(models) == lp.rounds >= 2
+        support, inserted = [], False
+        for paths, (columns, lower, upper, ub) in zip(solves, models):
+            layout, width = _lp_columns(inst, paths)
+            new = sorted(layout)
+            # a new support edge between two known ones moves later columns
+            inserted |= bool(support) and any(support[0] < e < support[-1] for e in set(new) - set(support))
+            support = new
+            A, need = path_rows(inst, paths, layout, width)
+            expected = (-A).tocsc()
+            assert [list(c) for c in columns] == [
+                expected.indptr.tolist(), expected.indices.tolist(), expected.data.tolist()]
+            assert np.array_equal(lower, np.full(len(need), -np.inf))
+            assert np.array_equal(upper, -need)
+            assert np.array_equal(np.asarray(ub, dtype=float), [float(inst.box[e]) for e in support])
+        assert inserted
+        assert any(betas[e] == 0 for e in support) == (name == "flat-edges")
+
+    def test_plain_list_keeps_vacuous_edges_in_support(self, monkeypatch):
+        inst, short, vacuous = _flat_and_vacuous()
+        models = []
+        _recording(monkeypatch, "_solve_highs", models)
+        lp = solve_lp(inst, [short, vacuous])
+        assert lp.objective == 2.0
+        [(columns, lower, upper, ub)] = models
+        # columns 0..3 are edges 0..3: flat edge 0 and vacuous edges 2, 3 are empty
+        assert [list(c) for c in columns] == [[0, 0, 1, 1, 1], [0], [-1.0]]
+        assert list(ub) == [inst.box[e] for e in range(4)]
+        assert list(upper) == [-2.0]
+
+    def test_shared_options_leak_no_state(self):
+        import qosd.lr
+
+        A, need, ub = _random_model(3, 8, 12)
+        gap = qosd.lr._LP_OPTIONS.mip_rel_gap
+
+        def relaxation():
+            return _solve_highs(_colwise(-A), np.full(len(need), -np.inf), -need, ub)
+
+        y, objective = relaxation()
+        _solve_highs(_colwise(A), need, np.full(len(need), np.inf), ub, integral=True)
+        again, again_objective = relaxation()
+        assert y.tobytes() == again.tobytes()
+        assert np.float64(objective).tobytes() == np.float64(again_objective).tobytes()
+        assert qosd.lr._LP_OPTIONS.mip_rel_gap == gap != 0.0
+        assert qosd.lr._MIP_OPTIONS.mip_rel_gap == 0.0
+
+    # er60-lr instances whose LP optima are fractional in 7, 10 and 6 rounds
+    @pytest.mark.parametrize("seed", [1005, 1027, 1037])
+    def test_separation_lengths_bit_identical(self, seed, monkeypatch):
+        import qosd.lr
+
+        inst = make_er_instance(60, 0.1, 5, 10, "linear", seed=seed)
+        betas, alphas = inst.affine_coeffs()
+        solutions, lengths = [LpSolution([0.0] * inst.graph.m, 0.0, CandidateSet())], []
+        solve_lp = qosd.lr.solve_lp
+
+        def solving(*args, **kwargs):
+            solutions.append(solve_lp(*args, **kwargs))
+            return solutions[-1]
+
+        monkeypatch.setattr(qosd.lr, "solve_lp", solving)
+        _recording(monkeypatch, "pair_shortest_paths", lengths, lambda instance, x, *, lengths, bound: lengths)
+        constraint_generation(inst)
+        # one separation on the zero start and one after each solve
+        assert len(lengths) == len(solutions)
+        assert any(v != round(v) for solution in solutions for v in solution.fractional)
+        for solution, got in zip(solutions, lengths):
+            old = [alphas[e] + betas[e] * solution.fractional[e] for e in range(inst.graph.m)]
+            assert type(got) is list and all(type(v) is float for v in got)
+            assert np.array(got).tobytes() == np.array(old).tobytes()
 
 
 class TestConstraintGeneration:
