@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import IO, Iterable, Sequence
 
+import numpy as np
+
 from .errors import InfeasibleBoxError, InvalidInstanceError, NonlinearWeightsError, ParseError
 
 WEIGHT_MODELS = ("linear", "convex", "concave", "cutting", "heterogeneous")
@@ -54,7 +56,7 @@ class Graph:
         self.out_adj = out_adj
         self.in_adj = in_adj
         self.max_out_degree = max((len(a) for a in out_adj), default=0)
-        self._csr: dict = {}  # pathcore.csr_view's cache
+        self._csr: dict = {}  # pathcore.csr_view's CSR views and sa's padded out-adjacency
 
     @property
     def m(self) -> int:
@@ -115,7 +117,10 @@ class QosdInstance:
     raised).
     """
 
-    __slots__ = ("graph", "weights", "pairs", "threshold", "min_initial_weight", "hop_bound", "box", "_affine")
+    __slots__ = (
+        "graph", "weights", "pairs", "threshold", "min_initial_weight", "hop_bound", "box",
+        "sources", "source_row", "_affine",
+    )
 
     def __init__(
         self,
@@ -140,6 +145,8 @@ class QosdInstance:
         self.graph = graph
         self.weights = list(weights)
         self.pairs = [(s, t) for s, t in pairs]
+        # the sorted distinct pair sources, and each pair's position among them
+        self.sources, self.source_row = np.unique([s for s, _ in self.pairs], return_inverse=True)
         self.threshold = threshold
         self.box = []
         lowest = lowest_top = math.inf

@@ -244,16 +244,15 @@ def pair_shortest_paths(
     bound: float | None = None,
 ) -> list[Path | None]:
     """Per-pair :func:`shortest_path` (None when the pair is separated), in
-    pair order, from one :func:`distances` call over the unique sources."""
+    pair order, from one :func:`distances` call over ``instance.sources``."""
     if lengths is None:
         lengths = edge_lengths(instance, x)
     if bound is None:
         bound = instance.threshold
-    sources, row = np.unique([s for s, _ in instance.pairs], return_inverse=True)
-    dist = distances(instance, lengths, sources, bound=bound)
+    dist = distances(instance, lengths, instance.sources, bound=bound)
     return [
         shortest_path(instance, x, pair, pair_index=i, lengths=lengths, dist=dist[r], bound=bound)
-        for i, (pair, r) in enumerate(zip(instance.pairs, row))
+        for i, (pair, r) in enumerate(zip(instance.pairs, instance.source_row.tolist()))
     ]
 
 

@@ -3,7 +3,10 @@ estimator of the blocking metric, with a biased self-avoiding walk sampler.
 
 Walks are steered toward each sink's shortest-path tree with bias alpha;
 the exact probability of every produced walk is tracked so feasible
-samples can be importance-weighted.
+samples can be importance-weighted. :func:`sample_path` draws one walk;
+:func:`run_sa` draws a round's walks together in numpy (``_RoundWalker``),
+each on the same random stream and with the same outcome as
+:func:`sample_path`.
 """
 
 from __future__ import annotations
@@ -12,13 +15,14 @@ import math
 import random
 import time
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import islice
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, GammaZeroError, InfeasibleBoxError
 from .framework import potential_paths
-from .instance import QosdInstance, concave_ratio
+from .instance import Graph, QosdInstance, concave_ratio
 from .pathcore import BudgetVector, Path, PathSupport, csr_view, distances, edge_lengths, r_value
 from .report import Deadline, RunReport
 
@@ -159,6 +163,122 @@ def sample_path(
     return SampledPath(path, rho, feasible)
 
 
+# walks advanced together: a block's visited mask has this many rows of n
+_WALK_BLOCK = 512
+
+
+def _out_arrays(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """``graph.out_adj`` as two n x max(1, max_out_degree) arrays, the
+    out-neighbours and their edges in ``out_adj`` order, padded with -1;
+    cached on the graph next to :func:`pathcore.csr_view`'s CSR."""
+    if "out" not in graph._csr:
+        nodes = np.full((graph.n, max(1, graph.max_out_degree)), -1, dtype=np.int32)
+        edges = np.full_like(nodes, -1)
+        for u, adj in enumerate(graph.out_adj):
+            if adj:
+                nodes[u, : len(adj)], edges[u, : len(adj)] = zip(*adj)
+        graph._csr["out"] = (nodes, edges)
+    return graph._csr["out"]
+
+
+class _RoundWalker:
+    """:func:`sample_path`'s walks for a whole round, advanced together in
+    numpy a block at a time, each on its own random stream.
+
+    Every walk is bit-identical to ``sample_path`` with the same ``rng``:
+    ``randrange(k)`` picks the pair, ``random()`` is drawn only on non-forced
+    steps, in step order, and the cumulative probabilities are a row
+    ``np.cumsum`` over the out-neighbour slots, which adds in sequence with
+    +0.0 for a visited or padding slot, so every comparison and every
+    ``rho`` product is the scalar loop's float operation.
+    """
+
+    def __init__(self, instance: QosdInstance, alpha: float):
+        self.instance = instance
+        self.alpha = alpha
+        self.out_nodes, self.out_edges = _out_arrays(instance.graph)
+        self.initial = np.array([wf.table[0] for wf in instance.weights], dtype=np.float64)
+        # each pair's source, and its sink's row in sinks
+        self.sources = instance.sources[instance.source_row]
+        self.sinks, self.sink_row = np.unique([t for _, t in instance.pairs], return_inverse=True)
+
+    def walks(self, lengths: np.ndarray, rows: np.ndarray, rngs: Iterable[random.Random]) -> list[SampledPath]:
+        """One walk per rng, in order, under edge ``lengths``; ``rows`` is
+        ``distances(instance, lengths, self.sinks, reverse=True)``."""
+        rngs = iter(rngs)
+        samples: list[SampledPath] = []
+        while block := list(islice(rngs, _WALK_BLOCK)):
+            samples += self._block(lengths, rows, block)
+        return samples
+
+    def _block(self, lengths: np.ndarray, rows: np.ndarray, rngs: list[random.Random]) -> list[SampledPath]:
+        instance, alpha = self.instance, self.alpha
+        threshold, k, n = instance.threshold, instance.k, instance.graph.n
+        count = len(rngs)
+        walks = np.arange(count)
+        pair = np.array([rng.randrange(k) for rng in rngs])
+        sink_row = self.sink_row[pair]
+        sink = self.sinks[sink_row]
+        u = self.sources[pair]
+        rho = np.full(count, 1.0 / k)
+        current = np.zeros(count)
+        initial = np.zeros(count)
+        # every step adds at least 1 to the current length, and a walk ends at T
+        width = min(threshold, n - 1)
+        nodes = np.full((count, width + 1), -1, dtype=np.int64)
+        edges = np.full((count, width), -1, dtype=np.int64)
+        nodes[:, 0] = u
+        visited = np.zeros((count, n), dtype=bool)
+        visited[walks, u] = True
+        live = np.ones(count, dtype=bool)
+        for step in range(width):
+            cand, cand_edge = self.out_nodes[u], self.out_edges[u]
+            free = (cand >= 0) & ~visited[walks[:, None], cand] & live[:, None]
+            slots = free.sum(axis=1)
+            moving = np.flatnonzero(slots)  # a live walk with no free slot stops
+            if not moving.size:
+                break
+            # build_sp_tree's parent: the lowest-id out-neighbour on a tight
+            # edge toward the sink (none, n, when the sink is out of reach)
+            to_u = rows[sink_row, u]
+            tight = (cand >= 0) & (to_u < np.inf)[:, None] & (
+                lengths[cand_edge] + rows[sink_row[:, None], cand] == to_u[:, None])
+            is_parent = free & (cand == np.where(tight, cand, n).min(axis=1)[:, None])
+            probs = np.where(
+                is_parent.any(axis=1)[:, None],
+                np.where(is_parent, alpha, ((1.0 - alpha) / np.maximum(slots - 1, 1))[:, None]),
+                (1.0 / np.maximum(slots, 1))[:, None],
+            )
+            probs[~free] = 0.0
+            drawn = np.flatnonzero(slots > 1)
+            draw = np.zeros(count)
+            draw[drawn] = [rngs[i].random() for i in drawn.tolist()]
+            below = draw[:, None] < np.cumsum(probs, axis=1)
+            # no slot reached by rounding: the last free slot, as in sample_path;
+            # a forced step's one free slot is both its first hit and its last
+            last = free.shape[1] - 1 - free[:, ::-1].argmax(axis=1)
+            choice = np.where(below.any(axis=1), below.argmax(axis=1), last)
+            rho[drawn] *= probs[drawn, choice[drawn]]
+            v, e = cand[moving, choice[moving]], cand_edge[moving, choice[moving]]
+            visited[moving, v] = True
+            nodes[moving, step + 1] = v
+            edges[moving, step] = e
+            current[moving] += lengths[e]
+            initial[moving] += self.initial[e]
+            u[moving] = v
+            live[:] = False
+            live[moving] = (v != sink[moving]) & (current[moving] < threshold)
+        feasible = (u == sink) & (initial < threshold)
+        steps = (edges >= 0).sum(axis=1).tolist()
+        return [
+            SampledPath(Path(tuple(ns[: z + 1]), tuple(es[:z]), int(ini), p), r, f)
+            for ns, es, z, ini, p, r, f in zip(
+                nodes.tolist(), edges.tolist(), steps, initial.tolist(), pair.tolist(),
+                rho.tolist(), feasible.tolist(),
+            )
+        ]
+
+
 def estimate_B(instance: QosdInstance, samples: list[SampledPath], x: BudgetVector) -> float:
     """Importance-weighted mean of capped path lengths over the samples."""
     if not samples:
@@ -226,12 +346,14 @@ def greedy_chunk(
     support = PathSupport(
         instance, [sp.path for sp in live], x, [inv / sp.rho for sp in live]
     )
+    chunk = [0] * instance.graph.m
     for _ in range(q):
         edge, amount, _ = support.best_step()
         if edge < 0:
             break
         support.apply(edge, amount)
-    return BudgetVector([a - b for a, b in zip(support.x, x.values)])
+        chunk[edge] += amount
+    return BudgetVector(chunk)
 
 
 def _derived_rng(master: int, round_idx: int, attempt: int, index: int) -> random.Random:
@@ -248,16 +370,18 @@ def run_sa(
 ) -> RunReport:
     """Sampling rounds until separation.
 
-    Each round rebuilds the shortest-path trees under the current budget,
-    draws fresh samples and adds the greedy chunk. A zero chunk escalates
-    by doubling the sample count up to three times, then falls back to one
-    exact step on the round's shortest paths below T (a unit, or the
-    best-ratio chunk across a flat increment), so progress is
-    unconditional. The loop ends only when a sweep under the final budget
-    finds no such path, so the report is feasible. ``threads`` is accepted
-    and ignored: walks are drawn in the caller's thread, each from its own
-    derived seed. ``config`` is checked first, the sample mode before the
-    other knobs.
+    Each round runs one reverse sweep from the sinks under the current
+    budget. Its rows give the walks' shortest-path parents, and the round
+    stops the run when no pair's source is below T from its sink. Otherwise
+    it draws the round's walks together (:class:`_RoundWalker`) and adds the
+    greedy chunk. A zero chunk escalates by doubling the sample count up to
+    three times, then falls back to one exact step on the round's shortest
+    paths below T (a unit, or the best-ratio chunk across a flat increment),
+    so progress is unconditional. The loop ends only when the sweep under
+    the final budget finds no pair below T, so the report is feasible.
+    ``threads`` is accepted and ignored: walks are drawn in the caller's
+    thread, each from its own derived seed. ``config`` is checked first, the
+    sample mode before the other knobs.
     """
     config = config or SaConfig()
     if config.sample_mode not in SAMPLE_MODES:
@@ -283,42 +407,45 @@ def run_sa(
 
     m = instance.graph.m
     x = BudgetVector.zeros(m)
+    walker = _RoundWalker(instance, config.alpha)
+    lengths = walker.initial.copy()  # f_e(x_e), rewritten where a round spends
     rounds = 0
     samples_drawn = 0
     escalations = 0
     fallbacks = 0
-    sinks = sorted({t for _, t in instance.pairs})
     while True:
         deadline.check("sampling round")
-        lengths = edge_lengths(instance, x)
-        paths = potential_paths(instance, x, lengths=lengths)
-        if not paths:
+        rows = distances(instance, lengths, walker.sinks, reverse=True)
+        if not (rows[walker.sink_row, walker.sources] < instance.threshold).any():
             break
-        floats = np.asarray(lengths, dtype=np.float64)
-        rows = distances(instance, floats, sinks, reverse=True)
-        trees = {t: build_sp_tree(instance, x, t, lengths=floats, dist=d) for t, d in zip(sinks, rows)}
         for attempt in range(4):  # base try plus three doublings
             if attempt > 0:
                 escalations += 1
             count = base_count * (2**attempt)
-            samples = [
-                sample_path(instance, x, trees, config.alpha, _derived_rng(config.seed, rounds, attempt, i),
-                            lengths=lengths)
-                for i in range(count)
-            ]
+            samples = walker.walks(
+                lengths, rows, (_derived_rng(config.seed, rounds, attempt, i) for i in range(count))
+            )
             samples_drawn += count
             chunk = greedy_chunk(instance, samples, x, config.q)
             if chunk.norm > 0:
-                x = x.plus(chunk)
+                # a chunk spends only on edges of the feasible samples
+                spent = {e for sp in samples if sp.feasible for e in sp.path.edge_seq}
                 break
         else:
+            paths = potential_paths(instance, x, lengths=lengths)
             edge, amount, _ = PathSupport(instance, paths, x).best_step()
             if edge < 0:
                 raise InfeasibleBoxError(
                     "no unit or chunk improves the current shortest paths"
                 )
-            x = x.plus(BudgetVector.unit(m, edge, amount))
+            chunk, spent = BudgetVector.unit(m, edge, amount), {edge}
             fallbacks += 1
+        values = x.values.copy()
+        for e in spent:
+            if chunk[e]:
+                values[e] += chunk[e]
+                lengths[e] = instance.weights[e].table[values[e]]
+        x = BudgetVector(values)
         rounds += 1
 
     return RunReport(

@@ -1,8 +1,12 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qosd import (
     BudgetVector,
@@ -11,6 +15,7 @@ from qosd import (
     Graph,
     QosdInstance,
     SaConfig,
+    WeightFunction,
     build_sp_tree,
     build_weights,
     estimate_B,
@@ -21,7 +26,8 @@ from qosd import (
     sample_path,
     unseparated_pairs,
 )
-from qosd.sa import SampledPath, _derived_rng
+from qosd.pathcore import distances, edge_lengths
+from qosd.sa import _WALK_BLOCK, SampledPath, _derived_rng, _RoundWalker
 
 from conftest import diamond_instance, single_edge_instance
 
@@ -114,6 +120,82 @@ class TestSamplePath:
             trees = {t: build_sp_tree(inst, x, t) for _, t in inst.pairs}
             total = _walk_tree_mass(inst, x, trees, pair_index, alpha=0.8)
             assert total == pytest.approx(1.0, abs=1e-12)
+
+
+def _assert_round_matches_sample_path(inst, x, alpha, count, seed=0, rng=None):
+    """The batched walker's round equals sample_path walk by walk: same path,
+    feasibility and a rho equal under ==. Walk i draws from ``rng(i)``
+    (``_derived_rng(seed, 3, 1, i)`` when None)."""
+    rng = rng or (lambda i: _derived_rng(seed, 3, 1, i))
+    walker = _RoundWalker(inst, alpha)
+    lengths = np.array(edge_lengths(inst, x), dtype=np.float64)
+    rows = distances(inst, lengths, walker.sinks, reverse=True)
+    batched = walker.walks(lengths, rows, (rng(i) for i in range(count)))
+    assert len(batched) == count
+    trees = {t: build_sp_tree(inst, x, t) for _, t in inst.pairs}
+    for i, got in enumerate(batched):
+        want = sample_path(inst, x, trees, alpha, rng(i))
+        assert got.path == want.path, i
+        assert got.feasible == want.feasible, i
+        assert got.rho == want.rho, i
+    return batched
+
+
+class TestRoundWalker:
+    @pytest.mark.parametrize("alpha", [0.0, 0.8])
+    def test_diamond(self, inst_a, alpha):
+        for x in (BudgetVector.zeros(4), BudgetVector([2, 0, 0, 0]), BudgetVector([2, 0, 2, 0])):
+            _assert_round_matches_sample_path(inst_a, x, alpha, 60)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.8])
+    def test_dead_end(self, alpha):
+        g = Graph(4, [(0, 1), (1, 2), (1, 3)])
+        inst = QosdInstance(g, build_weights(g, "linear", 3), [(0, 2)], 3)
+        walks = _assert_round_matches_sample_path(inst, BudgetVector.zeros(3), alpha, 80)
+        # at alpha 0 the walk never takes its tree parent 2 from node 1
+        assert {sp.feasible for sp in walks} == ({True, False} if alpha else {False})
+
+    def test_rounding_gap_takes_the_last_free_slot(self):
+        # ten uniform slots add up to 1 - 2**-53, so the largest draw passes
+        # every cumulative probability and the walk takes the last slot
+        class TopDraw(random.Random):
+            def random(self):
+                return 1.0 - 2.0**-53
+
+        g = Graph(12, [(0, v) for v in range(1, 11)])
+        inst = QosdInstance(g, build_weights(g, "linear", 3), [(0, 11)], 3)
+        walks = _assert_round_matches_sample_path(
+            inst, BudgetVector.zeros(g.m), 0.8, 3, rng=lambda i: TopDraw(i))
+        assert {sp.path.node_seq for sp in walks} == {(0, 10)}
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.8])
+    def test_er240_nonzero_budget_over_several_blocks(self, alpha):
+        inst = make_er_instance(240, 0.05, 5, 5, "heterogeneous", seed=0)
+        x = BudgetVector([min(1, cap) if e % 3 == 0 else 0 for e, cap in enumerate(inst.box)])
+        assert x.norm > 0
+        walks = _assert_round_matches_sample_path(inst, x, alpha, 2 * _WALK_BLOCK + 37)
+        assert {sp.feasible for sp in walks} == {True, False}
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_small_digraphs(self, data):
+        n = data.draw(st.integers(2, 7))
+        ordered = [(u, v) for u in range(n) for v in range(n) if u != v]
+        # drawn in any order, so edge indices need not follow (src, dst) order
+        edges = data.draw(st.lists(st.sampled_from(ordered), min_size=1, unique=True))
+        weights = []
+        for _ in edges:
+            steps = data.draw(st.lists(st.integers(0, 2), max_size=3))
+            table = [data.draw(st.integers(1, 3))]
+            for step in steps:
+                table.append(table[-1] + step)
+            weights.append(WeightFunction(tuple(table)))
+        pairs = data.draw(st.lists(st.sampled_from(ordered), min_size=1, max_size=3))
+        inst = QosdInstance(Graph(n, edges), weights, pairs, data.draw(st.integers(2, 8)),
+                            validate_box=False)
+        x = BudgetVector([data.draw(st.integers(0, w.cap)) for w in weights])
+        alpha = data.draw(st.sampled_from([0.0, 0.5, 0.8]))
+        _assert_round_matches_sample_path(inst, x, alpha, 40, seed=data.draw(st.integers(0, 99)))
 
 
 def _k4_instance():
@@ -300,3 +382,25 @@ class TestRunSa:
             assert report.feasible
             assert report.budget.within_box(inst.box)
             assert unseparated_pairs(inst, report.budget) == []
+
+    @pytest.mark.parametrize("instance_args, config, rounds, extras, digest", [
+        ((60, 0.1, 5, 10, "linear", 1000), SaConfig(seed=0), 92,
+         {"samples_drawn": 9200, "escalations": 0, "fallbacks": 0},
+         "251041e5601949bbbb9ecf911165d440ac96eb8fd09597b3d31ac8c634ae3bfd"),
+        # flat increments: chunks cross them
+        ((60, 0.1, 10, 5, "concave", 0), SaConfig(seed=0), 156,
+         {"samples_drawn": 15600, "escalations": 0, "fallbacks": 0},
+         "65578b538d52a689dcac1a3acd20e4b1a4573ab3e850838a01da31973521abb4"),
+        # one walk a round: escalations and exact-step fallbacks
+        ((60, 0.1, 5, 10, "linear", 1), SaConfig(seed=1, samples_per_round=1), 110,
+         {"samples_drawn": 512, "escalations": 116, "fallbacks": 6},
+         "3256dac84544bd2e500946155ccacb29e007127a23be7e965fe0fc5f2ce41297"),
+    ])
+    def test_pinned_outputs(self, instance_args, config, rounds, extras, digest):
+        # the budget vectors of the per-walk implementation; a faster sampler must keep them
+        n, rho, threshold, k, model, seed = instance_args
+        report = run_sa(make_er_instance(n, rho, threshold, k, model, seed=seed), config)
+        assert report.outer_iterations == rounds
+        assert {key: report.extras[key] for key in extras} == extras
+        values = ",".join(map(str, report.budget.values)).encode()
+        assert hashlib.sha256(values).hexdigest() == digest
