@@ -5,7 +5,6 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .errors import InfeasibleBoxError
 from .instance import QosdInstance
 from .pathcore import BudgetVector, Path, PathSupport
 from .report import Deadline
@@ -17,21 +16,14 @@ def block_adaptive(
     *,
     trace: list | None = None,
     deadline: Deadline | float | None = None,
+    support: PathSupport | None = None,
 ) -> BudgetVector:
     """Blocks every candidate path by repeatedly adding the best-ratio chunk
     (:meth:`PathSupport.best_chunk` holds the exact ratio and tie rules; with
     concave or linear tables the run matches the greedy blocker bit for bit).
+    ``support``, when given, is a zero-budget support of ``paths`` to start
+    from (:meth:`PathSupport.block` leaves its x as it is).
     """
-    deadline = Deadline.ensure(deadline)
-    support = PathSupport(instance, paths)
-    while support.gap > 0:
-        deadline.check("adaptive trading")
-        edge, amount, gain = support.best_chunk()
-        if edge < 0:
-            raise InfeasibleBoxError(
-                "no chunk improves D while paths remain below T"
-            )
-        support.apply(edge, amount)
-        if trace is not None:
-            trace.append((edge, amount, gain))
-    return BudgetVector(support.x)
+    if support is None:
+        support = PathSupport(instance, paths)
+    return support.block(PathSupport.best_chunk, Deadline.ensure(deadline), "adaptive trading", trace)

@@ -3,18 +3,20 @@ iteration, LR's constraint generation and the exact oracle.
 
 Each round separates: it finds every pair's path still below T under the
 current solution. The round adds those paths to the candidate set and
-re-solves on the whole set (IG and AT re-block it from zero), until no
-pair has a path below T.
+re-solves on the whole set (IG and AT re-block it from zero, from one
+zero-budget support extended by each round's new paths), until no pair
+has a path below T.
 """
 
 from __future__ import annotations
 
 import time
+from itertools import islice
 from typing import Callable, TypeVar
 
 from .errors import IterationLimitError, StallError
 from .instance import QosdInstance
-from .pathcore import BudgetVector, CandidateSet, Path, pair_shortest_paths
+from .pathcore import BudgetVector, CandidateSet, Path, PathSupport, pair_shortest_paths
 from .report import Deadline, RunReport
 
 Blocker = Callable[..., BudgetVector]
@@ -88,10 +90,12 @@ def run_iterative(
     from .ig import block_greedy
 
     named: dict[str, Blocker] = {"ig": block_greedy, "at": block_adaptive}
+    kept = {}  # a named blocker's zero-budget support, extended by each round's new paths
     if callable(blocker):
         blocker_fn, name = blocker, getattr(blocker, "__name__", "custom")
     elif isinstance(blocker, str) and blocker in named:
         blocker_fn, name = named[blocker], blocker
+        kept["support"] = PathSupport(instance, ())
     else:
         raise ValueError(f"unknown blocker {blocker!r}")
 
@@ -102,7 +106,9 @@ def run_iterative(
     def block(candidates: CandidateSet) -> BudgetVector:
         nonlocal inner
         trace: list = []
-        x = blocker_fn(instance, candidates, trace=trace, deadline=deadline)
+        if kept:  # the candidate set only grows, in insertion order
+            kept["support"].extend(islice(candidates, len(kept["support"].lengths), None))
+        x = blocker_fn(instance, candidates, trace=trace, deadline=deadline, **kept)
         inner += len(trace)
         return x
 

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .errors import InfeasibleBoxError
 from .instance import QosdInstance
 from .pathcore import BudgetVector, Path, PathSupport
 from .report import Deadline
@@ -17,6 +16,7 @@ def block_greedy(
     *,
     trace: list | None = None,
     deadline: Deadline | float | None = None,
+    support: PathSupport | None = None,
 ) -> BudgetVector:
     """Smallest-first greedy: add argmax-gain unit increments until every
     path in ``paths`` reaches the threshold.
@@ -26,18 +26,9 @@ def block_greedy(
     increments leave no unit with positive gain, the step is the best-ratio
     chunk instead (:meth:`PathSupport.best_step`); ``InfeasibleBoxError``
     only when no chunk has positive gain either while some path is still
-    below T.
+    below T. ``support``, when given, is a zero-budget support of ``paths``
+    to start from (:meth:`PathSupport.block` leaves its x as it is).
     """
-    deadline = Deadline.ensure(deadline)
-    support = PathSupport(instance, paths)
-    while support.gap > 0:
-        deadline.check("greedy blocking")
-        edge, amount, gain = support.best_step()
-        if edge < 0:
-            raise InfeasibleBoxError(
-                "no unit or chunk improves D while paths remain below T"
-            )
-        support.apply(edge, amount)
-        if trace is not None:
-            trace.append((edge, amount, gain))
-    return BudgetVector(support.x)
+    if support is None:
+        support = PathSupport(instance, paths)
+    return support.block(PathSupport.best_step, Deadline.ensure(deadline), "greedy blocking", trace)

@@ -18,13 +18,20 @@ support and capped-gain scan live: IG's unit steps, AT's best-ratio
 chunks, SA's estimator-weighted chunk and IG's and SA's exact steps
 (:meth:`PathSupport.best_step`) all pick their increments from it. It
 caches each edge's best unit and chunk; after a step it rescans only the
-stepped edge and the edges of the paths below T that the step lengthened.
+stepped edge and the edges of the paths below T that the step lengthened,
+and a pick reads the top of a lazy heap of the changed entries rather
+than walking every edge. IG and AT keep one zero-budget support across
+their outer rounds, extend it by each round's new paths (rescanning only
+their edges) and block each round on a copy.
 """
 
 from __future__ import annotations
 
+import copy
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from itertools import accumulate
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -32,7 +39,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra as csgraph_dijkstra
 
-from .errors import QosdError
+from .errors import InfeasibleBoxError, QosdError
 
 if TYPE_CHECKING:
     from .instance import Graph, QosdInstance
@@ -266,17 +273,21 @@ class PathSupport:
 
     ``x`` starts as a copy of the given vector (zeros when None),
     ``lengths[i]`` is path i's length under x, ``support`` maps each edge to
-    the indices of the paths using it (``edges`` is its sorted key list) and
-    ``gap`` = sum(T - min(T, length)) = |P| * T - D, which is 0 exactly when
-    x blocks every path.
+    the indices of the paths using it and ``gap`` = sum(T - min(T, length))
+    = |P| * T - D, which is 0 exactly when x blocks every path. A caller can
+    keep one support at x = 0, :meth:`extend` it as its path set grows and
+    block each round on a :meth:`copy`, which shares nothing it mutates.
 
     Each edge's best unit gain and best chunk are cached, and each cache
     rescans only its dirty edges. An edge's entry reads only its own x and
     table and the shortfalls of its paths, and :meth:`apply` on e changes
     only x[e] and the lengths of e's paths. A path already at T or above
     keeps a shortfall of 0, so ``apply`` dirties e and the edges of e's
-    paths that were below T (none more when the step adds no length). Every
-    other entry is what a full rescan would compute, for any table.
+    paths that were below T (none more when the step adds no length), and
+    ``extend`` the edges of the new paths. Every other entry is what a full
+    rescan would compute, for any table. A rescan that changes an entry
+    pushes it onto a lazy heap whose least key is the pick; a pick pops the
+    tops that no longer match their edge's entry and reads the next one.
     """
 
     def __init__(
@@ -290,31 +301,68 @@ class PathSupport:
         self.weights = instance.weights
         self.box = instance.box
         self.x = [0] * instance.graph.m if x is None else list(x)
-        weights, xv = self.weights, self.x
-        self.path_edges = [p.edge_seq for p in paths]
-        self.lengths = [sum(weights[e].table[xv[e]] for e in seq) for seq in self.path_edges]
-        self.path_weight = [1] * len(self.path_edges) if path_weight is None else list(path_weight)
-        support: dict[int, list[int]] = {}
-        for pi, seq in enumerate(self.path_edges):
-            for e in seq:
-                support.setdefault(e, []).append(pi)
-        self.support = support
-        self.edges = sorted(support)
-        self.gap = sum(self.threshold - min(self.threshold, ln) for ln in self.lengths)
-        # per-edge caches, in edge order
-        self._unit_gains = dict.fromkeys(self.edges, 0)
-        self._chunks = dict.fromkeys(self.edges, (0, 0))
-        self._unit_dirty = set(self.edges)
-        self._chunk_dirty = set(self.edges)
+        self.path_edges, self.lengths, self.path_weight = [], [], []
+        self.support: dict[int, tuple[int, ...]] = {}
+        self.gap = 0
+        # per-edge caches, their lazy heaps and their dirty edges
+        self._unit_gains, self._chunks, self._unit_heap, self._chunk_heap = {}, {}, [], []
+        self._unit_dirty, self._chunk_dirty = set(), set()
+        self._ratio_scale = 0  # lcm(1..max box), set by the first chunk pick
+        self.extend(paths)
+        if path_weight is not None:
+            self.path_weight = list(path_weight)
+
+    def extend(self, paths: Iterable[Path]) -> None:
+        """Add ``paths`` with weight 1; only their edges become dirty."""
+        threshold, weights, xv, support = self.threshold, self.weights, self.x, self.support
+        dirty = set()
+        for p in paths:
+            ln = sum(weights[e].table[xv[e]] for e in p.edge_seq)
+            self.gap += threshold - min(threshold, ln)
+            for e in p.edge_seq:
+                # a new tuple, so a copy may share the old one
+                support[e] = support.get(e, ()) + (len(self.lengths),)
+            self.path_edges.append(p.edge_seq)
+            self.lengths.append(ln)
+            self.path_weight.append(1)
+            dirty.update(p.edge_seq)
+        for e in dirty - self._unit_gains.keys():
+            self._unit_gains[e], self._chunks[e] = 0, (0, 0)
+        self._unit_dirty |= dirty
+        self._chunk_dirty |= dirty
+
+    def copy(self) -> "PathSupport":
+        twin = copy.copy(self)
+        for name in ("x", "path_edges", "lengths", "path_weight", "support", "_unit_gains",
+                     "_chunks", "_unit_heap", "_chunk_heap", "_unit_dirty", "_chunk_dirty"):
+            setattr(twin, name, getattr(self, name).copy())
+        return twin
+
+    @staticmethod
+    def _top(heap: list, pushed: list, cache: dict) -> tuple | None:
+        """Add ``pushed`` to ``heap`` (heapified when empty) and pop stale tops;
+        entries end with (edge, cache value). An entry that matches its edge
+        is never popped, so an unchanged rescan need not push it again."""
+        if heap:
+            for entry in pushed:
+                heappush(heap, entry)
+        else:
+            heap[:] = pushed
+            heapify(heap)
+        while heap and cache[heap[0][-2]] != heap[0][-1]:
+            heappop(heap)
+        return heap[0] if heap else None
 
     def best_unit(self) -> tuple[int, float]:
         """The unit increment with the largest gain: the sum, over the edge's
         paths still below T, of the capped length increase times the path's
         weight (1 when no ``path_weight`` was given). Ties go to the lowest
-        edge; ``(-1, 0)`` when no unit has positive gain."""
+        edge (heap key ``(-gain, edge)``); ``(-1, 0)`` when no unit has
+        positive gain."""
         threshold, lengths, path_weight = self.threshold, self.lengths, self.path_weight
         weights, box, x, support = self.weights, self.box, self.x, self.support
         gains = self._unit_gains
+        pushed = []
         for e in self._unit_dirty:
             xe = x[e]
             delta = weights[e].table[xe + 1] - weights[e].table[xe] if xe < box[e] else 0
@@ -324,23 +372,26 @@ class PathSupport:
                     short = threshold - lengths[pi]
                     if short > 0:
                         gain += (short if delta > short else delta) * path_weight[pi]
-            gains[e] = gain
+            if gain != gains[e]:
+                gains[e] = gain
+                if gain > 0:
+                    pushed.append((-gain, e, gain))
         self._unit_dirty.clear()
-        values = list(gains.values())
-        best_gain = max(values, default=0)
-        if best_gain > 0:
-            return self.edges[values.index(best_gain)], best_gain
-        return -1, 0
+        top = self._top(self._unit_heap, pushed, gains)
+        return top[1:] if top else (-1, 0)
 
     def best_chunk(self) -> tuple[int, int, int]:
         """The ``(edge, amount, gain)`` chunk with the best gain-per-unit ratio
         over every spendable amount; ``(-1, 0, 0)`` when none has positive gain.
 
-        Gains are unweighted (``path_weight`` does not apply), and ratios are
-        compared by integer cross-multiplication. Per edge the smallest of
-        equal-ratio amounts is kept, so with concave or linear tables this is
+        Gains are unweighted (``path_weight`` does not apply). Per edge the
+        smallest of equal-ratio amounts is kept (ratios compared by integer
+        cross-multiplication), so with concave or linear tables this is
         :meth:`best_unit`'s step; across edges ties go to the higher gain,
-        then the smaller amount, then the lower edge.
+        then the smaller amount, then the lower edge. That order is the heap
+        key ``(-(gain * L // amount), -gain, amount, edge)`` with
+        L = lcm(1..max box): every amount divides L, so the first field is
+        the ratio scaled by L, exactly.
 
         Per edge, with the positive shortfalls sorted and ``pre`` their prefix
         sums, amount z with delta = table[x + z] - table[x] gains
@@ -353,6 +404,10 @@ class PathSupport:
         threshold, lengths = self.threshold, self.lengths
         weights, box, x, support = self.weights, self.box, self.x, self.support
         chunks = self._chunks
+        if not self._ratio_scale:
+            self._ratio_scale = math.lcm(*range(1, max(box, default=0) + 1))
+        scale = self._ratio_scale
+        pushed = []
         for e in self._chunk_dirty:
             xe = x[e]
             shorts = sorted(s for s in (threshold - lengths[pi] for pi in support[e]) if s > 0)
@@ -376,21 +431,14 @@ class PathSupport:
                         edge_z = z
                     if delta >= top:
                         break
-            chunks[e] = (edge_z, edge_gain)
+            entry = (edge_z, edge_gain)
+            if entry != chunks[e]:
+                chunks[e] = entry
+                if edge_z:
+                    pushed.append((-(edge_gain * scale // edge_z), -edge_gain, edge_z, e, entry))
         self._chunk_dirty.clear()
-        best_edge, best_amount, best_gain = -1, 0, 0
-        for e, (edge_z, edge_gain) in chunks.items():
-            if edge_z == 0:
-                continue
-            # a first candidate always wins: both products are 0 and its gain is >= 1
-            lhs = edge_gain * best_amount
-            rhs = best_gain * edge_z
-            if lhs > rhs or (
-                lhs == rhs
-                and (edge_gain > best_gain or (edge_gain == best_gain and edge_z < best_amount))
-            ):
-                best_edge, best_amount, best_gain = e, edge_z, edge_gain
-        return best_edge, best_amount, best_gain
+        top = self._top(self._chunk_heap, pushed, chunks)
+        return (top[3], *top[4]) if top else (-1, 0, 0)
 
     def best_step(self) -> tuple[int, int, float]:
         """:meth:`best_unit`'s ``(edge, 1, gain)``, or :meth:`best_chunk`'s
@@ -398,6 +446,24 @@ class PathSupport:
         with positive gain; ``(-1, 0, 0)`` when neither has one."""
         edge, gain = self.best_unit()
         return (edge, 1, gain) if edge >= 0 else self.best_chunk()
+
+    def block(self, pick, deadline, what: str, trace: list | None = None) -> BudgetVector:
+        """x after applying ``pick``'s steps (:meth:`best_step` or
+        :meth:`best_chunk`) on a copy until every path reaches T, each
+        after ``deadline.check(what)`` and appended to ``trace``;
+        ``InfeasibleBoxError`` when none has positive gain before then."""
+        support = self
+        while support.gap > 0:
+            deadline.check(what)
+            edge, amount, gain = pick(support)
+            if edge < 0:
+                raise InfeasibleBoxError(f"{what}: no step improves D while paths remain below T")
+            if support is self:
+                support = self.copy()
+            support.apply(edge, amount)
+            if trace is not None:
+                trace.append((edge, amount, gain))
+        return BudgetVector(support.x)
 
     def apply(self, edge: int, amount: int) -> None:
         """Add ``amount`` units on ``edge``; ``gap`` drops by the unweighted

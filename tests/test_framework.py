@@ -7,7 +7,10 @@ from qosd import (
     SolverTimeout,
     StallError,
     WeightFunction,
+    block_adaptive,
+    block_greedy,
     constraint_generation,
+    make_er_instance,
     oracle_opt,
     potential_paths,
     run_iterative,
@@ -87,6 +90,24 @@ class TestRunIterative:
         assert unseparated_pairs(inst, report.budget) == []
         assert report.budget.within_box(inst.box)
         assert report.extras["candidate_paths"] >= report.outer_iterations
+
+    @pytest.mark.parametrize("name, blocker", [("at", block_adaptive), ("ig", block_greedy)])
+    @pytest.mark.parametrize("args", [
+        (240, 0.05, 5, 5, "heterogeneous", 0),
+        (240, 0.05, 5, 5, "heterogeneous", 1),
+        (240, 0.05, 5, 5, "heterogeneous", 2),
+        (60, 0.1, 10, 5, "concave", 0),  # flat steps: IG crosses them by chunks
+    ], ids=["er240-0", "er240-1", "er240-2", "er60-concave"])
+    def test_reused_support_keeps_the_output(self, name, blocker, args):
+        # a named blocker starts each round from the kept zero-budget support;
+        # the same function passed as a callable builds its support from scratch
+        *shape, seed = args
+        inst = make_er_instance(*shape, seed=seed)
+        reused, fresh = run_iterative(inst, name), run_iterative(inst, blocker)
+        assert reused.budget == fresh.budget
+        assert reused.outer_iterations == fresh.outer_iterations
+        assert reused.inner_iterations == fresh.inner_iterations
+        assert reused.extras["candidate_paths"] == fresh.extras["candidate_paths"]
 
     def test_threads_do_not_change_result(self, inst_a):
         a = run_iterative(inst_a, "ig", threads=1)

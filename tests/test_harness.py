@@ -329,6 +329,23 @@ class TestCli:
         assert main(["validate", "--instance", str(inst_file), "--vector", str(vec_file)]) == 2
         assert "feasible=false (vector exceeds the box)" in capsys.readouterr().out
 
+    def test_instance_directory_exits_1(self, tmp_path, capsys):
+        vec_file = tmp_path / "x.txt"
+        vec_file.write_text("qosd-vector v1\n1\n0\n")
+        assert main(["validate", "--instance", str(tmp_path), "--vector", str(vec_file)]) == 1
+        assert capsys.readouterr().err.startswith("invalid input: ")
+
+    def test_gen_output_directory_exits_1(self, tmp_path, capsys):
+        assert main(["gen", "--n", "8", "--rho", "0.3", "--threshold", "3",
+                     "--pairs", "2", "--output", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("invalid input: ")
+
+    def test_binary_instance_exits_1(self, tmp_path, capsys):
+        inst_file = tmp_path / "inst.bin"
+        inst_file.write_bytes(b"\xff\xfe\x00\x81qosd")
+        assert main(["solve", "--instance", str(inst_file), "--algorithm", "ig"]) == 1
+        assert capsys.readouterr().err.startswith("invalid input: ")
+
     def test_threads_option_removed(self, tmp_path):
         edges_file = tmp_path / "edges.txt"
         edges_file.write_text("0 1\n1 3\n0 2\n2 3\n")

@@ -439,6 +439,21 @@ def _brute_best_chunk(inst, paths, x):
     return best
 
 
+def _check_support(inst, support, paths, path_weight):
+    """Asserts the support's state and both picks against the brute force;
+    returns the step the brute-force tests take next, ``step`` alternating
+    unit steps with AT's chunks so ``apply`` also sees amounts > 1, and
+    taking chunks once flat unit steps leave no unit gain."""
+    x = BudgetVector(support.x)
+    assert support.lengths == [sum(inst.weights[e].table[x[e]] for e in p.edge_seq) for p in paths]
+    assert support.gap == len(paths) * inst.threshold - d_value(inst, paths, x)
+    edge, gain = support.best_unit()
+    assert (edge, gain) == _brute_best_unit(inst, paths, x, path_weight)
+    chunk = support.best_chunk()
+    assert chunk == _brute_best_chunk(inst, paths, x)
+    return lambda step: chunk[:2] if step % 2 or edge < 0 else (edge, 1)
+
+
 @pytest.mark.parametrize(
     "weighted, max_cap",
     [(False, 3), (True, 3), (False, 8), (True, 8)],
@@ -453,23 +468,83 @@ def test_path_support_matches_brute_force(weighted, max_cap, seed):
     # quarter weights are exact in binary and still tie
     path_weight = [rng.randint(1, 12) / 4 for _ in paths] if weighted else None
     support = PathSupport(inst, paths, x, path_weight)
-    threshold = inst.threshold
     step = 0
     while True:
-        x = BudgetVector(support.x)
-        assert support.lengths == [sum(inst.weights[e].table[x[e]] for e in p.edge_seq) for p in paths]
-        assert support.gap == len(paths) * threshold - d_value(inst, paths, x)
-        edge, gain = support.best_unit()
-        assert (edge, gain) == _brute_best_unit(inst, paths, x, path_weight)
-        chunk = support.best_chunk()
-        assert chunk == _brute_best_chunk(inst, paths, x)
-        # alternate unit steps with AT's chunks so apply also sees amounts > 1,
-        # and take chunks once flat unit steps leave no unit gain
-        if step % 2 or edge < 0:
-            edge, amount, _ = chunk
-        else:
-            amount = 1
+        edge, amount = _check_support(inst, support, paths, path_weight)(step)
         if edge < 0:
             break
         support.apply(edge, amount)
         step += 1
+
+
+def _run_to_end(inst, support, paths, path_weight, step=0):
+    while True:
+        edge, amount = _check_support(inst, support, paths, path_weight)(step)
+        if edge < 0:
+            return
+        support.apply(edge, amount)
+        step += 1
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 10_000))
+def test_path_support_extend_and_copy_match_brute_force(weighted, seed):
+    # paths join in the middle of a run, then a copy runs (and grows) to the
+    # end while the original stands still; both keep matching the brute force
+    inst, x = _shuffled_instance(seed, 8)
+    rng = random.Random(seed)
+    paths = _random_paths(inst, rng)
+    path_weight = [rng.randint(1, 12) / 4 for _ in paths] if weighted else None
+    support = PathSupport(inst, paths, x, path_weight)
+    for step in range(2):
+        edge, amount = _check_support(inst, support, paths, path_weight)(step)
+        if edge >= 0:
+            support.apply(edge, amount)
+    more = _random_paths(inst, rng)
+    support.extend(more)
+    paths = paths + more
+    if weighted:
+        path_weight += [1] * len(more)
+    _check_support(inst, support, paths, path_weight)
+    x_before = list(support.x)
+
+    twin = support.copy()
+    edge, amount = _check_support(inst, twin, paths, path_weight)(0)
+    if edge >= 0:
+        twin.apply(edge, amount)
+    late = _random_paths(inst, rng)
+    twin.extend(late)
+    twin_weight = path_weight + [1] * len(late) if weighted else None
+    _run_to_end(inst, twin, paths + late, twin_weight, 1)
+
+    assert support.x == x_before
+    _run_to_end(inst, support, paths, path_weight)
+
+
+def test_path_support_breaks_cross_edge_ties():
+    # one path per edge, each 5 below T; chunks (amount, gain) are (1, 2) on
+    # edges 0 and 3 and (2, 4) on edges 1 and 2 (its first unit gains 1): all
+    # ratios are 2, so the higher gain goes first, and equal chunks (equal
+    # ratio and gain force an equal amount) go to the lower edge. Edges 4 and
+    # 5 hold (7, 2) and (3, 1) behind flat steps: close ratios, 2/7 < 1/3
+    tables = [(1, 3), (1, 2, 5), (1, 2, 5), (1, 3), (1,) * 7 + (3,), (1, 1, 1, 2)]
+    graph = Graph(12, [(2 * i, 2 * i + 1) for i in range(6)])
+    inst = QosdInstance(graph, [WeightFunction(t) for t in tables],
+                        [(2 * i, 2 * i + 1) for i in range(6)], 6, validate_box=False)
+    paths = [Path((2 * i, 2 * i + 1), (i,), 1, i) for i in range(6)]
+    support = PathSupport(inst, paths)
+    picks = []
+    while (chunk := support.best_chunk())[0] >= 0:
+        assert chunk == _brute_best_chunk(inst, paths, BudgetVector(support.x))
+        picks.append(chunk)
+        support.apply(*chunk[:2])
+    assert picks == [(1, 2, 4), (2, 2, 4), (0, 1, 2), (3, 1, 2), (5, 3, 1), (4, 7, 2)]
+    # units: edges 0 and 3 gain 2, edges 1 and 2 gain 1, then 3 after their first
+    support = PathSupport(inst, paths)
+    units = []
+    while (unit := support.best_unit())[0] >= 0:
+        assert unit == _brute_best_unit(inst, paths, BudgetVector(support.x), None)
+        units.append(unit)
+        support.apply(unit[0], 1)
+    assert units == [(0, 2), (3, 2), (1, 1), (1, 3), (2, 1), (2, 3)]
