@@ -36,7 +36,7 @@ from .instance import (
     sample_pairs,
     save_instance,
 )
-from .lr import LpSolution, constraint_generation, eta, path_rows, round_solution, run_lr, solve_lp
+from .lr import LpSolution, constraint_generation, eta, round_solution, run_lr, solve_lp
 from .pathcore import (
     BudgetVector,
     CandidateSet,

@@ -11,13 +11,10 @@ import math
 import time
 from typing import Iterable
 
-import numpy as np
-from scipy import sparse
-
 from .errors import InfeasibleBoxError
 from .framework import _generate, potential_paths
 from .instance import QosdInstance
-from .lr import _solve_highs, path_rows
+from .lr import _PathRows, _solve_highs
 from .pathcore import BudgetVector, Path
 from .report import Deadline, RunReport
 
@@ -55,17 +52,7 @@ def run_cc(
         best = min(counts, key=lambda e: (-counts[e], e))
         x[best] = box[best]
         rounds += 1
-    vec = BudgetVector(x)
-    return RunReport(
-        algorithm="cc",
-        budget=vec,
-        norm=vec.norm,
-        outer_iterations=rounds,
-        inner_iterations=rounds,
-        wall_time=time.perf_counter() - start,
-        feasible=True,
-        seed=seed,
-    )
+    return RunReport.finish("cc", BudgetVector(x), start, rounds, rounds, seed=seed)
 
 
 def min_budget_to_block(instance: QosdInstance, paths: Iterable[Path]) -> BudgetVector:
@@ -73,36 +60,46 @@ def min_budget_to_block(instance: QosdInstance, paths: Iterable[Path]) -> Budget
     reaches T, by one MILP solve.
 
     Binary z_{e,i} = [x_e >= i] for i = 1..cap_e on the paths' edges, with
-    cost 1 and length coefficient f_e(i) - f_e(i-1); the ordering rows
-    z_{e,i} >= z_{e,i+1} make the path length sum f_e(0) + coeff * z equal
-    f_e(x_e) for every nondecreasing table.
+    cost 1 and length coefficient f_e(i) - f_e(i-1) on the rows of
+    :class:`lr._PathRows`; the ordering rows z_{e,i} - z_{e,i+1} >= 0 make
+    the path length sum f_e(0) + coeff * z equal f_e(x_e) for every
+    nondecreasing table.
     """
-    paths = list(paths)
+    rows = _PathRows(instance)
+    rows.extend(list(paths))
     box = instance.box
-    columns: dict[int, list[tuple[int, int]]] = {}
-    order = []
-    width = 0
-    for e in sorted({e for p in paths for e in p.edge_seq}):
-        table = instance.weights[e].table
-        columns[e] = [(width + i - 1, table[i] - table[i - 1]) for i in range(1, box[e] + 1)]
-        order.extend(range(width, width + box[e] - 1))
-        width += box[e]
     x = [0] * instance.graph.m
-    rows = path_rows(instance, paths, columns, width)
-    if rows is None:
+    if not rows.need:
         return BudgetVector(x)
+    # milp's form need <= A z, path rows first, then the ordering rows in
+    # column order: the form decides which optimum HiGHS returns
+    start, index, value = [0], [], []
+    ordering = len(rows.need)  # the next ordering row
+    for e in rows.support:
+        table = instance.weights[e].table
+        for i in range(1, box[e] + 1):
+            if table[i] != table[i - 1]:
+                index += rows.rows[e]
+                value += [float(table[i] - table[i - 1])] * len(rows.rows[e])
+            if i > 1:
+                index.append(ordering - 1)
+                value.append(-1.0)
+            if i < box[e]:
+                index.append(ordering)
+                value.append(1.0)
+                ordering += 1
+            start.append(len(index))
+    width = len(start) - 1
     if width == 0:
         raise InfeasibleBoxError("no edge of a short path has budget to spend")
-    A, need = rows
-    # row j of I - shift is z_j - z_{j+1}; keep those within one edge
-    ordering = (sparse.eye_array(width) - sparse.eye_array(width, k=1)).tocsr()[order]
-    # milp's form need <= A z, as the form decides which optimum HiGHS returns
-    lower = np.concatenate([need, np.zeros(len(order))])
-    upper = np.full(len(lower), np.inf)
-    model = sparse.vstack([A, ordering]).tocsc()
-    z, _ = _solve_highs((model.indptr, model.indices, model.data), lower, upper, [1.0] * width, integral=True)
-    for e, terms in columns.items():
-        x[e] = round(sum(z[j] for j, _ in terms))
+    z, _ = _solve_highs(
+        (start, index, value), rows.need + [0.0] * (ordering - len(rows.need)),
+        [math.inf] * ordering, [1.0] * width, integral=True,
+    )
+    j = 0
+    for e in rows.support:
+        x[e] = round(sum(z[j:j + box[e]]))
+        j += box[e]
     return BudgetVector(x)
 
 
@@ -116,13 +113,4 @@ def oracle_opt(instance: QosdInstance, *, deadline: Deadline | float | None = No
         lambda paths: min_budget_to_block(instance, paths),
         deadline=Deadline.ensure(deadline), cap=math.inf, what="oracle",
     )
-    return RunReport(
-        algorithm="oracle",
-        budget=x,
-        norm=x.norm,
-        outer_iterations=rounds,
-        inner_iterations=rounds,
-        wall_time=time.perf_counter() - start,
-        feasible=True,
-        extras={"constraint_paths": len(active)},
-    )
+    return RunReport.finish("oracle", x, start, rounds, rounds, constraint_paths=len(active))

@@ -52,6 +52,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown source {self.source!r}")
         if self.source == "file" and not self.instance_file:
             raise ConfigError("source=file needs instance_file")
+        if not self.thresholds or not self.algorithms:
+            raise ConfigError("T and algorithms must each list at least one value")
         for alg in self.algorithms:
             if alg not in ALGORITHMS:
                 raise ConfigError(f"unknown algorithm {alg!r}")
@@ -147,18 +149,19 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
     separation check. Every ``QosdError`` a solver raises becomes a per-row
     error (``timeout``, ``nonlinear-weights``, else ``"<Class>: <msg>"``),
     never a batch failure; a failed oracle gets its own error row and the
-    other algorithms run without ``opt``.
+    other algorithms run without ``opt``. A row's T and k are those of the
+    instance it solved: for ``source = file``, the file's, whatever T lists.
     """
     rows: list[dict] = []
+    model = config.model if config.source == "er" else "file"
     for threshold in config.thresholds:
         for repetition in range(config.repetitions):
             try:
                 instance = _build_instance(config, threshold, repetition)
             except QosdError as exc:
                 for alg in config.algorithms:
-                    rows.append(_error_row(config, alg, threshold, 0, f"instance: {exc}"))
+                    rows.append(_error_row(config, alg, model, threshold, config.k, 0, f"instance: {exc}"))
                 continue
-            model = config.model if config.source == "er" else "file"
             oracle = (
                 _attempt(instance, "oracle", deadline=Deadline(config.time_limit))
                 if "oracle" in config.algorithms
@@ -173,7 +176,7 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
                     report = _attempt(instance, alg, seed=seed, deadline=Deadline(config.time_limit),
                                       sa=config.sa)
                 if isinstance(report, str):
-                    rows.append(_error_row(config, alg, threshold, seed, report, model))
+                    rows.append(_error_row(config, alg, model, instance.threshold, instance.k, seed, report))
                     continue
                 verified = not unseparated_pairs(instance, report.budget)
                 extras = dict(report.extras)
@@ -186,7 +189,7 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
                         "n": instance.graph.n,
                         "m": instance.graph.m,
                         "model": model,
-                        "T": threshold,
+                        "T": instance.threshold,
                         "k": instance.k,
                         "seed": report.seed if report.seed is not None else seed,
                         "norm": report.norm,
@@ -212,11 +215,11 @@ def _attempt(instance: QosdInstance, algorithm: str, **knobs) -> RunReport | str
         return f"{type(exc).__name__}: {exc}"
 
 
-def _error_row(config, alg, threshold, seed, message, model=None) -> dict:
+def _error_row(config, alg, model, threshold, k, seed, message) -> dict:
     row = dict.fromkeys(CSV_COLUMNS, "")
     row.update(
         algorithm=alg, n=config.er_n if config.source == "er" else "",
-        model=model or config.model, T=threshold, k=config.k, seed=seed,
+        model=model, T=threshold, k=k, seed=seed,
         feasible="false", extras=json.dumps({"error": message}),
     )
     return row

@@ -116,14 +116,4 @@ def run_iterative(
         instance, BudgetVector.zeros(instance.graph.m), lambda x: potential_paths(instance, x), block,
         deadline=deadline, cap=iteration_cap, what=name,
     )
-    return RunReport(
-        algorithm=name,
-        budget=x,
-        norm=x.norm,
-        outer_iterations=outer,
-        inner_iterations=inner,
-        wall_time=time.perf_counter() - start,
-        feasible=True,
-        seed=seed,
-        extras={"candidate_paths": len(candidates)},
-    )
+    return RunReport.finish(name, x, start, outer, inner, seed=seed, candidate_paths=len(candidates))

@@ -1,11 +1,11 @@
 """LP relaxation with lazy constraint generation and randomized rounding,
 for instances whose weight tables are affine in the budget.
 
-Constraint generation caches each path's LP row once, when the path enters
-the candidate set (:class:`_LpRows`), and hands each round's LP to HiGHS
-column-wise from that cache. :func:`path_rows` builds the rows of the exact
-oracle's integer program (:func:`baselines.min_budget_to_block`), and
-:func:`_solve_highs` solves both models."""
+Constraint generation caches each path's covering row once, when the path
+enters the candidate set (:class:`_PathRows`), and hands each round's LP to
+HiGHS column-wise from that cache. The exact oracle's integer program
+(:func:`baselines.min_budget_to_block`) builds its columns from the same
+cache, and :func:`_solve_highs` solves both models."""
 
 from __future__ import annotations
 
@@ -15,10 +15,9 @@ import time
 from bisect import insort
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
-from scipy import sparse
 # scipy's private HiGHS binding: tests/test_lr.py checks it against linprog and milp
 from scipy.optimize._highspy import _core as highs
 
@@ -43,38 +42,6 @@ class LpSolution:
     objective: float
     constraint_paths: CandidateSet
     rounds: int = 0
-
-
-def path_rows(
-    instance: QosdInstance,
-    paths: Iterable[Path],
-    columns: Mapping[int, Sequence[tuple[int, float]]],
-    width: int,
-) -> tuple[sparse.csr_array, np.ndarray] | None:
-    """Sparse rows ``A`` and right-hand sides ``need`` of ``A y >= need``, one
-    per path that is still short at zero budget.
-
-    ``need = T - sum_{e in p} f_e(0)``; row entry j sums the coefficients of
-    the ``(column, coefficient)`` terms ``columns[e]`` over the path's edges
-    (sums of 0 are not stored). Paths that already reach T get no row; None
-    when none is left. The oracle's model is built from these rows; LR's LP
-    caches the same rows per path instead (:class:`_LpRows`).
-    """
-    row_index, col_index, data, need = [], [], [], []
-    for p in paths:
-        gap = instance.threshold - sum(instance.weights[e].table[0] for e in p.edge_seq)
-        if gap <= 0:
-            continue
-        terms = [term for e in p.edge_seq for term in columns[e]]
-        row_index += [len(need)] * len(terms)
-        col_index += [j for j, _ in terms]
-        data += [coeff for _, coeff in terms]
-        need.append(gap)
-    if not need:
-        return None
-    A = sparse.csr_array((np.array(data, dtype=float), (row_index, col_index)), shape=(len(need), width))
-    A.eliminate_zeros()
-    return A, np.array(need, dtype=float)
 
 
 def _highs_options(integral: bool) -> highs.HighsOptions:
@@ -128,73 +95,70 @@ def _solve_highs(
     return np.array(solver.getSolution().col_value), solver.getInfo().objective_function_value
 
 
-class _LpRows:
-    """The LP's rows over a growing candidate set, cached as paths enter it.
+class _PathRows:
+    """The covering rows of a growing candidate set, cached as paths enter it:
+    LR's LP and the oracle's integer program are both built from them.
 
-    A path's row never changes, so :meth:`extend` reads each new path once:
-    its edges join the sorted ``support`` (the LP's columns, the edges of
-    vacuous paths included), and a path still short at zero budget becomes
-    the next row, with bound ``-need`` in ``upper`` and its number appended
-    to ``rows[e]`` for each of its edges with beta_e != 0. :meth:`columns`
-    is then ``(-A).tocsc()`` of :func:`path_rows`' matrix for the same
-    columns, entry for entry, built without it.
+    A path's row never changes, so :meth:`extend` reads each new path once.
+    Its edges join the sorted ``support`` (the edges of vacuous paths
+    included). A path still short at zero budget becomes the next row: its
+    ``need = T - sum_{e in p} f_e(0)`` is appended to ``need`` and its row
+    number to ``rows[e]`` for each of its edges. Each model turns the rows
+    into its own columns.
     """
 
     def __init__(self, instance: QosdInstance):
         self.instance = instance
-        self.betas = instance.affine_coeffs()[0]
         self.read = 0
         self.support: list[int] = []
         self.rows: dict[int, list[int]] = {}
-        self.upper: list[float] = []
+        self.need: list[float] = []
 
-    def extend(self, paths: CandidateSet) -> None:
+    def extend(self, paths: CandidateSet | list[Path]) -> None:
         """Cache the paths added to ``paths`` since the last call."""
-        weights, betas, rows = self.instance.weights, self.betas, self.rows
+        weights, rows = self.instance.weights, self.rows
         for p in islice(paths, self.read, None):
             gap = self.instance.threshold - sum(weights[e].table[0] for e in p.edge_seq)
             for e in p.edge_seq:
                 if e not in rows:
                     rows[e] = []
                     insort(self.support, e)
-                if gap > 0 and betas[e]:
-                    rows[e].append(len(self.upper))
+                if gap > 0:
+                    rows[e].append(len(self.need))
             if gap > 0:
-                self.upper.append(float(-gap))
+                self.need.append(float(gap))
         self.read = len(paths)
-
-    def columns(self) -> tuple[list[int], list[int], list[float]]:
-        """``(start, index, value)`` of -A, one column per support edge."""
-        start, index, value = [0], [], []
-        for e in self.support:
-            rows = self.rows[e]
-            index += rows
-            value += [-float(self.betas[e])] * len(rows)
-            start.append(len(index))
-        return start, index, value
 
 
 def solve_lp(
-    instance: QosdInstance, paths: CandidateSet | list[Path], *, rows: _LpRows | None = None
+    instance: QosdInstance, paths: CandidateSet | list[Path], *, rows: _PathRows | None = None
 ) -> LpSolution:
     """min sum(x) s.t. sum_{e in p} beta_e x_e >= T - sum_{e in p} alpha_e
     for every path, 0 <= x_e <= b_e; deterministic for fixed input.
 
     ``rows`` is the cache that earlier calls on the same growing candidate
     set filled (constraint generation passes one); a fresh one otherwise."""
+    betas = instance.affine_coeffs()[0]
     path_set = paths if isinstance(paths, CandidateSet) else CandidateSet(paths)
     if rows is None:
-        rows = _LpRows(instance)
+        rows = _PathRows(instance)
     rows.extend(path_set)
-    if not rows.upper:
+    if not rows.need:
         return LpSolution([0.0] * instance.graph.m, 0.0, path_set)
-    support = rows.support
-    # linprog's A_ub form -A y <= -need: the form decides which optimal vertex HiGHS returns
+    # linprog's A_ub form -A y <= -need, one column per support edge (empty
+    # when beta_e = 0): the form decides which optimal vertex HiGHS returns
+    start, index, value = [0], [], []
+    for e in rows.support:
+        if betas[e]:
+            index += rows.rows[e]
+            value += [-float(betas[e])] * len(rows.rows[e])
+        start.append(len(index))
     y, objective = _solve_highs(
-        rows.columns(), [-math.inf] * len(rows.upper), rows.upper, [instance.box[e] for e in support]
+        (start, index, value), [-math.inf] * len(rows.need), [-need for need in rows.need],
+        [instance.box[e] for e in rows.support],
     )
     fractional = np.zeros(instance.graph.m)
-    fractional[support] = y
+    fractional[rows.support] = y
     return LpSolution(fractional.tolist(), objective, path_set)
 
 
@@ -212,12 +176,12 @@ def constraint_generation(
     alpha_e + beta_e x'_e (all >= 1), bounded by T * (1 - FEAS_TOL). A path
     enters each node by its lowest-index tight in-edge, tested by the same
     float64 sum that gave the distances, so fractional ties resolve exactly
-    as the kernel's. Every round's LP reuses one :class:`_LpRows` cache.
+    as the kernel's. Every round's LP reuses one :class:`_PathRows` cache.
     """
     betas, alphas = (np.array(c, dtype=float) for c in instance.affine_coeffs())
     m = instance.graph.m
     cutoff = instance.threshold * (1.0 - FEAS_TOL)
-    rows = _LpRows(instance)
+    rows = _PathRows(instance)
 
     def separate(solution: LpSolution) -> list[Path]:
         lengths = (alphas + betas * np.array(solution.fractional)).tolist()
@@ -305,20 +269,7 @@ def run_lr(
         x = round_solution(instance, lp, math.inf, rng)
         feasible = not unseparated_pairs(instance, x)
 
-    return RunReport(
-        algorithm="lr",
-        budget=x,
-        norm=x.norm,
-        outer_iterations=lp.rounds,
-        inner_iterations=retries + 1,
-        wall_time=time.perf_counter() - start,
-        feasible=feasible,
-        seed=seed,
-        extras={
-            "retries": retries,
-            "fallback": fallback,
-            "lp_objective": lp.objective,
-            "eta": eta_value,
-            "constraint_paths": len(lp.constraint_paths),
-        },
+    return RunReport.finish(
+        "lr", x, start, lp.rounds, retries + 1, feasible=feasible, seed=seed, retries=retries,
+        fallback=fallback, lp_objective=lp.objective, eta=eta_value, constraint_paths=len(lp.constraint_paths),
     )

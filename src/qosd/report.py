@@ -23,6 +23,15 @@ class RunReport:
     seed: int | None = None
     extras: dict = field(default_factory=dict)
 
+    @classmethod
+    def finish(
+        cls, algorithm: str, budget: BudgetVector, start: float, outer: int, inner: int,
+        *, feasible: bool = True, seed: int | None = None, **extras,
+    ) -> "RunReport":
+        """The report of a run that began at ``time.perf_counter()`` reading
+        ``start`` and ends now, with the budget's norm."""
+        return cls(algorithm, budget, budget.norm, outer, inner, time.perf_counter() - start, feasible, seed, extras)
+
 
 class Deadline:
     """Wall-clock budget polled between iterations (no hard kills)."""

@@ -190,12 +190,14 @@ class _RoundWalker:
     steps, in step order, and the cumulative probabilities are a row
     ``np.cumsum`` over the out-neighbour slots, which adds in sequence with
     +0.0 for a visited or padding slot, so every comparison and every
-    ``rho`` product is the scalar loop's float operation.
+    ``rho`` product is the scalar loop's float operation. ``deadline`` is
+    checked before each block, so a huge round still stops in time.
     """
 
-    def __init__(self, instance: QosdInstance, alpha: float):
+    def __init__(self, instance: QosdInstance, alpha: float, deadline: Deadline | None = None):
         self.instance = instance
         self.alpha = alpha
+        self.deadline = Deadline.ensure(deadline)
         self.out_nodes, self.out_edges = _out_arrays(instance.graph)
         self.initial = np.array([wf.table[0] for wf in instance.weights], dtype=np.float64)
         # each pair's source, and its sink's row in sinks
@@ -208,6 +210,7 @@ class _RoundWalker:
         rngs = iter(rngs)
         samples: list[SampledPath] = []
         while block := list(islice(rngs, _WALK_BLOCK)):
+            self.deadline.check("sampling round")
             samples += self._block(lengths, rows, block)
         return samples
 
@@ -380,7 +383,8 @@ def run_sa(
     so progress is unconditional. The loop ends only when the sweep under
     the final budget finds no pair below T, so the report is feasible.
     ``threads`` is accepted and ignored: walks are drawn in the caller's
-    thread, each from its own derived seed. ``config`` is checked first, the
+    thread, each from its own derived seed. ``deadline`` is checked before
+    each round and each block of walks. ``config`` is checked first, the
     sample mode before the other knobs.
     """
     config = config or SaConfig()
@@ -407,7 +411,7 @@ def run_sa(
 
     m = instance.graph.m
     x = BudgetVector.zeros(m)
-    walker = _RoundWalker(instance, config.alpha)
+    walker = _RoundWalker(instance, config.alpha, deadline)
     lengths = walker.initial.copy()  # f_e(x_e), rewritten where a round spends
     rounds = 0
     samples_drawn = 0
@@ -448,19 +452,7 @@ def run_sa(
         x = BudgetVector(values)
         rounds += 1
 
-    return RunReport(
-        algorithm="sa",
-        budget=x,
-        norm=x.norm,
-        outer_iterations=rounds,
-        inner_iterations=x.norm,
-        wall_time=time.perf_counter() - start,
-        feasible=True,
-        seed=config.seed,
-        extras={
-            "samples_drawn": samples_drawn,
-            "escalations": escalations,
-            "fallbacks": fallbacks,
-            "samples_per_round": base_count,
-        },
+    return RunReport.finish(
+        "sa", x, start, rounds, x.norm, seed=config.seed, samples_drawn=samples_drawn,
+        escalations=escalations, fallbacks=fallbacks, samples_per_round=base_count,
     )

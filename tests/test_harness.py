@@ -8,7 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from qosd import ConfigError, ExperimentConfig, SaConfig, derive_seed, parse_config, run_experiment, rows_to_csv
+from qosd import (
+    ConfigError, ExperimentConfig, SaConfig, derive_seed, make_er_instance, parse_config, rows_to_csv,
+    run_experiment, run_iterative, save_instance,
+)
 from qosd.cli import main
 from qosd.experiment import CSV_COLUMNS
 
@@ -46,6 +49,13 @@ class TestConfigParsing:
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ConfigError):
             parse_config("qosd-config v1\nalgorithms = ig,zz\n")
+
+    @pytest.mark.parametrize("key", ["T", "algorithms"])
+    @pytest.mark.parametrize("value", ["", " , "])
+    def test_empty_list_rejected(self, key, value):
+        # an empty list would silently make an empty batch
+        with pytest.raises(ConfigError, match="at least one"):
+            parse_config(f"qosd-config v1\n{key} = {value}\n")
 
     def test_derive_seed_documented_formula(self):
         import hashlib
@@ -138,6 +148,31 @@ class TestRunExperiment:
         }
         assert by_alg["sa"]["feasible"] == "false"
         assert by_alg["ig"]["feasible"] == "true"
+
+    def test_file_rows_report_the_instance_threshold(self, tmp_path):
+        # the file's T=5 instance is solved once per listed T; LR's row is a
+        # solver error (convex tables), IG's a solution
+        inst = make_er_instance(12, 0.3, 5, 3, "convex", seed=2)
+        path = tmp_path / "inst.txt"
+        with open(path, "w") as handle:
+            save_instance(inst, handle)
+        config = ExperimentConfig(source="file", instance_file=str(path), thresholds=[3, 9],
+                                  algorithms=["ig", "lr"], repetitions=1)
+        rows = run_experiment(config)
+        assert [(row["algorithm"], row["T"], row["k"], row["model"]) for row in rows] == [
+            ("ig", 5, inst.k, "file"), ("lr", 5, inst.k, "file")] * 2
+        assert rows[0]["norm"] == rows[2]["norm"] == run_iterative(inst, "ig").norm
+        assert json.loads(rows[1]["extras"]) == {"error": "nonlinear-weights"}
+
+    def test_file_instance_error_row_says_file(self, tmp_path):
+        path = tmp_path / "inst.txt"
+        path.write_text("not an instance\n")
+        config = ExperimentConfig(source="file", instance_file=str(path), model="concave",
+                                  thresholds=[4], algorithms=["ig", "cc"], repetitions=1)
+        rows = run_experiment(config)
+        assert [(row["algorithm"], row["model"], row["feasible"]) for row in rows] == [
+            ("ig", "file", "false"), ("cc", "file", "false")]
+        assert all(json.loads(row["extras"])["error"].startswith("instance: ") for row in rows)
 
     def test_failed_oracle_gets_own_row(self, monkeypatch):
         import qosd.experiment

@@ -22,8 +22,8 @@ from qosd import (
     constraint_generation,
     eta,
     make_er_instance,
+    min_budget_to_block,
     oracle_opt,
-    path_rows,
     potential_paths,
     round_solution,
     run_lr,
@@ -141,8 +141,9 @@ class TestSolveHighs:
 
 
 def _dense_rows(instance, paths, columns, width):
-    """The dense rows (one np.zeros row per short path, stacked) that
-    :func:`path_rows` replaced: the reference its CSR rows must equal."""
+    """The covering rows as dense numpy rows (one np.zeros row per short
+    path, stacked) and their ``need``: the reference every model handed to
+    HiGHS must equal."""
     rows, need = [], []
     for p in paths:
         gap = instance.threshold - sum(instance.weights[e].table[0] for e in p.edge_seq)
@@ -175,6 +176,28 @@ def _oracle_columns(instance, paths):
     return columns, width
 
 
+def _lp_model(instance, paths):
+    """``(csc, lower, upper, ub)`` that linprog's ``A_ub`` form of the LP
+    gives HiGHS: -A y <= -need over the support edges."""
+    columns, width = _lp_columns(instance, paths)
+    dense, need = _dense_rows(instance, paths, columns, width)
+    return (sparse.csc_array(-dense), np.full(len(need), -np.inf), -need,
+            [float(instance.box[e]) for e in sorted(columns)])
+
+
+def _oracle_model(instance, paths):
+    """``(csc, lower, upper, ub)`` of the oracle's MILP in milp's form
+    need <= A z: the dense path rows, then a row z_j - z_{j+1} >= 0 for each
+    two consecutive units of one edge, in column order."""
+    columns, width = _oracle_columns(instance, paths)
+    dense, need = _dense_rows(instance, paths, columns, width)
+    ordering = [np.eye(1, width, j)[0] - np.eye(1, width, j + 1)[0]
+                for terms in columns.values() for j, _ in terms[:-1]]
+    model = np.vstack([dense, *ordering])
+    return (sparse.csc_array(model), np.concatenate([need, np.zeros(len(ordering))]),
+            np.full(len(model), np.inf), [1.0] * width)
+
+
 def _flat_and_vacuous():
     """Edge 0 is flat (beta 0) on the short path over edges 0, 1; the path
     over edges 2, 3 already reaches T=4."""
@@ -185,39 +208,68 @@ def _flat_and_vacuous():
     return inst, Path((0, 1, 3), (0, 1), 2, 0), Path((0, 2, 3), (2, 3), 4, 0)
 
 
+def _handed_to_highs(monkeypatch, layout, instance, paths):
+    """The ``(columns, lower, upper, ub, integral)`` of each ``_solve_highs``
+    call that the layout's solver makes on ``paths``, and its result."""
+    import qosd.baselines
+
+    calls = []
+    record = lambda columns, *bounds, integral=False: [[list(c) for c in columns], *map(list, bounds), integral]
+    if layout is _lp_columns:
+        _recording(monkeypatch, "_solve_highs", calls, record)
+        result = solve_lp(instance, paths)
+    else:
+        _recording(monkeypatch, "_solve_highs", calls, record, module=qosd.baselines)
+        result = min_budget_to_block(instance, paths)
+    return calls, result
+
+
 class TestPathRows:
+    """The one row cache, :class:`qosd.lr._PathRows`, gives each model the
+    column-wise matrix its public scipy wrapper built from dense rows."""
+
     @pytest.mark.parametrize(
         "model,layout",
         [("linear", _lp_columns), ("linear", _oracle_columns), ("cutting", _lp_columns),
          ("cutting", _oracle_columns), ("concave", _oracle_columns), ("heterogeneous", _oracle_columns)],
     )
     @pytest.mark.parametrize("seed", range(3))
-    def test_equal_to_dense_rows(self, model, layout, seed):
+    def test_equal_to_dense_rows(self, model, layout, seed, monkeypatch):
         # T=10 concave tables have flat steps, so the oracle layout has zero coefficients
         inst = make_er_instance(30, 0.15, 10, 6, model, seed=seed)
-        paths = potential_paths(inst, BudgetVector.zeros(inst.graph.m))
-        paths += potential_paths(inst, BudgetVector([min(1, b) for b in inst.box]))
-        columns, width = layout(inst, paths)
-        A, need = path_rows(inst, paths, columns, width)
-        dense, dense_need = _dense_rows(inst, paths, columns, width)
-        assert isinstance(A, sparse.csr_array) and A.has_canonical_format
-        assert np.array_equal(A.toarray(), dense)
-        assert np.array_equal(need, dense_need)
-        assert np.all(A.data != 0)
-        # what HiGHS gets is the CSC that linprog built from the dense rows
-        ours, theirs = (-A).tocsc(), sparse.csc_array(-dense)
-        for field in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(ours, field), getattr(theirs, field))
+        # distinct paths: solve_lp keeps one row per path, the oracle one per list entry
+        paths = CandidateSet(potential_paths(inst, BudgetVector.zeros(inst.graph.m)))
+        paths.add_all(potential_paths(inst, BudgetVector([min(1, b) for b in inst.box])))
+        paths = list(paths)
+        [(columns, lower, upper, ub, integral)], _ = _handed_to_highs(monkeypatch, layout, inst, paths)
+        csc, *bounds = (_lp_model if layout is _lp_columns else _oracle_model)(inst, paths)
+        assert columns == [csc.indptr.tolist(), csc.indices.tolist(), csc.data.tolist()]
+        assert all(v != 0 for v in columns[2])
+        for got, want in zip([lower, upper, ub], bounds):
+            assert np.array_equal(np.asarray(got, dtype=float), want)
+        assert integral == (layout is _oracle_columns)
+        if model == "concave":
+            coeffs = [c for terms in _oracle_columns(inst, paths)[0].values() for _, c in terms]
+            assert 0 in coeffs
 
-    def test_vacuous_paths_and_zero_coefficients_skipped(self):
+    def test_vacuous_paths_and_zero_coefficients_skipped(self, monkeypatch):
         inst, short, vacuous = _flat_and_vacuous()
-        columns, width = _lp_columns(inst, [short, vacuous])
-        A, need = path_rows(inst, [short, vacuous], columns, width)
-        assert A.shape == (1, 4)
-        assert A.indices.tolist() == [1] and A.data.tolist() == [1.0]
-        assert need.tolist() == [2.0]
-        assert path_rows(inst, [vacuous], columns, width) is None
-        assert path_rows(inst, [], columns, width) is None
+        [lp], solution = _handed_to_highs(monkeypatch, _lp_columns, inst, [short, vacuous])
+        # columns 0..3 are edges 0..3: flat edge 0 and vacuous edges 2, 3 are empty
+        assert lp == [[[0, 0, 1, 1, 1], [0], [-1.0]], [-math.inf], [-2.0], [2, 2, 1, 1], False]
+        assert solution.objective == 2.0
+        monkeypatch.undo()
+        [milp_model], x = _handed_to_highs(monkeypatch, _oracle_columns, inst, [short, vacuous])
+        # z0, z1 (flat edge 0) sit only on their ordering row 1; z2, z3 (edge 1)
+        # on the path row 0 and ordering row 2; z4, z5 (vacuous edges) nowhere
+        assert milp_model == [[[0, 1, 2, 4, 6, 6, 6], [1, 1, 0, 2, 0, 2], [1.0, -1.0, 1.0, 1.0, 1.0, -1.0]],
+                              [2.0, 0.0, 0.0], [math.inf] * 3, [1.0] * 6, True]
+        assert x == BudgetVector([0, 2, 0, 0])
+        for layout in (_lp_columns, _oracle_columns):
+            for paths in ([vacuous], []):
+                monkeypatch.undo()
+                calls, _ = _handed_to_highs(monkeypatch, layout, inst, paths)
+                assert calls == []
 
 
 def _with_flat_edges(seed):
@@ -228,23 +280,24 @@ def _with_flat_edges(seed):
     return QosdInstance(inst.graph, weights, inst.pairs, inst.threshold)
 
 
-def _recording(monkeypatch, name, calls, record=lambda *args, **kwargs: args):
-    """Patch ``qosd.lr.<name>`` to append ``record(*args, **kwargs)`` of each
-    call to ``calls`` before making it."""
+def _recording(monkeypatch, name, calls, record=lambda *args, **kwargs: args, *, module=None):
+    """Patch ``<module>.<name>`` (``qosd.lr`` by default) to append
+    ``record(*args, **kwargs)`` of each call to ``calls`` before making it."""
     import qosd.lr
 
-    original = getattr(qosd.lr, name)
+    module = module or qosd.lr
+    original = getattr(module, name)
 
     def recorded(*args, **kwargs):
         calls.append(record(*args, **kwargs))
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(qosd.lr, name, recorded)
+    monkeypatch.setattr(module, name, recorded)
 
 
 class TestLpRows:
     """What LR hands HiGHS each round, built from rows cached as paths enter
-    the candidate set, is the model ``path_rows`` builds from scratch."""
+    the candidate set, is the model linprog built from dense rows."""
 
     INSTANCES = {
         "linear": lambda: make_er_instance(60, 0.1, 5, 10, "linear", seed=1000),
@@ -271,8 +324,8 @@ class TestLpRows:
             # a new support edge between two known ones moves later columns
             inserted |= bool(support) and any(support[0] < e < support[-1] for e in set(new) - set(support))
             support = new
-            A, need = path_rows(inst, paths, layout, width)
-            expected = (-A).tocsc()
+            dense, need = _dense_rows(inst, paths, layout, width)
+            expected = sparse.csc_array(-dense)
             assert [list(c) for c in columns] == [
                 expected.indptr.tolist(), expected.indices.tolist(), expected.data.tolist()]
             assert np.array_equal(lower, np.full(len(need), -np.inf))

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +16,7 @@ from qosd import (
     Graph,
     QosdInstance,
     SaConfig,
+    SolverTimeout,
     WeightFunction,
     build_sp_tree,
     build_weights,
@@ -359,6 +361,17 @@ class TestRunSa:
         )
         assert report.feasible
         assert report.extras["samples_per_round"] == 15973
+
+    def test_theoretical_mode_keeps_the_time_limit(self):
+        # theoretical sizing asks for about 1.3e10 walks in round 0 here, so
+        # only a check between blocks of walks can stop the run in time
+        inst = make_er_instance(30, 0.1, 3, 3, "linear", seed=0)
+        config = SaConfig(sample_mode="theoretical")
+        assert sample_count(inst, config.q, config.epsilon, config.delta / sum(inst.box)) > 10**10
+        start = time.perf_counter()
+        with pytest.raises(SolverTimeout, match="sampling round"):
+            run_sa(inst, config, deadline=0.5)
+        assert time.perf_counter() - start < 5.0
 
     @pytest.mark.parametrize("knobs", [
         {"sample_mode": "bogus"}, {"q": 0}, {"alpha": 1.0}, {"epsilon": 5.0}, {"delta": 7.0},
