@@ -145,11 +145,12 @@ def _build_instance(config: ExperimentConfig, threshold: int, repetition: int) -
 def run_experiment(config: ExperimentConfig) -> list[dict]:
     """Every (threshold, repetition, algorithm) cell as one CSV-ready row.
 
-    Each returned budget vector is re-verified with an independent
-    separation check. Every ``QosdError`` a solver raises becomes a per-row
-    error (``timeout``, ``nonlinear-weights``, else ``"<Class>: <msg>"``),
-    never a batch failure; a failed oracle gets its own error row and the
-    other algorithms run without ``opt``. A row's T and k are those of the
+    Each budget vector is re-verified by an independent separation check.
+    Every ``QosdError`` a solver raises becomes a per-row error (``timeout``,
+    ``nonlinear-weights``, else ``"<Class>: <msg>"``), and an instance that
+    cannot be read or built an ``instance: <msg>`` row per algorithm, never a
+    batch failure; a failed oracle gets its own error row and the other
+    algorithms run without ``opt``. A row's T and k are those of the
     instance it solved: for ``source = file``, the file's, whatever T lists.
     """
     rows: list[dict] = []
@@ -158,7 +159,7 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
         for repetition in range(config.repetitions):
             try:
                 instance = _build_instance(config, threshold, repetition)
-            except QosdError as exc:
+            except (QosdError, OSError, UnicodeDecodeError) as exc:
                 for alg in config.algorithms:
                     rows.append(_error_row(config, alg, model, threshold, config.k, 0, f"instance: {exc}"))
                 continue

@@ -4,9 +4,9 @@ estimator of the blocking metric, with a biased self-avoiding walk sampler.
 Walks are steered toward each sink's shortest-path tree with bias alpha;
 the exact probability of every produced walk is tracked so feasible
 samples can be importance-weighted. :func:`sample_path` draws one walk;
-:func:`run_sa` draws a round's walks together in numpy (``_RoundWalker``),
-each on the same random stream and with the same outcome as
-:func:`sample_path`.
+:func:`run_sa` draws a round's walks together in numpy (``_RoundWalker``)
+from one generator, only over the pairs still below T, and weighs each
+distinct feasible walk by how often it was drawn.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ import math
 import random
 import time
 from dataclasses import dataclass
-from itertools import islice
-from typing import Iterable, Sequence
+from itertools import accumulate
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -113,50 +113,35 @@ def sample_path(
     """
     if lengths is None:
         lengths = edge_lengths(instance, x)
-    weights = instance.weights
-    graph = instance.graph
     threshold = instance.threshold
     pair_index = rng.randrange(instance.k)
     s, t = instance.pairs[pair_index]
-    tree = trees[t]
-
-    rho = 1.0 / instance.k
-    nodes = [s]
-    edges: list[int] = []
-    visited = {s}
-    current = 0
-    initial = 0
-    u = s
+    parent = trees[t]
+    rho, nodes, edges, visited, u = 1.0 / instance.k, [s], [], {s}, s
+    current = initial = 0
     while u != t and current < threshold:
-        avail = [(v, ei) for v, ei in graph.out_adj[u] if v not in visited]
+        avail = [(v, ei) for v, ei in instance.graph.out_adj[u] if v not in visited]
         if not avail:
             break
         if len(avail) == 1:
             v, ei = avail[0]
         else:
-            parent = tree[u]
             slots = len(avail)
-            probs: list[float]
-            if parent is not None and any(v == parent for v, _ in avail):
+            if any(v == parent[u] for v, _ in avail):
                 other = (1.0 - alpha) / (slots - 1)
-                probs = [alpha if v == parent else other for v, _ in avail]
+                probs = [alpha if v == parent[u] else other for v, _ in avail]
             else:
                 probs = [1.0 / slots] * slots
             draw = rng.random()
-            acc = 0.0
-            choice = slots - 1
-            for i, p in enumerate(probs):
-                acc += p
-                if draw < acc:
-                    choice = i
-                    break
+            # the first slot whose running sum passes the draw, else (a rounding gap) the last
+            choice = next((i for i, acc in enumerate(accumulate(probs)) if draw < acc), slots - 1)
             v, ei = avail[choice]
             rho *= probs[choice]
         visited.add(v)
         nodes.append(v)
         edges.append(ei)
         current += lengths[ei]
-        initial += weights[ei].table[0]
+        initial += instance.weights[ei].table[0]
         u = v
     feasible = u == t and initial < threshold
     path = Path(tuple(nodes), tuple(edges), initial, pair_index)
@@ -183,15 +168,15 @@ def _out_arrays(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
 
 class _RoundWalker:
     """:func:`sample_path`'s walks for a whole round, advanced together in
-    numpy a block at a time, each on its own random stream.
+    numpy a block at a time.
 
-    Every walk is bit-identical to ``sample_path`` with the same ``rng``:
-    ``randrange(k)`` picks the pair, ``random()`` is drawn only on non-forced
-    steps, in step order, and the cumulative probabilities are a row
-    ``np.cumsum`` over the out-neighbour slots, which adds in sequence with
-    +0.0 for a visited or padding slot, so every comparison and every
-    ``rho`` product is the scalar loop's float operation. ``deadline`` is
-    checked before each block, so a huge round still stops in time.
+    Fed ``sample_path``'s streams (the pair, then ``random()`` on each
+    non-forced step), every walk of :meth:`block` is bit-identical to it:
+    the cumulative probabilities are a row ``np.cumsum`` over the
+    out-neighbour slots, which adds in sequence with +0.0 for a visited or
+    padding slot, so every comparison and every ``rho`` product is the
+    scalar loop's float operation. ``deadline`` is checked before each
+    block, so a huge round still stops in time.
     """
 
     def __init__(self, instance: QosdInstance, alpha: float, deadline: Deadline | None = None):
@@ -204,28 +189,38 @@ class _RoundWalker:
         self.sources = instance.sources[instance.source_row]
         self.sinks, self.sink_row = np.unique([t for _, t in instance.pairs], return_inverse=True)
 
-    def walks(self, lengths: np.ndarray, rows: np.ndarray, rngs: Iterable[random.Random]) -> list[SampledPath]:
-        """One walk per rng, in order, under edge ``lengths``; ``rows`` is
-        ``distances(instance, lengths, self.sinks, reverse=True)``."""
-        rngs = iter(rngs)
-        samples: list[SampledPath] = []
-        while block := list(islice(rngs, _WALK_BLOCK)):
+    def walks(self, lengths: np.ndarray, rows: np.ndarray, live: np.ndarray, count: int,
+              rng: np.random.Generator) -> tuple[list[SampledPath], list[int]]:
+        """``count`` walks under edge ``lengths`` (``rows`` is ``distances(instance, lengths,
+        self.sinks, reverse=True)``) from pairs drawn uniformly among ``live``: per block,
+        ``rng`` draws the pairs, then each step's draws in walk order. Returns the distinct
+        feasible walks in first-seen order and how many times each was drawn."""
+        samples, counts, seen = [], [], {}
+        for start in range(0, count, _WALK_BLOCK):
             self.deadline.check("sampling round")
-            samples += self._block(lengths, rows, block)
-        return samples
+            pair = live[rng.integers(len(live), size=min(_WALK_BLOCK, count - start))]
+            walk = self.block(lengths, rows, pair, 1.0 / len(live), lambda idx: rng.random(idx.size))
+            edges, feasible = walk[2], walk[5]
+            for i in np.flatnonzero(feasible).tolist():
+                j = seen.setdefault(edges[i].tobytes(), len(samples))
+                if j == len(samples):
+                    samples.append(_sampled(walk, i))
+                    counts.append(0)
+                counts[j] += 1
+        return samples, counts
 
-    def _block(self, lengths: np.ndarray, rows: np.ndarray, rngs: list[random.Random]) -> list[SampledPath]:
-        instance, alpha = self.instance, self.alpha
-        threshold, k, n = instance.threshold, instance.k, instance.graph.n
-        count = len(rngs)
+    def block(self, lengths: np.ndarray, rows: np.ndarray, pair: np.ndarray, rho0: float,
+              uniform: Callable[[np.ndarray], Sequence[float]]) -> tuple[np.ndarray, ...]:
+        """One walk per entry of ``pair``, starting with probability ``rho0``;
+        ``uniform(idx)`` returns the next draw of each walk in ``idx``. Returns
+        (pair, nodes, edges, initial length, rho, feasible), one row a walk."""
+        alpha, threshold, n = self.alpha, self.instance.threshold, self.instance.graph.n
+        count = len(pair)
         walks = np.arange(count)
-        pair = np.array([rng.randrange(k) for rng in rngs])
         sink_row = self.sink_row[pair]
         sink = self.sinks[sink_row]
         u = self.sources[pair]
-        rho = np.full(count, 1.0 / k)
-        current = np.zeros(count)
-        initial = np.zeros(count)
+        rho, current, initial = np.full(count, rho0), np.zeros(count), np.zeros(count)
         # every step adds at least 1 to the current length, and a walk ends at T
         width = min(threshold, n - 1)
         nodes = np.full((count, width + 1), -1, dtype=np.int64)
@@ -255,7 +250,7 @@ class _RoundWalker:
             probs[~free] = 0.0
             drawn = np.flatnonzero(slots > 1)
             draw = np.zeros(count)
-            draw[drawn] = [rngs[i].random() for i in drawn.tolist()]
+            draw[drawn] = uniform(drawn)
             below = draw[:, None] < np.cumsum(probs, axis=1)
             # no slot reached by rounding: the last free slot, as in sample_path;
             # a forced step's one free slot is both its first hit and its last
@@ -271,15 +266,15 @@ class _RoundWalker:
             u[moving] = v
             live[:] = False
             live[moving] = (v != sink[moving]) & (current[moving] < threshold)
-        feasible = (u == sink) & (initial < threshold)
-        steps = (edges >= 0).sum(axis=1).tolist()
-        return [
-            SampledPath(Path(tuple(ns[: z + 1]), tuple(es[:z]), int(ini), p), r, f)
-            for ns, es, z, ini, p, r, f in zip(
-                nodes.tolist(), edges.tolist(), steps, initial.tolist(), pair.tolist(),
-                rho.tolist(), feasible.tolist(),
-            )
-        ]
+        return pair, nodes, edges, initial, rho, (u == sink) & (initial < threshold)
+
+
+def _sampled(walk: tuple[np.ndarray, ...], i: int) -> SampledPath:
+    """Walk ``i`` of a :meth:`_RoundWalker.block` result."""
+    pair, nodes, edges, initial, rho, feasible = walk
+    z = int((edges[i] >= 0).sum())
+    path = Path(tuple(nodes[i, : z + 1].tolist()), tuple(edges[i, :z].tolist()), int(initial[i]), int(pair[i]))
+    return SampledPath(path, float(rho[i]), bool(feasible[i]))
 
 
 def estimate_B(instance: QosdInstance, samples: list[SampledPath], x: BudgetVector) -> float:
@@ -337,18 +332,19 @@ def greedy_chunk(
     samples: list[SampledPath],
     x: BudgetVector,
     q: int,
+    counts: Sequence[int] | None = None, drawn: int | None = None,
 ) -> BudgetVector:
     """Up to q greedy steps on the estimator's marginal gain, restricted to
     edges of feasible samples with box room left: IG's step rule
     (:meth:`PathSupport.best_step`), so a flat next increment is crossed by
-    the best-ratio chunk instead of ending the chunk."""
-    live = [sp for sp in samples if sp.feasible]
+    the best-ratio chunk instead of ending the chunk. Sample i stands for
+    ``counts[i]`` of ``drawn`` walks (one of ``len(samples)`` when None)."""
+    counts = counts or [1] * len(samples)
+    live = [(sp, c) for sp, c in zip(samples, counts) if sp.feasible]
     if not live or q <= 0:
         return BudgetVector.zeros(instance.graph.m)
-    inv = 1.0 / len(samples)
-    support = PathSupport(
-        instance, [sp.path for sp in live], x, [inv / sp.rho for sp in live]
-    )
+    inv = 1.0 / (drawn or len(samples))
+    support = PathSupport(instance, [sp.path for sp, _ in live], x, [c * inv / sp.rho for sp, c in live])
     chunk = [0] * instance.graph.m
     for _ in range(q):
         edge, amount, _ = support.best_step()
@@ -374,18 +370,18 @@ def run_sa(
     """Sampling rounds until separation.
 
     Each round runs one reverse sweep from the sinks under the current
-    budget. Its rows give the walks' shortest-path parents, and the round
-    stops the run when no pair's source is below T from its sink. Otherwise
-    it draws the round's walks together (:class:`_RoundWalker`) and adds the
-    greedy chunk. A zero chunk escalates by doubling the sample count up to
-    three times, then falls back to one exact step on the round's shortest
-    paths below T (a unit, or the best-ratio chunk across a flat increment),
-    so progress is unconditional. The loop ends only when the sweep under
-    the final budget finds no pair below T, so the report is feasible.
-    ``threads`` is accepted and ignored: walks are drawn in the caller's
-    thread, each from its own derived seed. ``deadline`` is checked before
-    each round and each block of walks. ``config`` is checked first, the
-    sample mode before the other knobs.
+    budget. Its rows give the walks' shortest-path parents and the live
+    pairs, whose source is below T from the sink; none left ends the run.
+    Else one generator per (seed, round, attempt) draws the round's walks
+    (:class:`_RoundWalker`) over the live pairs only, which keeps the gain
+    estimate unbiased (a separated pair gains nothing on any edge), and the
+    greedy chunk is added. A zero chunk escalates by doubling the sample
+    count up to three times, then falls back to one exact step on the
+    round's shortest paths below T (a unit, or the best-ratio chunk across a
+    flat increment), so progress is unconditional and the report feasible.
+    ``threads`` is accepted and ignored. ``deadline`` is checked before each
+    round and each block of walks. ``config`` is checked first, the sample
+    mode before the other knobs.
     """
     config = config or SaConfig()
     if config.sample_mode not in SAMPLE_MODES:
@@ -398,6 +394,8 @@ def run_sa(
         raise ConfigError("epsilon and delta must lie in (0, 1)")
     if config.samples_per_round is not None and config.samples_per_round < 1:
         raise ConfigError("samples_per_round must be None or at least 1")
+    if config.seed < 0:
+        raise ConfigError("seed must be nonnegative")
     deadline = Deadline.ensure(deadline)
     start = time.perf_counter()
 
@@ -420,20 +418,20 @@ def run_sa(
     while True:
         deadline.check("sampling round")
         rows = distances(instance, lengths, walker.sinks, reverse=True)
-        if not (rows[walker.sink_row, walker.sources] < instance.threshold).any():
+        live = np.flatnonzero(rows[walker.sink_row, walker.sources] < instance.threshold)
+        if not live.size:
             break
         for attempt in range(4):  # base try plus three doublings
             if attempt > 0:
                 escalations += 1
             count = base_count * (2**attempt)
-            samples = walker.walks(
-                lengths, rows, (_derived_rng(config.seed, rounds, attempt, i) for i in range(count))
-            )
+            rng = np.random.default_rng([config.seed, rounds, attempt])
+            samples, counts = walker.walks(lengths, rows, live, count, rng)
             samples_drawn += count
-            chunk = greedy_chunk(instance, samples, x, config.q)
+            chunk = greedy_chunk(instance, samples, x, config.q, counts, count)
             if chunk.norm > 0:
                 # a chunk spends only on edges of the feasible samples
-                spent = {e for sp in samples if sp.feasible for e in sp.path.edge_seq}
+                spent = {e for sp in samples for e in sp.path.edge_seq}
                 break
         else:
             paths = potential_paths(instance, x, lengths=lengths)

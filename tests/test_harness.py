@@ -174,6 +174,14 @@ class TestRunExperiment:
             ("ig", "file", "false"), ("cc", "file", "false")]
         assert all(json.loads(row["extras"])["error"].startswith("instance: ") for row in rows)
 
+    def test_missing_instance_file_gives_error_rows(self):
+        config = ExperimentConfig(source="file", instance_file="/nonexistent/x.txt",
+                                  thresholds=[4], algorithms=["ig", "sa"], repetitions=1)
+        rows = run_experiment(config)
+        assert [(row["algorithm"], row["feasible"]) for row in rows] == [("ig", "false"), ("sa", "false")]
+        errors = [json.loads(row["extras"])["error"] for row in rows]
+        assert all(e.startswith("instance: ") and "/nonexistent/x.txt" in e for e in errors)
+
     def test_failed_oracle_gets_own_row(self, monkeypatch):
         import qosd.experiment
         from qosd import StallError

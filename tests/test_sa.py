@@ -29,7 +29,7 @@ from qosd import (
     unseparated_pairs,
 )
 from qosd.pathcore import distances, edge_lengths
-from qosd.sa import _WALK_BLOCK, SampledPath, _derived_rng, _RoundWalker
+from qosd.sa import _WALK_BLOCK, SampledPath, _derived_rng, _RoundWalker, _sampled
 
 from conftest import diamond_instance, single_edge_instance
 
@@ -124,15 +124,37 @@ class TestSamplePath:
             assert total == pytest.approx(1.0, abs=1e-12)
 
 
-def _assert_round_matches_sample_path(inst, x, alpha, count, seed=0, rng=None):
-    """The batched walker's round equals sample_path walk by walk: same path,
-    feasibility and a rho equal under ==. Walk i draws from ``rng(i)``
-    (``_derived_rng(seed, 3, 1, i)`` when None)."""
-    rng = rng or (lambda i: _derived_rng(seed, 3, 1, i))
+def _walker_round(inst, x, alpha):
+    """A walker and the lengths and sink rows of one round under x."""
     walker = _RoundWalker(inst, alpha)
     lengths = np.array(edge_lengths(inst, x), dtype=np.float64)
-    rows = distances(inst, lengths, walker.sinks, reverse=True)
-    batched = walker.walks(lengths, rows, (rng(i) for i in range(count)))
+    return walker, lengths, distances(inst, lengths, walker.sinks, reverse=True)
+
+
+def _recording_blocks(walker):
+    """Wraps ``walker.block`` so that every block it walks is kept in the returned list."""
+    blocks, block = [], walker.block
+
+    def recorded(*args):
+        blocks.append(block(*args))
+        return blocks[-1]
+
+    walker.block = recorded
+    return blocks
+
+
+def _assert_round_matches_sample_path(inst, x, alpha, count, seed=0, rng=None):
+    """The batched walker's blocks equal sample_path walk by walk: same path,
+    feasibility and a rho equal under ==. Walk i draws its pair and then its
+    steps from ``rng(i)`` (``_derived_rng(seed, 3, 1, i)`` when None)."""
+    rng = rng or (lambda i: _derived_rng(seed, 3, 1, i))
+    walker, lengths, rows = _walker_round(inst, x, alpha)
+    batched = []
+    for start in range(0, count, _WALK_BLOCK):
+        rngs = [rng(i) for i in range(start, min(start + _WALK_BLOCK, count))]
+        pair = np.array([r.randrange(inst.k) for r in rngs])
+        walk = walker.block(lengths, rows, pair, 1.0 / inst.k, lambda idx: [rngs[i].random() for i in idx])
+        batched += [_sampled(walk, i) for i in range(len(rngs))]
     assert len(batched) == count
     trees = {t: build_sp_tree(inst, x, t) for _, t in inst.pairs}
     for i, got in enumerate(batched):
@@ -177,6 +199,38 @@ class TestRoundWalker:
         assert x.norm > 0
         walks = _assert_round_matches_sample_path(inst, x, alpha, 2 * _WALK_BLOCK + 37)
         assert {sp.feasible for sp in walks} == {True, False}
+
+    def test_never_starts_at_a_separated_pair(self, inst_a):
+        # (3, 0) has no path, so only (0, 3) is live and every walk reaches 3
+        inst = QosdInstance(inst_a.graph, inst_a.weights, [(0, 3), (3, 0)], 3)
+        walker, lengths, rows = _walker_round(inst, BudgetVector.zeros(4), 0.8)
+        live = np.flatnonzero(rows[walker.sink_row, walker.sources] < inst.threshold)
+        assert live.tolist() == [0]
+        blocks = _recording_blocks(walker)
+        samples, counts = walker.walks(lengths, rows, live, 700, np.random.default_rng(0))
+        assert len(blocks) == 2 and all((walk[0] == 0).all() for walk in blocks)
+        assert sum(counts) == 700
+        assert [sp.path.node_seq for sp in samples] in ([(0, 1, 3), (0, 2, 3)], [(0, 2, 3), (0, 1, 3)])
+        # rho starts at 1 / |live| = 1
+        assert sorted(sp.rho for sp in samples) == [(1.0 - 0.8) / 1, 0.8]
+
+    def test_merged_walks_count_every_feasible_walk(self):
+        inst = make_er_instance(240, 0.05, 5, 5, "heterogeneous", seed=0)
+        x = BudgetVector([min(1, cap) if e % 3 == 0 else 0 for e, cap in enumerate(inst.box)])
+        walker, lengths, rows = _walker_round(inst, x, 0.8)
+        live = np.flatnonzero(rows[walker.sink_row, walker.sources] < inst.threshold)
+        blocks = _recording_blocks(walker)
+        count = 2 * _WALK_BLOCK + 37
+        samples, counts = walker.walks(lengths, rows, live, count, np.random.default_rng([4, 2, 0]))
+        assert [len(walk[0]) for walk in blocks] == [_WALK_BLOCK, _WALK_BLOCK, 37]
+        feasible = [_sampled(walk, i) for walk in blocks for i in np.flatnonzero(walk[5]).tolist()]
+        assert sum(counts) == len(feasible) > len(samples)
+        # the distinct feasible walks in first-seen order, each with its number of draws
+        first = {}
+        for sp in feasible:
+            first.setdefault(sp.path.key, sp)
+        assert samples == list(first.values())
+        assert counts == [sum(sp.path.key == key for sp in feasible) for key in first]
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -322,6 +376,23 @@ class TestGreedyChunk:
         ]
         assert greedy_chunk(inst_a, samples, x, q=3).norm == 0
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_merged_walks_give_the_per_walk_chunk(self, seed):
+        # the first round of the er240 benchmark instances, as run_sa draws it
+        inst = make_er_instance(240, 0.05, 5, 5, "heterogeneous", seed=seed)
+        x = BudgetVector.zeros(inst.graph.m)
+        walker, lengths, rows = _walker_round(inst, x, 0.8)
+        live = np.flatnonzero(rows[walker.sink_row, walker.sources] < inst.threshold)
+        blocks = _recording_blocks(walker)
+        count = max(100, 10 * inst.k)
+        samples, counts = walker.walks(lengths, rows, live, count, np.random.default_rng([seed, 0, 0]))
+        per_walk = [_sampled(walk, i) for walk in blocks for i in range(len(walk[0]))]
+        assert len(per_walk) == count > len(samples)
+        for q in (1, 5):
+            merged = greedy_chunk(inst, samples, x, q, counts, count)
+            assert merged.norm == q
+            assert merged == greedy_chunk(inst, per_walk, x, q)
+
     def test_crosses_flat_increment(self):
         from qosd import Path
 
@@ -346,14 +417,17 @@ class TestRunSa:
         assert report.feasible
         assert all(v in (0, 1) for v in report.budget)
 
-    def test_escalation_and_fallback(self, inst_a):
-        # pair (3, 0) has no path; master 31671 makes every round-0 walk
-        # draw it, so the round escalates three times and falls back
-        inst2 = QosdInstance(inst_a.graph, inst_a.weights, [(0, 3), (3, 0)], 3)
-        report = run_sa(inst2, SaConfig(seed=31671, samples_per_round=1))
+    def test_escalation_and_fallback(self):
+        # at alpha 0 every walk leaves node 1 for the dead end 3, never for
+        # its tree parent 2, so whatever the stream the round escalates three
+        # times and falls back to one exact unit
+        g = Graph(4, [(0, 1), (1, 2), (1, 3)])
+        inst = QosdInstance(g, build_weights(g, "linear", 3), [(0, 2)], 3)
+        report = run_sa(inst, SaConfig(alpha=0.0, samples_per_round=1))
         assert report.feasible
-        assert report.extras["escalations"] >= 3
-        assert report.extras["fallbacks"] >= 1
+        assert report.norm == 1
+        assert report.extras["escalations"] == 3
+        assert report.extras["fallbacks"] == 1
 
     def test_theoretical_mode_smoke(self, inst_a):
         report = run_sa(
@@ -375,7 +449,7 @@ class TestRunSa:
 
     @pytest.mark.parametrize("knobs", [
         {"sample_mode": "bogus"}, {"q": 0}, {"alpha": 1.0}, {"epsilon": 5.0}, {"delta": 7.0},
-        {"samples_per_round": 0}, {"samples_per_round": -3},
+        {"samples_per_round": 0}, {"samples_per_round": -3}, {"seed": -1},
     ])
     def test_bad_knob_raises_whatever_the_mode(self, inst_a, knobs):
         # practical mode never calls sample_count, so run_sa checks every knob itself
@@ -397,20 +471,21 @@ class TestRunSa:
             assert unseparated_pairs(inst, report.budget) == []
 
     @pytest.mark.parametrize("instance_args, config, rounds, extras, digest", [
-        ((60, 0.1, 5, 10, "linear", 1000), SaConfig(seed=0), 92,
-         {"samples_drawn": 9200, "escalations": 0, "fallbacks": 0},
-         "251041e5601949bbbb9ecf911165d440ac96eb8fd09597b3d31ac8c634ae3bfd"),
+        pytest.param((60, 0.1, 5, 10, "linear", 1000), SaConfig(seed=0), 93,
+                     {"samples_drawn": 9300, "escalations": 0, "fallbacks": 0},
+                     "d18afec949293018c03d8cf5d0fc140dd9b473d20f353b3c1d84172a2e38252a", id="linear"),
         # flat increments: chunks cross them
-        ((60, 0.1, 10, 5, "concave", 0), SaConfig(seed=0), 156,
-         {"samples_drawn": 15600, "escalations": 0, "fallbacks": 0},
-         "65578b538d52a689dcac1a3acd20e4b1a4573ab3e850838a01da31973521abb4"),
-        # one walk a round: escalations and exact-step fallbacks
-        ((60, 0.1, 5, 10, "linear", 1), SaConfig(seed=1, samples_per_round=1), 110,
-         {"samples_drawn": 512, "escalations": 116, "fallbacks": 6},
-         "3256dac84544bd2e500946155ccacb29e007127a23be7e965fe0fc5f2ce41297"),
+        pytest.param((60, 0.1, 10, 5, "concave", 0), SaConfig(seed=0), 142,
+                     {"samples_drawn": 14200, "escalations": 0, "fallbacks": 0},
+                     "a0c7956b6ca7808b078a171e0a0c7d9665cca77432f7dac4b0daf2aee0313d03", id="concave"),
+        # one walk a round: escalations (test_escalation_and_fallback reaches a fallback)
+        pytest.param((60, 0.1, 5, 10, "linear", 1), SaConfig(seed=1, samples_per_round=1), 111,
+                     {"samples_drawn": 217, "escalations": 46, "fallbacks": 0},
+                     "9c8b7b29078efd5ce0b5f41b3c5b40d50d34ec9ccb47474b165df00f8a5077b1", id="one-walk"),
     ])
     def test_pinned_outputs(self, instance_args, config, rounds, extras, digest):
-        # the budget vectors of the per-walk implementation; a faster sampler must keep them
+        # the budget vectors of one generator per round over the live pairs;
+        # a faster sampler must keep them
         n, rho, threshold, k, model, seed = instance_args
         report = run_sa(make_er_instance(n, rho, threshold, k, model, seed=seed), config)
         assert report.outer_iterations == rounds
