@@ -42,15 +42,12 @@ from .pathcore import (
     CandidateSet,
     Path,
     PathSupport,
-    blocks_all,
-    d_value,
     edge_lengths,
     pair_shortest_paths,
-    r_value,
     shortest_path,
     unseparated_pairs,
 )
 from .report import Deadline, RunReport
-from .sa import SaConfig, SampledPath, build_sp_tree, estimate_B, greedy_chunk, run_sa, sample_count, sample_path
+from .sa import SaConfig, SampledPath, build_sp_tree, greedy_chunk, run_sa, sample_count, sample_path
 
 __version__ = "0.1.0"

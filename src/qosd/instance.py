@@ -38,7 +38,7 @@ class Graph:
     def __init__(self, n: int, edges: Sequence[tuple[int, int]]):
         if n <= 0:
             raise InvalidInstanceError("graph must have at least one node")
-        seen: set[tuple[int, int]] = set()
+        seen: set[int] = set()  # u * n + v: ints, which the collector does not track
         out_adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         in_adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         for idx, (u, v) in enumerate(edges):
@@ -46,15 +46,18 @@ class Graph:
                 raise InvalidInstanceError(f"edge {idx} endpoint out of range: ({u}, {v})")
             if u == v:
                 raise InvalidInstanceError(f"edge {idx} is a self-loop at node {u}")
-            if (u, v) in seen:
+            key = u * n + v
+            if key in seen:
                 raise InvalidInstanceError(f"duplicate edge ({u}, {v})")
-            seen.add((u, v))
+            seen.add(key)
             out_adj[u].append((v, idx))
             in_adj[v].append((u, idx))
         self.n = n
-        self.edges = [(u, v) for u, v in edges]
-        self.out_adj = out_adj
-        self.in_adj = in_adj
+        self.edges = list(map(tuple, edges))  # keeps the given tuples
+        # tuples of (node, edge) tuples: fixed once built, and the cyclic
+        # collector stops tracking them, so a graph adds nothing to its passes
+        self.out_adj = tuple(map(tuple, out_adj))
+        self.in_adj = tuple(map(tuple, in_adj))
         self.max_out_degree = max((len(a) for a in out_adj), default=0)
         self._csr: dict = {}  # pathcore.csr_view's CSR views and sa's padded out-adjacency
 
@@ -119,7 +122,7 @@ class QosdInstance:
 
     __slots__ = (
         "graph", "weights", "pairs", "threshold", "min_initial_weight", "hop_bound", "box",
-        "sources", "source_row", "_affine",
+        "sources", "source_row", "_affine", "_corridor",
     )
 
     def __init__(
@@ -160,6 +163,7 @@ class QosdInstance:
         self.min_initial_weight = lowest if self.weights else 1
         self.hop_bound = math.ceil(threshold / self.min_initial_weight)
         self._affine: tuple[list[int], list[int]] | None = None
+        self._corridor = None  # pathcore.corridor's, built by the first pair sweep
         # a pair has s != t, so each of its paths has an edge that alone reaches T
         if validate_box and lowest_top < threshold:
             self._check_box_feasible()
@@ -249,13 +253,8 @@ def generate_er(n: int, rho: float, seed: int) -> Graph:
         raise InvalidInstanceError("ER generator needs n >= 2")
     if not (0.0 < rho <= 1.0):
         raise InvalidInstanceError("edge probability must be in (0, 1]")
-    rng = random.Random(seed)
-    edges = []
-    for u in range(n):
-        for v in range(n):
-            if u != v and rng.random() < rho:
-                edges.append((u, v))
-    return Graph(n, edges)
+    draw = random.Random(seed).random
+    return Graph(n, [(u, v) for u in range(n) for v in range(n) if u != v and draw() < rho])
 
 
 def _linear_table(threshold: int) -> WeightFunction:
@@ -298,21 +297,14 @@ def build_weights(
     if model not in WEIGHT_MODELS:
         raise InvalidInstanceError(f"unknown weight model {model!r}")
 
-    def one(tag: str) -> WeightFunction:
-        if tag == "linear":
-            return _linear_table(threshold)
-        if tag == "convex":
-            return _convex_table(threshold)
-        if tag == "concave":
-            return _concave_table(threshold)
-        return _cutting_table(threshold)
-
+    build = {"linear": _linear_table, "convex": _convex_table, "concave": _concave_table,
+             "cutting": _cutting_table}
     if model == "heterogeneous":
-        rng = random.Random(seed)
         choices = ("linear", "convex", "concave")
-        return [one(rng.choice(choices)) for _ in range(graph.m)]
-    prototype = one(model)
-    return [prototype] * graph.m
+        tables = {tag: build[tag](threshold) for tag in choices}
+        pick = random.Random(seed).choice
+        return [tables[pick(choices)] for _ in range(graph.m)]
+    return [build[model](threshold)] * graph.m
 
 
 def sample_pairs(graph: Graph, k: int, seed: int) -> list[tuple[int, int]]:

@@ -173,7 +173,8 @@ def constraint_generation(
 
     The separation oracle is IG and AT's sweep,
     :func:`pathcore.pair_shortest_paths`, on the float lengths
-    alpha_e + beta_e x'_e (all >= 1), bounded by T * (1 - FEAS_TOL). A path
+    alpha_e + beta_e max(x'_e, 0) (all >= alpha_e = table[0], as the sweep's
+    corridor needs), bounded by T * (1 - FEAS_TOL). A path
     enters each node by its lowest-index tight in-edge, tested by the same
     float64 sum that gave the distances, so fractional ties resolve exactly
     as the kernel's. Every round's LP reuses one :class:`_PathRows` cache.
@@ -184,7 +185,8 @@ def constraint_generation(
     rows = _PathRows(instance)
 
     def separate(solution: LpSolution) -> list[Path]:
-        lengths = (alphas + betas * np.array(solution.fractional)).tolist()
+        # the sweep needs every length >= alpha = table[0]: clip any negative LP noise
+        lengths = (alphas + betas * np.maximum(solution.fractional, 0.0)).tolist()
         return [p for p in pair_shortest_paths(instance, None, lengths=lengths, bound=cutoff) if p is not None]
 
     solution, _, rounds = _generate(

@@ -1,5 +1,5 @@
-"""Budget vectors, path metrics, the shortest-path kernel, separation checks
-and the blockers' gain structure.
+"""Budget vectors, paths, the shortest-path kernel, separation checks and the
+blockers' gain structure.
 
 :func:`distances` is the one shortest-path search: a single
 ``scipy.sparse.csgraph.dijkstra`` call from a batch of sources over a CSR
@@ -12,6 +12,19 @@ lowest-index tight in-edge, and SA trees take the lowest-id tight next hop;
 both rules read only the exact float64 distances, so every output is fixed
 by the lengths alone. Everything but LR's fractional lengths is exact
 integer arithmetic.
+
+Every pair sweep (:func:`pair_shortest_paths`: IG, AT, CC, the oracle,
+LR's separation, SA's exact fallback, every feasibility check) searches
+only the instance's T-corridor: the edges (u, v) with
+d0(s, u) + table[0] + d0(v, t) < T for some pair, d0 the zero-budget
+distance (goal-directed pruning with bounds that are exact, because lengths
+never fall below table[0]). Every prefix and suffix of a path below T is
+then at least its zero-budget length, so each of its edges is in the
+corridor, corridor distances are exact along it, its tight in-edges are the
+full graph's and the sweep finds the same paths. The first sweep builds the
+corridor from one bounded sweep forward from the sources and one reverse
+from the sinks. SA's round sweep stays on the whole graph: its walks leave
+the corridor and read tree parents at every node.
 
 :class:`PathSupport` is the one place where a blocker's path lengths, edge
 support and capped-gain scan live: IG's unit steps, AT's best-ratio
@@ -29,6 +42,7 @@ from __future__ import annotations
 
 import copy
 import math
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
@@ -48,19 +62,21 @@ _INF = float("inf")
 
 
 class BudgetVector:
-    """Length-m vector of nonnegative integer budget units.
-
-    ``plus`` returns a new vector and never clamps to a box; callers check
-    ``within_box`` where the cap constraint matters.
-    """
+    """Length-m vector of nonnegative integer budget units, read-only; callers
+    check ``within_box`` where the cap constraint matters. ``values`` is an
+    ``array`` of one byte per edge while every entry is below 256 (8 bytes
+    otherwise), an eighth of a list's size."""
 
     __slots__ = ("values", "norm")
 
     def __init__(self, values: Iterable[int]):
         vals = list(values)
-        if min(vals, default=0) < 0:
-            raise QosdError("budget components must be nonnegative")
-        self.values = vals
+        try:
+            self.values = array("B", bytes(vals))  # bytes() checks 0 <= v < 256
+        except ValueError:
+            if min(vals) < 0:
+                raise QosdError("budget components must be nonnegative") from None
+            self.values = array("q", vals)
         self.norm = sum(vals)
 
     @classmethod
@@ -72,11 +88,6 @@ class BudgetVector:
         vals = [0] * m
         vals[edge] = amount
         return cls(vals)
-
-    def plus(self, other: "BudgetVector") -> "BudgetVector":
-        if len(self.values) != len(other.values):
-            raise QosdError(f"dimension mismatch: {len(self.values)} vs {len(other.values)}")
-        return BudgetVector([a + b for a, b in zip(self.values, other.values)])
 
     def within_box(self, box: Sequence[int]) -> bool:
         return len(self.values) == len(box) and all(
@@ -99,7 +110,7 @@ class BudgetVector:
         return hash(tuple(self.values))
 
     def __repr__(self) -> str:
-        return f"BudgetVector(norm={self.norm}, values={self.values})"
+        return f"BudgetVector(norm={self.norm}, values={self.values.tolist()})"
 
 
 @dataclass(frozen=True)
@@ -152,27 +163,6 @@ class CandidateSet:
 def edge_lengths(instance: "QosdInstance", x: BudgetVector) -> list[int]:
     """Current weight f_e(x_e) for every edge."""
     return [wf.table[v] for wf, v in zip(instance.weights, x.values)]
-
-
-def r_value(instance: "QosdInstance", path: Path, x: BudgetVector) -> int:
-    """Path length under x, capped at the threshold."""
-    threshold = instance.threshold
-    weights = instance.weights
-    total = 0
-    for e in path.edge_seq:
-        total += weights[e].table[x.values[e]]
-        if total >= threshold:
-            return threshold
-    return total
-
-
-def d_value(instance: "QosdInstance", paths: Iterable[Path], x: BudgetVector) -> int:
-    """Sum of capped lengths; equals |P| * T exactly when x blocks all of P."""
-    return sum(r_value(instance, p, x) for p in paths)
-
-
-def blocks_all(instance: "QosdInstance", paths: Sequence[Path], x: BudgetVector) -> bool:
-    return d_value(instance, paths, x) == len(paths) * instance.threshold
 
 
 def csr_view(graph: "Graph", reverse: bool) -> tuple[csr_matrix, np.ndarray, np.ndarray]:
@@ -243,6 +233,30 @@ def shortest_path(
     return Path(tuple(nodes), tuple(edges), initial, pair_index)
 
 
+def corridor(instance: "QosdInstance", limit: float) -> tuple[csr_matrix, np.ndarray]:
+    """The edges (u, v) with d0(s, u) + table[0] + d0(v, t) < ``limit`` for some
+    pair, as an n x n CSR matrix (callers refill ``data``) and each entry's
+    edge index. Kept on the instance until a call asks for a higher limit."""
+    kept = instance._corridor
+    if kept is None or kept[0] < limit:
+        graph = instance.graph
+        base = np.array([wf.table[0] for wf in instance.weights], dtype=np.float64)
+        full, perm, tails = csr_view(graph, False)
+        heads, lowest = full.indices, base[perm]
+        sinks, sink_row = np.unique([t for _, t in instance.pairs], return_inverse=True)
+        from_sources = distances(instance, base, instance.sources, bound=limit)
+        to_sinks = distances(instance, base, sinks, bound=limit, reverse=True)
+        keep = np.zeros(len(perm), dtype=bool)
+        for r, c in zip(instance.source_row.tolist(), sink_row.tolist()):
+            keep |= from_sources[r][tails] + lowest + to_sinks[c][heads] < limit
+        del from_sources, to_sinks
+        pos = np.flatnonzero(keep)
+        indptr = np.r_[0, np.cumsum(np.bincount(tails[pos], minlength=graph.n))].astype(np.int32)
+        matrix = csr_matrix((np.zeros(len(pos)), heads[pos], indptr), shape=(graph.n, graph.n))
+        kept = instance._corridor = (limit, matrix, perm[pos])
+    return kept[1:]
+
+
 def pair_shortest_paths(
     instance: "QosdInstance",
     x: BudgetVector | None,
@@ -251,12 +265,22 @@ def pair_shortest_paths(
     bound: float | None = None,
 ) -> list[Path | None]:
     """Per-pair :func:`shortest_path` (None when the pair is separated), in
-    pair order, from one :func:`distances` call over ``instance.sources``."""
-    if lengths is None:
-        lengths = edge_lengths(instance, x)
+    pair order, from one Dijkstra call over ``instance.sources`` on the
+    :func:`corridor` for max(bound, T), which holds every path below the
+    bound (see the module docstring) when ``lengths`` (f_e(x_e), read on the
+    corridor only, when None) are at least ``table[0]`` on every edge."""
     if bound is None:
         bound = instance.threshold
-    dist = distances(instance, lengths, instance.sources, bound=bound)
+    matrix, edges = corridor(instance, max(bound, instance.threshold))
+    if lengths is None:
+        weights, xv = instance.weights, x.values
+        matrix.data[:] = [weights[e].table[xv[e]] for e in edges.tolist()]
+        # an edge outside the corridor is never tight
+        lengths = np.full(instance.graph.m, _INF)
+        lengths[edges] = matrix.data
+    else:
+        np.take(np.asarray(lengths, dtype=np.float64), edges, out=matrix.data)
+    dist = csgraph_dijkstra(matrix, directed=True, indices=instance.sources, limit=bound)
     return [
         shortest_path(instance, x, pair, pair_index=i, lengths=lengths, dist=dist[r], bound=bound)
         for i, (pair, r) in enumerate(zip(instance.pairs, instance.source_row.tolist()))

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import ConfigError, GammaZeroError, InfeasibleBoxError
 from .framework import potential_paths
 from .instance import Graph, QosdInstance, concave_ratio
-from .pathcore import BudgetVector, Path, PathSupport, csr_view, distances, edge_lengths, r_value
+from .pathcore import BudgetVector, Path, PathSupport, csr_view, distances, edge_lengths
 from .report import Deadline, RunReport
 
 
@@ -277,17 +277,6 @@ def _sampled(walk: tuple[np.ndarray, ...], i: int) -> SampledPath:
     return SampledPath(path, float(rho[i]), bool(feasible[i]))
 
 
-def estimate_B(instance: QosdInstance, samples: list[SampledPath], x: BudgetVector) -> float:
-    """Importance-weighted mean of capped path lengths over the samples."""
-    if not samples:
-        raise ValueError("cannot estimate from an empty sample set")
-    total = 0.0
-    for sp in samples:
-        if sp.feasible:
-            total += r_value(instance, sp.path, x) / sp.rho
-    return total / len(samples)
-
-
 def sample_count(
     instance: QosdInstance,
     q: int,
@@ -353,11 +342,6 @@ def greedy_chunk(
         support.apply(edge, amount)
         chunk[edge] += amount
     return BudgetVector(chunk)
-
-
-def _derived_rng(master: int, round_idx: int, attempt: int, index: int) -> random.Random:
-    # string seeding hashes with sha512, stable across runs and platforms
-    return random.Random(f"{master}:{round_idx}:{attempt}:{index}")
 
 
 def run_sa(
@@ -442,7 +426,7 @@ def run_sa(
                 )
             chunk, spent = BudgetVector.unit(m, edge, amount), {edge}
             fallbacks += 1
-        values = x.values.copy()
+        values = x.values.tolist()
         for e in spent:
             if chunk[e]:
                 values[e] += chunk[e]

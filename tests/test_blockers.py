@@ -13,15 +13,14 @@ from qosd import (
     WeightFunction,
     block_adaptive,
     block_greedy,
-    blocks_all,
     concave_ratio,
-    d_value,
     make_er_instance,
     min_budget_to_block,
     potential_paths,
 )
 
 from conftest import single_edge_instance
+from reference import blocks_all, d_value
 
 
 def diamond_paths(inst):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qosd import (
+    BudgetVector,
     Graph,
     InfeasibleBoxError,
     InvalidInstanceError,
@@ -21,9 +22,11 @@ from qosd import (
     make_er_instance,
     sample_pairs,
     save_instance,
+    unseparated_pairs,
 )
 
 from conftest import diamond_graph
+from reference import generate_er_per_edge, heterogeneous_per_edge
 
 
 class TestLoadEdgeList:
@@ -85,6 +88,11 @@ class TestGenerateEr:
         g = generate_er(n, rho, seed=1)
         assert abs(g.m - mean) <= 3 * sigma
 
+    @pytest.mark.parametrize("n, rho", [(2, 1.0), (13, 0.3), (60, 0.1), (240, 0.05)])
+    def test_same_edges_as_per_edge_draws(self, n, rho):
+        for seed in range(5):
+            assert generate_er(n, rho, seed).edges == generate_er_per_edge(n, rho, seed).edges
+
     def test_bad_parameters(self):
         with pytest.raises(InvalidInstanceError):
             generate_er(1, 0.5, seed=0)
@@ -121,6 +129,14 @@ class TestBuildWeights:
         tags2 = [w.model_tag for w in build_weights(g, "heterogeneous", 5, seed=11)]
         assert tags1 == tags2
         assert set(tags1) <= {"linear", "convex", "concave"}
+
+    @pytest.mark.parametrize("threshold", [2, 5, 10])
+    def test_heterogeneous_same_tables_as_per_edge_build(self, threshold):
+        g = generate_er(60, 0.2, seed=4)
+        for seed in range(6):
+            assert build_weights(g, "heterogeneous", threshold, seed=seed) == heterogeneous_per_edge(
+                g, threshold, seed
+            )
 
     @pytest.mark.parametrize("model", ["linear", "convex", "concave", "cutting", "heterogeneous"])
     @pytest.mark.parametrize("threshold", [2, 3, 5, 8, 13])
@@ -250,6 +266,12 @@ class TestQosdInstance:
         # every table reaches T = 5, so no path can stay below it
         QosdInstance(g, weights, [(0, 2)], 5)
         assert len(sweeps) == 1
+
+    def test_construction_leaves_the_corridor_to_the_first_sweep(self):
+        inst = make_er_instance(40, 0.1, 5, 6, "heterogeneous", seed=3)
+        assert inst._corridor is None
+        unseparated_pairs(inst, BudgetVector.zeros(inst.graph.m))
+        assert inst._corridor is not None
 
     def test_disconnected_pair_is_fine(self):
         g = Graph(3, [(0, 1)])

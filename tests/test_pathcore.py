@@ -10,6 +10,7 @@ from qosd import (
     CandidateSet,
     Graph,
     make_er_instance,
+    oracle_opt,
     pair_shortest_paths,
     Path,
     PathSupport,
@@ -19,31 +20,44 @@ from qosd import (
     build_sp_tree,
     build_weights,
     concave_ratio,
-    d_value,
     generate_er,
-    r_value,
+    run_iterative,
     shortest_path,
     unseparated_pairs,
 )
-from qosd.pathcore import distances, edge_lengths
+from qosd.instance import WEIGHT_MODELS
+from qosd.lr import FEAS_TOL
+from qosd.pathcore import corridor, distances, edge_lengths
 
 from conftest import diamond_instance
+from reference import d_value, plus, r_value
 
 
 class TestBudgetVector:
     def test_plus(self):
-        assert BudgetVector([1, 0]).plus(BudgetVector([0, 2])) == BudgetVector([1, 2])
+        assert plus(BudgetVector([1, 0]), BudgetVector([0, 2])) == BudgetVector([1, 2])
 
     def test_norm_cached(self):
         assert BudgetVector([2, 0, 5]).norm == 7
 
     def test_dimension_mismatch(self):
         with pytest.raises(QosdError):
-            BudgetVector([1]).plus(BudgetVector([1, 2]))
+            plus(BudgetVector([1]), BudgetVector([1, 2]))
 
     def test_negative_rejected(self):
         with pytest.raises(QosdError):
             BudgetVector([-1])
+        with pytest.raises(QosdError):
+            BudgetVector([300, -1])
+
+    def test_entries_of_any_size_kept(self):
+        for values in ([], [0, 255, 3], [256, 0, 7], [2**40, 1]):
+            x = BudgetVector(values)
+            assert x.values.tolist() == list(x) == values and x.norm == sum(values)
+            # rebuilt from another vector's values, whatever their width
+            assert BudgetVector(x.values) == x == BudgetVector(iter(values))
+            assert hash(BudgetVector(x.values)) == hash(x)
+        assert BudgetVector([1, 0]) != BudgetVector([1, 0, 0])
 
 
 class TestPathAndCandidateSet:
@@ -227,12 +241,12 @@ def test_lemma_concavity_quick():
         edge = rng.choice(free)
         s = BudgetVector.unit(m, edge)
         bx, by = BudgetVector(x), BudgetVector(y)
-        dx = d_value(inst, paths, bx.plus(s)) - d_value(inst, paths, bx)
-        dy = d_value(inst, paths, by.plus(s)) - d_value(inst, paths, by)
+        dx = d_value(inst, paths, plus(bx, s)) - d_value(inst, paths, bx)
+        dy = d_value(inst, paths, plus(by, s)) - d_value(inst, paths, by)
         assert Fraction(dx) >= gamma * Fraction(dy)
         z = BudgetVector([rng.randint(0, c - v) for v, c in zip(y, caps)])
-        dxz = d_value(inst, paths, bx.plus(z)) - d_value(inst, paths, bx)
-        dyz = d_value(inst, paths, by.plus(z)) - d_value(inst, paths, by)
+        dxz = d_value(inst, paths, plus(bx, z)) - d_value(inst, paths, bx)
+        dyz = d_value(inst, paths, plus(by, z)) - d_value(inst, paths, by)
         assert Fraction(dxz) >= gamma * Fraction(dyz)
 
 
@@ -404,7 +418,7 @@ def _brute_best_unit(inst, paths, x, path_weight):
     for e in sorted({e for p in paths for e in p.edge_seq}):
         if x[e] >= inst.box[e]:
             continue
-        bumped = x.plus(BudgetVector.unit(len(x), e))
+        bumped = plus(x, BudgetVector.unit(len(x), e))
         if path_weight is None:
             gain = d_value(inst, paths, bumped) - d_value(inst, paths, x)
         else:
@@ -428,7 +442,7 @@ def _brute_best_chunk(inst, paths, x):
     for e in sorted({e for p in paths for e in p.edge_seq}):
         edge_best = None  # (ratio, amount, gain)
         for z in range(1, inst.box[e] - x[e] + 1):
-            gain = d_value(inst, paths, x.plus(BudgetVector.unit(len(x), e, z))) - base
+            gain = d_value(inst, paths, plus(x, BudgetVector.unit(len(x), e, z))) - base
             if gain > 0 and (edge_best is None or Fraction(gain, z) > edge_best[0]):
                 edge_best = (Fraction(gain, z), z, gain)
         if edge_best is not None:
@@ -548,3 +562,108 @@ def test_path_support_breaks_cross_edge_ties():
         units.append(unit)
         support.apply(unit[0], 1)
     assert units == [(0, 2), (3, 2), (1, 1), (1, 3), (2, 1), (2, 3)]
+
+
+def _corridor_instance(seed: int, model: str) -> QosdInstance:
+    """A small ER instance with ``model``'s tables ("custom": random tables whose
+    first entries differ) and pairs drawn from a few sources and sinks, so that
+    pairs share both."""
+    rng = random.Random(seed)
+    n = rng.randint(4, 12)
+    graph = generate_er(n, rng.uniform(0.15, 0.5), seed)
+    threshold = rng.randint(2, 8)
+    if model == "custom":
+        weights = []
+        for _ in graph.edges:
+            table = [rng.randint(1, 3)]
+            for _ in range(rng.randint(0, 4)):
+                table.append(table[-1] + rng.randint(0, 2))
+            weights.append(WeightFunction(tuple(table)))
+    else:
+        weights = build_weights(graph, model, threshold, seed=seed)
+    sources, sinks = rng.sample(range(n), rng.randint(1, 3)), rng.sample(range(n), rng.randint(1, 3))
+    pairs = [(s, t) for s in sources for t in sinks if s != t] or [(0, 1)]
+    rng.shuffle(pairs)
+    return QosdInstance(graph, weights, pairs, threshold, validate_box=False)
+
+
+def _full_graph_paths(inst, x, lengths, bound):
+    # every pair's path from a sweep over the whole graph
+    dist = distances(inst, lengths, inst.sources, bound=bound)
+    return [
+        shortest_path(inst, x, pair, pair_index=i, lengths=lengths, dist=dist[r], bound=bound)
+        for i, (pair, r) in enumerate(zip(inst.pairs, inst.source_row.tolist()))
+    ]
+
+
+def _zero_budget_corridor(inst) -> set[int]:
+    """The edges (u, v) with d0(s, u) + table[0] + d0(v, t) < T for some pair,
+    by Bellman-Ford."""
+    edges, n = inst.graph.edges, inst.graph.n
+    base = [wf.table[0] for wf in inst.weights]
+    reverse = [(v, u) for u, v in edges]
+    inside = set()
+    for s, t in inst.pairs:
+        from_s, to_t = _bellman_ford(n, edges, base, s), _bellman_ford(n, reverse, base, t)
+        inside.update(e for e, (u, v) in enumerate(edges) if from_s[u] + base[e] + to_t[v] < inst.threshold)
+    return inside
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from(WEIGHT_MODELS + ("custom",)))
+def test_corridor_sweep_equals_full_graph_sweep(seed, model):
+    inst = _corridor_instance(seed, model)
+    rng = random.Random(seed)
+    x = BudgetVector([rng.randint(0, cap) for cap in inst.box])
+    want = _full_graph_paths(inst, x, edge_lengths(inst, x), inst.threshold)
+    assert pair_shortest_paths(inst, x) == want
+    assert unseparated_pairs(inst, x) == [i for i, p in enumerate(want) if p]
+    # LR's separation: float lengths from table[0] up (half of them exactly
+    # table[0], or on a quarter grid, so that ties survive), bound T(1 - FEAS_TOL)
+    quarters = rng.random() < 0.5
+    lengths = [
+        wf.table[0] if rng.random() < 0.5
+        else wf.table[0] + (rng.randint(0, 8) / 4 if quarters else rng.random() * (wf.table[-1] - wf.table[0]))
+        for wf in inst.weights
+    ]
+    bound = inst.threshold * (1 - FEAS_TOL)
+    assert pair_shortest_paths(inst, None, lengths=lengths, bound=bound) == _full_graph_paths(
+        inst, None, lengths, bound
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from(WEIGHT_MODELS + ("custom",)))
+def test_corridor_holds_the_zero_budget_corridor_edges(seed, model):
+    inst = _corridor_instance(seed, model)
+    matrix, edges = corridor(inst, inst.threshold)
+    assert sorted(edges.tolist()) == sorted(_zero_budget_corridor(inst))
+    # each entry sits in its edge's (tail, head) cell
+    for tail in range(inst.graph.n):
+        span = slice(matrix.indptr[tail], matrix.indptr[tail + 1])
+        assert [inst.graph.edges[e] for e in edges[span].tolist()] == [
+            (tail, head) for head in matrix.indices[span].tolist()
+        ]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_candidate_paths_lie_in_the_corridor(seed, monkeypatch):
+    import qosd.baselines
+    import qosd.framework
+
+    found = []
+    separate = qosd.framework.potential_paths
+
+    def recording(*args, **kwargs):
+        paths = separate(*args, **kwargs)
+        found.extend(paths)
+        return paths
+
+    monkeypatch.setattr(qosd.framework, "potential_paths", recording)
+    monkeypatch.setattr(qosd.baselines, "potential_paths", recording)
+    inst = make_er_instance(24, 0.15, 5, 6, "heterogeneous", seed=seed)
+    inside = _zero_budget_corridor(inst)
+    for solve in (lambda: run_iterative(inst, "ig"), lambda: run_iterative(inst, "at"), lambda: oracle_opt(inst)):
+        found.clear()
+        assert solve().feasible
+        assert found and all(set(p.edge_seq) <= inside for p in found)

@@ -20,7 +20,6 @@ from qosd import (
     WeightFunction,
     build_sp_tree,
     build_weights,
-    estimate_B,
     greedy_chunk,
     make_er_instance,
     run_sa,
@@ -29,9 +28,10 @@ from qosd import (
     unseparated_pairs,
 )
 from qosd.pathcore import distances, edge_lengths
-from qosd.sa import _WALK_BLOCK, SampledPath, _derived_rng, _RoundWalker, _sampled
+from qosd.sa import _WALK_BLOCK, SampledPath, _RoundWalker, _sampled
 
 from conftest import diamond_instance, single_edge_instance
+from reference import _derived_rng, estimate_B
 
 
 class TestBuildSpTree:
