@@ -94,7 +94,7 @@ def min_budget_to_block(instance: QosdInstance, paths: Iterable[Path]) -> Budget
         raise InfeasibleBoxError("no edge of a short path has budget to spend")
     z, _ = _solve_highs(
         (start, index, value), rows.need + [0.0] * (ordering - len(rows.need)),
-        [math.inf] * ordering, [1.0] * width, integral=True,
+        [math.inf] * ordering, [1.0] * width, solver=rows.solver, integral=True,
     )
     j = 0
     for e in rows.support:

@@ -2,10 +2,10 @@
 for instances whose weight tables are affine in the budget.
 
 Constraint generation caches each path's covering row once, when the path
-enters the candidate set (:class:`_PathRows`), and hands each round's LP to
-HiGHS column-wise from that cache. The exact oracle's integer program
-(:func:`baselines.min_budget_to_block`) builds its columns from the same
-cache, and :func:`_solve_highs` solves both models."""
+enters the candidate set (:class:`_PathRows`), and hands each round's LP
+from that cache to the one HiGHS solver the cache keeps. The exact oracle's
+integer program (:func:`baselines.min_budget_to_block`) builds its columns
+from the same cache, and :func:`_solve_highs` solves both models cold."""
 
 from __future__ import annotations
 
@@ -56,7 +56,7 @@ def _highs_options(integral: bool) -> highs.HighsOptions:
     return options
 
 
-# built once: passOptions copies them into each run's own solver
+# built once: passOptions copies them into the solver before each solve
 _LP_OPTIONS, _MIP_OPTIONS = _highs_options(False), _highs_options(True)
 
 
@@ -66,10 +66,12 @@ def _solve_highs(
     upper: Sequence[float],
     ub: Sequence[float],
     *,
+    solver: highs._Highs,
     integral: bool = False,
 ) -> tuple[np.ndarray, float]:
     """``(y, objective)`` of min sum(y) s.t. lower <= A y <= upper, 0 <= y <= ub
-    (y integral when asked) by one cold HiGHS run on a fresh solver.
+    (y integral when asked) by one cold run of ``solver``: passModel drops the
+    last model's basis and solution, so the vertex is a fresh solver's.
 
     ``columns`` is A column-wise, as the ``(indptr, indices, data)`` of a
     CSC matrix with ``len(lower)`` rows and ``len(ub)`` columns. Infeasible
@@ -84,7 +86,6 @@ def _solve_highs(
     lp.row_lower_, lp.row_upper_ = lower, upper
     if integral:
         lp.integrality_ = [highs.HighsVarType.kInteger] * num_col
-    solver = highs._Highs()
     solver.passOptions(_MIP_OPTIONS if integral else _LP_OPTIONS)
     solver.passModel(lp)
     solver.run()
@@ -92,7 +93,7 @@ def _solve_highs(
     if status != highs.HighsModelStatus.kOptimal:
         error = InfeasibleBoxError if status == highs.HighsModelStatus.kInfeasible else QosdError
         raise error(f"no optimum within the box: HiGHS reports {solver.modelStatusToString(status)}")
-    return np.array(solver.getSolution().col_value), solver.getInfo().objective_function_value
+    return np.array(solver.getSolution().col_value), solver.getObjectiveValue()
 
 
 class _PathRows:
@@ -104,11 +105,12 @@ class _PathRows:
     included). A path still short at zero budget becomes the next row: its
     ``need = T - sum_{e in p} f_e(0)`` is appended to ``need`` and its row
     number to ``rows[e]`` for each of its edges. Each model turns the rows
-    into its own columns.
+    into its own columns and solves them on ``solver``.
     """
 
     def __init__(self, instance: QosdInstance):
         self.instance = instance
+        self.solver = highs._Highs()
         self.read = 0
         self.support: list[int] = []
         self.rows: dict[int, list[int]] = {}
@@ -155,7 +157,7 @@ def solve_lp(
         start.append(len(index))
     y, objective = _solve_highs(
         (start, index, value), [-math.inf] * len(rows.need), [-need for need in rows.need],
-        [instance.box[e] for e in rows.support],
+        [instance.box[e] for e in rows.support], solver=rows.solver,
     )
     fractional = np.zeros(instance.graph.m)
     fractional[rows.support] = y
@@ -177,7 +179,7 @@ def constraint_generation(
     corridor needs), bounded by T * (1 - FEAS_TOL). A path
     enters each node by its lowest-index tight in-edge, tested by the same
     float64 sum that gave the distances, so fractional ties resolve exactly
-    as the kernel's. Every round's LP reuses one :class:`_PathRows` cache.
+    as the kernel's. Every round reuses one :class:`_PathRows` and its solver.
     """
     betas, alphas = (np.array(c, dtype=float) for c in instance.affine_coeffs())
     m = instance.graph.m

@@ -216,7 +216,6 @@ class _RoundWalker:
         (pair, nodes, edges, initial length, rho, feasible), one row a walk."""
         alpha, threshold, n = self.alpha, self.instance.threshold, self.instance.graph.n
         count = len(pair)
-        walks = np.arange(count)
         sink_row = self.sink_row[pair]
         sink = self.sinks[sink_row]
         u = self.sources[pair]
@@ -226,46 +225,45 @@ class _RoundWalker:
         nodes = np.full((count, width + 1), -1, dtype=np.int64)
         edges = np.full((count, width), -1, dtype=np.int64)
         nodes[:, 0] = u
+        walk = np.arange(count)  # the walks still going, in walk order
         visited = np.zeros((count, n), dtype=bool)
-        visited[walks, u] = True
-        live = np.ones(count, dtype=bool)
+        visited[walk, u] = True
         for step in range(width):
-            cand, cand_edge = self.out_nodes[u], self.out_edges[u]
-            free = (cand >= 0) & ~visited[walks[:, None], cand] & live[:, None]
-            slots = free.sum(axis=1)
-            moving = np.flatnonzero(slots)  # a live walk with no free slot stops
-            if not moving.size:
+            if not walk.size:
                 break
+            at, row = u[walk], sink_row[walk]
+            cand, cand_edge = self.out_nodes[at], self.out_edges[at]
+            pad = cand >= 0
+            free = pad & ~visited[walk[:, None], cand]
+            slots = free.sum(axis=1)
             # build_sp_tree's parent: the lowest-id out-neighbour on a tight
             # edge toward the sink (none, n, when the sink is out of reach)
-            to_u = rows[sink_row, u]
-            tight = (cand >= 0) & (to_u < np.inf)[:, None] & (
-                lengths[cand_edge] + rows[sink_row[:, None], cand] == to_u[:, None])
+            to_u = rows[row, at]
+            tight = pad & (to_u < np.inf)[:, None] & (
+                lengths[cand_edge] + rows[row[:, None], cand] == to_u[:, None])
             is_parent = free & (cand == np.where(tight, cand, n).min(axis=1)[:, None])
-            probs = np.where(
-                is_parent.any(axis=1)[:, None],
-                np.where(is_parent, alpha, ((1.0 - alpha) / np.maximum(slots - 1, 1))[:, None]),
-                (1.0 / np.maximum(slots, 1))[:, None],
-            )
-            probs[~free] = 0.0
-            drawn = np.flatnonzero(slots > 1)
-            draw = np.zeros(count)
-            draw[drawn] = uniform(drawn)
-            below = draw[:, None] < np.cumsum(probs, axis=1)
-            # no slot reached by rounding: the last free slot, as in sample_path;
-            # a forced step's one free slot is both its first hit and its last
+            other = np.where(is_parent.any(axis=1), (1.0 - alpha) / np.maximum(slots - 1, 1),
+                             1.0 / np.maximum(slots, 1))
+            # x * 1.0 and x * 0.0 are exact: a visited or padding slot gets +0.0
+            probs = np.where(is_parent, alpha, other[:, None]) * free
+            drawn = slots > 1
+            draw = np.zeros(walk.size)
+            draw[drawn] = uniform(walk[drawn])
+            # the first slot whose running sum passes the draw, else (a rounding gap)
+            # the last free slot, as in sample_path; a forced step's one free slot is both
             last = free.shape[1] - 1 - free[:, ::-1].argmax(axis=1)
-            choice = np.where(below.any(axis=1), below.argmax(axis=1), last)
-            rho[drawn] *= probs[drawn, choice[drawn]]
-            v, e = cand[moving, choice[moving]], cand_edge[moving, choice[moving]]
-            visited[moving, v] = True
-            nodes[moving, step + 1] = v
-            edges[moving, step] = e
-            current[moving] += lengths[e]
-            initial[moving] += self.initial[e]
-            u[moving] = v
-            live[:] = False
-            live[moving] = (v != sink[moving]) & (current[moving] < threshold)
+            choice = np.minimum((draw[:, None] >= np.cumsum(probs, axis=1)).sum(axis=1), last)
+            taken = np.arange(walk.size), choice
+            rho[walk[drawn]] *= probs[taken][drawn]
+            moving = slots > 0  # a walk with no free slot stops
+            walk, v, e = walk[moving], cand[taken][moving], cand_edge[taken][moving]
+            visited[walk, v] = True
+            nodes[walk, step + 1] = v
+            edges[walk, step] = e
+            current[walk] += lengths[e]
+            initial[walk] += self.initial[e]
+            u[walk] = v
+            walk = walk[(v != sink[walk]) & (current[walk] < threshold)]
         return pair, nodes, edges, initial, rho, (u == sink) & (initial < threshold)
 
 

@@ -105,7 +105,7 @@ class TestSolveHighs:
     @pytest.mark.parametrize("seed", range(20))
     def test_lp_matches_linprog(self, seed):
         A, need, ub = _random_model(seed, 8, 12)
-        y, objective = _solve_highs(_colwise(-A), np.full(len(need), -np.inf), -need, ub)
+        y, objective = _solve_highs(_colwise(-A), np.full(len(need), -np.inf), -need, ub, solver=highs._Highs())
         ref = linprog(np.ones(len(ub)), A_ub=-A, b_ub=-need, bounds=[(0.0, u) for u in ub], method="highs")
         assert ref.success
         assert np.array_equal(y, ref.x)
@@ -114,7 +114,8 @@ class TestSolveHighs:
     @pytest.mark.parametrize("seed", range(10))
     def test_mip_matches_milp(self, seed):
         A, need, ub = _random_model(seed, 6, 8)
-        y, objective = _solve_highs(_colwise(A), need, np.full(len(need), np.inf), ub, integral=True)
+        y, objective = _solve_highs(
+            _colwise(A), need, np.full(len(need), np.inf), ub, solver=highs._Highs(), integral=True)
         ref = milp(
             np.ones(len(ub)), integrality=np.ones(len(ub)), bounds=Bounds(0, ub),
             constraints=LinearConstraint(A, need, np.inf), options={"mip_rel_gap": 0},
@@ -126,7 +127,7 @@ class TestSolveHighs:
     def test_infeasible_raises_infeasible_box(self):
         A = _colwise(np.array([[1.0, 1.0]]))
         with pytest.raises(InfeasibleBoxError, match="Infeasible"):
-            _solve_highs(A, np.array([3.0]), np.array([np.inf]), [1.0, 1.0])
+            _solve_highs(A, np.array([3.0]), np.array([np.inf]), [1.0, 1.0], solver=highs._Highs())
 
     def test_other_status_raises_qosd_error(self, monkeypatch):
         class Stopped(highs._Highs):
@@ -136,7 +137,7 @@ class TestSolveHighs:
         monkeypatch.setattr(highs, "_Highs", Stopped)
         A = _colwise(np.array([[1.0, 1.0]]))
         with pytest.raises(QosdError, match="Iteration limit") as info:
-            _solve_highs(A, np.array([1.0]), np.array([np.inf]), [1.0, 1.0])
+            _solve_highs(A, np.array([1.0]), np.array([np.inf]), [1.0, 1.0], solver=highs._Highs())
         assert not isinstance(info.value, InfeasibleBoxError)
 
 
@@ -214,7 +215,9 @@ def _handed_to_highs(monkeypatch, layout, instance, paths):
     import qosd.baselines
 
     calls = []
-    record = lambda columns, *bounds, integral=False: [[list(c) for c in columns], *map(list, bounds), integral]
+    # the solver a call runs on is not part of its model
+    record = lambda columns, *bounds, integral=False, solver=None: [
+        [list(c) for c in columns], *map(list, bounds), integral]
     if layout is _lp_columns:
         _recording(monkeypatch, "_solve_highs", calls, record)
         result = solve_lp(instance, paths)
@@ -353,10 +356,10 @@ class TestLpRows:
         gap = qosd.lr._LP_OPTIONS.mip_rel_gap
 
         def relaxation():
-            return _solve_highs(_colwise(-A), np.full(len(need), -np.inf), -need, ub)
+            return _solve_highs(_colwise(-A), np.full(len(need), -np.inf), -need, ub, solver=highs._Highs())
 
         y, objective = relaxation()
-        _solve_highs(_colwise(A), need, np.full(len(need), np.inf), ub, integral=True)
+        _solve_highs(_colwise(A), need, np.full(len(need), np.inf), ub, solver=highs._Highs(), integral=True)
         again, again_objective = relaxation()
         assert y.tobytes() == again.tobytes()
         assert np.float64(objective).tobytes() == np.float64(again_objective).tobytes()
@@ -387,6 +390,57 @@ class TestLpRows:
             old = [alphas[e] + betas[e] * solution.fractional[e] for e in range(inst.graph.m)]
             assert type(got) is list and all(type(v) is float for v in got)
             assert np.array(got).tobytes() == np.array(old).tobytes()
+
+
+class TestSolverReuse:
+    """Each run hands all its models to one solver; every solve is still cold,
+    so the run's outputs are those of a fresh solver per model."""
+
+    @pytest.mark.parametrize("make", [
+        *[lambda i=i: make_er_instance(60, 0.1, 5, 10, "linear", seed=1000 + i) for i in range(10)],
+        lambda: make_er_instance(30, 0.15, 5, 6, "cutting", seed=1),
+        lambda: make_er_instance(30, 0.15, 5, 6, "cutting", seed=2),
+    ], ids=[*(f"er60-{i}" for i in range(10)), "cutting-1", "cutting-2"])
+    def test_constraint_generation_equals_fresh_solvers(self, make, monkeypatch):
+        import qosd.lr
+
+        inst = make()
+        reused = constraint_generation(inst)
+        original = qosd.lr._solve_highs
+        monkeypatch.setattr(qosd.lr, "_solve_highs", lambda *args, solver, integral=False: original(
+            *args, solver=highs._Highs(), integral=integral))
+        fresh = constraint_generation(inst)
+        assert reused.rounds == fresh.rounds >= 2
+        assert reused.fractional == fresh.fractional
+        assert reused.objective == fresh.objective
+
+    @pytest.mark.parametrize("integral", [False, True])
+    def test_infeasible_model_leaves_no_state(self, integral):
+        A, need, ub = _random_model(5, 8, 12)
+        lower, upper = (need, np.full(len(need), np.inf)) if integral else (np.full(len(need), -np.inf), -need)
+        columns = _colwise(A if integral else -A)
+        solver = highs._Highs()
+        infeasible = _colwise(np.array([[1.0, 1.0]]))
+        with pytest.raises(InfeasibleBoxError):
+            _solve_highs(infeasible, [3.0], [np.inf], [1.0, 1.0], solver=solver, integral=integral)
+        y, objective = _solve_highs(columns, lower, upper, ub, solver=solver, integral=integral)
+        want, want_objective = _solve_highs(columns, lower, upper, ub, solver=highs._Highs(), integral=integral)
+        assert y.tobytes() == want.tobytes()
+        assert np.float64(objective).tobytes() == np.float64(want_objective).tobytes()
+
+    def test_model_kinds_alternate_on_one_solver(self):
+        # each call gives the solver its model kind's options: a MILP's
+        # mip_rel_gap = 0 does not stay behind for the next LP, nor the reverse
+        A, need, ub = _random_model(3, 8, 12)
+        lp = (_colwise(-A), np.full(len(need), -np.inf), -need, ub)
+        mip = (_colwise(A), need, np.full(len(need), np.inf), ub)
+        solver = highs._Highs()
+        for model, integral in [(lp, False), (mip, True), (lp, False), (mip, True)]:
+            y, objective = _solve_highs(*model, solver=solver, integral=integral)
+            assert solver.getOptions().mip_rel_gap == (0.0 if integral else 1e-4)
+            want, want_objective = _solve_highs(*model, solver=highs._Highs(), integral=integral)
+            assert y.tobytes() == want.tobytes()
+            assert np.float64(objective).tobytes() == np.float64(want_objective).tobytes()
 
 
 class TestConstraintGeneration:
