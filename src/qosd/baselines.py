@@ -15,7 +15,7 @@ from .errors import InfeasibleBoxError
 from .framework import _generate, potential_paths
 from .instance import QosdInstance
 from .lr import _PathRows, _solve_highs
-from .pathcore import BudgetVector, Path
+from .pathcore import BudgetVector, Path, budget_array
 from .report import Deadline, RunReport
 
 
@@ -31,9 +31,8 @@ def run_cc(
     accepted and ignored."""
     deadline = Deadline.ensure(deadline)
     start = time.perf_counter()
-    m = instance.graph.m
     box = instance.box
-    x = [0] * m
+    x = budget_array(instance)
     rounds = 0
     while True:
         deadline.check("centrality cutting")
@@ -68,7 +67,7 @@ def min_budget_to_block(instance: QosdInstance, paths: Iterable[Path]) -> Budget
     rows = _PathRows(instance)
     rows.extend(list(paths))
     box = instance.box
-    x = [0] * instance.graph.m
+    x = budget_array(instance)
     if not rows.need:
         return BudgetVector(x)
     # milp's form need <= A z, path rows first, then the ordering rows in

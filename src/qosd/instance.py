@@ -122,7 +122,7 @@ class QosdInstance:
 
     __slots__ = (
         "graph", "weights", "pairs", "threshold", "min_initial_weight", "hop_bound", "box",
-        "sources", "source_row", "_affine", "_corridor",
+        "sources", "source_row", "_affine", "_corridor", "_budget_code",
     )
 
     def __init__(
@@ -163,7 +163,7 @@ class QosdInstance:
         self.min_initial_weight = lowest if self.weights else 1
         self.hop_bound = math.ceil(threshold / self.min_initial_weight)
         self._affine: tuple[list[int], list[int]] | None = None
-        self._corridor = None  # pathcore.corridor's, built by the first pair sweep
+        self._corridor = self._budget_code = None  # kept by pathcore.corridor and budget_array
         # a pair has s != t, so each of its paths has an edge that alone reaches T
         if validate_box and lowest_top < threshold:
             self._check_box_feasible()

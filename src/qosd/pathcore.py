@@ -35,7 +35,10 @@ stepped edge and the edges of the paths below T that the step lengthened,
 and a pick reads the top of a lazy heap of the changed entries rather
 than walking every edge. IG and AT keep one zero-budget support across
 their outer rounds, extend it by each round's new paths (rescanning only
-their edges) and block each round on a copy.
+their edges) and block each round on a copy. Its ``x``, SA's and CC's
+budgets and :class:`BudgetVector` share one buffer representation, so
+copying x or wrapping it in a vector is a buffer copy: no per-round step
+walks all m edges in Python.
 """
 
 from __future__ import annotations
@@ -65,11 +68,20 @@ class BudgetVector:
     """Length-m vector of nonnegative integer budget units, read-only; callers
     check ``within_box`` where the cap constraint matters. ``values`` is an
     ``array`` of one byte per edge while every entry is below 256 (8 bytes
-    otherwise), an eighth of a list's size."""
+    otherwise), as are the solvers' working budgets (:func:`budget_array`).
+    Built from an integer ``array``, it is a buffer copy checked and summed
+    in numpy; other iterables are read entry by entry."""
 
     __slots__ = ("values", "norm")
 
     def __init__(self, values: Iterable[int]):
+        if isinstance(values, array):
+            entries = np.frombuffer(values, values.typecode)
+            if entries.size and entries.min() < 0:
+                raise QosdError("budget components must be nonnegative")
+            code = "B" if not entries.size or entries.max() < 256 else "q"
+            self.values, self.norm = array(code, entries.astype(code).tobytes()), int(entries.sum())
+            return
         vals = list(values)
         try:
             self.values = array("B", bytes(vals))  # bytes() checks 0 <= v < 256
@@ -81,18 +93,16 @@ class BudgetVector:
 
     @classmethod
     def zeros(cls, m: int) -> "BudgetVector":
-        return cls([0] * m)
+        return cls(array("B", bytes(m)))
 
     @classmethod
     def unit(cls, m: int, edge: int, amount: int = 1) -> "BudgetVector":
-        vals = [0] * m
+        vals = array("q", bytes(8 * m))
         vals[edge] = amount
         return cls(vals)
 
     def within_box(self, box: Sequence[int]) -> bool:
-        return len(self.values) == len(box) and all(
-            v <= c for v, c in zip(self.values, box)
-        )
+        return len(self.values) == len(box) and all(v <= c for v, c in zip(self.values, box))
 
     def __getitem__(self, edge: int) -> int:
         return self.values[edge]
@@ -111,6 +121,15 @@ class BudgetVector:
 
     def __repr__(self) -> str:
         return f"BudgetVector(norm={self.norm}, values={self.values.tolist()})"
+
+
+def budget_array(instance: "QosdInstance", values: array | None = None) -> array:
+    """A writable copy of ``values`` (zeros when None) that holds any entry
+    within the box: one byte per edge unless some cap is 256 or more."""
+    if instance._budget_code is None:  # one pass over the box per instance
+        instance._budget_code = "B" if max(instance.box, default=0) < 256 else "q"
+    code = instance._budget_code
+    return array(code, [0]) * instance.graph.m if values is None else array(code, values)
 
 
 @dataclass(frozen=True)
@@ -295,7 +314,8 @@ def unseparated_pairs(instance: "QosdInstance", x: BudgetVector) -> list[int]:
 class PathSupport:
     """Lengths, edge support and shortfall of a path set under a budget x.
 
-    ``x`` starts as a copy of the given vector (zeros when None),
+    ``x`` starts as a :func:`budget_array` copy of the given vector (zeros
+    when None), so :meth:`copy` and :meth:`block`'s vector copy its buffer;
     ``lengths[i]`` is path i's length under x, ``support`` maps each edge to
     the indices of the paths using it and ``gap`` = sum(T - min(T, length))
     = |P| * T - D, which is 0 exactly when x blocks every path. A caller can
@@ -318,13 +338,13 @@ class PathSupport:
         self,
         instance: "QosdInstance",
         paths: Iterable[Path],
-        x: Iterable[int] | None = None,
+        x: BudgetVector | None = None,
         path_weight: Sequence[float] | None = None,
     ):
         self.threshold = instance.threshold
         self.weights = instance.weights
         self.box = instance.box
-        self.x = [0] * instance.graph.m if x is None else list(x)
+        self.x = budget_array(instance, None if x is None else x.values)
         self.path_edges, self.lengths, self.path_weight = [], [], []
         self.support: dict[int, tuple[int, ...]] = {}
         self.gap = 0
@@ -359,7 +379,7 @@ class PathSupport:
         twin = copy.copy(self)
         for name in ("x", "path_edges", "lengths", "path_weight", "support", "_unit_gains",
                      "_chunks", "_unit_heap", "_chunk_heap", "_unit_dirty", "_chunk_dirty"):
-            setattr(twin, name, getattr(self, name).copy())
+            setattr(twin, name, copy.copy(getattr(self, name)))
         return twin
 
     @staticmethod

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import ConfigError, GammaZeroError, InfeasibleBoxError
 from .framework import potential_paths
 from .instance import Graph, QosdInstance, concave_ratio
-from .pathcore import BudgetVector, Path, PathSupport, csr_view, distances, edge_lengths
+from .pathcore import BudgetVector, Path, PathSupport, budget_array, csr_view, distances, edge_lengths
 from .report import Deadline, RunReport
 
 
@@ -275,13 +275,7 @@ def _sampled(walk: tuple[np.ndarray, ...], i: int) -> SampledPath:
     return SampledPath(path, float(rho[i]), bool(feasible[i]))
 
 
-def sample_count(
-    instance: QosdInstance,
-    q: int,
-    epsilon: float,
-    delta_round: float,
-    gamma=None,
-) -> int:
+def sample_count(instance: QosdInstance, q: int, epsilon: float, delta_round: float, gamma=None) -> int:
     """Per-round sample size with guaranteed estimator accuracy.
 
     Uses the fixed split eps1 = eps/2, delta1 = delta_round/2 and the
@@ -290,25 +284,15 @@ def sample_count(
     """
     if not (0 < epsilon < 1 and 0 < delta_round < 1):
         raise ConfigError("epsilon and delta_round must lie in (0, 1)")
-    if gamma is None:
-        gamma = concave_ratio(instance.weights)
-    gamma = float(gamma)
+    gamma = float(concave_ratio(instance.weights) if gamma is None else gamma)
     if gamma <= 0.0:
-        raise GammaZeroError(
-            "theoretical sample sizing diverges at concave ratio 0; use practical mode"
-        )
-    eps1 = epsilon / 2.0
-    delta1 = delta_round / 2.0
-    t = instance.threshold
-    k = instance.k
+        raise GammaZeroError("theoretical sample sizing diverges at concave ratio 0; use practical mode")
+    eps1, delta1 = epsilon / 2.0, delta_round / 2.0
+    t, k, h, n = instance.threshold, instance.k, instance.hop_bound, instance.graph.n
     d = max(instance.graph.max_out_degree, 1)
-    h = instance.hop_bound
-    n = instance.graph.n
     scale = (t * k) ** 2 * float(d) ** (2 * h)
     first = math.log(1.0 / delta1) / eps1**2
-    log_binom = (
-        math.lgamma(n + q + 1) - math.lgamma(q + 1) - math.lgamma(n + 1)
-    )
+    log_binom = math.lgamma(n + q + 1) - math.lgamma(q + 1) - math.lgamma(n + 1)
     shrink = 1.0 - math.exp(-gamma)
     second = (log_binom - math.log(delta1)) / (2.0 * shrink**2 * eps1**2)
     return math.ceil(scale * max(first, second))
@@ -332,7 +316,7 @@ def greedy_chunk(
         return BudgetVector.zeros(instance.graph.m)
     inv = 1.0 / (drawn or len(samples))
     support = PathSupport(instance, [sp.path for sp, _ in live], x, [c * inv / sp.rho for sp, c in live])
-    chunk = [0] * instance.graph.m
+    chunk = budget_array(instance)
     for _ in range(q):
         edge, amount, _ = support.best_step()
         if edge < 0:
@@ -389,8 +373,8 @@ def run_sa(
     else:
         base_count = config.samples_per_round or max(100, 10 * instance.k)
 
-    m = instance.graph.m
-    x = BudgetVector.zeros(m)
+    values = budget_array(instance)  # x's entries, raised in place each round
+    x = BudgetVector(values)
     walker = _RoundWalker(instance, config.alpha, deadline)
     lengths = walker.initial.copy()  # f_e(x_e), rewritten where a round spends
     rounds = 0
@@ -412,23 +396,17 @@ def run_sa(
             samples_drawn += count
             chunk = greedy_chunk(instance, samples, x, config.q, counts, count)
             if chunk.norm > 0:
-                # a chunk spends only on edges of the feasible samples
-                spent = {e for sp in samples for e in sp.path.edge_seq}
                 break
         else:
             paths = potential_paths(instance, x, lengths=lengths)
             edge, amount, _ = PathSupport(instance, paths, x).best_step()
             if edge < 0:
-                raise InfeasibleBoxError(
-                    "no unit or chunk improves the current shortest paths"
-                )
-            chunk, spent = BudgetVector.unit(m, edge, amount), {edge}
+                raise InfeasibleBoxError("no unit or chunk improves the current shortest paths")
+            chunk = BudgetVector.unit(instance.graph.m, edge, amount)
             fallbacks += 1
-        values = x.values.tolist()
-        for e in spent:
-            if chunk[e]:
-                values[e] += chunk[e]
-                lengths[e] = instance.weights[e].table[values[e]]
+        for e in np.flatnonzero(chunk.values).tolist():
+            values[e] += chunk[e]
+            lengths[e] = instance.weights[e].table[values[e]]
         x = BudgetVector(values)
         rounds += 1
 

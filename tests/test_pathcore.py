@@ -1,4 +1,5 @@
 import random
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,10 @@ from hypothesis import strategies as st
 
 from qosd import (
     BudgetVector,
+    SaConfig,
+    block_adaptive,
+    block_greedy,
+    run_sa,
     CandidateSet,
     Graph,
     make_er_instance,
@@ -21,10 +26,12 @@ from qosd import (
     build_weights,
     concave_ratio,
     generate_er,
+    run_cc,
     run_iterative,
     shortest_path,
     unseparated_pairs,
 )
+from qosd import sa
 from qosd.instance import WEIGHT_MODELS
 from qosd.lr import FEAS_TOL
 from qosd.pathcore import corridor, distances, edge_lengths
@@ -58,6 +65,55 @@ class TestBudgetVector:
             assert BudgetVector(x.values) == x == BudgetVector(iter(values))
             assert hash(BudgetVector(x.values)) == hash(x)
         assert BudgetVector([1, 0]) != BudgetVector([1, 0, 0])
+
+    @pytest.mark.parametrize("values", [[], [0, 255, 3], [256, 0, 7], [2**40, 1]])
+    def test_every_input_builds_the_same_vector(self, values):
+        # a list, an iterator, byte and 8-byte arrays and a PathSupport's x,
+        # whose typecode follows the instance's box, not its entries
+        builds = [values, iter(values), array("q", values), _support_x(values, 300)]
+        if max(values, default=0) < 256:
+            builds += [array("B", values), _support_x(values, 3)]
+        expected = BudgetVector(values)
+        assert expected.values.typecode == ("B" if max(values, default=0) < 256 else "q")
+        for source in builds:
+            x = BudgetVector(source)
+            assert x.values.typecode == expected.values.typecode
+            assert x.values.tobytes() == expected.values.tobytes()
+            assert x.norm == expected.norm == sum(values)
+            assert x == expected and hash(x) == hash(expected)
+        # a copy: the vector never shares the buffer it was built from
+        source = array("q", values)
+        x = BudgetVector(source)
+        if values:
+            source[0] += 1
+            assert x.values.tolist() == values
+
+    def test_negative_array_entry_rejected(self):
+        for values in ([-1], [300, -1], [0, 2, -5]):
+            with pytest.raises(QosdError):
+                BudgetVector(array("q", values))
+
+    def test_zeros_and_unit_are_byte_arrays_until_an_entry_needs_more(self):
+        assert BudgetVector.zeros(5) == BudgetVector([0] * 5)
+        assert BudgetVector.zeros(5).values.typecode == "B" and BudgetVector.zeros(0).norm == 0
+        assert BudgetVector.unit(4, 2) == BudgetVector([0, 0, 1, 0])
+        assert BudgetVector.unit(4, 1, 7).values.typecode == "B"
+        wide = BudgetVector.unit(3, 0, 300)
+        assert wide == BudgetVector([300, 0, 0]) and wide.values.typecode == "q" and wide.norm == 300
+
+
+def _support_x(values, cap):
+    """A ``PathSupport``'s x on a path graph with one edge per entry (and one
+    node more, for a pair), every table of ``cap`` flat steps, holding
+    ``values`` (whatever the box)."""
+    m = len(values)
+    graph = Graph(m + 2, [(i, i + 1) for i in range(m)])
+    inst = QosdInstance(graph, [WeightFunction((1,) * (cap + 1))] * m, [(0, m + 1)], 2,
+                        validate_box=False)
+    x = PathSupport(inst, ()).x
+    assert x.typecode == ("B" if cap < 256 or not m else "q") and list(x) == [0] * m
+    x[:] = array(x.typecode, values)
+    return x
 
 
 class TestPathAndCandidateSet:
@@ -532,7 +588,7 @@ def test_path_support_extend_and_copy_match_brute_force(weighted, seed):
     twin_weight = path_weight + [1] * len(late) if weighted else None
     _run_to_end(inst, twin, paths + late, twin_weight, 1)
 
-    assert support.x == x_before
+    assert list(support.x) == x_before
     _run_to_end(inst, support, paths, path_weight)
 
 
@@ -562,6 +618,55 @@ def test_path_support_breaks_cross_edge_ties():
         units.append(unit)
         support.apply(unit[0], 1)
     assert units == [(0, 2), (3, 2), (1, 1), (1, 3), (2, 1), (2, 3)]
+
+
+def _wide_cap_instance() -> QosdInstance:
+    """The diamond at T = 300: route 0-1-3 is blocked only by 256 units on a
+    flat-then-jump edge, route 0-2-3 by a steep edge or a linear one; caps up
+    to 299, so every budget array is 8 bytes an entry."""
+    tables = [(1,) * 256 + (300,), (1,) * 260, (1, 100, 200, 300), tuple(range(1, 301))]
+    return QosdInstance(Graph(4, [(0, 1), (1, 3), (0, 2), (2, 3)]),
+                        [WeightFunction(t) for t in tables], [(0, 3)], 300)
+
+
+def test_wide_caps_fit_every_solver(monkeypatch):
+    inst = _wide_cap_instance()
+    paths = [Path((0, 1, 3), (0, 1), 2, 0), Path((0, 2, 3), (2, 3), 2, 0)]
+    assert PathSupport(inst, paths).x.typecode == "q"
+    # each blocker's picks, replayed from its trace, against the brute force
+    for blocker, pick in ((block_greedy, PathSupport.best_step), (block_adaptive, PathSupport.best_chunk)):
+        trace = []
+        x = blocker(inst, paths, trace=trace)
+        support = PathSupport(inst, paths)
+        for step in trace:
+            _check_support(inst, support, paths, None)
+            assert step == pick(support)
+            support.apply(*step[:2])
+        assert support.gap == 0 and BudgetVector(support.x) == x
+        assert x[0] == 256 and x.values.typecode == "q" and x.within_box(inst.box)
+        assert run_iterative(inst, "ig" if blocker is block_greedy else "at").budget == x
+    # SA: every estimator-weighted support it steps on, against the brute force
+    checked = []
+
+    class CheckedSupport(PathSupport):
+        def __init__(self, instance, paths, x=None, path_weight=None):
+            super().__init__(instance, paths, x, path_weight)
+            self.checked = (list(paths), path_weight)
+
+        def best_step(self):
+            _check_support(inst, self, *self.checked)
+            checked.append(self)
+            return super().best_step()
+
+    monkeypatch.setattr(sa, "PathSupport", CheckedSupport)
+    for seed in range(3):
+        report = run_sa(inst, SaConfig(seed=seed))
+        assert report.feasible and unseparated_pairs(inst, report.budget) == []
+        assert report.budget[0] == 256 and report.budget.within_box(inst.box)
+    assert checked and all(s.x.typecode == "q" for s in checked)
+    # CC and the oracle's MILP fill the same wide arrays; 259 is the optimum
+    for report in (run_cc(inst), oracle_opt(inst)):
+        assert report.budget == BudgetVector([256, 0, 3, 0])
 
 
 def _corridor_instance(seed: int, model: str) -> QosdInstance:

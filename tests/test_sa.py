@@ -14,6 +14,7 @@ from qosd import (
     ConfigError,
     GammaZeroError,
     Graph,
+    PathSupport,
     QosdInstance,
     SaConfig,
     SolverTimeout,
@@ -27,6 +28,7 @@ from qosd import (
     sample_path,
     unseparated_pairs,
 )
+from qosd import sa
 from qosd.pathcore import distances, edge_lengths
 from qosd.sa import _WALK_BLOCK, SampledPath, _RoundWalker, _sampled
 
@@ -325,6 +327,101 @@ class TestEstimateB:
         mean, var = 4.0, 0.8 * 2.5**2 + 0.2 * 10.0**2 - 16.0
         se = math.sqrt(var / len(samples))
         assert abs(est - mean) <= 3 * se
+
+
+def _simple_paths(graph, s, t):
+    """Every simple s-t path's edge sequence."""
+    found = []
+
+    def walk(u, seen, edges):
+        if u == t:
+            found.append(tuple(edges))
+            return
+        for v, e in graph.out_adj[u]:
+            if v not in seen:
+                walk(v, seen | {v}, edges + [e])
+
+    walk(s, {s}, [])
+    return found
+
+
+def _capped_length(inst, edges, x):
+    return min(inst.threshold, sum(inst.weights[e].table[x[e]] for e in edges))
+
+
+def _rise(inst, edges, x, e):
+    """The capped length gained on ``edges`` from one more unit on e (0 at cap)."""
+    if e not in edges or x[e] == inst.box[e]:
+        return 0
+    bumped = list(x)
+    bumped[e] += 1
+    return _capped_length(inst, edges, bumped) - _capped_length(inst, edges, x)
+
+
+def _mean_and_se(values, counts, drawn):
+    """Mean and standard error over ``drawn`` walks: ``values[i]`` drawn
+    ``counts[i]`` times, every other walk 0."""
+    mean = sum(v * c for v, c in zip(values, counts)) / drawn
+    square = sum(v * v * c for v, c in zip(values, counts)) / drawn
+    return mean, math.sqrt(max(square - mean * mean, 0.0) * drawn / (drawn - 1) / drawn)
+
+
+@pytest.mark.parametrize("case", ["apart", "shared"])
+def test_round_weights_unbiased_with_a_separated_pair(case, monkeypatch):
+    """C05 through run_sa's own estimator: a round of ``_RoundWalker.walks``
+    over the live pairs, weighted by ``greedy_chunk``'s count / (drawn * rho).
+    The diamond's pair (0, 3) is live; the other pair is already separated,
+    on an edge of its own ("apart") or on the diamond's edge (2, 3) at its
+    cap ("shared"). The weighted capped-length sum estimates B over the live
+    pairs (a separated pair's paths all stay at T) and each edge's weighted
+    unit gain its exact gain, each within 3 SE."""
+    if case == "apart":
+        graph = Graph(6, [(0, 1), (1, 3), (0, 2), (2, 3), (4, 5)])
+        pairs, x = [(0, 3), (4, 5)], BudgetVector([0, 0, 0, 0, 2])
+    else:
+        graph = Graph(4, [(0, 1), (1, 3), (0, 2), (2, 3)])
+        pairs, x = [(0, 3), (2, 3)], BudgetVector([0, 0, 0, 2])
+    inst = QosdInstance(graph, build_weights(graph, "linear", 3), pairs, 3)
+    walker, lengths, rows = _walker_round(inst, x, 0.8)
+    live = np.flatnonzero(rows[walker.sink_row, walker.sources] < inst.threshold)
+    assert live.tolist() == [0]
+    drawn = 50_000
+    samples, counts = walker.walks(lengths, rows, live, drawn, np.random.default_rng([20240817, 0]))
+
+    built = []
+
+    class Recorded(PathSupport):
+        def __init__(self, instance, paths, x=None, path_weight=None):
+            built.append((list(paths), list(path_weight)))
+            super().__init__(instance, paths, x, path_weight)
+
+    monkeypatch.setattr(sa, "PathSupport", Recorded)
+    greedy_chunk(inst, samples, x, 1, counts, drawn)
+    (paths, weights), = built
+    assert [p.edge_seq for p in paths] == [sp.path.edge_seq for sp in samples]
+
+    # the exact values, over every simple path of the live pair below T at x = 0
+    s, t = pairs[0]
+    below = [p for p in _simple_paths(graph, s, t) if _capped_length(inst, p, [0] * graph.m) < 3]
+    exact_b = sum(_capped_length(inst, p, x) for p in below)
+    assert exact_b == (4 if case == "apart" else 5)
+    estimate = sum(w * _capped_length(inst, p.edge_seq, x) for p, w in zip(paths, weights))
+    mean, se = _mean_and_se([_capped_length(inst, sp.path.edge_seq, x) / sp.rho for sp in samples],
+                            counts, drawn)
+    assert estimate == pytest.approx(mean, rel=1e-12) and se > 0
+    assert abs(estimate - exact_b) <= 3 * se
+    for e in range(graph.m):
+        exact_gain = sum(_rise(inst, p, x, e) for p in below)
+        gain = sum(w * _rise(inst, p.edge_seq, x, e) for p, w in zip(paths, weights))
+        mean, se = _mean_and_se([_rise(inst, sp.path.edge_seq, x, e) / sp.rho for sp in samples],
+                                counts, drawn)
+        assert gain == pytest.approx(mean, rel=1e-12, abs=1e-12)
+        assert abs(gain - exact_gain) <= 3 * se
+    # the walks' own support: its weighted unit gains are the estimates above
+    support = PathSupport(inst, paths, x, weights)
+    best = max(range(graph.m), key=lambda e: (sum(w * _rise(inst, p.edge_seq, x, e)
+                                                  for p, w in zip(paths, weights)), -e))
+    assert support.best_unit()[0] == best
 
 
 class TestSampleCount:
