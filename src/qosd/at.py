@@ -25,5 +25,5 @@ def block_adaptive(
     from (:meth:`PathSupport.block` leaves its x as it is).
     """
     if support is None:
-        support = PathSupport(instance, paths)
+        support = PathSupport(instance, [p.edge_seq for p in paths])
     return support.block(PathSupport.best_chunk, Deadline.ensure(deadline), "adaptive trading", trace)

@@ -132,14 +132,16 @@ def run_algorithm(
     raise ConfigError(f"unknown algorithm {algorithm!r}")
 
 
-def _build_instance(config: ExperimentConfig, threshold: int, repetition: int) -> QosdInstance:
-    if config.source == "file":
-        with open(config.instance_file) as handle:
-            return load_instance(handle)
-    seed = derive_seed(config.master_seed, threshold, repetition, 0xFFFF)
-    return make_er_instance(
-        config.er_n, config.er_rho, threshold, config.k, config.model, seed
-    )
+def _build_instance(config: ExperimentConfig, threshold: int, repetition: int) -> QosdInstance | str:
+    """The cell's instance, or the error label of why it could not be read or built."""
+    try:
+        if config.source == "file":
+            with open(config.instance_file) as handle:
+                return load_instance(handle)
+        seed = derive_seed(config.master_seed, threshold, repetition, 0xFFFF)
+        return make_er_instance(config.er_n, config.er_rho, threshold, config.k, config.model, seed)
+    except (QosdError, OSError, UnicodeDecodeError) as exc:
+        return f"instance: {exc}"
 
 
 def run_experiment(config: ExperimentConfig) -> list[dict]:
@@ -151,17 +153,18 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
     cannot be read or built an ``instance: <msg>`` row per algorithm, never a
     batch failure; a failed oracle gets its own error row and the other
     algorithms run without ``opt``. A row's T and k are those of the
-    instance it solved: for ``source = file``, the file's, whatever T lists.
+    instance it solved: for ``source = file``, the file's, whatever T lists;
+    the file is read once.
     """
     rows: list[dict] = []
     model = config.model if config.source == "er" else "file"
+    loaded = _build_instance(config, 0, 0) if config.source == "file" else None
     for threshold in config.thresholds:
         for repetition in range(config.repetitions):
-            try:
-                instance = _build_instance(config, threshold, repetition)
-            except (QosdError, OSError, UnicodeDecodeError) as exc:
+            instance = _build_instance(config, threshold, repetition) if loaded is None else loaded
+            if isinstance(instance, str):
                 for alg in config.algorithms:
-                    rows.append(_error_row(config, alg, model, threshold, config.k, 0, f"instance: {exc}"))
+                    rows.append(_error_row(config, alg, model, threshold, config.k, 0, instance))
                 continue
             oracle = (
                 _attempt(instance, "oracle", deadline=Deadline(config.time_limit))

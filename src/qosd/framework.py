@@ -107,7 +107,7 @@ def run_iterative(
         nonlocal inner
         trace: list = []
         if kept:  # the candidate set only grows, in insertion order
-            kept["support"].extend(islice(candidates, len(kept["support"].lengths), None))
+            kept["support"].extend(p.edge_seq for p in islice(candidates, len(kept["support"].lengths), None))
         x = blocker_fn(instance, candidates, trace=trace, deadline=deadline, **kept)
         inner += len(trace)
         return x

@@ -30,5 +30,5 @@ def block_greedy(
     to start from (:meth:`PathSupport.block` leaves its x as it is).
     """
     if support is None:
-        support = PathSupport(instance, paths)
+        support = PathSupport(instance, [p.edge_seq for p in paths])
     return support.block(PathSupport.best_step, Deadline.ensure(deadline), "greedy blocking", trace)

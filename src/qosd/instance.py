@@ -30,16 +30,17 @@ class Graph:
 
     Node ids live in ``[0, n)``; ``edges[i]`` is the (src, dst) pair of
     edge ``i`` and that position never changes. Self-loops and duplicate
-    edges are rejected (loaders drop them before construction).
+    edges are rejected (loaders drop them before construction). ``in_adj[v]``
+    holds v's (tail, edge) pairs; forward adjacency is built in numpy.
     """
 
-    __slots__ = ("n", "edges", "out_adj", "in_adj", "max_out_degree", "_csr")
+    __slots__ = ("n", "edges", "in_adj", "max_out_degree", "_csr")
 
     def __init__(self, n: int, edges: Sequence[tuple[int, int]]):
         if n <= 0:
             raise InvalidInstanceError("graph must have at least one node")
         seen: set[int] = set()  # u * n + v: ints, which the collector does not track
-        out_adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        out_degree = [0] * n
         in_adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         for idx, (u, v) in enumerate(edges):
             if not (0 <= u < n and 0 <= v < n):
@@ -50,16 +51,15 @@ class Graph:
             if key in seen:
                 raise InvalidInstanceError(f"duplicate edge ({u}, {v})")
             seen.add(key)
-            out_adj[u].append((v, idx))
+            out_degree[u] += 1
             in_adj[v].append((u, idx))
         self.n = n
         self.edges = list(map(tuple, edges))  # keeps the given tuples
-        # tuples of (node, edge) tuples: fixed once built, and the cyclic
-        # collector stops tracking them, so a graph adds nothing to its passes
-        self.out_adj = tuple(map(tuple, out_adj))
+        # a tuple of (node, edge) tuples: fixed once built, and the cyclic
+        # collector stops tracking it, so a graph adds nothing to its passes
         self.in_adj = tuple(map(tuple, in_adj))
-        self.max_out_degree = max((len(a) for a in out_adj), default=0)
-        self._csr: dict = {}  # pathcore.csr_view's CSR views and sa's padded out-adjacency
+        self.max_out_degree = max(out_degree)
+        self._csr: dict = {}  # pathcore.csr_view's CSR views and sa._out_arrays' padded arrays
 
     @property
     def m(self) -> int:

@@ -5,12 +5,12 @@ blockers' gain structure.
 ``scipy.sparse.csgraph.dijkstra`` call from a batch of sources over a CSR
 view of the graph (or of its transpose) that is cached on the graph, with
 only its data array refilled from the current edge lengths. IG and AT
-harvest paths, LR separates and SA builds its shortest-path trees from its
+harvest paths, LR separates and SA's walks read their tree parents from its
 distance rows. A sweep stops at a bound, because only paths strictly
 shorter than T ever matter. Paths are rebuilt backward from t along the
-lowest-index tight in-edge, and SA trees take the lowest-id tight next hop;
-both rules read only the exact float64 distances, so every output is fixed
-by the lengths alone. Everything but LR's fractional lengths is exact
+lowest-index tight in-edge, and SA's tree parent is the lowest-id tight next
+hop; both rules read only the exact float64 distances, so every output is
+fixed by the lengths alone. Everything but LR's fractional lengths is exact
 integer arithmetic.
 
 Every pair sweep (:func:`pair_shortest_paths`: IG, AT, CC, the oracle,
@@ -30,10 +30,11 @@ the corridor and read tree parents at every node.
 support and capped-gain scan live: IG's unit steps, AT's best-ratio
 chunks, SA's estimator-weighted chunk and IG's and SA's exact steps
 (:meth:`PathSupport.best_step`) all pick their increments from it. It
-caches each edge's best unit and chunk; after a step it rescans only the
-stepped edge and the edges of the paths below T that the step lengthened,
-and a pick reads the top of a lazy heap of the changed entries rather
-than walking every edge. IG and AT keep one zero-budget support across
+takes paths as edge sequences, SA's walks as drawn. It caches each
+edge's best unit and chunk; after a step it rescans only the stepped edge
+and the edges of the paths below T that the step lengthened, and a pick
+reads the top of a lazy heap of the changed entries rather than walking
+every edge. IG and AT keep one zero-budget support across
 their outer rounds, extend it by each round's new paths (rescanning only
 their edges) and block each round on a copy. Its ``x``, SA's and CC's
 budgets and :class:`BudgetVector` share one buffer representation, so
@@ -314,13 +315,15 @@ def unseparated_pairs(instance: "QosdInstance", x: BudgetVector) -> list[int]:
 class PathSupport:
     """Lengths, edge support and shortfall of a path set under a budget x.
 
-    ``x`` starts as a :func:`budget_array` copy of the given vector (zeros
-    when None), so :meth:`copy` and :meth:`block`'s vector copy its buffer;
-    ``lengths[i]`` is path i's length under x, ``support`` maps each edge to
-    the indices of the paths using it and ``gap`` = sum(T - min(T, length))
-    = |P| * T - D, which is 0 exactly when x blocks every path. A caller can
-    keep one support at x = 0, :meth:`extend` it as its path set grows and
-    block each round on a :meth:`copy`, which shares nothing it mutates.
+    A path is its edge sequence (a :class:`Path`'s ``edge_seq``, or an SA
+    walk's edges). ``x`` starts as a :func:`budget_array` copy of the given
+    vector (zeros when None), so :meth:`copy` and :meth:`block`'s vector
+    copy its buffer; ``lengths[i]`` is path i's length under x, ``support``
+    maps each edge to the indices of the paths using it and ``gap`` =
+    sum(T - min(T, length)) = |P| * T - D, which is 0 exactly when x blocks
+    every path. A caller can keep one support at x = 0, :meth:`extend` it
+    as its path set grows and block each round on a :meth:`copy`, which
+    shares nothing it mutates.
 
     Each edge's best unit gain and best chunk are cached, and each cache
     rescans only its dirty edges. An edge's entry reads only its own x and
@@ -337,7 +340,7 @@ class PathSupport:
     def __init__(
         self,
         instance: "QosdInstance",
-        paths: Iterable[Path],
+        paths: Iterable[Sequence[int]],
         x: BudgetVector | None = None,
         path_weight: Sequence[float] | None = None,
     ):
@@ -356,20 +359,20 @@ class PathSupport:
         if path_weight is not None:
             self.path_weight = list(path_weight)
 
-    def extend(self, paths: Iterable[Path]) -> None:
+    def extend(self, paths: Iterable[Sequence[int]]) -> None:
         """Add ``paths`` with weight 1; only their edges become dirty."""
         threshold, weights, xv, support = self.threshold, self.weights, self.x, self.support
         dirty = set()
-        for p in paths:
-            ln = sum(weights[e].table[xv[e]] for e in p.edge_seq)
+        for edges in paths:
+            ln = sum(weights[e].table[xv[e]] for e in edges)
             self.gap += threshold - min(threshold, ln)
-            for e in p.edge_seq:
+            for e in edges:
                 # a new tuple, so a copy may share the old one
                 support[e] = support.get(e, ()) + (len(self.lengths),)
-            self.path_edges.append(p.edge_seq)
+            self.path_edges.append(edges)
             self.lengths.append(ln)
             self.path_weight.append(1)
-            dirty.update(p.edge_seq)
+            dirty.update(edges)
         for e in dirty - self._unit_gains.keys():
             self._unit_gains[e], self._chunks[e] = 0, (0, 0)
         self._unit_dirty |= dirty

@@ -3,10 +3,11 @@ estimator of the blocking metric, with a biased self-avoiding walk sampler.
 
 Walks are steered toward each sink's shortest-path tree with bias alpha;
 the exact probability of every produced walk is tracked so feasible
-samples can be importance-weighted. :func:`sample_path` draws one walk;
-:func:`run_sa` draws a round's walks together in numpy (``_RoundWalker``)
-from one generator, only over the pairs still below T, and weighs each
-distinct feasible walk by how often it was drawn.
+samples can be importance-weighted. :func:`run_sa` draws a round's walks
+together in numpy (``_RoundWalker``) from one generator, only over the
+pairs still below T, and hands the estimator each distinct feasible walk's
+edge sequence, weighted by how often it was drawn over its probability.
+:func:`sample_path` draws one walk at a time, the walker's reference.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 from .errors import ConfigError, GammaZeroError, InfeasibleBoxError
 from .framework import potential_paths
 from .instance import Graph, QosdInstance, concave_ratio
-from .pathcore import BudgetVector, Path, PathSupport, budget_array, csr_view, distances, edge_lengths
+from .pathcore import BudgetVector, Path, PathSupport, budget_array, distances, edge_lengths
 from .report import Deadline, RunReport
 
 
@@ -63,36 +64,26 @@ class SaConfig:
     seed: int = 0
 
 
-def build_sp_tree(
-    instance: QosdInstance,
-    x: BudgetVector,
-    sink: int,
-    *,
-    lengths: Sequence[float] | None = None,
-    dist: np.ndarray | None = None,
-) -> list[int | None]:
-    """Next hop toward ``sink`` on a shortest path under f_e(x_e), per node.
+def _tree_parents(lengths: np.ndarray, to_u: np.ndarray, to_cand: np.ndarray, cand: np.ndarray,
+                  cand_edge: np.ndarray, n: int) -> np.ndarray:
+    """Per row, a node u's next hop toward the sink: the lowest-id candidate
+    ``cand`` (an out-neighbour, -1 padding) on a tight out-edge, one with
+    lengths[e] + d(cand) == d(u); n when the sink is out of reach. Lengths
+    are >= 1, so the sink itself has none."""
+    tight = (cand >= 0) & (to_u < np.inf)[:, None] & (lengths[cand_edge] + to_cand == to_u[:, None])
+    return np.where(tight, cand, n).min(axis=1)
 
-    ``dist`` is the sink's row of ``pathcore.distances(..., reverse=True)``
-    (computed when None). Node w's next hop is the lowest-id v over its tight
-    out-edges (lengths[e] + d[v] == d[w]), found for all nodes at once. The
-    sink and nodes that cannot reach it map to None. ``lengths`` is
-    ``edge_lengths(instance, x)`` when the caller already has it.
-    """
-    if lengths is None:
-        lengths = edge_lengths(instance, x)
-    if dist is None:
-        dist = distances(instance, lengths, [sink], reverse=True)[0]
-    matrix, perm, tails = csr_view(instance.graph, False)
-    heads, to_tail = matrix.indices, dist[tails]
-    step = np.asarray(lengths, dtype=np.float64)[perm] + dist[heads]
-    tight = np.flatnonzero((step == to_tail) & (to_tail < np.inf) & (tails != sink))
-    # entries run in (tail, head) order: a tail's first tight entry has its lowest head
-    nodes, first = np.unique(tails[tight], return_index=True)
-    tree: list[int | None] = [None] * instance.graph.n
-    for w, v in zip(nodes.tolist(), heads[tight[first]].tolist()):
-        tree[w] = v
-    return tree
+
+def build_sp_tree(instance: QosdInstance, x: BudgetVector, sink: int) -> list[int | None]:
+    """Next hop toward ``sink`` on a shortest path under f_e(x_e), per node:
+    :class:`_RoundWalker`'s tree parent, found for all nodes at once. The
+    sink and nodes that cannot reach it map to None."""
+    lengths = np.array(edge_lengths(instance, x) + [np.inf])  # so padding's edge -1 exists
+    dist = distances(instance, lengths, [sink], reverse=True)[0]
+    nodes, edges = _out_arrays(instance.graph)
+    n = instance.graph.n
+    parents = _tree_parents(lengths, dist, dist[nodes], nodes, edges, n)
+    return [None if v == n else v for v in parents.tolist()]
 
 
 def sample_path(
@@ -104,7 +95,8 @@ def sample_path(
     *,
     lengths: list[int] | None = None,
 ) -> SampledPath:
-    """One biased self-avoiding walk for a uniformly chosen pair.
+    """One biased self-avoiding walk for a uniformly chosen pair: the scalar
+    form of :class:`_RoundWalker`'s walks, and their reference.
 
     Steps toward the shortest-path tree parent with probability alpha and
     uniformly over the other unvisited out-neighbors otherwise; ends on
@@ -113,14 +105,15 @@ def sample_path(
     """
     if lengths is None:
         lengths = edge_lengths(instance, x)
-    threshold = instance.threshold
+    threshold, (out_nodes, out_edges) = instance.threshold, _out_arrays(instance.graph)
     pair_index = rng.randrange(instance.k)
     s, t = instance.pairs[pair_index]
     parent = trees[t]
     rho, nodes, edges, visited, u = 1.0 / instance.k, [s], [], {s}, s
     current = initial = 0
     while u != t and current < threshold:
-        avail = [(v, ei) for v, ei in instance.graph.out_adj[u] if v not in visited]
+        avail = [(v, ei) for v, ei in zip(out_nodes[u].tolist(), out_edges[u].tolist())
+                 if v >= 0 and v not in visited]
         if not avail:
             break
         if len(avail) == 1:
@@ -153,15 +146,18 @@ _WALK_BLOCK = 512
 
 
 def _out_arrays(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """``graph.out_adj`` as two n x max(1, max_out_degree) arrays, the
-    out-neighbours and their edges in ``out_adj`` order, padded with -1;
-    cached on the graph next to :func:`pathcore.csr_view`'s CSR."""
+    """Each node's out-neighbours and out-edges in edge-index order, as two
+    n x max(1, max_out_degree) arrays padded with -1; cached on the graph
+    next to :func:`pathcore.csr_view`'s CSR."""
     if "out" not in graph._csr:
+        tails, heads = np.array(graph.edges, dtype=np.int32).reshape(-1, 2).T
+        order = np.argsort(tails, kind="stable")  # by tail, edge index within a tail
+        start = np.r_[0, np.cumsum(np.bincount(tails, minlength=graph.n))]
+        tail = tails[order]
+        slot = np.arange(len(order)) - start[tail]
         nodes = np.full((graph.n, max(1, graph.max_out_degree)), -1, dtype=np.int32)
         edges = np.full_like(nodes, -1)
-        for u, adj in enumerate(graph.out_adj):
-            if adj:
-                nodes[u, : len(adj)], edges[u, : len(adj)] = zip(*adj)
+        nodes[tail, slot], edges[tail, slot] = heads[order], order
         graph._csr["out"] = (nodes, edges)
     return graph._csr["out"]
 
@@ -190,30 +186,34 @@ class _RoundWalker:
         self.sinks, self.sink_row = np.unique([t for _, t in instance.pairs], return_inverse=True)
 
     def walks(self, lengths: np.ndarray, rows: np.ndarray, live: np.ndarray, count: int,
-              rng: np.random.Generator) -> tuple[list[SampledPath], list[int]]:
+              rng: np.random.Generator) -> tuple[list[tuple[int, ...]], list[float]]:
         """``count`` walks under edge ``lengths`` (``rows`` is ``distances(instance, lengths,
         self.sinks, reverse=True)``) from pairs drawn uniformly among ``live``: per block,
         ``rng`` draws the pairs, then each step's draws in walk order. Returns the distinct
-        feasible walks in first-seen order and how many times each was drawn."""
-        samples, counts, seen = [], [], {}
+        feasible walks' edge sequences in first-seen order and their estimator weights,
+        (times drawn) * (1 / count) / rho."""
+        paths, counts, rhos, seen = [], [], [], {}
         for start in range(0, count, _WALK_BLOCK):
             self.deadline.check("sampling round")
             pair = live[rng.integers(len(live), size=min(_WALK_BLOCK, count - start))]
-            walk = self.block(lengths, rows, pair, 1.0 / len(live), lambda idx: rng.random(idx.size))
-            edges, feasible = walk[2], walk[5]
+            edges, rho, feasible = self.block(lengths, rows, pair, 1.0 / len(live),
+                                              lambda idx: rng.random(idx.size))
             for i in np.flatnonzero(feasible).tolist():
-                j = seen.setdefault(edges[i].tobytes(), len(samples))
-                if j == len(samples):
-                    samples.append(_sampled(walk, i))
+                row = edges[i]
+                j = seen.setdefault(row.tobytes(), len(paths))
+                if j == len(paths):
+                    paths.append(tuple(row[row >= 0].tolist()))
+                    rhos.append(float(rho[i]))
                     counts.append(0)
                 counts[j] += 1
-        return samples, counts
+        return paths, [c * (1.0 / count) / r for c, r in zip(counts, rhos)]
 
     def block(self, lengths: np.ndarray, rows: np.ndarray, pair: np.ndarray, rho0: float,
-              uniform: Callable[[np.ndarray], Sequence[float]]) -> tuple[np.ndarray, ...]:
+              uniform: Callable[[np.ndarray], Sequence[float]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """One walk per entry of ``pair``, starting with probability ``rho0``;
         ``uniform(idx)`` returns the next draw of each walk in ``idx``. Returns
-        (pair, nodes, edges, initial length, rho, feasible), one row a walk."""
+        each walk's edges (padded with -1), rho and feasibility: it reached its
+        sink with initial-weight length below T."""
         alpha, threshold, n = self.alpha, self.instance.threshold, self.instance.graph.n
         count = len(pair)
         sink_row = self.sink_row[pair]
@@ -222,9 +222,7 @@ class _RoundWalker:
         rho, current, initial = np.full(count, rho0), np.zeros(count), np.zeros(count)
         # every step adds at least 1 to the current length, and a walk ends at T
         width = min(threshold, n - 1)
-        nodes = np.full((count, width + 1), -1, dtype=np.int64)
         edges = np.full((count, width), -1, dtype=np.int64)
-        nodes[:, 0] = u
         walk = np.arange(count)  # the walks still going, in walk order
         visited = np.zeros((count, n), dtype=bool)
         visited[walk, u] = True
@@ -233,15 +231,10 @@ class _RoundWalker:
                 break
             at, row = u[walk], sink_row[walk]
             cand, cand_edge = self.out_nodes[at], self.out_edges[at]
-            pad = cand >= 0
-            free = pad & ~visited[walk[:, None], cand]
+            free = (cand >= 0) & ~visited[walk[:, None], cand]
             slots = free.sum(axis=1)
-            # build_sp_tree's parent: the lowest-id out-neighbour on a tight
-            # edge toward the sink (none, n, when the sink is out of reach)
-            to_u = rows[row, at]
-            tight = pad & (to_u < np.inf)[:, None] & (
-                lengths[cand_edge] + rows[row[:, None], cand] == to_u[:, None])
-            is_parent = free & (cand == np.where(tight, cand, n).min(axis=1)[:, None])
+            parent = _tree_parents(lengths, rows[row, at], rows[row[:, None], cand], cand, cand_edge, n)
+            is_parent = free & (cand == parent[:, None])
             other = np.where(is_parent.any(axis=1), (1.0 - alpha) / np.maximum(slots - 1, 1),
                              1.0 / np.maximum(slots, 1))
             # x * 1.0 and x * 0.0 are exact: a visited or padding slot gets +0.0
@@ -258,21 +251,12 @@ class _RoundWalker:
             moving = slots > 0  # a walk with no free slot stops
             walk, v, e = walk[moving], cand[taken][moving], cand_edge[taken][moving]
             visited[walk, v] = True
-            nodes[walk, step + 1] = v
             edges[walk, step] = e
             current[walk] += lengths[e]
             initial[walk] += self.initial[e]
             u[walk] = v
             walk = walk[(v != sink[walk]) & (current[walk] < threshold)]
-        return pair, nodes, edges, initial, rho, (u == sink) & (initial < threshold)
-
-
-def _sampled(walk: tuple[np.ndarray, ...], i: int) -> SampledPath:
-    """Walk ``i`` of a :meth:`_RoundWalker.block` result."""
-    pair, nodes, edges, initial, rho, feasible = walk
-    z = int((edges[i] >= 0).sum())
-    path = Path(tuple(nodes[i, : z + 1].tolist()), tuple(edges[i, :z].tolist()), int(initial[i]), int(pair[i]))
-    return SampledPath(path, float(rho[i]), bool(feasible[i]))
+        return edges, rho, (u == sink) & (initial < threshold)
 
 
 def sample_count(instance: QosdInstance, q: int, epsilon: float, delta_round: float, gamma=None) -> int:
@@ -298,24 +282,16 @@ def sample_count(instance: QosdInstance, q: int, epsilon: float, delta_round: fl
     return math.ceil(scale * max(first, second))
 
 
-def greedy_chunk(
-    instance: QosdInstance,
-    samples: list[SampledPath],
-    x: BudgetVector,
-    q: int,
-    counts: Sequence[int] | None = None, drawn: int | None = None,
-) -> BudgetVector:
+def greedy_chunk(instance: QosdInstance, paths: list[tuple[int, ...]], weights: Sequence[float],
+                 x: BudgetVector, q: int) -> BudgetVector:
     """Up to q greedy steps on the estimator's marginal gain, restricted to
-    edges of feasible samples with box room left: IG's step rule
+    edges of the sampled feasible walks ``paths`` (edge sequences, each
+    weighted by ``weights``) with box room left: IG's step rule
     (:meth:`PathSupport.best_step`), so a flat next increment is crossed by
-    the best-ratio chunk instead of ending the chunk. Sample i stands for
-    ``counts[i]`` of ``drawn`` walks (one of ``len(samples)`` when None)."""
-    counts = counts or [1] * len(samples)
-    live = [(sp, c) for sp, c in zip(samples, counts) if sp.feasible]
-    if not live or q <= 0:
+    the best-ratio chunk instead of ending the chunk."""
+    if not paths or q <= 0:
         return BudgetVector.zeros(instance.graph.m)
-    inv = 1.0 / (drawn or len(samples))
-    support = PathSupport(instance, [sp.path for sp, _ in live], x, [c * inv / sp.rho for sp, c in live])
+    support = PathSupport(instance, paths, x, weights)
     chunk = budget_array(instance)
     for _ in range(q):
         edge, amount, _ = support.best_step()
@@ -392,14 +368,14 @@ def run_sa(
                 escalations += 1
             count = base_count * (2**attempt)
             rng = np.random.default_rng([config.seed, rounds, attempt])
-            samples, counts = walker.walks(lengths, rows, live, count, rng)
+            paths, weights = walker.walks(lengths, rows, live, count, rng)
             samples_drawn += count
-            chunk = greedy_chunk(instance, samples, x, config.q, counts, count)
+            chunk = greedy_chunk(instance, paths, weights, x, config.q)
             if chunk.norm > 0:
                 break
         else:
             paths = potential_paths(instance, x, lengths=lengths)
-            edge, amount, _ = PathSupport(instance, paths, x).best_step()
+            edge, amount, _ = PathSupport(instance, [p.edge_seq for p in paths], x).best_step()
             if edge < 0:
                 raise InfeasibleBoxError("no unit or chunk improves the current shortest paths")
             chunk = BudgetVector.unit(instance.graph.m, edge, amount)

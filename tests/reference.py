@@ -1,16 +1,41 @@
 """Reference helpers that only the tests use: capped path lengths r and
-their sum D over a path set, vector addition, SA's estimator of B and
-per-walk random streams, and the per-edge instance generators that the
-library's batched ones must match."""
+their sum D over a path set, vector addition, the out-adjacency in
+edge-index order, SA's estimator of B, its chunk's inputs from independent
+walks and per-walk random streams, and the per-edge instance generators that
+the library's batched ones must match."""
 
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from qosd import BudgetVector, Graph, Path, QosdError, QosdInstance, WeightFunction
 from qosd.instance import _concave_table, _convex_table, _linear_table
 from qosd.sa import SampledPath
+
+
+@lru_cache(maxsize=64)
+def out_adj(graph: Graph) -> list[list[tuple[int, int]]]:
+    """Each node's (head, edge) out-edges in edge-index order."""
+    adj = [[] for _ in range(graph.n)]
+    for idx, (u, v) in enumerate(graph.edges):
+        adj[u].append((v, idx))
+    return adj
+
+
+def path_of(instance: QosdInstance, edges: Sequence[int]) -> Path:
+    """The :class:`Path` along ``edges`` (at least one), serving no pair."""
+    ends = instance.graph.edges
+    nodes = (ends[edges[0]][0],) + tuple(ends[e][1] for e in edges)
+    return Path(nodes, tuple(edges), sum(instance.weights[e].table[0] for e in edges))
+
+
+def chunk_inputs(samples: Sequence[SampledPath]) -> tuple[list[tuple[int, ...]], list[float]]:
+    """``greedy_chunk``'s paths and weights for independent draws: each
+    feasible sample's edges, weighted 1 * (1 / len(samples)) / rho."""
+    live = [sp for sp in samples if sp.feasible]
+    return [sp.path.edge_seq for sp in live], [1 * (1.0 / len(samples)) / sp.rho for sp in live]
 
 
 def r_value(instance: QosdInstance, path: Path, x: BudgetVector) -> int:

@@ -164,6 +164,26 @@ class TestRunExperiment:
         assert rows[0]["norm"] == rows[2]["norm"] == run_iterative(inst, "ig").norm
         assert json.loads(rows[1]["extras"]) == {"error": "nonlinear-weights"}
 
+    def test_file_instance_is_read_once(self, tmp_path, monkeypatch):
+        import qosd.experiment
+
+        path = tmp_path / "inst.txt"
+        with open(path, "w") as handle:
+            save_instance(make_er_instance(12, 0.3, 5, 3, "linear", seed=2), handle)
+        calls, load = [], qosd.experiment.load_instance
+
+        def counted(handle):
+            calls.append(handle.name)
+            return load(handle)
+
+        monkeypatch.setattr(qosd.experiment, "load_instance", counted)
+        config = ExperimentConfig(source="file", instance_file=str(path), thresholds=[3, 9],
+                                  algorithms=["ig", "sa"], repetitions=2)
+        rows = run_experiment(config)
+        assert calls == [str(path)]
+        assert [(row["algorithm"], row["T"], row["feasible"]) for row in rows] == [
+            ("ig", 5, "true"), ("sa", 5, "true")] * 4
+
     def test_file_instance_error_row_says_file(self, tmp_path):
         path = tmp_path / "inst.txt"
         path.write_text("not an instance\n")

@@ -37,7 +37,7 @@ from qosd.lr import FEAS_TOL
 from qosd.pathcore import corridor, distances, edge_lengths
 
 from conftest import diamond_instance
-from reference import d_value, plus, r_value
+from reference import d_value, out_adj, path_of, plus, r_value
 
 
 class TestBudgetVector:
@@ -207,7 +207,7 @@ def _enumerate_shortest(inst, x, pair):
             if best is None or acc < best:
                 best = acc
             return
-        for v, ei in graph.out_adj[u]:
+        for v, ei in out_adj(graph)[u]:
             if v not in visited:
                 dfs(v, acc + lengths[ei], visited | {v})
 
@@ -447,6 +447,11 @@ def test_sp_tree_next_hop_is_lowest_id_on_a_shortest_route(seed):
         assert tree[w] == (min(hops) if hops else None)
 
 
+def _edge_seqs(paths: list[Path]) -> list[tuple[int, ...]]:
+    """The paths as :class:`PathSupport` takes them."""
+    return [p.edge_seq for p in paths]
+
+
 def _random_paths(inst: QosdInstance, rng: random.Random) -> list[Path]:
     # simple walks from random nodes; PathSupport does not care which pair a path serves
     graph = inst.graph
@@ -455,7 +460,7 @@ def _random_paths(inst: QosdInstance, rng: random.Random) -> list[Path]:
         u = rng.randrange(graph.n)
         nodes, edges = [u], []
         for _ in range(rng.randint(1, 4)):
-            steps = [(v, e) for v, e in graph.out_adj[u] if v not in nodes]
+            steps = [(v, e) for v, e in out_adj(graph)[u] if v not in nodes]
             if not steps:
                 break
             u, e = rng.choice(steps)
@@ -537,7 +542,7 @@ def test_path_support_matches_brute_force(weighted, max_cap, seed):
     paths = _random_paths(inst, rng)
     # quarter weights are exact in binary and still tie
     path_weight = [rng.randint(1, 12) / 4 for _ in paths] if weighted else None
-    support = PathSupport(inst, paths, x, path_weight)
+    support = PathSupport(inst, _edge_seqs(paths), x, path_weight)
     step = 0
     while True:
         edge, amount = _check_support(inst, support, paths, path_weight)(step)
@@ -566,13 +571,13 @@ def test_path_support_extend_and_copy_match_brute_force(weighted, seed):
     rng = random.Random(seed)
     paths = _random_paths(inst, rng)
     path_weight = [rng.randint(1, 12) / 4 for _ in paths] if weighted else None
-    support = PathSupport(inst, paths, x, path_weight)
+    support = PathSupport(inst, _edge_seqs(paths), x, path_weight)
     for step in range(2):
         edge, amount = _check_support(inst, support, paths, path_weight)(step)
         if edge >= 0:
             support.apply(edge, amount)
     more = _random_paths(inst, rng)
-    support.extend(more)
+    support.extend(_edge_seqs(more))
     paths = paths + more
     if weighted:
         path_weight += [1] * len(more)
@@ -584,7 +589,7 @@ def test_path_support_extend_and_copy_match_brute_force(weighted, seed):
     if edge >= 0:
         twin.apply(edge, amount)
     late = _random_paths(inst, rng)
-    twin.extend(late)
+    twin.extend(_edge_seqs(late))
     twin_weight = path_weight + [1] * len(late) if weighted else None
     _run_to_end(inst, twin, paths + late, twin_weight, 1)
 
@@ -603,7 +608,7 @@ def test_path_support_breaks_cross_edge_ties():
     inst = QosdInstance(graph, [WeightFunction(t) for t in tables],
                         [(2 * i, 2 * i + 1) for i in range(6)], 6, validate_box=False)
     paths = [Path((2 * i, 2 * i + 1), (i,), 1, i) for i in range(6)]
-    support = PathSupport(inst, paths)
+    support = PathSupport(inst, _edge_seqs(paths))
     picks = []
     while (chunk := support.best_chunk())[0] >= 0:
         assert chunk == _brute_best_chunk(inst, paths, BudgetVector(support.x))
@@ -611,7 +616,7 @@ def test_path_support_breaks_cross_edge_ties():
         support.apply(*chunk[:2])
     assert picks == [(1, 2, 4), (2, 2, 4), (0, 1, 2), (3, 1, 2), (5, 3, 1), (4, 7, 2)]
     # units: edges 0 and 3 gain 2, edges 1 and 2 gain 1, then 3 after their first
-    support = PathSupport(inst, paths)
+    support = PathSupport(inst, _edge_seqs(paths))
     units = []
     while (unit := support.best_unit())[0] >= 0:
         assert unit == _brute_best_unit(inst, paths, BudgetVector(support.x), None)
@@ -632,12 +637,12 @@ def _wide_cap_instance() -> QosdInstance:
 def test_wide_caps_fit_every_solver(monkeypatch):
     inst = _wide_cap_instance()
     paths = [Path((0, 1, 3), (0, 1), 2, 0), Path((0, 2, 3), (2, 3), 2, 0)]
-    assert PathSupport(inst, paths).x.typecode == "q"
+    assert PathSupport(inst, _edge_seqs(paths)).x.typecode == "q"
     # each blocker's picks, replayed from its trace, against the brute force
     for blocker, pick in ((block_greedy, PathSupport.best_step), (block_adaptive, PathSupport.best_chunk)):
         trace = []
         x = blocker(inst, paths, trace=trace)
-        support = PathSupport(inst, paths)
+        support = PathSupport(inst, _edge_seqs(paths))
         for step in trace:
             _check_support(inst, support, paths, None)
             assert step == pick(support)
@@ -651,7 +656,7 @@ def test_wide_caps_fit_every_solver(monkeypatch):
     class CheckedSupport(PathSupport):
         def __init__(self, instance, paths, x=None, path_weight=None):
             super().__init__(instance, paths, x, path_weight)
-            self.checked = (list(paths), path_weight)
+            self.checked = ([path_of(inst, edges) for edges in paths], path_weight)
 
         def best_step(self):
             _check_support(inst, self, *self.checked)

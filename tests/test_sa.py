@@ -30,10 +30,10 @@ from qosd import (
 )
 from qosd import sa
 from qosd.pathcore import distances, edge_lengths
-from qosd.sa import _WALK_BLOCK, SampledPath, _RoundWalker, _sampled
+from qosd.sa import _WALK_BLOCK, SampledPath, _RoundWalker
 
 from conftest import diamond_instance, single_edge_instance
-from reference import _derived_rng, estimate_B
+from reference import _derived_rng, chunk_inputs, estimate_B, out_adj
 
 
 class TestBuildSpTree:
@@ -134,37 +134,75 @@ def _walker_round(inst, x, alpha):
 
 
 def _recording_blocks(walker):
-    """Wraps ``walker.block`` so that every block it walks is kept in the returned list."""
+    """Wraps ``walker.block`` so that every block it walks is kept in the
+    returned list, as (pair, (edges, rho, feasible))."""
     blocks, block = [], walker.block
 
     def recorded(*args):
-        blocks.append(block(*args))
-        return blocks[-1]
+        blocks.append((args[2], block(*args)))
+        return blocks[-1][1]
 
     walker.block = recorded
     return blocks
 
 
+def _edge_seq(row):
+    """A walk's edges from its row of a block's -1-padded edge array."""
+    return tuple(row[row >= 0].tolist())
+
+
+def _tally(blocks):
+    """The recorded blocks' distinct feasible walks in first-seen order, each
+    mapped to [times drawn, rho of its first draw]."""
+    tally = {}
+    for _, (edges, rho, feasible) in blocks:
+        for i in np.flatnonzero(feasible).tolist():
+            tally.setdefault(_edge_seq(edges[i]), [0, float(rho[i])])[0] += 1
+    return tally
+
+
 def _assert_round_matches_sample_path(inst, x, alpha, count, seed=0, rng=None):
-    """The batched walker's blocks equal sample_path walk by walk: same path,
-    feasibility and a rho equal under ==. Walk i draws its pair and then its
-    steps from ``rng(i)`` (``_derived_rng(seed, 3, 1, i)`` when None)."""
+    """The batched walker's blocks equal sample_path walk by walk: same pair,
+    nodes, edges, feasibility and a rho equal under ==; returns sample_path's
+    walks. Walk i draws its pair and then its steps from ``rng(i)``
+    (``_derived_rng(seed, 3, 1, i)`` when None)."""
     rng = rng or (lambda i: _derived_rng(seed, 3, 1, i))
     walker, lengths, rows = _walker_round(inst, x, alpha)
     batched = []
     for start in range(0, count, _WALK_BLOCK):
         rngs = [rng(i) for i in range(start, min(start + _WALK_BLOCK, count))]
         pair = np.array([r.randrange(inst.k) for r in rngs])
-        walk = walker.block(lengths, rows, pair, 1.0 / inst.k, lambda idx: [rngs[i].random() for i in idx])
-        batched += [_sampled(walk, i) for i in range(len(rngs))]
+        edges, rho, feasible = walker.block(lengths, rows, pair, 1.0 / inst.k,
+                                            lambda idx: [rngs[i].random() for i in idx])
+        batched += [(int(pair[i]), _edge_seq(edges[i]), float(rho[i]), bool(feasible[i]))
+                    for i in range(len(rngs))]
     assert len(batched) == count
     trees = {t: build_sp_tree(inst, x, t) for _, t in inst.pairs}
-    for i, got in enumerate(batched):
+    wanted = []
+    for i, (pair_index, edge_seq, rho, feasible) in enumerate(batched):
         want = sample_path(inst, x, trees, alpha, rng(i))
-        assert got.path == want.path, i
-        assert got.feasible == want.feasible, i
-        assert got.rho == want.rho, i
-    return batched
+        nodes = (inst.pairs[pair_index][0], *(inst.graph.edges[e][1] for e in edge_seq))
+        assert nodes == want.path.node_seq, i
+        assert (edge_seq, pair_index) == (want.path.edge_seq, want.path.pair_index), i
+        assert feasible == want.feasible, i
+        assert rho == want.rho, i
+        wanted.append(want)
+    return wanted
+
+
+@pytest.mark.parametrize("n, edges", [
+    # unsorted tails, and nodes 2 and 4 without out-edges
+    (5, [(3, 1), (0, 2), (3, 0), (1, 4), (0, 1), (3, 4), (1, 0)]),
+    (1, []),
+])
+def test_out_arrays_follow_edge_index_order(n, edges):
+    graph = Graph(n, edges)
+    nodes, out_edges = sa._out_arrays(graph)
+    width = max(1, graph.max_out_degree)
+    adj = out_adj(graph)
+    assert nodes.shape == out_edges.shape == (n, width)
+    assert nodes.tolist() == [[v for v, _ in a] + [-1] * (width - len(a)) for a in adj]
+    assert out_edges.tolist() == [[e for _, e in a] + [-1] * (width - len(a)) for a in adj]
 
 
 class TestRoundWalker:
@@ -209,12 +247,16 @@ class TestRoundWalker:
         live = np.flatnonzero(rows[walker.sink_row, walker.sources] < inst.threshold)
         assert live.tolist() == [0]
         blocks = _recording_blocks(walker)
-        samples, counts = walker.walks(lengths, rows, live, 700, np.random.default_rng(0))
-        assert len(blocks) == 2 and all((walk[0] == 0).all() for walk in blocks)
-        assert sum(counts) == 700
-        assert [sp.path.node_seq for sp in samples] in ([(0, 1, 3), (0, 2, 3)], [(0, 2, 3), (0, 1, 3)])
+        paths, weights = walker.walks(lengths, rows, live, 700, np.random.default_rng(0))
+        assert len(blocks) == 2 and all((pair == 0).all() for pair, _ in blocks)
+        tally = _tally(blocks)
+        assert list(tally) == paths
+        assert weights == [c * (1.0 / 700) / rho for c, rho in tally.values()]
+        assert sum(c for c, _ in tally.values()) == 700
+        # the routes 0-1-3 and 0-2-3
+        assert paths in ([(0, 1), (2, 3)], [(2, 3), (0, 1)])
         # rho starts at 1 / |live| = 1
-        assert sorted(sp.rho for sp in samples) == [(1.0 - 0.8) / 1, 0.8]
+        assert sorted(rho for _, rho in tally.values()) == [(1.0 - 0.8) / 1, 0.8]
 
     def test_merged_walks_count_every_feasible_walk(self):
         inst = make_er_instance(240, 0.05, 5, 5, "heterogeneous", seed=0)
@@ -223,16 +265,17 @@ class TestRoundWalker:
         live = np.flatnonzero(rows[walker.sink_row, walker.sources] < inst.threshold)
         blocks = _recording_blocks(walker)
         count = 2 * _WALK_BLOCK + 37
-        samples, counts = walker.walks(lengths, rows, live, count, np.random.default_rng([4, 2, 0]))
-        assert [len(walk[0]) for walk in blocks] == [_WALK_BLOCK, _WALK_BLOCK, 37]
-        feasible = [_sampled(walk, i) for walk in blocks for i in np.flatnonzero(walk[5]).tolist()]
-        assert sum(counts) == len(feasible) > len(samples)
+        paths, weights = walker.walks(lengths, rows, live, count, np.random.default_rng([4, 2, 0]))
+        assert [len(pair) for pair, _ in blocks] == [_WALK_BLOCK, _WALK_BLOCK, 37]
+        feasible = sum(int(ok.sum()) for _, (_, _, ok) in blocks)
         # the distinct feasible walks in first-seen order, each with its number of draws
-        first = {}
-        for sp in feasible:
-            first.setdefault(sp.path.key, sp)
-        assert samples == list(first.values())
-        assert counts == [sum(sp.path.key == key for sp in feasible) for key in first]
+        tally = _tally(blocks)
+        assert paths == list(tally)
+        counts = [c for c, _ in tally.values()]
+        # a weight gives back its walk's draws, and is draws * (1 / drawn) / rho under ==
+        assert [round(w * rho * count) for w, (_, rho) in zip(weights, tally.values())] == counts
+        assert sum(counts) == feasible > len(paths)
+        assert weights == [c * (1.0 / count) / rho for c, rho in tally.values()]
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -277,7 +320,7 @@ def _walk_tree_mass(inst, x, trees, pair_index, alpha):
         if u == t or current >= inst.threshold:
             total += prob
             return
-        avail = [(v, ei) for v, ei in inst.graph.out_adj[u] if v not in visited]
+        avail = [(v, ei) for v, ei in out_adj(inst.graph)[u] if v not in visited]
         if not avail:
             total += prob
             return
@@ -337,7 +380,7 @@ def _simple_paths(graph, s, t):
         if u == t:
             found.append(tuple(edges))
             return
-        for v, e in graph.out_adj[u]:
+        for v, e in out_adj(graph)[u]:
             if v not in seen:
                 walk(v, seen | {v}, edges + [e])
 
@@ -386,7 +429,10 @@ def test_round_weights_unbiased_with_a_separated_pair(case, monkeypatch):
     live = np.flatnonzero(rows[walker.sink_row, walker.sources] < inst.threshold)
     assert live.tolist() == [0]
     drawn = 50_000
-    samples, counts = walker.walks(lengths, rows, live, drawn, np.random.default_rng([20240817, 0]))
+    blocks = _recording_blocks(walker)
+    walked, walk_weights = walker.walks(lengths, rows, live, drawn, np.random.default_rng([20240817, 0]))
+    tally = _tally(blocks)
+    counts = [c for c, _ in tally.values()]
 
     built = []
 
@@ -396,30 +442,30 @@ def test_round_weights_unbiased_with_a_separated_pair(case, monkeypatch):
             super().__init__(instance, paths, x, path_weight)
 
     monkeypatch.setattr(sa, "PathSupport", Recorded)
-    greedy_chunk(inst, samples, x, 1, counts, drawn)
+    greedy_chunk(inst, walked, walk_weights, x, 1)
     (paths, weights), = built
-    assert [p.edge_seq for p in paths] == [sp.path.edge_seq for sp in samples]
+    assert paths == walked == list(tally) and weights == walk_weights
 
     # the exact values, over every simple path of the live pair below T at x = 0
     s, t = pairs[0]
     below = [p for p in _simple_paths(graph, s, t) if _capped_length(inst, p, [0] * graph.m) < 3]
     exact_b = sum(_capped_length(inst, p, x) for p in below)
     assert exact_b == (4 if case == "apart" else 5)
-    estimate = sum(w * _capped_length(inst, p.edge_seq, x) for p, w in zip(paths, weights))
-    mean, se = _mean_and_se([_capped_length(inst, sp.path.edge_seq, x) / sp.rho for sp in samples],
+    estimate = sum(w * _capped_length(inst, p, x) for p, w in zip(paths, weights))
+    mean, se = _mean_and_se([_capped_length(inst, p, x) / rho for p, (_, rho) in tally.items()],
                             counts, drawn)
     assert estimate == pytest.approx(mean, rel=1e-12) and se > 0
     assert abs(estimate - exact_b) <= 3 * se
     for e in range(graph.m):
         exact_gain = sum(_rise(inst, p, x, e) for p in below)
-        gain = sum(w * _rise(inst, p.edge_seq, x, e) for p, w in zip(paths, weights))
-        mean, se = _mean_and_se([_rise(inst, sp.path.edge_seq, x, e) / sp.rho for sp in samples],
+        gain = sum(w * _rise(inst, p, x, e) for p, w in zip(paths, weights))
+        mean, se = _mean_and_se([_rise(inst, p, x, e) / rho for p, (_, rho) in tally.items()],
                                 counts, drawn)
         assert gain == pytest.approx(mean, rel=1e-12, abs=1e-12)
         assert abs(gain - exact_gain) <= 3 * se
     # the walks' own support: its weighted unit gains are the estimates above
     support = PathSupport(inst, paths, x, weights)
-    best = max(range(graph.m), key=lambda e: (sum(w * _rise(inst, p.edge_seq, x, e)
+    best = max(range(graph.m), key=lambda e: (sum(w * _rise(inst, p, x, e)
                                                   for p, w in zip(paths, weights)), -e))
     assert support.best_unit()[0] == best
 
@@ -455,7 +501,7 @@ class TestGreedyChunk:
             sample_path(inst_a, x, trees, 0.8, _derived_rng(3, 0, 0, i))
             for i in range(400)
         ]
-        v = greedy_chunk(inst_a, samples, x, q=2)
+        v = greedy_chunk(inst_a, *chunk_inputs(samples), x, q=2)
         # matches exact-B greedy: one unit on the first edge of each route
         assert v == BudgetVector([1, 0, 1, 0])
 
@@ -463,7 +509,7 @@ class TestGreedyChunk:
         x = BudgetVector.zeros(4)
         trees = {3: build_sp_tree(inst_a, x, 3)}
         samples = [sample_path(inst_a, x, trees, 0.8, random.Random(0))]
-        assert greedy_chunk(inst_a, samples, x, q=0).norm == 0
+        assert greedy_chunk(inst_a, *chunk_inputs(samples), x, q=0).norm == 0
 
     def test_blocked_samples_give_zero(self, inst_a):
         x = BudgetVector([1, 0, 1, 0])
@@ -471,7 +517,7 @@ class TestGreedyChunk:
         samples = [
             sample_path(inst_a, x, trees, 0.8, random.Random(i)) for i in range(50)
         ]
-        assert greedy_chunk(inst_a, samples, x, q=3).norm == 0
+        assert greedy_chunk(inst_a, *chunk_inputs(samples), x, q=3).norm == 0
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_merged_walks_give_the_per_walk_chunk(self, seed):
@@ -482,21 +528,20 @@ class TestGreedyChunk:
         live = np.flatnonzero(rows[walker.sink_row, walker.sources] < inst.threshold)
         blocks = _recording_blocks(walker)
         count = max(100, 10 * inst.k)
-        samples, counts = walker.walks(lengths, rows, live, count, np.random.default_rng([seed, 0, 0]))
-        per_walk = [_sampled(walk, i) for walk in blocks for i in range(len(walk[0]))]
-        assert len(per_walk) == count > len(samples)
+        paths, weights = walker.walks(lengths, rows, live, count, np.random.default_rng([seed, 0, 0]))
+        # every feasible walk on its own, weighted 1 * (1 / count) / rho
+        per_walk = [(_edge_seq(edges[i]), 1 * (1.0 / count) / float(rho[i]))
+                    for _, (edges, rho, ok) in blocks for i in np.flatnonzero(ok).tolist()]
+        assert sum(len(pair) for pair, _ in blocks) == count > len(paths)
         for q in (1, 5):
-            merged = greedy_chunk(inst, samples, x, q, counts, count)
+            merged = greedy_chunk(inst, paths, weights, x, q)
             assert merged.norm == q
-            assert merged == greedy_chunk(inst, per_walk, x, q)
+            assert merged == greedy_chunk(inst, [p for p, _ in per_walk], [w for _, w in per_walk], x, q)
 
     def test_crosses_flat_increment(self):
-        from qosd import Path
-
         # table (1, 1, 5): the first unit gains nothing, two units reach T
         inst = single_edge_instance((1, 1, 5), 5)
-        sample = SampledPath(Path((0, 1), (0,), 1, 0), 1.0, True)
-        assert greedy_chunk(inst, [sample], BudgetVector.zeros(1), q=1) == BudgetVector([2])
+        assert greedy_chunk(inst, [(0,)], [1.0], BudgetVector.zeros(1), q=1) == BudgetVector([2])
 
 
 class TestRunSa:
