@@ -30,18 +30,17 @@ class Graph:
 
     Node ids live in ``[0, n)``; ``edges[i]`` is the (src, dst) pair of
     edge ``i`` and that position never changes. Self-loops and duplicate
-    edges are rejected (loaders drop them before construction). ``in_adj[v]``
-    holds v's (tail, edge) pairs; forward adjacency is built in numpy.
+    edges are rejected (loaders drop them before construction). Adjacency
+    arrays are built in numpy on first use and cached in ``_csr``.
     """
 
-    __slots__ = ("n", "edges", "in_adj", "max_out_degree", "_csr")
+    __slots__ = ("n", "edges", "max_out_degree", "_csr")
 
     def __init__(self, n: int, edges: Sequence[tuple[int, int]]):
         if n <= 0:
             raise InvalidInstanceError("graph must have at least one node")
         seen: set[int] = set()  # u * n + v: ints, which the collector does not track
         out_degree = [0] * n
-        in_adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         for idx, (u, v) in enumerate(edges):
             if not (0 <= u < n and 0 <= v < n):
                 raise InvalidInstanceError(f"edge {idx} endpoint out of range: ({u}, {v})")
@@ -52,12 +51,8 @@ class Graph:
                 raise InvalidInstanceError(f"duplicate edge ({u}, {v})")
             seen.add(key)
             out_degree[u] += 1
-            in_adj[v].append((u, idx))
         self.n = n
         self.edges = list(map(tuple, edges))  # keeps the given tuples
-        # a tuple of (node, edge) tuples: fixed once built, and the cyclic
-        # collector stops tracking it, so a graph adds nothing to its passes
-        self.in_adj = tuple(map(tuple, in_adj))
         self.max_out_degree = max(out_degree)
         self._csr: dict = {}  # pathcore.csr_view's CSR views and sa._out_arrays' padded arrays
 
@@ -189,8 +184,7 @@ class QosdInstance:
     def _check_box_feasible(self) -> None:
         from .pathcore import BudgetVector, unseparated_pairs
 
-        at_cap = BudgetVector(self.box)
-        remaining = unseparated_pairs(self, at_cap)
+        remaining = unseparated_pairs(self, BudgetVector(self.box))
         if remaining:
             raise InfeasibleBoxError(
                 f"infeasible-box: pairs {remaining} stay connected below T "

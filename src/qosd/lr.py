@@ -188,7 +188,7 @@ def constraint_generation(
 
     def separate(solution: LpSolution) -> list[Path]:
         # the sweep needs every length >= alpha = table[0]: clip any negative LP noise
-        lengths = (alphas + betas * np.maximum(solution.fractional, 0.0)).tolist()
+        lengths = alphas + betas * np.maximum(solution.fractional, 0.0)
         return [p for p in pair_shortest_paths(instance, None, lengths=lengths, bound=cutoff) if p is not None]
 
     solution, _, rounds = _generate(

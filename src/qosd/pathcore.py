@@ -1,45 +1,31 @@
 """Budget vectors, paths, the shortest-path kernel, separation checks and the
 blockers' gain structure.
 
-:func:`distances` is the one shortest-path search: a single
-``scipy.sparse.csgraph.dijkstra`` call from a batch of sources over a CSR
-view of the graph (or of its transpose) that is cached on the graph, with
-only its data array refilled from the current edge lengths. IG and AT
-harvest paths, LR separates and SA's walks read their tree parents from its
-distance rows. A sweep stops at a bound, because only paths strictly
-shorter than T ever matter. Paths are rebuilt backward from t along the
-lowest-index tight in-edge, and SA's tree parent is the lowest-id tight next
-hop; both rules read only the exact float64 distances, so every output is
-fixed by the lengths alone. Everything but LR's fractional lengths is exact
-integer arithmetic.
-
-Every pair sweep (:func:`pair_shortest_paths`: IG, AT, CC, the oracle,
-LR's separation, SA's exact fallback, every feasibility check) searches
-only the instance's T-corridor: the edges (u, v) with
-d0(s, u) + table[0] + d0(v, t) < T for some pair, d0 the zero-budget
-distance (goal-directed pruning with bounds that are exact, because lengths
-never fall below table[0]). Every prefix and suffix of a path below T is
-then at least its zero-budget length, so each of its edges is in the
-corridor, corridor distances are exact along it, its tight in-edges are the
-full graph's and the sweep finds the same paths. The first sweep builds the
-corridor from one bounded sweep forward from the sources and one reverse
-from the sinks. SA's round sweep stays on the whole graph: its walks leave
-the corridor and read tree parents at every node.
+Every shortest-path search is one ``scipy.sparse.csgraph.dijkstra`` call
+from a batch of sources, stopped at a bound (only paths strictly shorter
+than T matter). :func:`distances` searches the whole graph through a CSR
+view cached on it (SA's trees and walks read its rows); a pair sweep,
+:func:`pair_shortest_paths` (IG, AT, CC, the oracle, LR's separation, SA's
+exact fallback, every feasibility check), searches the instance's
+T-corridor: the edges (u, v) with d0(s, u) + table[0] + d0(v, t) < T for
+some pair, d0 the zero-budget distance. Lengths never fall below
+table[0], so every prefix and suffix of a path below T is at least its
+zero-budget length: each of its edges is in the corridor, distances are
+exact along it and its tight in-edges are the full graph's. The first
+sweep builds the corridor (one bounded search forward from the sources,
+one back from the sinks) with its nodes relabelled, its own in-edges and
+its edges' tables end to end, so no later sweep step scales with n or m.
+Paths are rebuilt backward from t along the lowest-index tight in-edge and
+SA's tree parent is the lowest-id tight next hop; both rules read only the
+float64 distances, so every output is fixed by the lengths alone, and all
+but LR's fractional lengths are exact integers.
 
 :class:`PathSupport` is the one place where a blocker's path lengths, edge
 support and capped-gain scan live: IG's unit steps, AT's best-ratio
-chunks, SA's estimator-weighted chunk and IG's and SA's exact steps
-(:meth:`PathSupport.best_step`) all pick their increments from it. It
-takes paths as edge sequences, SA's walks as drawn. It caches each
-edge's best unit and chunk; after a step it rescans only the stepped edge
-and the edges of the paths below T that the step lengthened, and a pick
-reads the top of a lazy heap of the changed entries rather than walking
-every edge. IG and AT keep one zero-budget support across
-their outer rounds, extend it by each round's new paths (rescanning only
-their edges) and block each round on a copy. Its ``x``, SA's and CC's
-budgets and :class:`BudgetVector` share one buffer representation, so
-copying x or wrapping it in a vector is a buffer copy: no per-round step
-walks all m edges in Python.
+chunks, SA's estimator-weighted chunk and the exact steps all pick their
+increments from it, rescanning only the entries a step changed. Its ``x``,
+SA's and CC's budgets and :class:`BudgetVector` share one buffer
+representation, so no per-round step walks all m edges in Python.
 """
 
 from __future__ import annotations
@@ -50,8 +36,8 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from itertools import accumulate
-from typing import TYPE_CHECKING, Iterable, Sequence
+from itertools import accumulate, chain
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -215,94 +201,120 @@ def distances(
     return csgraph_dijkstra(matrix, directed=True, indices=sources, limit=bound)
 
 
+class Corridor(NamedTuple):
+    """Some edges of the graph, their nodes relabelled 0..n_c-1 in id order
+    (``local`` maps a node to its label): an n_c x n_c CSR ``matrix`` whose
+    ``data`` the sweeps refill, each entry's edge, each local node's
+    (local tail, entry, edge) in-edges in edge-index order, and the entries'
+    weight tables end to end, entry i's from ``offsets[i]`` to its cap."""
+
+    matrix: csr_matrix
+    edges: np.ndarray
+    local: dict[int, int]
+    in_edges: tuple[tuple[tuple[int, int, int], ...], ...]
+    tables: np.ndarray
+    offsets: np.ndarray
+    caps: np.ndarray
+
+
+def _walk_corridor(instance: "QosdInstance", lengths: np.ndarray, pairs, limit: float) -> Corridor:
+    """The :class:`Corridor` of the s-t walks below ``limit`` under ``lengths``:
+    the edges (u, v) with d(s, u) + lengths[e] + d(v, t) < ``limit`` for some
+    pair, and every pair source. It reads only its own edges' tables."""
+    full, perm, tails = csr_view(instance.graph, False)
+    sources, source_row = np.unique([s for s, _ in pairs], return_inverse=True)
+    sinks, sink_row = np.unique([t for _, t in pairs], return_inverse=True)
+    from_sources = distances(instance, lengths, sources, bound=limit)
+    to_sinks = distances(instance, lengths, sinks, bound=limit, reverse=True)
+    keep, entry_lengths = np.zeros(len(perm), dtype=bool), lengths[perm]
+    for r, c in zip(source_row.tolist(), sink_row.tolist()):
+        keep |= from_sources[r][tails] + entry_lengths + to_sinks[c][full.indices] < limit
+    edges, tails, heads = perm[keep], tails[keep], full.indices[keep]
+    nodes = np.unique(np.concatenate((tails, heads, sources)))
+    n = len(nodes)
+    # labels keep the id order, so the entries stay sorted by (tail, head)
+    tails, heads = (np.searchsorted(nodes, ends).astype(np.int32) for ends in (tails, heads))
+    indptr = np.r_[0, np.cumsum(np.bincount(tails, minlength=n))].astype(np.int32)
+    matrix = csr_matrix((np.zeros(len(edges)), heads, indptr), shape=(n, n))
+    order = np.lexsort((edges, heads))
+    into = list(zip(tails[order].tolist(), order.tolist(), edges[order].tolist()))
+    ends = np.cumsum(np.bincount(heads, minlength=n)).tolist()
+    in_edges = tuple(tuple(into[a:b]) for a, b in zip([0] + ends, ends))
+    tables = [instance.weights[e].table for e in edges.tolist()]
+    sizes = np.fromiter(map(len, tables), np.int64, len(tables))
+    flat = np.fromiter(chain.from_iterable(tables), np.float64, int(sizes.sum()))
+    local = dict(zip(nodes.tolist(), range(n)))
+    return Corridor(matrix, edges, local, in_edges, flat, np.cumsum(sizes) - sizes, sizes - 1)
+
+
+def corridor(instance: "QosdInstance", limit: float) -> Corridor:
+    """The instance's walks below ``limit`` at zero budget (table[0] lengths),
+    as a :class:`Corridor`; kept until a call asks for a higher limit."""
+    kept = instance._corridor
+    if kept is None or kept[0] < limit:
+        base = np.array([wf.table[0] for wf in instance.weights], dtype=np.float64)
+        kept = instance._corridor = (limit, _walk_corridor(instance, base, instance.pairs, limit))
+    return kept[1]
+
+
 def shortest_path(
-    instance: "QosdInstance",
-    x: BudgetVector | None,
-    pair: tuple[int, int],
-    *,
-    pair_index: int | None = None,
-    lengths: Sequence[float] | None = None,
-    dist: np.ndarray | None = None,
-    bound: float | None = None,
+    instance: "QosdInstance", x: BudgetVector | None, pair: tuple[int, int], *,
+    pair_index: int | None = None, lengths: Sequence[float] | None = None, bound: float | None = None,
+    area: Corridor | None = None, dist: np.ndarray | None = None,
 ) -> Path | None:
     """Shortest s-t path under ``lengths`` (f_e(x_e) when None) if strictly
-    shorter than ``bound`` (T when None), else None; ``dist`` is s's row of
-    :func:`distances` (computed when None). The path is rebuilt from t,
-    entering each v by its lowest-index tight in-edge (d[u] + len == d[v])."""
-    if lengths is None:
-        lengths = edge_lengths(instance, x)
+    shorter than ``bound`` (T when None), else None. ``area`` is a
+    :class:`Corridor` holding every such path, its ``matrix.data`` filled
+    with their lengths, and ``dist`` is s's row of distances on it (when
+    None: this pair's walks below the bound, and a Dijkstra on them). The
+    path is rebuilt from t on the corridor's in-edges, entering each v by
+    its lowest-index tight in-edge (d[u] + len == d[v])."""
     if bound is None:
         bound = instance.threshold
     s, t = pair
-    if dist is None:
-        dist = distances(instance, lengths, [s], bound=bound)[0]
-    if not dist[t] < bound:
+    if area is None:
+        full = np.asarray(edge_lengths(instance, x) if lengths is None else lengths, dtype=np.float64)
+        area = _walk_corridor(instance, full, [pair], bound)
+        np.take(full, area.edges, out=area.matrix.data)
+        dist = csgraph_dijkstra(area.matrix, directed=True, indices=area.local[s], limit=bound)
+    v = area.local.get(t)  # None: t is on no walk below the bound
+    if v is None or not dist[v] < bound:
         return None
-    in_adj = instance.graph.in_adj
-    nodes = [t]
-    edges = []
-    while nodes[-1] != s:
-        dv = dist[nodes[-1]]
+    data, in_edges, ends, start = area.matrix.data, area.in_edges, instance.graph.edges, area.local[s]
+    nodes, edges = [t], []
+    while v != start:
+        dv = dist[v]
         # lengths are >= 1, so a tight in-edge comes from a nearer node
-        u, ei = next((u, ei) for u, ei in in_adj[nodes[-1]] if dist[u] + lengths[ei] == dv)
-        edges.append(ei)
-        nodes.append(u)
-    nodes.reverse()
-    edges.reverse()
+        v, e = next((u, e) for u, j, e in in_edges[v] if dist[u] + data[j] == dv)
+        edges.append(e)
+        nodes.append(ends[e][0])
     initial = sum(instance.weights[e].table[0] for e in edges)
-    return Path(tuple(nodes), tuple(edges), initial, pair_index)
-
-
-def corridor(instance: "QosdInstance", limit: float) -> tuple[csr_matrix, np.ndarray]:
-    """The edges (u, v) with d0(s, u) + table[0] + d0(v, t) < ``limit`` for some
-    pair, as an n x n CSR matrix (callers refill ``data``) and each entry's
-    edge index. Kept on the instance until a call asks for a higher limit."""
-    kept = instance._corridor
-    if kept is None or kept[0] < limit:
-        graph = instance.graph
-        base = np.array([wf.table[0] for wf in instance.weights], dtype=np.float64)
-        full, perm, tails = csr_view(graph, False)
-        heads, lowest = full.indices, base[perm]
-        sinks, sink_row = np.unique([t for _, t in instance.pairs], return_inverse=True)
-        from_sources = distances(instance, base, instance.sources, bound=limit)
-        to_sinks = distances(instance, base, sinks, bound=limit, reverse=True)
-        keep = np.zeros(len(perm), dtype=bool)
-        for r, c in zip(instance.source_row.tolist(), sink_row.tolist()):
-            keep |= from_sources[r][tails] + lowest + to_sinks[c][heads] < limit
-        del from_sources, to_sinks
-        pos = np.flatnonzero(keep)
-        indptr = np.r_[0, np.cumsum(np.bincount(tails[pos], minlength=graph.n))].astype(np.int32)
-        matrix = csr_matrix((np.zeros(len(pos)), heads[pos], indptr), shape=(graph.n, graph.n))
-        kept = instance._corridor = (limit, matrix, perm[pos])
-    return kept[1:]
+    return Path(tuple(reversed(nodes)), tuple(reversed(edges)), initial, pair_index)
 
 
 def pair_shortest_paths(
-    instance: "QosdInstance",
-    x: BudgetVector | None,
-    *,
-    lengths: Sequence[float] | None = None,
-    bound: float | None = None,
+    instance: "QosdInstance", x: BudgetVector | None, *,
+    lengths: Sequence[float] | None = None, bound: float | None = None,
 ) -> list[Path | None]:
     """Per-pair :func:`shortest_path` (None when the pair is separated), in
     pair order, from one Dijkstra call over ``instance.sources`` on the
     :func:`corridor` for max(bound, T), which holds every path below the
-    bound (see the module docstring) when ``lengths`` (f_e(x_e), read on the
-    corridor only, when None) are at least ``table[0]`` on every edge."""
+    bound (see the module docstring) when ``lengths`` (f_e(x_e), one gather
+    from x's buffer, when None) are at least ``table[0]`` on every edge."""
     if bound is None:
         bound = instance.threshold
-    matrix, edges = corridor(instance, max(bound, instance.threshold))
+    area = corridor(instance, max(bound, instance.threshold))
     if lengths is None:
-        weights, xv = instance.weights, x.values
-        matrix.data[:] = [weights[e].table[xv[e]] for e in edges.tolist()]
-        # an edge outside the corridor is never tight
-        lengths = np.full(instance.graph.m, _INF)
-        lengths[edges] = matrix.data
+        spent = np.frombuffer(x.values, x.values.typecode)[area.edges]
+        if (spent > area.caps).any():
+            raise QosdError("budget exceeds an edge's cap")
+        np.take(area.tables, area.offsets + spent, out=area.matrix.data)
     else:
-        np.take(np.asarray(lengths, dtype=np.float64), edges, out=matrix.data)
-    dist = csgraph_dijkstra(matrix, directed=True, indices=instance.sources, limit=bound)
+        np.take(np.asarray(lengths, dtype=np.float64), area.edges, out=area.matrix.data)
+    sources = [area.local[s] for s in instance.sources.tolist()]
+    dist = csgraph_dijkstra(area.matrix, directed=True, indices=sources, limit=bound)
     return [
-        shortest_path(instance, x, pair, pair_index=i, lengths=lengths, dist=dist[r], bound=bound)
+        shortest_path(instance, x, pair, pair_index=i, bound=bound, area=area, dist=dist[r])
         for i, (pair, r) in enumerate(zip(instance.pairs, instance.source_row.tolist()))
     ]
 

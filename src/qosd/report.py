@@ -47,6 +47,4 @@ class Deadline:
 
     @classmethod
     def ensure(cls, deadline: "Deadline | float | None") -> "Deadline":
-        if isinstance(deadline, Deadline):
-            return deadline
-        return cls(deadline)
+        return deadline if isinstance(deadline, Deadline) else cls(deadline)

@@ -353,10 +353,7 @@ def run_sa(
     x = BudgetVector(values)
     walker = _RoundWalker(instance, config.alpha, deadline)
     lengths = walker.initial.copy()  # f_e(x_e), rewritten where a round spends
-    rounds = 0
-    samples_drawn = 0
-    escalations = 0
-    fallbacks = 0
+    rounds = samples_drawn = escalations = fallbacks = 0
     while True:
         deadline.check("sampling round")
         rows = distances(instance, lengths, walker.sinks, reverse=True)

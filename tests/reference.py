@@ -1,8 +1,9 @@
 """Reference helpers that only the tests use: capped path lengths r and
-their sum D over a path set, vector addition, the out-adjacency in
-edge-index order, SA's estimator of B, its chunk's inputs from independent
-walks and per-walk random streams, and the per-edge instance generators that
-the library's batched ones must match."""
+their sum D over a path set, vector addition, the out- and in-adjacency in
+edge-index order, every pair's path from a sweep over the whole graph, SA's
+estimator of B, its chunk's inputs from independent walks and per-walk
+random streams, and the per-edge instance generators that the library's
+batched ones must match."""
 
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ from typing import Iterable, Sequence
 
 from qosd import BudgetVector, Graph, Path, QosdError, QosdInstance, WeightFunction
 from qosd.instance import _concave_table, _convex_table, _linear_table
+from qosd.pathcore import distances
 from qosd.sa import SampledPath
 
 
@@ -22,6 +24,40 @@ def out_adj(graph: Graph) -> list[list[tuple[int, int]]]:
     for idx, (u, v) in enumerate(graph.edges):
         adj[u].append((v, idx))
     return adj
+
+
+@lru_cache(maxsize=64)
+def in_adj(graph: Graph) -> list[list[tuple[int, int]]]:
+    """Each node's (tail, edge) in-edges in edge-index order."""
+    adj = [[] for _ in range(graph.n)]
+    for idx, (u, v) in enumerate(graph.edges):
+        adj[v].append((u, idx))
+    return adj
+
+
+def full_graph_paths(
+    instance: QosdInstance, lengths: Sequence[float], bound: float
+) -> list[Path | None]:
+    """Every pair's shortest path strictly below ``bound`` under ``lengths``
+    (None when there is none), from one sweep over the whole graph, each
+    rebuilt from t along the lowest-index tight in-edge of all the graph's."""
+    rows = distances(instance, lengths, instance.sources, bound=bound)
+    into = in_adj(instance.graph)
+    paths = []
+    for i, ((s, t), r) in enumerate(zip(instance.pairs, instance.source_row.tolist())):
+        dist = rows[r]
+        if not dist[t] < bound:
+            paths.append(None)
+            continue
+        nodes, edges = [t], []
+        while nodes[-1] != s:
+            dv = dist[nodes[-1]]
+            u, e = next((u, e) for u, e in into[nodes[-1]] if dist[u] + lengths[e] == dv)
+            nodes.append(u)
+            edges.append(e)
+        initial = sum(instance.weights[e].table[0] for e in edges)
+        paths.append(Path(tuple(reversed(nodes)), tuple(reversed(edges)), initial, i))
+    return paths
 
 
 def path_of(instance: QosdInstance, edges: Sequence[int]) -> Path:

@@ -388,8 +388,9 @@ class TestLpRows:
         assert any(v != round(v) for solution in solutions for v in solution.fractional)
         for solution, got in zip(solutions, lengths):
             old = [alphas[e] + betas[e] * solution.fractional[e] for e in range(inst.graph.m)]
-            assert type(got) is list and all(type(v) is float for v in got)
-            assert np.array(got).tobytes() == np.array(old).tobytes()
+            # the float64 array the sweep reads, no list round trip
+            assert type(got) is np.ndarray and got.dtype == np.float64
+            assert got.tobytes() == np.array(old).tobytes()
 
 
 class TestSolverReuse:

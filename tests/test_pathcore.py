@@ -37,7 +37,7 @@ from qosd.lr import FEAS_TOL
 from qosd.pathcore import corridor, distances, edge_lengths
 
 from conftest import diamond_instance
-from reference import d_value, out_adj, path_of, plus, r_value
+from reference import d_value, full_graph_paths, out_adj, path_of, plus, r_value
 
 
 class TestBudgetVector:
@@ -697,15 +697,6 @@ def _corridor_instance(seed: int, model: str) -> QosdInstance:
     return QosdInstance(graph, weights, pairs, threshold, validate_box=False)
 
 
-def _full_graph_paths(inst, x, lengths, bound):
-    # every pair's path from a sweep over the whole graph
-    dist = distances(inst, lengths, inst.sources, bound=bound)
-    return [
-        shortest_path(inst, x, pair, pair_index=i, lengths=lengths, dist=dist[r], bound=bound)
-        for i, (pair, r) in enumerate(zip(inst.pairs, inst.source_row.tolist()))
-    ]
-
-
 def _zero_budget_corridor(inst) -> set[int]:
     """The edges (u, v) with d0(s, u) + table[0] + d0(v, t) < T for some pair,
     by Bellman-Ford."""
@@ -725,7 +716,7 @@ def test_corridor_sweep_equals_full_graph_sweep(seed, model):
     inst = _corridor_instance(seed, model)
     rng = random.Random(seed)
     x = BudgetVector([rng.randint(0, cap) for cap in inst.box])
-    want = _full_graph_paths(inst, x, edge_lengths(inst, x), inst.threshold)
+    want = full_graph_paths(inst, edge_lengths(inst, x), inst.threshold)
     assert pair_shortest_paths(inst, x) == want
     assert unseparated_pairs(inst, x) == [i for i, p in enumerate(want) if p]
     # LR's separation: float lengths from table[0] up (half of them exactly
@@ -737,23 +728,76 @@ def test_corridor_sweep_equals_full_graph_sweep(seed, model):
         for wf in inst.weights
     ]
     bound = inst.threshold * (1 - FEAS_TOL)
-    assert pair_shortest_paths(inst, None, lengths=lengths, bound=bound) == _full_graph_paths(
-        inst, None, lengths, bound
-    )
+    assert pair_shortest_paths(inst, None, lengths=lengths, bound=bound) == full_graph_paths(inst, lengths, bound)
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 10_000), st.sampled_from(WEIGHT_MODELS + ("custom",)))
 def test_corridor_holds_the_zero_budget_corridor_edges(seed, model):
     inst = _corridor_instance(seed, model)
-    matrix, edges = corridor(inst, inst.threshold)
-    assert sorted(edges.tolist()) == sorted(_zero_budget_corridor(inst))
-    # each entry sits in its edge's (tail, head) cell
-    for tail in range(inst.graph.n):
+    area = corridor(inst, inst.threshold)
+    ends = inst.graph.edges
+    assert sorted(area.edges.tolist()) == sorted(_zero_budget_corridor(inst))
+    # local ids follow node ids, and every pair source has one
+    nodes = sorted(area.local)
+    assert [area.local[v] for v in nodes] == list(range(len(nodes)))
+    assert set(inst.sources.tolist()) <= set(nodes)
+    assert nodes == sorted({v for e in area.edges.tolist() for v in ends[e]} | set(inst.sources.tolist()))
+    # each entry sits in its edge's (tail, head) cell, through the relabelling
+    matrix = area.matrix
+    for tail in range(len(nodes)):
         span = slice(matrix.indptr[tail], matrix.indptr[tail + 1])
-        assert [inst.graph.edges[e] for e in edges[span].tolist()] == [
-            (tail, head) for head in matrix.indices[span].tolist()
+        assert [ends[e] for e in area.edges[span].tolist()] == [
+            (nodes[tail], nodes[head]) for head in matrix.indices[span].tolist()
         ]
+    # each node's in-edges are its corridor in-edges in edge-index order, each
+    # with its tail's local id and its entry
+    for v, into in enumerate(area.in_edges):
+        assert [e for _, _, e in into] == sorted(e for e in area.edges.tolist() if ends[e][1] == nodes[v])
+        assert all(nodes[u] == ends[e][0] and area.edges[j] == e for u, j, e in into)
+    # each entry's table, flat from its offset up to its cap
+    for e, start, cap in zip(area.edges.tolist(), area.offsets.tolist(), area.caps.tolist()):
+        assert tuple(area.tables[start:start + cap + 1].tolist()) == inst.weights[e].table
+
+
+def _relabel_instance(pairs) -> QosdInstance:
+    # 0 -> 1 -> 2 is the only walk below T; 3 -> 4 and 2 -> 0 lie on none
+    graph = Graph(5, [(0, 1), (1, 2), (3, 4), (2, 0)])
+    return QosdInstance(graph, [WeightFunction((1, 9))] * 4, pairs, 5, validate_box=False)
+
+
+def test_sink_off_the_corridor_is_separated():
+    # node 4 is off the corridor and 2, the last local node, is at distance 2
+    # from 0: a missing node must not read the last node's distance
+    inst = _relabel_instance([(0, 2), (0, 4)])
+    area = corridor(inst, inst.threshold)
+    assert sorted(area.local) == [0, 1, 2] and sorted(area.edges.tolist()) == [0, 1]
+    x = BudgetVector.zeros(4)
+    paths = pair_shortest_paths(inst, x)
+    assert [p and p.edge_seq for p in paths] == [(0, 1), None]
+    assert unseparated_pairs(inst, x) == [0]
+    assert shortest_path(inst, x, (0, 4)) is None
+
+
+def test_source_without_corridor_edges_is_separated():
+    inst = _relabel_instance([(0, 2), (3, 2), (3, 1)])
+    area = corridor(inst, inst.threshold)
+    # 3 has a local id but neither an out- nor an in-edge on the corridor
+    row = area.local[3]
+    assert sorted(area.local) == [0, 1, 2, 3] and area.in_edges[row] == ()
+    assert area.matrix.indptr[row] == area.matrix.indptr[row + 1]
+    x = BudgetVector.zeros(4)
+    assert [p and p.edge_seq for p in pair_shortest_paths(inst, x)] == [(0, 1), None, None]
+    assert unseparated_pairs(inst, x) == [0]
+    assert shortest_path(inst, x, (3, 2)) is None
+
+
+def test_sweep_rejects_a_budget_above_a_corridor_cap():
+    inst = _relabel_instance([(0, 2)])
+    with pytest.raises(QosdError, match="cap"):
+        pair_shortest_paths(inst, BudgetVector([0, 2, 0, 0]))
+    # off the corridor a budget is never read
+    assert pair_shortest_paths(inst, BudgetVector([0, 0, 0, 2]))[0].edge_seq == (0, 1)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
