@@ -44,7 +44,6 @@ from .pathcore import (
     PathSupport,
     edge_lengths,
     pair_shortest_paths,
-    shortest_path,
     unseparated_pairs,
 )
 from .report import Deadline, RunReport

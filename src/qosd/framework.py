@@ -3,9 +3,9 @@ iteration, LR's constraint generation and the exact oracle.
 
 Each round separates: it finds every pair's path still below T under the
 current solution. The round adds those paths to the candidate set and
-re-solves on the whole set (IG and AT re-block it from zero, from one
-zero-budget support extended by each round's new paths), until no pair
-has a path below T.
+re-solves on the whole set, until no pair has a path below T. IG and AT
+re-block it from zero on one zero-budget support that each round extends
+by its new paths.
 """
 
 from __future__ import annotations
@@ -14,19 +14,18 @@ import time
 from itertools import islice
 from typing import Callable, TypeVar
 
-from .errors import IterationLimitError, StallError
+from . import at, ig
+from .errors import ConfigError, IterationLimitError, StallError
 from .instance import QosdInstance
 from .pathcore import BudgetVector, CandidateSet, Path, PathSupport, pair_shortest_paths
 from .report import Deadline, RunReport
 
-Blocker = Callable[..., BudgetVector]
 S = TypeVar("S")
 
 
-def potential_paths(instance: QosdInstance, x: BudgetVector, *, lengths: list[int] | None = None) -> list[Path]:
-    """One shortest path (below T under x) per still-unseparated pair;
-    ``lengths`` is ``edge_lengths(instance, x)`` when the caller has it."""
-    return [p for p in pair_shortest_paths(instance, x, lengths=lengths) if p is not None]
+def potential_paths(instance: QosdInstance, x: BudgetVector) -> list[Path]:
+    """One shortest path (below T under x) per still-unseparated pair."""
+    return [p for p in pair_shortest_paths(instance, x) if p is not None]
 
 
 def _generate(
@@ -70,7 +69,7 @@ def _generate(
 
 def run_iterative(
     instance: QosdInstance,
-    blocker: str | Blocker = "ig",
+    blocker: str = "ig",
     *,
     threads: int = 1,
     deadline: Deadline | float | None = None,
@@ -79,26 +78,17 @@ def run_iterative(
 ) -> RunReport:
     """Alternate path harvesting with full re-blocking until separation.
 
-    ``blocker`` is "ig", "at", or any callable with the blocker signature
-    ``(instance, candidate_set, trace=list) -> BudgetVector``. The loop ends
-    only when a sweep under the final x finds no path below T, so the
-    report is feasible.
-    ``threads`` is accepted and ignored: every search runs in the caller's
-    thread.
+    ``blocker`` is "ig" (:func:`ig.block_greedy`) or "at"
+    (:func:`at.block_adaptive`); anything else is a ``ConfigError``. Each
+    round blocks from the run's one zero-budget :class:`PathSupport`,
+    extended by the round's new paths. The loop ends only when a sweep
+    under the final x finds no path below T, so the report is feasible.
+    ``threads`` is accepted and ignored.
     """
-    from .at import block_adaptive
-    from .ig import block_greedy
-
-    named: dict[str, Blocker] = {"ig": block_greedy, "at": block_adaptive}
-    kept = {}  # a named blocker's zero-budget support, extended by each round's new paths
-    if callable(blocker):
-        blocker_fn, name = blocker, getattr(blocker, "__name__", "custom")
-    elif isinstance(blocker, str) and blocker in named:
-        blocker_fn, name = named[blocker], blocker
-        kept["support"] = PathSupport(instance, ())
-    else:
-        raise ValueError(f"unknown blocker {blocker!r}")
-
+    if blocker not in ("ig", "at"):
+        raise ConfigError(f"unknown blocker {blocker!r}")
+    blocker_fn = ig.block_greedy if blocker == "ig" else at.block_adaptive
+    support = PathSupport(instance, ())
     deadline = Deadline.ensure(deadline)
     start = time.perf_counter()
     inner = 0
@@ -106,14 +96,14 @@ def run_iterative(
     def block(candidates: CandidateSet) -> BudgetVector:
         nonlocal inner
         trace: list = []
-        if kept:  # the candidate set only grows, in insertion order
-            kept["support"].extend(p.edge_seq for p in islice(candidates, len(kept["support"].lengths), None))
-        x = blocker_fn(instance, candidates, trace=trace, deadline=deadline, **kept)
+        # the candidate set only grows, in insertion order
+        support.extend(p.edge_seq for p in islice(candidates, len(support.lengths), None))
+        x = blocker_fn(instance, candidates, trace=trace, deadline=deadline, support=support)
         inner += len(trace)
         return x
 
     x, candidates, outer = _generate(
         instance, BudgetVector.zeros(instance.graph.m), lambda x: potential_paths(instance, x), block,
-        deadline=deadline, cap=iteration_cap, what=name,
+        deadline=deadline, cap=iteration_cap, what=blocker,
     )
-    return RunReport.finish(name, x, start, outer, inner, seed=seed, candidate_paths=len(candidates))
+    return RunReport.finish(blocker, x, start, outer, inner, seed=seed, candidate_paths=len(candidates))

@@ -205,7 +205,7 @@ def eta(n: int, h: int, beta_max: int, delta: float) -> float:
     if not (0.0 < delta < 1.0):
         raise ConfigError("delta must lie in (0, 1)")
     if beta_max < 1:
-        raise ValueError("beta_max must be at least 1")
+        raise ConfigError("beta_max must be at least 1")
     prefactor = beta_max / (1.0 - math.exp(-beta_max))
     return prefactor * (h * math.log(n) - math.log(delta) + 1.0)
 

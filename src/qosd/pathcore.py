@@ -11,14 +11,16 @@ T-corridor: the edges (u, v) with d0(s, u) + table[0] + d0(v, t) < T for
 some pair, d0 the zero-budget distance. Lengths never fall below
 table[0], so every prefix and suffix of a path below T is at least its
 zero-budget length: each of its edges is in the corridor, distances are
-exact along it and its tight in-edges are the full graph's. The first
-sweep builds the corridor (one bounded search forward from the sources,
-one back from the sinks) with its nodes relabelled, its own in-edges and
-its edges' tables end to end, so no later sweep step scales with n or m.
-Paths are rebuilt backward from t along the lowest-index tight in-edge and
-SA's tree parent is the lowest-id tight next hop; both rules read only the
-float64 distances, so every output is fixed by the lengths alone, and all
-but LR's fractional lengths are exact integers.
+exact along it and its tight in-edges are the full graph's. No sweep is
+bounded above T. The first one builds the corridor (one bounded search
+forward from the sources, one back from the sinks) with its nodes
+relabelled, its own in-edges and its edges' tables end to end, and keeps
+it on the instance, so no later sweep step scales with n or m. Each
+pair's path (:func:`shortest_path`) is rebuilt backward from t along the
+lowest-index tight in-edge and SA's tree parent is the lowest-id tight
+next hop; both rules read only the float64 distances, so every output is
+fixed by the lengths alone, and all but LR's fractional lengths are exact
+integers.
 
 :class:`PathSupport` is the one place where a blocker's path lengths, edge
 support and capped-gain scan live: IG's unit steps, AT's best-ratio
@@ -56,27 +58,20 @@ class BudgetVector:
     check ``within_box`` where the cap constraint matters. ``values`` is an
     ``array`` of one byte per edge while every entry is below 256 (8 bytes
     otherwise), as are the solvers' working budgets (:func:`budget_array`).
-    Built from an integer ``array``, it is a buffer copy checked and summed
-    in numpy; other iterables are read entry by entry."""
+    Any other iterable is read into an ``array("q")`` first (a float entry
+    is a ``TypeError``); the buffer is then copied, checked and summed in
+    numpy."""
 
     __slots__ = ("values", "norm")
 
     def __init__(self, values: Iterable[int]):
-        if isinstance(values, array):
-            entries = np.frombuffer(values, values.typecode)
-            if entries.size and entries.min() < 0:
-                raise QosdError("budget components must be nonnegative")
-            code = "B" if not entries.size or entries.max() < 256 else "q"
-            self.values, self.norm = array(code, entries.astype(code).tobytes()), int(entries.sum())
-            return
-        vals = list(values)
-        try:
-            self.values = array("B", bytes(vals))  # bytes() checks 0 <= v < 256
-        except ValueError:
-            if min(vals) < 0:
-                raise QosdError("budget components must be nonnegative") from None
-            self.values = array("q", vals)
-        self.norm = sum(vals)
+        if not isinstance(values, array):
+            values = array("q", values)
+        entries = np.frombuffer(values, values.typecode)
+        if entries.size and entries.min() < 0:
+            raise QosdError("budget components must be nonnegative")
+        code = "B" if not entries.size or entries.max() < 256 else "q"
+        self.values, self.norm = array(code, entries.astype(code).tobytes()), int(entries.sum())
 
     @classmethod
     def zeros(cls, m: int) -> "BudgetVector":
@@ -217,20 +212,23 @@ class Corridor(NamedTuple):
     caps: np.ndarray
 
 
-def _walk_corridor(instance: "QosdInstance", lengths: np.ndarray, pairs, limit: float) -> Corridor:
-    """The :class:`Corridor` of the s-t walks below ``limit`` under ``lengths``:
-    the edges (u, v) with d(s, u) + lengths[e] + d(v, t) < ``limit`` for some
-    pair, and every pair source. It reads only its own edges' tables."""
+def corridor(instance: "QosdInstance") -> Corridor:
+    """The instance's T-corridor (see the module docstring) and every pair
+    source, as a :class:`Corridor` built by the first call and kept on the
+    instance. Of the weight tables past table[0] it reads only its own."""
+    if instance._corridor is not None:
+        return instance._corridor
+    limit = instance.threshold
+    base = np.array([wf.table[0] for wf in instance.weights], dtype=np.float64)
     full, perm, tails = csr_view(instance.graph, False)
-    sources, source_row = np.unique([s for s, _ in pairs], return_inverse=True)
-    sinks, sink_row = np.unique([t for _, t in pairs], return_inverse=True)
-    from_sources = distances(instance, lengths, sources, bound=limit)
-    to_sinks = distances(instance, lengths, sinks, bound=limit, reverse=True)
-    keep, entry_lengths = np.zeros(len(perm), dtype=bool), lengths[perm]
-    for r, c in zip(source_row.tolist(), sink_row.tolist()):
+    sinks, sink_row = np.unique([t for _, t in instance.pairs], return_inverse=True)
+    from_sources = distances(instance, base, instance.sources, bound=limit)
+    to_sinks = distances(instance, base, sinks, bound=limit, reverse=True)
+    keep, entry_lengths = np.zeros(len(perm), dtype=bool), base[perm]
+    for r, c in zip(instance.source_row.tolist(), sink_row.tolist()):
         keep |= from_sources[r][tails] + entry_lengths + to_sinks[c][full.indices] < limit
     edges, tails, heads = perm[keep], tails[keep], full.indices[keep]
-    nodes = np.unique(np.concatenate((tails, heads, sources)))
+    nodes = np.unique(np.concatenate((tails, heads, instance.sources)))
     n = len(nodes)
     # labels keep the id order, so the entries stay sorted by (tail, head)
     tails, heads = (np.searchsorted(nodes, ends).astype(np.int32) for ends in (tails, heads))
@@ -244,40 +242,21 @@ def _walk_corridor(instance: "QosdInstance", lengths: np.ndarray, pairs, limit: 
     sizes = np.fromiter(map(len, tables), np.int64, len(tables))
     flat = np.fromiter(chain.from_iterable(tables), np.float64, int(sizes.sum()))
     local = dict(zip(nodes.tolist(), range(n)))
-    return Corridor(matrix, edges, local, in_edges, flat, np.cumsum(sizes) - sizes, sizes - 1)
-
-
-def corridor(instance: "QosdInstance", limit: float) -> Corridor:
-    """The instance's walks below ``limit`` at zero budget (table[0] lengths),
-    as a :class:`Corridor`; kept until a call asks for a higher limit."""
-    kept = instance._corridor
-    if kept is None or kept[0] < limit:
-        base = np.array([wf.table[0] for wf in instance.weights], dtype=np.float64)
-        kept = instance._corridor = (limit, _walk_corridor(instance, base, instance.pairs, limit))
-    return kept[1]
+    instance._corridor = Corridor(matrix, edges, local, in_edges, flat, np.cumsum(sizes) - sizes, sizes - 1)
+    return instance._corridor
 
 
 def shortest_path(
-    instance: "QosdInstance", x: BudgetVector | None, pair: tuple[int, int], *,
-    pair_index: int | None = None, lengths: Sequence[float] | None = None, bound: float | None = None,
-    area: Corridor | None = None, dist: np.ndarray | None = None,
+    instance: "QosdInstance", pair: tuple[int, int], *,
+    area: Corridor, dist: np.ndarray, bound: float, pair_index: int,
 ) -> Path | None:
-    """Shortest s-t path under ``lengths`` (f_e(x_e) when None) if strictly
-    shorter than ``bound`` (T when None), else None. ``area`` is a
-    :class:`Corridor` holding every such path, its ``matrix.data`` filled
-    with their lengths, and ``dist`` is s's row of distances on it (when
-    None: this pair's walks below the bound, and a Dijkstra on them). The
-    path is rebuilt from t on the corridor's in-edges, entering each v by
-    its lowest-index tight in-edge (d[u] + len == d[v])."""
-    if bound is None:
-        bound = instance.threshold
+    """The s-t path of :func:`pair_shortest_paths`' sweep if strictly shorter
+    than ``bound``, else None: ``area`` is the :func:`corridor`, its matrix
+    filled with the sweep's lengths, and ``dist`` s's row of distances on it.
+    The path is rebuilt from t on the corridor's in-edges, entering each v
+    by its lowest-index tight in-edge (d[u] + len == d[v])."""
     s, t = pair
-    if area is None:
-        full = np.asarray(edge_lengths(instance, x) if lengths is None else lengths, dtype=np.float64)
-        area = _walk_corridor(instance, full, [pair], bound)
-        np.take(full, area.edges, out=area.matrix.data)
-        dist = csgraph_dijkstra(area.matrix, directed=True, indices=area.local[s], limit=bound)
-    v = area.local.get(t)  # None: t is on no walk below the bound
+    v = area.local.get(t)  # None: t is on no walk below T
     if v is None or not dist[v] < bound:
         return None
     data, in_edges, ends, start = area.matrix.data, area.in_edges, instance.graph.edges, area.local[s]
@@ -296,14 +275,17 @@ def pair_shortest_paths(
     instance: "QosdInstance", x: BudgetVector | None, *,
     lengths: Sequence[float] | None = None, bound: float | None = None,
 ) -> list[Path | None]:
-    """Per-pair :func:`shortest_path` (None when the pair is separated), in
-    pair order, from one Dijkstra call over ``instance.sources`` on the
-    :func:`corridor` for max(bound, T), which holds every path below the
-    bound (see the module docstring) when ``lengths`` (f_e(x_e), one gather
-    from x's buffer, when None) are at least ``table[0]`` on every edge."""
+    """Each pair's shortest path strictly below ``bound`` (T when None; a
+    bound above T is a ``QosdError``), or None when the pair is separated,
+    in pair order: one Dijkstra call over ``instance.sources`` on the
+    :func:`corridor`, which holds every such path (see the module docstring)
+    when ``lengths`` (f_e(x_e), one gather from x's buffer, when None) are
+    at least ``table[0]`` on every edge."""
     if bound is None:
         bound = instance.threshold
-    area = corridor(instance, max(bound, instance.threshold))
+    elif bound > instance.threshold:
+        raise QosdError(f"a pair sweep's bound {bound} exceeds T = {instance.threshold}")
+    area = corridor(instance)
     if lengths is None:
         spent = np.frombuffer(x.values, x.values.typecode)[area.edges]
         if (spent > area.caps).any():
@@ -314,7 +296,7 @@ def pair_shortest_paths(
     sources = [area.local[s] for s in instance.sources.tolist()]
     dist = csgraph_dijkstra(area.matrix, directed=True, indices=sources, limit=bound)
     return [
-        shortest_path(instance, x, pair, pair_index=i, bound=bound, area=area, dist=dist[r])
+        shortest_path(instance, pair, pair_index=i, bound=bound, area=area, dist=dist[r])
         for i, (pair, r) in enumerate(zip(instance.pairs, instance.source_row.tolist()))
     ]
 

@@ -371,7 +371,7 @@ def run_sa(
             if chunk.norm > 0:
                 break
         else:
-            paths = potential_paths(instance, x, lengths=lengths)
+            paths = potential_paths(instance, x)
             edge, amount, _ = PathSupport(instance, [p.edge_seq for p in paths], x).best_step()
             if edge < 0:
                 raise InfeasibleBoxError("no unit or chunk improves the current shortest paths")

@@ -1,6 +1,7 @@
 """Reference helpers that only the tests use: capped path lengths r and
 their sum D over a path set, vector addition, the out- and in-adjacency in
-edge-index order, every pair's path from a sweep over the whole graph, SA's
+edge-index order, every pair's path from a sweep over the whole graph, the
+lazy IG/AT loop with each round's support built from scratch, SA's
 estimator of B, its chunk's inputs from independent walks and per-walk
 random streams, and the per-edge instance generators that the library's
 batched ones must match."""
@@ -11,7 +12,8 @@ import random
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from qosd import BudgetVector, Graph, Path, QosdError, QosdInstance, WeightFunction
+from qosd import BudgetVector, Deadline, Graph, Path, QosdError, QosdInstance, WeightFunction, potential_paths
+from qosd.framework import _generate
 from qosd.instance import _concave_table, _convex_table, _linear_table
 from qosd.pathcore import distances
 from qosd.sa import SampledPath
@@ -58,6 +60,20 @@ def full_graph_paths(
         initial = sum(instance.weights[e].table[0] for e in edges)
         paths.append(Path(tuple(reversed(nodes)), tuple(reversed(edges)), initial, i))
     return paths
+
+
+def fresh_support_run(instance: QosdInstance, blocker) -> tuple[BudgetVector, int, int, int]:
+    """``run_iterative``'s loop with ``blocker`` (``block_greedy`` or
+    ``block_adaptive``) given no ``support``, so each round builds its own
+    from scratch: the last budget, the rounds, the blocker's trace steps and
+    the candidate paths."""
+    steps = []
+    x, paths, rounds = _generate(
+        instance, BudgetVector.zeros(instance.graph.m), lambda x: potential_paths(instance, x),
+        lambda paths: blocker(instance, paths, trace=steps), deadline=Deadline.ensure(None), cap=None,
+        what="fresh-support reference",
+    )
+    return x, rounds, len(steps), len(paths)
 
 
 def path_of(instance: QosdInstance, edges: Sequence[int]) -> Path:

@@ -2,6 +2,7 @@ import pytest
 
 from qosd import (
     BudgetVector,
+    ConfigError,
     IterationLimitError,
     QosdInstance,
     SolverTimeout,
@@ -19,6 +20,7 @@ from qosd import (
 from qosd.lr import LpSolution
 
 from conftest import diamond_instance, single_edge_instance
+from reference import fresh_support_run
 
 
 class TestPotentialPaths:
@@ -63,22 +65,27 @@ class TestRunIterative:
         assert report.budget == BudgetVector([2])
         assert report.outer_iterations == 1
 
-    def test_stall_on_broken_blocker(self, inst_a):
-        def bogus_blocker(instance, paths, *, trace=None, deadline=None):
+    def test_stall_on_broken_blocker(self, inst_a, monkeypatch):
+        def bogus_blocker(instance, paths, *, trace=None, deadline=None, support=None):
             return BudgetVector.zeros(instance.graph.m)  # blocks nothing
 
+        monkeypatch.setattr("qosd.ig.block_greedy", bogus_blocker)
         with pytest.raises(StallError):
-            run_iterative(inst_a, bogus_blocker)
+            run_iterative(inst_a, "ig")
 
-    def test_iteration_cap(self, inst_a):
-        def one_unit_blocker(instance, paths, *, trace=None, deadline=None):
+    def test_iteration_cap(self, inst_a, monkeypatch):
+        def one_unit_blocker(instance, paths, *, trace=None, deadline=None, support=None):
             # blocks only the first candidate path, so P keeps growing
-            from qosd import block_greedy
-
             return block_greedy(instance, list(paths)[:1], trace=trace)
 
+        monkeypatch.setattr("qosd.ig.block_greedy", one_unit_blocker)
         with pytest.raises(IterationLimitError):
-            run_iterative(inst_a, one_unit_blocker, iteration_cap=1)
+            run_iterative(inst_a, "ig", iteration_cap=1)
+
+    @pytest.mark.parametrize("blocker", ["cc", "IG", "", None, block_greedy])
+    def test_unknown_blocker_is_a_config_error(self, inst_a, blocker):
+        with pytest.raises(ConfigError, match="unknown blocker"):
+            run_iterative(inst_a, blocker)
 
     @pytest.mark.parametrize("blocker", ["ig", "at"])
     def test_candidate_growth_and_feasibility(self, blocker):
@@ -99,15 +106,16 @@ class TestRunIterative:
         (60, 0.1, 10, 5, "concave", 0),  # flat steps: IG crosses them by chunks
     ], ids=["er240-0", "er240-1", "er240-2", "er60-concave"])
     def test_reused_support_keeps_the_output(self, name, blocker, args):
-        # a named blocker starts each round from the kept zero-budget support;
-        # the same function passed as a callable builds its support from scratch
+        # run_iterative starts each round from its kept zero-budget support;
+        # the reference loop builds the blocker's support from scratch
         *shape, seed = args
         inst = make_er_instance(*shape, seed=seed)
-        reused, fresh = run_iterative(inst, name), run_iterative(inst, blocker)
-        assert reused.budget == fresh.budget
-        assert reused.outer_iterations == fresh.outer_iterations
-        assert reused.inner_iterations == fresh.inner_iterations
-        assert reused.extras["candidate_paths"] == fresh.extras["candidate_paths"]
+        reused = run_iterative(inst, name)
+        budget, outer, inner, candidate_paths = fresh_support_run(inst, blocker)
+        assert reused.budget == budget
+        assert reused.outer_iterations == outer
+        assert reused.inner_iterations == inner
+        assert reused.extras["candidate_paths"] == candidate_paths
 
     def test_threads_do_not_change_result(self, inst_a):
         a = run_iterative(inst_a, "ig", threads=1)
@@ -123,15 +131,15 @@ LAZY_SOLVERS = {
 }
 
 
-def _zero_blocker(instance, paths, *, trace=None, deadline=None):
+def _zero_blocker(instance, paths, *, trace=None, deadline=None, support=None):
     return BudgetVector.zeros(instance.graph.m)
 
 
 def _stalling(name, monkeypatch):
     """Solver ``name`` with a solve step that keeps the zero start."""
     if name == "run_iterative":
-        return lambda inst: run_iterative(inst, _zero_blocker)
-    if name == "constraint_generation":
+        monkeypatch.setattr("qosd.ig.block_greedy", _zero_blocker)
+    elif name == "constraint_generation":
         monkeypatch.setattr(
             "qosd.lr.solve_lp", lambda inst, paths, **_: LpSolution([0.0] * inst.graph.m, 0.0, paths)
         )

@@ -501,7 +501,7 @@ class TestEta:
     def test_bad_arguments(self):
         with pytest.raises(ConfigError):
             eta(4, 3, 1, 0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             eta(4, 3, 0, 0.5)
 
 

@@ -2,6 +2,7 @@ import random
 from array import array
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,7 +29,6 @@ from qosd import (
     generate_er,
     run_cc,
     run_iterative,
-    shortest_path,
     unseparated_pairs,
 )
 from qosd import sa
@@ -87,6 +87,24 @@ class TestBudgetVector:
         if values:
             source[0] += 1
             assert x.values.tolist() == values
+
+    @pytest.mark.parametrize("values", [[], [0, 255, 3], [256, 0, 7], [2**40, 1]])
+    def test_tuple_generator_and_numpy_builds_equal_the_array_build(self, values):
+        expected = BudgetVector(array("q", values))
+        builds = (tuple(values), (v for v in values), np.array(values, dtype=np.int64))
+        for source in builds:
+            x = BudgetVector(source)
+            assert x.values.typecode == expected.values.typecode
+            assert x.values.tobytes() == expected.values.tobytes()
+            assert x.norm == expected.norm and x == expected
+
+    def test_float_entry_is_a_type_error_and_a_negative_list_entry_a_qosd_error(self):
+        for values in ([1.5], [0, 2.0], (1, 0.5), np.array([1.0, 2.0])):
+            with pytest.raises(TypeError):
+                BudgetVector(values)
+        for values in ([-1], [0, 300, -2]):
+            with pytest.raises(QosdError):
+                BudgetVector(values)
 
     def test_negative_array_entry_rejected(self):
         for values in ([-1], [300, -1], [0, 2, -5]):
@@ -164,29 +182,29 @@ class TestMetrics:
 
 class TestShortestPath:
     def test_diamond_tie_break(self, inst_a):
-        p = shortest_path(inst_a, BudgetVector.zeros(4), (0, 3))
+        p = pair_shortest_paths(inst_a, BudgetVector.zeros(4))[0]
         assert p.node_seq == (0, 1, 3)
         assert p.edge_seq == (0, 1)
 
     def test_blocked_returns_none(self, inst_a):
-        assert shortest_path(inst_a, BudgetVector([1, 0, 1, 0]), (0, 3)) is None
+        assert pair_shortest_paths(inst_a, BudgetVector([1, 0, 1, 0]))[0] is None
 
     def test_disconnected_pair(self):
         g = Graph(3, [(0, 1)])
         inst = QosdInstance(g, [WeightFunction((1, 2, 3))], [(0, 2)], 3)
-        assert shortest_path(inst, BudgetVector.zeros(1), (0, 2)) is None
+        assert pair_shortest_paths(inst, BudgetVector.zeros(1))[0] is None
 
     def test_budget_shifts_route(self, inst_a):
-        p = shortest_path(inst_a, BudgetVector([2, 0, 0, 0]), (0, 3))
+        p = pair_shortest_paths(inst_a, BudgetVector([2, 0, 0, 0]))[0]
         assert p.node_seq == (0, 2, 3)
 
     def test_bound_is_strict(self, inst_a):
         # both diamond routes have length 2 at x = 0
         x = BudgetVector.zeros(4)
-        assert shortest_path(inst_a, x, (0, 3), bound=2) is None
-        assert shortest_path(inst_a, x, (0, 3), bound=2.5).edge_seq == (0, 1)
-        assert shortest_path(inst_a, None, (0, 3), lengths=[1.5, 1.0, 1.0, 1.0], bound=2.5).edge_seq == (2, 3)
-        assert shortest_path(inst_a, None, (0, 3), lengths=[1.5, 1.0, 1.0, 1.5], bound=2.5) is None
+        assert pair_shortest_paths(inst_a, x, bound=2)[0] is None
+        assert pair_shortest_paths(inst_a, x, bound=2.5)[0].edge_seq == (0, 1)
+        assert pair_shortest_paths(inst_a, None, lengths=[1.5, 1.0, 1.0, 1.0], bound=2.5)[0].edge_seq == (2, 3)
+        assert pair_shortest_paths(inst_a, None, lengths=[1.5, 1.0, 1.0, 1.5], bound=2.5)[0] is None
 
     def test_unseparated_lists(self, inst_a):
         assert unseparated_pairs(inst_a, BudgetVector.zeros(4)) == [0]
@@ -233,7 +251,7 @@ def test_dijkstra_matches_enumeration(seed, n, threshold):
         weights.append(WeightFunction(tuple(table)))
     inst = QosdInstance(graph, weights, [(0, n - 1)], threshold, validate_box=False)
     x = BudgetVector([rng.randint(0, w.cap) for w in weights])
-    found = shortest_path(inst, x, (0, n - 1))
+    found = pair_shortest_paths(inst, x)[0]
     expected = _enumerate_shortest(inst, x, (0, n - 1))
     if expected is None:
         assert found is None
@@ -378,7 +396,7 @@ def test_shortest_path_takes_lowest_index_tight_in_edge(seed):
     lengths = edge_lengths(inst, x)
     s, t = inst.pairs[0]
     dist = _bellman_ford(inst.graph.n, edges, lengths, s)
-    found = shortest_path(inst, x, (s, t))
+    found = pair_shortest_paths(inst, x)[0]
     if dist[t] >= inst.threshold:
         assert found is None
         return
@@ -390,17 +408,19 @@ def test_shortest_path_takes_lowest_index_tight_in_edge(seed):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.integers(0, 10_000), st.integers(1, 40))
-def test_fractional_shortest_path_takes_lowest_index_tight_in_edge(seed, quarters):
-    # LR's separation: quarter lengths are exact in binary, so ties survive the float sums
+@given(st.integers(0, 10_000))
+def test_fractional_shortest_path_takes_lowest_index_tight_in_edge(seed):
+    # LR's separation: quarter lengths are exact in binary, so ties survive the
+    # float sums; like LR's clipped lengths they start at table[0], and the
+    # bound is at most T
     inst, _ = _shuffled_instance(seed)
     edges = inst.graph.edges
     rng = random.Random(seed)
-    lengths = [rng.randint(4, 16) / 4 for _ in edges]
-    bound = quarters / 4
+    lengths = [wf.table[0] + rng.randint(0, 12) / 4 for wf in inst.weights]
+    bound = rng.randint(1, 4 * inst.threshold) / 4
     s, t = inst.pairs[0]
     dist = _bellman_ford(inst.graph.n, edges, lengths, s)
-    found = shortest_path(inst, None, (s, t), lengths=lengths, bound=bound)
+    found = pair_shortest_paths(inst, None, lengths=lengths, bound=bound)[0]
     if not dist[t] < bound:
         assert found is None
         return
@@ -417,17 +437,16 @@ def test_fractional_shortest_path_takes_lowest_index_tight_in_edge(seed, quarter
 def test_pair_sweep_equals_per_pair_queries(seed, quarters):
     inst = make_er_instance(14, 0.25, 5, 8, "heterogeneous", seed=seed)
     rng = random.Random(seed)
-    lengths = [rng.randint(4, 12) / 4 for _ in inst.graph.edges]
+    lengths = [rng.randint(4, 12) / 4 for _ in inst.graph.edges]  # table[0] is 1
     bound = quarters / 4
-    swept = pair_shortest_paths(inst, None, lengths=lengths, bound=bound)
-    assert swept == [
-        shortest_path(inst, None, pair, pair_index=i, lengths=lengths, bound=bound)
-        for i, pair in enumerate(inst.pairs)
-    ]
+    if bound > inst.threshold:  # the corridor holds the paths below T only
+        with pytest.raises(QosdError, match="exceeds T"):
+            pair_shortest_paths(inst, None, lengths=lengths, bound=bound)
+    else:
+        swept = pair_shortest_paths(inst, None, lengths=lengths, bound=bound)
+        assert swept == full_graph_paths(inst, lengths, bound)
     x = BudgetVector([rng.randint(0, cap) for cap in inst.box])
-    assert pair_shortest_paths(inst, x) == [
-        shortest_path(inst, x, pair, pair_index=i) for i, pair in enumerate(inst.pairs)
-    ]
+    assert pair_shortest_paths(inst, x) == full_graph_paths(inst, edge_lengths(inst, x), inst.threshold)
 
 
 @settings(max_examples=150, deadline=None)
@@ -735,7 +754,7 @@ def test_corridor_sweep_equals_full_graph_sweep(seed, model):
 @given(st.integers(0, 10_000), st.sampled_from(WEIGHT_MODELS + ("custom",)))
 def test_corridor_holds_the_zero_budget_corridor_edges(seed, model):
     inst = _corridor_instance(seed, model)
-    area = corridor(inst, inst.threshold)
+    area = corridor(inst)
     ends = inst.graph.edges
     assert sorted(area.edges.tolist()) == sorted(_zero_budget_corridor(inst))
     # local ids follow node ids, and every pair source has one
@@ -770,18 +789,18 @@ def test_sink_off_the_corridor_is_separated():
     # node 4 is off the corridor and 2, the last local node, is at distance 2
     # from 0: a missing node must not read the last node's distance
     inst = _relabel_instance([(0, 2), (0, 4)])
-    area = corridor(inst, inst.threshold)
+    area = corridor(inst)
     assert sorted(area.local) == [0, 1, 2] and sorted(area.edges.tolist()) == [0, 1]
     x = BudgetVector.zeros(4)
     paths = pair_shortest_paths(inst, x)
     assert [p and p.edge_seq for p in paths] == [(0, 1), None]
     assert unseparated_pairs(inst, x) == [0]
-    assert shortest_path(inst, x, (0, 4)) is None
+    assert pair_shortest_paths(inst, x)[1] is None
 
 
 def test_source_without_corridor_edges_is_separated():
     inst = _relabel_instance([(0, 2), (3, 2), (3, 1)])
-    area = corridor(inst, inst.threshold)
+    area = corridor(inst)
     # 3 has a local id but neither an out- nor an in-edge on the corridor
     row = area.local[3]
     assert sorted(area.local) == [0, 1, 2, 3] and area.in_edges[row] == ()
@@ -789,7 +808,7 @@ def test_source_without_corridor_edges_is_separated():
     x = BudgetVector.zeros(4)
     assert [p and p.edge_seq for p in pair_shortest_paths(inst, x)] == [(0, 1), None, None]
     assert unseparated_pairs(inst, x) == [0]
-    assert shortest_path(inst, x, (3, 2)) is None
+    assert pair_shortest_paths(inst, x)[1] is None
 
 
 def test_sweep_rejects_a_budget_above_a_corridor_cap():
@@ -798,6 +817,28 @@ def test_sweep_rejects_a_budget_above_a_corridor_cap():
         pair_shortest_paths(inst, BudgetVector([0, 2, 0, 0]))
     # off the corridor a budget is never read
     assert pair_shortest_paths(inst, BudgetVector([0, 0, 0, 2]))[0].edge_seq == (0, 1)
+
+
+def test_sweep_rejects_a_bound_above_t():
+    inst = _relabel_instance([(0, 2)])
+    x = BudgetVector.zeros(4)
+    with pytest.raises(QosdError, match="exceeds T"):
+        pair_shortest_paths(inst, x, bound=inst.threshold + 0.5)
+    assert pair_shortest_paths(inst, x, bound=inst.threshold)[0].edge_seq == (0, 1)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_corridor_is_built_once_and_kept(seed):
+    inst = make_er_instance(24, 0.15, 5, 6, "linear", seed=seed)
+    x = BudgetVector.zeros(inst.graph.m)
+    pair_shortest_paths(inst, x)
+    area = corridor(inst)
+    assert inst._corridor is area
+    lengths = [float(wf.table[0]) for wf in inst.weights]
+    pair_shortest_paths(inst, None, lengths=lengths, bound=inst.threshold * (1 - FEAS_TOL))
+    assert corridor(inst) is area
+    unseparated_pairs(inst, x)
+    assert corridor(inst) is area
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
