@@ -4,7 +4,8 @@ blockers' gain structure.
 Every shortest-path search is one ``scipy.sparse.csgraph.dijkstra`` call
 from a batch of sources, stopped at a bound (only paths strictly shorter
 than T matter). :func:`distances` searches the whole graph through a CSR
-view cached on it (SA's trees and walks read its rows); a pair sweep,
+view cached on it (SA sweeps its sinks once a run, then only the rows a
+chunk can move, and its trees and walks read the kept rows); a pair sweep,
 :func:`pair_shortest_paths` (IG, AT, CC, the oracle, LR's separation, SA's
 exact fallback, every feasibility check), searches the instance's
 T-corridor: the edges (u, v) with d0(s, u) + table[0] + d0(v, t) < T for
@@ -287,6 +288,8 @@ def pair_shortest_paths(
         raise QosdError(f"a pair sweep's bound {bound} exceeds T = {instance.threshold}")
     area = corridor(instance)
     if lengths is None:
+        if x is None:
+            raise QosdError("a pair sweep needs a budget x or edge lengths")
         spent = np.frombuffer(x.values, x.values.typecode)[area.edges]
         if (spent > area.caps).any():
             raise QosdError("budget exceeds an edge's cap")

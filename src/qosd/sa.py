@@ -7,6 +7,8 @@ samples can be importance-weighted. :func:`run_sa` draws a round's walks
 together in numpy (``_RoundWalker``) from one generator, only over the
 pairs still below T, and hands the estimator each distinct feasible walk's
 edge sequence, weighted by how often it was drawn over its probability.
+The walker keeps the sinks' distance rows and tree parents for the whole
+run and, after each chunk, sweeps again only the rows the chunk can move.
 :func:`sample_path` draws one walk at a time, the walker's reference.
 """
 
@@ -64,26 +66,27 @@ class SaConfig:
     seed: int = 0
 
 
-def _tree_parents(lengths: np.ndarray, to_u: np.ndarray, to_cand: np.ndarray, cand: np.ndarray,
-                  cand_edge: np.ndarray, n: int) -> np.ndarray:
-    """Per row, a node u's next hop toward the sink: the lowest-id candidate
-    ``cand`` (an out-neighbour, -1 padding) on a tight out-edge, one with
-    lengths[e] + d(cand) == d(u); n when the sink is out of reach. Lengths
-    are >= 1, so the sink itself has none."""
-    tight = (cand >= 0) & (to_u < np.inf)[:, None] & (lengths[cand_edge] + to_cand == to_u[:, None])
-    return np.where(tight, cand, n).min(axis=1)
+def _tree_parents(graph: Graph, lengths: np.ndarray, rows: np.ndarray, row, at) -> np.ndarray:
+    """Node ``at[i]``'s next hop toward the sink of the reverse distances
+    ``rows[row[i]]`` (``row`` may be one int and ``at`` a slice): the lowest-id
+    out-neighbour v on a tight out-edge e, lengths[e] + d(v) == d(u); n when
+    the sink is out of reach. Lengths are >= 1 and end with an inf for the -1
+    padding."""
+    (out_nodes, out_edges), to_u = _out_arrays(graph), rows[row, at]
+    cand = out_nodes[at]
+    to_cand = rows[np.reshape(row, (-1, 1)), cand]
+    tight = (to_u < np.inf)[:, None] & (lengths[out_edges[at]] + to_cand == to_u[:, None])
+    return np.where(tight, cand, graph.n).min(axis=1)
 
 
 def build_sp_tree(instance: QosdInstance, x: BudgetVector, sink: int) -> list[int | None]:
     """Next hop toward ``sink`` on a shortest path under f_e(x_e), per node:
     :class:`_RoundWalker`'s tree parent, found for all nodes at once. The
     sink and nodes that cannot reach it map to None."""
-    lengths = np.array(edge_lengths(instance, x) + [np.inf])  # so padding's edge -1 exists
-    dist = distances(instance, lengths, [sink], reverse=True)[0]
-    nodes, edges = _out_arrays(instance.graph)
-    n = instance.graph.n
-    parents = _tree_parents(lengths, dist, dist[nodes], nodes, edges, n)
-    return [None if v == n else v for v in parents.tolist()]
+    lengths, n = np.array(edge_lengths(instance, x) + [np.inf]), instance.graph.n
+    dist = distances(instance, lengths, [sink], reverse=True)
+    parents = _tree_parents(instance.graph, lengths, dist, 0, slice(None)).tolist()
+    return [None if v == n else v for v in parents]
 
 
 def sample_path(
@@ -92,8 +95,6 @@ def sample_path(
     trees: dict[int, list[int | None]],
     alpha: float,
     rng: random.Random,
-    *,
-    lengths: list[int] | None = None,
 ) -> SampledPath:
     """One biased self-avoiding walk for a uniformly chosen pair: the scalar
     form of :class:`_RoundWalker`'s walks, and their reference.
@@ -103,9 +104,8 @@ def sample_path(
     reaching the sink, on current-weight length >= T, or at a dead end.
     Forced steps (a single unvisited neighbor) consume no randomness.
     """
-    if lengths is None:
-        lengths = edge_lengths(instance, x)
-    threshold, (out_nodes, out_edges) = instance.threshold, _out_arrays(instance.graph)
+    lengths, threshold = edge_lengths(instance, x), instance.threshold
+    out_nodes, out_edges = _out_arrays(instance.graph)
     pair_index = rng.randrange(instance.k)
     s, t = instance.pairs[pair_index]
     parent = trees[t]
@@ -164,7 +164,9 @@ def _out_arrays(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
 
 class _RoundWalker:
     """:func:`sample_path`'s walks for a whole round, advanced together in
-    numpy a block at a time.
+    numpy a block at a time, and the run's state: edge ``lengths`` f_e(x_e)
+    (an inf last), the reverse distance ``rows`` to the ``sinks`` and their
+    tree ``parents``, built at zero budget and kept by :meth:`raise_edges`.
 
     Fed ``sample_path``'s streams (the pair, then ``random()`` on each
     non-forced step), every walk of :meth:`block` is bit-identical to it:
@@ -184,20 +186,44 @@ class _RoundWalker:
         # each pair's source, and its sink's row in sinks
         self.sources = instance.sources[instance.source_row]
         self.sinks, self.sink_row = np.unique([t for _, t in instance.pairs], return_inverse=True)
+        self.lengths = np.append(self.initial, np.inf)
+        self.rows = distances(instance, self.lengths, self.sinks, reverse=True)
+        self.parents = np.array([_tree_parents(instance.graph, self.lengths, self.rows, r, slice(None))
+                                 for r in range(len(self.sinks))], dtype=np.int32)
 
-    def walks(self, lengths: np.ndarray, rows: np.ndarray, live: np.ndarray, count: int,
+    def raise_edges(self, edges: list[int], values: Sequence[int]) -> None:
+        """Sets the ``edges``' lengths to f_e(values[e]), none shorter, and
+        brings ``rows`` and ``parents`` up to date. A node keeps its distance
+        while it keeps a tight out-edge, since lengths are >= 1 and so that
+        edge's head is nearer and keeps its own. So only a tight changed
+        edge's tail can lose its parent, and only the rows where one has no
+        tight out-edge left are swept again, in one call; in those, parents
+        are recomputed where a node or an out-neighbour moved."""
+        rows, lengths, graph, old = self.rows, self.lengths, self.instance.graph, self.lengths[edges]
+        tails, heads = np.array([graph.edges[e] for e in edges], np.intp).reshape(-1, 2).T
+        lengths[edges] = [self.instance.weights[e].table[values[e]] for e in edges]
+        row, j = np.nonzero((rows[:, tails] < np.inf) & (rows[:, tails] == old + rows[:, heads]))
+        self.parents[row, tails[j]] = _tree_parents(graph, lengths, rows, row, tails[j])
+        swept = np.unique(row[self.parents[row, tails[j]] == graph.n])
+        if swept.size:
+            fresh = distances(self.instance, lengths, self.sinks[swept], reverse=True)
+            moved = fresh != rows[swept]
+            rows[swept] = fresh
+            row, at = np.nonzero(moved | moved[:, self.out_nodes].any(axis=2))
+            self.parents[swept[row], at] = _tree_parents(graph, lengths, rows, swept[row], at)
+
+    def walks(self, live: np.ndarray, count: int,
               rng: np.random.Generator) -> tuple[list[tuple[int, ...]], list[float]]:
-        """``count`` walks under edge ``lengths`` (``rows`` is ``distances(instance, lengths,
-        self.sinks, reverse=True)``) from pairs drawn uniformly among ``live``: per block,
-        ``rng`` draws the pairs, then each step's draws in walk order. Returns the distinct
-        feasible walks' edge sequences in first-seen order and their estimator weights,
+        """``count`` walks under the kept lengths and parents from pairs drawn
+        uniformly among ``live``: per block, ``rng`` draws the pairs, then each
+        step's draws in walk order. Returns the distinct feasible walks' edge
+        sequences in first-seen order and their estimator weights,
         (times drawn) * (1 / count) / rho."""
         paths, counts, rhos, seen = [], [], [], {}
         for start in range(0, count, _WALK_BLOCK):
             self.deadline.check("sampling round")
             pair = live[rng.integers(len(live), size=min(_WALK_BLOCK, count - start))]
-            edges, rho, feasible = self.block(lengths, rows, pair, 1.0 / len(live),
-                                              lambda idx: rng.random(idx.size))
+            edges, rho, feasible = self.block(pair, 1.0 / len(live), lambda idx: rng.random(idx.size))
             for i in np.flatnonzero(feasible).tolist():
                 row = edges[i]
                 j = seen.setdefault(row.tobytes(), len(paths))
@@ -208,7 +234,7 @@ class _RoundWalker:
                 counts[j] += 1
         return paths, [c * (1.0 / count) / r for c, r in zip(counts, rhos)]
 
-    def block(self, lengths: np.ndarray, rows: np.ndarray, pair: np.ndarray, rho0: float,
+    def block(self, pair: np.ndarray, rho0: float,
               uniform: Callable[[np.ndarray], Sequence[float]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """One walk per entry of ``pair``, starting with probability ``rho0``;
         ``uniform(idx)`` returns the next draw of each walk in ``idx``. Returns
@@ -229,12 +255,11 @@ class _RoundWalker:
         for step in range(width):
             if not walk.size:
                 break
-            at, row = u[walk], sink_row[walk]
+            at = u[walk]
             cand, cand_edge = self.out_nodes[at], self.out_edges[at]
             free = (cand >= 0) & ~visited[walk[:, None], cand]
             slots = free.sum(axis=1)
-            parent = _tree_parents(lengths, rows[row, at], rows[row[:, None], cand], cand, cand_edge, n)
-            is_parent = free & (cand == parent[:, None])
+            is_parent = free & (cand == self.parents[sink_row[walk], at][:, None])
             other = np.where(is_parent.any(axis=1), (1.0 - alpha) / np.maximum(slots - 1, 1),
                              1.0 / np.maximum(slots, 1))
             # x * 1.0 and x * 0.0 are exact: a visited or padding slot gets +0.0
@@ -252,7 +277,7 @@ class _RoundWalker:
             walk, v, e = walk[moving], cand[taken][moving], cand_edge[taken][moving]
             visited[walk, v] = True
             edges[walk, step] = e
-            current[walk] += lengths[e]
+            current[walk] += self.lengths[e]
             initial[walk] += self.initial[e]
             u[walk] = v
             walk = walk[(v != sink[walk]) & (current[walk] < threshold)]
@@ -311,10 +336,10 @@ def run_sa(
 ) -> RunReport:
     """Sampling rounds until separation.
 
-    Each round runs one reverse sweep from the sinks under the current
-    budget. Its rows give the walks' shortest-path parents and the live
-    pairs, whose source is below T from the sink; none left ends the run.
-    Else one generator per (seed, round, attempt) draws the round's walks
+    The walker's kept reverse rows from the sinks give the live pairs, whose
+    source is below T from the sink, and its kept tree parents steer the
+    walks; no live pair ends the run. Else one generator per (seed, round,
+    attempt) draws the round's walks
     (:class:`_RoundWalker`) over the live pairs only, which keeps the gain
     estimate unbiased (a separated pair gains nothing on any edge), and the
     greedy chunk is added. A zero chunk escalates by doubling the sample
@@ -352,12 +377,10 @@ def run_sa(
     values = budget_array(instance)  # x's entries, raised in place each round
     x = BudgetVector(values)
     walker = _RoundWalker(instance, config.alpha, deadline)
-    lengths = walker.initial.copy()  # f_e(x_e), rewritten where a round spends
     rounds = samples_drawn = escalations = fallbacks = 0
     while True:
         deadline.check("sampling round")
-        rows = distances(instance, lengths, walker.sinks, reverse=True)
-        live = np.flatnonzero(rows[walker.sink_row, walker.sources] < instance.threshold)
+        live = np.flatnonzero(walker.rows[walker.sink_row, walker.sources] < instance.threshold)
         if not live.size:
             break
         for attempt in range(4):  # base try plus three doublings
@@ -365,7 +388,7 @@ def run_sa(
                 escalations += 1
             count = base_count * (2**attempt)
             rng = np.random.default_rng([config.seed, rounds, attempt])
-            paths, weights = walker.walks(lengths, rows, live, count, rng)
+            paths, weights = walker.walks(live, count, rng)
             samples_drawn += count
             chunk = greedy_chunk(instance, paths, weights, x, config.q)
             if chunk.norm > 0:
@@ -377,9 +400,10 @@ def run_sa(
                 raise InfeasibleBoxError("no unit or chunk improves the current shortest paths")
             chunk = BudgetVector.unit(instance.graph.m, edge, amount)
             fallbacks += 1
-        for e in np.flatnonzero(chunk.values).tolist():
+        edges = np.flatnonzero(chunk.values).tolist()
+        for e in edges:
             values[e] += chunk[e]
-            lengths[e] = instance.weights[e].table[values[e]]
+        walker.raise_edges(edges, values)
         x = BudgetVector(values)
         rounds += 1
 

@@ -206,6 +206,12 @@ class TestShortestPath:
         assert pair_shortest_paths(inst_a, None, lengths=[1.5, 1.0, 1.0, 1.0], bound=2.5)[0].edge_seq == (2, 3)
         assert pair_shortest_paths(inst_a, None, lengths=[1.5, 1.0, 1.0, 1.5], bound=2.5)[0] is None
 
+    def test_sweep_without_budget_or_lengths_is_a_qosd_error(self, inst_a):
+        with pytest.raises(QosdError, match="budget x or edge lengths"):
+            pair_shortest_paths(inst_a, None)
+        with pytest.raises(QosdError):
+            pair_shortest_paths(inst_a, None, bound=2)
+
     def test_unseparated_lists(self, inst_a):
         assert unseparated_pairs(inst_a, BudgetVector.zeros(4)) == [0]
         assert unseparated_pairs(inst_a, BudgetVector([1, 0, 1, 0])) == []

@@ -29,7 +29,7 @@ from qosd import (
     unseparated_pairs,
 )
 from qosd import sa
-from qosd.pathcore import distances, edge_lengths
+from qosd.pathcore import budget_array, distances, edge_lengths
 from qosd.sa import _WALK_BLOCK, SampledPath, _RoundWalker
 
 from conftest import diamond_instance, single_edge_instance
@@ -127,10 +127,11 @@ class TestSamplePath:
 
 
 def _walker_round(inst, x, alpha):
-    """A walker and the lengths and sink rows of one round under x."""
+    """A walker whose kept round state is raised from zero budget to x in one
+    step, on every edge x spends on."""
     walker = _RoundWalker(inst, alpha)
-    lengths = np.array(edge_lengths(inst, x), dtype=np.float64)
-    return walker, lengths, distances(inst, lengths, walker.sinks, reverse=True)
+    walker.raise_edges(np.flatnonzero(x.values).tolist(), x.values)
+    return walker
 
 
 def _recording_blocks(walker):
@@ -139,7 +140,7 @@ def _recording_blocks(walker):
     blocks, block = [], walker.block
 
     def recorded(*args):
-        blocks.append((args[2], block(*args)))
+        blocks.append((args[0], block(*args)))
         return blocks[-1][1]
 
     walker.block = recorded
@@ -167,13 +168,12 @@ def _assert_round_matches_sample_path(inst, x, alpha, count, seed=0, rng=None):
     walks. Walk i draws its pair and then its steps from ``rng(i)``
     (``_derived_rng(seed, 3, 1, i)`` when None)."""
     rng = rng or (lambda i: _derived_rng(seed, 3, 1, i))
-    walker, lengths, rows = _walker_round(inst, x, alpha)
+    walker = _walker_round(inst, x, alpha)
     batched = []
     for start in range(0, count, _WALK_BLOCK):
         rngs = [rng(i) for i in range(start, min(start + _WALK_BLOCK, count))]
         pair = np.array([r.randrange(inst.k) for r in rngs])
-        edges, rho, feasible = walker.block(lengths, rows, pair, 1.0 / inst.k,
-                                            lambda idx: [rngs[i].random() for i in idx])
+        edges, rho, feasible = walker.block(pair, 1.0 / inst.k, lambda idx: [rngs[i].random() for i in idx])
         batched += [(int(pair[i]), _edge_seq(edges[i]), float(rho[i]), bool(feasible[i]))
                     for i in range(len(rngs))]
     assert len(batched) == count
@@ -243,11 +243,11 @@ class TestRoundWalker:
     def test_never_starts_at_a_separated_pair(self, inst_a):
         # (3, 0) has no path, so only (0, 3) is live and every walk reaches 3
         inst = QosdInstance(inst_a.graph, inst_a.weights, [(0, 3), (3, 0)], 3)
-        walker, lengths, rows = _walker_round(inst, BudgetVector.zeros(4), 0.8)
-        live = np.flatnonzero(rows[walker.sink_row, walker.sources] < inst.threshold)
+        walker = _walker_round(inst, BudgetVector.zeros(4), 0.8)
+        live = np.flatnonzero(walker.rows[walker.sink_row, walker.sources] < inst.threshold)
         assert live.tolist() == [0]
         blocks = _recording_blocks(walker)
-        paths, weights = walker.walks(lengths, rows, live, 700, np.random.default_rng(0))
+        paths, weights = walker.walks(live, 700, np.random.default_rng(0))
         assert len(blocks) == 2 and all((pair == 0).all() for pair, _ in blocks)
         tally = _tally(blocks)
         assert list(tally) == paths
@@ -261,11 +261,11 @@ class TestRoundWalker:
     def test_merged_walks_count_every_feasible_walk(self):
         inst = make_er_instance(240, 0.05, 5, 5, "heterogeneous", seed=0)
         x = BudgetVector([min(1, cap) if e % 3 == 0 else 0 for e, cap in enumerate(inst.box)])
-        walker, lengths, rows = _walker_round(inst, x, 0.8)
-        live = np.flatnonzero(rows[walker.sink_row, walker.sources] < inst.threshold)
+        walker = _walker_round(inst, x, 0.8)
+        live = np.flatnonzero(walker.rows[walker.sink_row, walker.sources] < inst.threshold)
         blocks = _recording_blocks(walker)
         count = 2 * _WALK_BLOCK + 37
-        paths, weights = walker.walks(lengths, rows, live, count, np.random.default_rng([4, 2, 0]))
+        paths, weights = walker.walks(live, count, np.random.default_rng([4, 2, 0]))
         assert [len(pair) for pair, _ in blocks] == [_WALK_BLOCK, _WALK_BLOCK, 37]
         feasible = sum(int(ok.sum()) for _, (_, _, ok) in blocks)
         # the distinct feasible walks in first-seen order, each with its number of draws
@@ -297,6 +297,117 @@ class TestRoundWalker:
         x = BudgetVector([data.draw(st.integers(0, w.cap)) for w in weights])
         alpha = data.draw(st.sampled_from([0.0, 0.5, 0.8]))
         _assert_round_matches_sample_path(inst, x, alpha, 40, seed=data.draw(st.integers(0, 99)))
+
+
+def _fresh_state(walker, x):
+    """The lengths, reverse sink rows and tree parents (n for none) that a
+    walker built from scratch at budget x holds."""
+    inst, n = walker.instance, walker.instance.graph.n
+    lengths = edge_lengths(inst, x) + [np.inf]
+    parents = [[n if v is None else v for v in build_sp_tree(inst, x, t)] for t in walker.sinks.tolist()]
+    return lengths, distances(inst, lengths, walker.sinks, reverse=True), parents
+
+
+def _assert_state_is_fresh(walker, x):
+    lengths, rows, parents = _fresh_state(walker, x)
+    assert walker.lengths.tolist() == lengths
+    assert np.array_equal(walker.rows, rows)
+    assert walker.parents.tolist() == parents
+
+
+class TestRoundState:
+    """The walker's kept lengths, sink rows and tree parents, raised round by
+    round, equal a fresh sweep and fresh tree parents at every budget."""
+
+    @pytest.mark.parametrize("case", ["ties", "unreachable", "two-out-edges", "escalation"])
+    def test_run_sa_keeps_a_fresh_state_after_every_round(self, case, monkeypatch):
+        raised = []
+
+        class Checked(_RoundWalker):
+            def raise_edges(self, edges, values):
+                super().raise_edges(edges, values)
+                _assert_state_is_fresh(self, BudgetVector(values))
+                raised.append((list(edges), self.rows.copy()))
+
+        monkeypatch.setattr(sa, "_RoundWalker", Checked)
+        if case in ("ties", "unreachable"):
+            # every table starts at 1, so zero-budget rows are full of ties; at
+            # density 0.05 some nodes cannot reach some sinks
+            inst = make_er_instance(60, 0.1 if case == "ties" else 0.05, 5, 10, "linear",
+                                    seed=1000 if case == "ties" else 3)
+            config = SaConfig(seed=0)
+        elif case == "two-out-edges":
+            inst, config = diamond_instance(), SaConfig(q=2)
+        else:
+            g = Graph(4, [(0, 1), (1, 2), (1, 3)])
+            inst = QosdInstance(g, build_weights(g, "linear", 3), [(0, 2)], 3)
+            config = SaConfig(alpha=0.0, samples_per_round=1)
+        report = run_sa(inst, config)
+        assert report.feasible and len(raised) == report.outer_iterations > 0
+        if case == "unreachable":
+            assert all(np.isinf(rows).any() for _, rows in raised)
+        elif case == "two-out-edges":
+            # the chunk raises both of node 0's tight out-edges at once
+            assert raised[0][0] == [0, 2]
+        elif case == "escalation":
+            assert (report.extras["escalations"], report.extras["fallbacks"]) == (3, 1)
+            assert np.isinf(raised[-1][1]).any()  # node 3 never reaches the sink 2
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_raises_on_small_digraphs(self, data):
+        n = data.draw(st.integers(2, 7))
+        ordered = [(u, v) for u in range(n) for v in range(n) if u != v]
+        edges = data.draw(st.lists(st.sampled_from(ordered), min_size=1, unique=True))
+        # small steps, so raised rows keep ties and flat increments
+        weights = [WeightFunction(tuple(np.cumsum([data.draw(st.integers(1, 2))]
+                                                  + data.draw(st.lists(st.integers(0, 2), max_size=4))).tolist()))
+                   for _ in edges]
+        pairs = data.draw(st.lists(st.sampled_from(ordered), min_size=1, max_size=4))
+        inst = QosdInstance(Graph(n, edges), weights, pairs, 8, validate_box=False)
+        walker, values = _RoundWalker(inst, 0.8), budget_array(inst)
+        for _ in range(data.draw(st.integers(1, 4))):
+            # a chunk of any size, some of it on edges out of one tail
+            chunk = data.draw(st.lists(st.sampled_from(range(len(edges))), min_size=1, unique=True))
+            chunk = [e for e in chunk if values[e] < weights[e].cap]
+            for e in chunk:
+                values[e] += data.draw(st.integers(1, weights[e].cap - values[e]))
+            walker.raise_edges(chunk, values)
+            _assert_state_is_fresh(walker, BudgetVector(values))
+
+    def test_a_swept_row_refreshes_a_tail_that_kept_its_distance(self):
+        # one chunk raises (0, 1) and (4, 3): node 4 moves, so sink 3's row is
+        # swept, while node 0 keeps its distance over (0, 2) and nothing next to
+        # it moves; its parent still turns from 1 to 2
+        g = Graph(5, [(0, 1), (0, 2), (1, 3), (2, 3), (4, 3)])
+        inst = QosdInstance(g, [WeightFunction((1, 2))] * 5, [(0, 3), (4, 3)], 3, validate_box=False)
+        walker, values = _RoundWalker(inst, 0.8), budget_array(inst)
+        assert walker.parents.tolist() == [[1, 3, 3, 5, 3]]
+        values[0] = values[4] = 1
+        walker.raise_edges([0, 4], values)
+        assert walker.parents.tolist() == [[2, 3, 3, 5, 3]]
+        _assert_state_is_fresh(walker, BudgetVector(values))
+
+    def test_only_rows_a_raise_can_move_are_swept(self, monkeypatch):
+        # sinks 3 and 4; (0, 2) is tight in neither row, (2, 3) is node 2's
+        # only out-edge toward 3, and node 2 cannot reach 4
+        g = Graph(5, [(0, 1), (1, 3), (0, 2), (2, 3), (1, 4)])
+        weights = [WeightFunction(t) for t in [(1, 2), (1, 2), (1, 3), (2, 3), (1, 2)]]
+        inst = QosdInstance(g, weights, [(0, 3), (0, 4)], 5, validate_box=False)
+        walker, values = _RoundWalker(inst, 0.8), budget_array(inst)
+        swept = []
+
+        def counted(instance, lengths, sources, **kwargs):
+            swept.append(list(sources))
+            return distances(instance, lengths, sources, **kwargs)
+
+        monkeypatch.setattr(sa, "distances", counted)
+        for edge, sweeps in [(2, []), (3, [[3]]), (4, [[4]])]:
+            values[edge] += 1
+            swept.clear()
+            walker.raise_edges([edge], values)
+            assert swept == sweeps
+            _assert_state_is_fresh(walker, BudgetVector(values))
 
 
 def _k4_instance():
@@ -425,12 +536,12 @@ def test_round_weights_unbiased_with_a_separated_pair(case, monkeypatch):
         graph = Graph(4, [(0, 1), (1, 3), (0, 2), (2, 3)])
         pairs, x = [(0, 3), (2, 3)], BudgetVector([0, 0, 0, 2])
     inst = QosdInstance(graph, build_weights(graph, "linear", 3), pairs, 3)
-    walker, lengths, rows = _walker_round(inst, x, 0.8)
-    live = np.flatnonzero(rows[walker.sink_row, walker.sources] < inst.threshold)
+    walker = _walker_round(inst, x, 0.8)
+    live = np.flatnonzero(walker.rows[walker.sink_row, walker.sources] < inst.threshold)
     assert live.tolist() == [0]
     drawn = 50_000
     blocks = _recording_blocks(walker)
-    walked, walk_weights = walker.walks(lengths, rows, live, drawn, np.random.default_rng([20240817, 0]))
+    walked, walk_weights = walker.walks(live, drawn, np.random.default_rng([20240817, 0]))
     tally = _tally(blocks)
     counts = [c for c, _ in tally.values()]
 
@@ -524,11 +635,11 @@ class TestGreedyChunk:
         # the first round of the er240 benchmark instances, as run_sa draws it
         inst = make_er_instance(240, 0.05, 5, 5, "heterogeneous", seed=seed)
         x = BudgetVector.zeros(inst.graph.m)
-        walker, lengths, rows = _walker_round(inst, x, 0.8)
-        live = np.flatnonzero(rows[walker.sink_row, walker.sources] < inst.threshold)
+        walker = _walker_round(inst, x, 0.8)
+        live = np.flatnonzero(walker.rows[walker.sink_row, walker.sources] < inst.threshold)
         blocks = _recording_blocks(walker)
         count = max(100, 10 * inst.k)
-        paths, weights = walker.walks(lengths, rows, live, count, np.random.default_rng([seed, 0, 0]))
+        paths, weights = walker.walks(live, count, np.random.default_rng([seed, 0, 0]))
         # every feasible walk on its own, weighted 1 * (1 / count) / rho
         per_walk = [(_edge_seq(edges[i]), 1 * (1.0 / count) / float(rho[i]))
                     for _, (edges, rho, ok) in blocks for i in np.flatnonzero(ok).tolist()]
