@@ -17,8 +17,7 @@ from .instance import (Graph, QosdInstance, WeightFunction, build_weights, conca
                        load_edge_list, load_instance, make_er_instance, make_layered_flat_instance,
                        sample_pairs, save_instance)
 from .lr import LpSolution, constraint_generation, eta, round_solution, run_lr, solve_lp
-from .pathcore import (BudgetVector, CandidateSet, Path, PathSupport, edge_lengths, pair_shortest_paths,
-                       unseparated_pairs)
+from .pathcore import BudgetVector, PathSupport, edge_lengths, pair_shortest_paths, unseparated_pairs
 from .report import Deadline, RunReport
 from .sa import SaConfig, SampledPath, build_sp_tree, greedy_chunk, run_sa, sample_count, sample_path
 

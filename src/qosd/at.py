@@ -6,13 +6,13 @@ from __future__ import annotations
 from typing import Iterable
 
 from .instance import QosdInstance
-from .pathcore import BudgetVector, Path, PathSupport
+from .pathcore import BudgetVector, PathSupport
 from .report import Deadline
 
 
 def block_adaptive(
     instance: QosdInstance,
-    paths: Iterable[Path],
+    paths: Iterable[tuple[int, ...]],
     *,
     trace: list | None = None,
     deadline: Deadline | float | None = None,
@@ -25,5 +25,5 @@ def block_adaptive(
     from (:meth:`PathSupport.block` leaves its x as it is).
     """
     if support is None:
-        support = PathSupport(instance, [p.edge_seq for p in paths])
+        support = PathSupport(instance, paths)
     return support.block(PathSupport.best_chunk, Deadline.ensure(deadline), "adaptive trading", trace)

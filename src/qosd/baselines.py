@@ -15,7 +15,7 @@ from .errors import InfeasibleBoxError
 from .framework import _generate, potential_paths
 from .instance import QosdInstance
 from .lr import _PathRows, _solve_highs
-from .pathcore import BudgetVector, Path, budget_array
+from .pathcore import BudgetVector, budget_array
 from .report import Deadline, RunReport
 
 
@@ -41,7 +41,7 @@ def run_cc(
             break
         counts: dict[int, int] = {}
         for p in paths:
-            for e in p.edge_seq:
+            for e in p:
                 if x[e] < box[e]:
                     counts[e] = counts.get(e, 0) + 1
         if not counts:
@@ -54,7 +54,7 @@ def run_cc(
     return RunReport.finish("cc", BudgetVector(x), start, rounds, rounds, seed=seed)
 
 
-def min_budget_to_block(instance: QosdInstance, paths: Iterable[Path]) -> BudgetVector:
+def min_budget_to_block(instance: QosdInstance, paths: Iterable[tuple[int, ...]]) -> BudgetVector:
     """Smallest-norm vector within the box under which every given path
     reaches T, by one MILP solve.
 

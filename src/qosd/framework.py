@@ -2,10 +2,10 @@
 iteration, LR's constraint generation and the exact oracle.
 
 Each round separates: it finds every pair's path still below T under the
-current solution. The round adds those paths to the candidate set and
-re-solves on the whole set, until no pair has a path below T. IG and AT
-re-block it from zero on one zero-budget support that each round extends
-by its new paths.
+current solution. The round adds those paths, each its edge tuple, to the
+candidate set, an insertion-ordered ``dict`` of them, and re-solves on the
+whole set, until no pair has a path below T. IG and AT re-block it from
+zero on one zero-budget support that each round extends by its new paths.
 """
 
 from __future__ import annotations
@@ -17,13 +17,14 @@ from typing import Callable, TypeVar
 from . import at, ig
 from .errors import ConfigError, IterationLimitError, StallError
 from .instance import QosdInstance
-from .pathcore import BudgetVector, CandidateSet, Path, PathSupport, pair_shortest_paths
+from .pathcore import BudgetVector, PathSupport, pair_shortest_paths
 from .report import Deadline, RunReport
 
 S = TypeVar("S")
+Candidates = dict[tuple[int, ...], None]
 
 
-def potential_paths(instance: QosdInstance, x: BudgetVector) -> list[Path]:
+def potential_paths(instance: QosdInstance, x: BudgetVector) -> list[tuple[int, ...]]:
     """One shortest path (below T under x) per still-unseparated pair."""
     return [p for p in pair_shortest_paths(instance, x) if p is not None]
 
@@ -31,13 +32,13 @@ def potential_paths(instance: QosdInstance, x: BudgetVector) -> list[Path]:
 def _generate(
     instance: QosdInstance,
     x: S,
-    separate: Callable[[S], list[Path]],
-    solve: Callable[[CandidateSet], S],
+    separate: Callable[[S], list[tuple[int, ...]]],
+    solve: Callable[[Candidates], S],
     *,
     deadline: Deadline,
     cap: float | None,
     what: str,
-) -> tuple[S, CandidateSet, int]:
+) -> tuple[S, Candidates, int]:
     """Alternate ``separate(x)`` and ``x = solve(paths)`` until separation
     finds no path; returns the last x, the candidate set and the rounds.
 
@@ -46,14 +47,16 @@ def _generate(
     silent loop. ``cap`` bounds the rounds (None: 10 * k * h).
     """
     cap = 10 * instance.k * instance.hop_bound if cap is None else cap
-    paths = CandidateSet()
+    paths: Candidates = {}
     rounds = 0
     while True:
         deadline.check(f"{what} round {rounds}")
         fresh = separate(x)
         if not fresh:
             return x, paths, rounds
-        if paths.add_all(fresh) == 0:
+        known = len(paths)
+        paths.update(dict.fromkeys(fresh))
+        if len(paths) == known:
             raise StallError(
                 f"{what} round {rounds} re-proposed only known paths; "
                 "its last solve left a candidate path below T"
@@ -93,11 +96,11 @@ def run_iterative(
     start = time.perf_counter()
     inner = 0
 
-    def block(candidates: CandidateSet) -> BudgetVector:
+    def block(candidates: Candidates) -> BudgetVector:
         nonlocal inner
         trace: list = []
         # the candidate set only grows, in insertion order
-        support.extend(p.edge_seq for p in islice(candidates, len(support.lengths), None))
+        support.extend(islice(candidates, len(support.lengths), None))
         x = blocker_fn(instance, candidates, trace=trace, deadline=deadline, support=support)
         inner += len(trace)
         return x

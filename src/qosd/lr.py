@@ -15,16 +15,16 @@ import time
 from bisect import insort
 from dataclasses import dataclass
 from itertools import islice
-from typing import Sequence
+from typing import Collection, Iterable, Sequence
 
 import numpy as np
 # scipy's private HiGHS binding: tests/test_lr.py checks it against linprog and milp
 from scipy.optimize._highspy import _core as highs
 
 from .errors import ConfigError, InfeasibleBoxError, QosdError
-from .framework import _generate
+from .framework import Candidates, _generate
 from .instance import QosdInstance
-from .pathcore import BudgetVector, CandidateSet, Path, pair_shortest_paths, unseparated_pairs
+from .pathcore import BudgetVector, budget_array, pair_shortest_paths, unseparated_pairs
 from .report import Deadline, RunReport
 
 FEAS_TOL = 1e-6
@@ -35,12 +35,13 @@ MAX_RETRIES = 10
 
 @dataclass
 class LpSolution:
-    """Fractional optimum over the active constraint paths, found in
-    ``rounds`` rounds of constraint generation."""
+    """Fractional optimum over the active constraint paths (edge tuples, in
+    the order they entered), found in ``rounds`` rounds of constraint
+    generation."""
 
     fractional: list[float]
     objective: float
-    constraint_paths: CandidateSet
+    constraint_paths: Candidates
     rounds: int = 0
 
 
@@ -100,12 +101,12 @@ class _PathRows:
     """The covering rows of a growing candidate set, cached as paths enter it:
     LR's LP and the oracle's integer program are both built from them.
 
-    A path's row never changes, so :meth:`extend` reads each new path once.
-    Its edges join the sorted ``support`` (the edges of vacuous paths
-    included). A path still short at zero budget becomes the next row: its
-    ``need = T - sum_{e in p} f_e(0)`` is appended to ``need`` and its row
-    number to ``rows[e]`` for each of its edges. Each model turns the rows
-    into its own columns and solves them on ``solver``.
+    A path (its edge tuple) has a fixed row, so :meth:`extend` reads each
+    new path once. Its edges join the sorted ``support`` (the edges of
+    vacuous paths included). A path still short at zero budget becomes the
+    next row: its ``need = T - sum_{e in p} f_e(0)`` is appended to
+    ``need`` and its row number to ``rows[e]`` for each of its edges. Each
+    model turns the rows into its own columns and solves them on ``solver``.
     """
 
     def __init__(self, instance: QosdInstance):
@@ -116,12 +117,12 @@ class _PathRows:
         self.rows: dict[int, list[int]] = {}
         self.need: list[float] = []
 
-    def extend(self, paths: CandidateSet | list[Path]) -> None:
+    def extend(self, paths: Collection[tuple[int, ...]]) -> None:
         """Cache the paths added to ``paths`` since the last call."""
         weights, rows = self.instance.weights, self.rows
         for p in islice(paths, self.read, None):
-            gap = self.instance.threshold - sum(weights[e].table[0] for e in p.edge_seq)
-            for e in p.edge_seq:
+            gap = self.instance.threshold - sum(weights[e].table[0] for e in p)
+            for e in p:
                 if e not in rows:
                     rows[e] = []
                     insort(self.support, e)
@@ -133,7 +134,7 @@ class _PathRows:
 
 
 def solve_lp(
-    instance: QosdInstance, paths: CandidateSet | list[Path], *, rows: _PathRows | None = None
+    instance: QosdInstance, paths: Iterable[tuple[int, ...]], *, rows: _PathRows | None = None
 ) -> LpSolution:
     """min sum(x) s.t. sum_{e in p} beta_e x_e >= T - sum_{e in p} alpha_e
     for every path, 0 <= x_e <= b_e; deterministic for fixed input.
@@ -141,7 +142,7 @@ def solve_lp(
     ``rows`` is the cache that earlier calls on the same growing candidate
     set filled (constraint generation passes one); a fresh one otherwise."""
     betas = instance.affine_coeffs()[0]
-    path_set = paths if isinstance(paths, CandidateSet) else CandidateSet(paths)
+    path_set = dict.fromkeys(paths)
     if rows is None:
         rows = _PathRows(instance)
     rows.extend(path_set)
@@ -186,13 +187,13 @@ def constraint_generation(
     cutoff = instance.threshold * (1.0 - FEAS_TOL)
     rows = _PathRows(instance)
 
-    def separate(solution: LpSolution) -> list[Path]:
+    def separate(solution: LpSolution) -> list[tuple[int, ...]]:
         # the sweep needs every length >= alpha = table[0]: clip any negative LP noise
         lengths = alphas + betas * np.maximum(solution.fractional, 0.0)
         return [p for p in pair_shortest_paths(instance, None, lengths=lengths, bound=cutoff) if p is not None]
 
     solution, _, rounds = _generate(
-        instance, LpSolution([0.0] * m, 0.0, CandidateSet()), separate,
+        instance, LpSolution([0.0] * m, 0.0, {}), separate,
         lambda paths: solve_lp(instance, paths, rows=rows),
         deadline=Deadline.ensure(deadline), cap=iteration_cap, what="constraint generation",
     )
@@ -218,7 +219,7 @@ def round_solution(
 ) -> BudgetVector:
     """Randomized rounding: keep integral components; otherwise take the
     ceiling outright when eta * frac >= 1, else ceil with that probability."""
-    values = []
+    values, box = budget_array(instance), instance.box
     for e, xe in enumerate(lp.fractional):
         nearest = round(xe)
         if abs(xe - nearest) <= SNAP_TOL:
@@ -229,7 +230,7 @@ def round_solution(
                 v = math.ceil(xe)
             else:
                 v = math.floor(xe)
-        values.append(min(v, instance.box[e]))
+        values[e] = min(v, box[e])
     return BudgetVector(values)
 
 

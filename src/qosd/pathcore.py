@@ -1,5 +1,5 @@
-"""Budget vectors, paths, the shortest-path kernel, separation checks and the
-blockers' gain structure.
+"""Budget vectors, the shortest-path kernel, separation checks and the
+blockers' gain structure. A path is the tuple of its edge ids from s to t.
 
 Every shortest-path search is one ``scipy.sparse.csgraph.dijkstra`` call
 from a batch of sources, stopped at a bound (only paths strictly shorter
@@ -37,7 +37,6 @@ import copy
 import math
 from array import array
 from bisect import bisect_left
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import accumulate, chain
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
@@ -113,53 +112,6 @@ def budget_array(instance: "QosdInstance", values: array | None = None) -> array
         instance._budget_code = "B" if max(instance.box, default=0) < 256 else "q"
     code = instance._budget_code
     return array(code, [0]) * instance.graph.m if values is None else array(code, values)
-
-
-@dataclass(frozen=True)
-class Path:
-    """Simple directed path; ``edge_seq[i]`` connects node_seq[i] to node_seq[i+1]."""
-
-    node_seq: tuple[int, ...]
-    edge_seq: tuple[int, ...]
-    initial_length: int
-    pair_index: int | None = None
-
-    def __post_init__(self):
-        if len(self.node_seq) != len(self.edge_seq) + 1:
-            raise QosdError("node/edge sequence lengths disagree")
-        if len(set(self.node_seq)) != len(self.node_seq):
-            raise QosdError("path revisits a node")
-
-    @property
-    def key(self) -> tuple[int, ...]:
-        return self.edge_seq
-
-
-class CandidateSet:
-    """Insertion-ordered set of paths, deduplicated by edge sequence."""
-
-    def __init__(self, paths: Iterable[Path] = ()):
-        self._paths: list[Path] = []
-        self._seen: set[tuple[int, ...]] = set()
-        for p in paths:
-            self.add(p)
-
-    def add(self, path: Path) -> bool:
-        """Insert; returns True when the path is genuinely new."""
-        if path.key in self._seen:
-            return False
-        self._seen.add(path.key)
-        self._paths.append(path)
-        return True
-
-    def add_all(self, paths: Iterable[Path]) -> int:
-        return sum(1 for p in paths if self.add(p))
-
-    def __iter__(self):
-        return iter(self._paths)
-
-    def __len__(self) -> int:
-        return len(self._paths)
 
 
 def edge_lengths(instance: "QosdInstance", x: BudgetVector) -> list[int]:
@@ -248,35 +200,33 @@ def corridor(instance: "QosdInstance") -> Corridor:
 
 
 def shortest_path(
-    instance: "QosdInstance", pair: tuple[int, int], *,
-    area: Corridor, dist: np.ndarray, bound: float, pair_index: int,
-) -> Path | None:
-    """The s-t path of :func:`pair_shortest_paths`' sweep if strictly shorter
-    than ``bound``, else None: ``area`` is the :func:`corridor`, its matrix
-    filled with the sweep's lengths, and ``dist`` s's row of distances on it.
-    The path is rebuilt from t on the corridor's in-edges, entering each v
-    by its lowest-index tight in-edge (d[u] + len == d[v])."""
+    pair: tuple[int, int], *, area: Corridor, dist: np.ndarray, bound: float,
+) -> tuple[int, ...] | None:
+    """The s-t path of :func:`pair_shortest_paths`' sweep, as its edge tuple,
+    if strictly shorter than ``bound``, else None: ``area`` is the
+    :func:`corridor`, its matrix filled with the sweep's lengths, and
+    ``dist`` s's row of distances on it. The path is rebuilt from t on the
+    corridor's in-edges, entering each v by its lowest-index tight in-edge
+    (d[u] + len == d[v])."""
     s, t = pair
     v = area.local.get(t)  # None: t is on no walk below T
     if v is None or not dist[v] < bound:
         return None
-    data, in_edges, ends, start = area.matrix.data, area.in_edges, instance.graph.edges, area.local[s]
-    nodes, edges = [t], []
+    data, in_edges, start = area.matrix.data, area.in_edges, area.local[s]
+    edges = []
     while v != start:
         dv = dist[v]
         # lengths are >= 1, so a tight in-edge comes from a nearer node
         v, e = next((u, e) for u, j, e in in_edges[v] if dist[u] + data[j] == dv)
         edges.append(e)
-        nodes.append(ends[e][0])
-    initial = sum(instance.weights[e].table[0] for e in edges)
-    return Path(tuple(reversed(nodes)), tuple(reversed(edges)), initial, pair_index)
+    return tuple(reversed(edges))
 
 
 def pair_shortest_paths(
     instance: "QosdInstance", x: BudgetVector | None, *,
     lengths: Sequence[float] | None = None, bound: float | None = None,
-) -> list[Path | None]:
-    """Each pair's shortest path strictly below ``bound`` (T when None; a
+) -> list[tuple[int, ...] | None]:
+    """Each pair's shortest path (its edge tuple) strictly below ``bound`` (T when None; a
     bound above T is a ``QosdError``), or None when the pair is separated,
     in pair order: one Dijkstra call over ``instance.sources`` on the
     :func:`corridor`, which holds every such path (see the module docstring)
@@ -299,8 +249,8 @@ def pair_shortest_paths(
     sources = [area.local[s] for s in instance.sources.tolist()]
     dist = csgraph_dijkstra(area.matrix, directed=True, indices=sources, limit=bound)
     return [
-        shortest_path(instance, pair, pair_index=i, bound=bound, area=area, dist=dist[r])
-        for i, (pair, r) in enumerate(zip(instance.pairs, instance.source_row.tolist()))
+        shortest_path(pair, bound=bound, area=area, dist=dist[r])
+        for pair, r in zip(instance.pairs, instance.source_row.tolist())
     ]
 
 
@@ -312,13 +262,12 @@ def unseparated_pairs(instance: "QosdInstance", x: BudgetVector) -> list[int]:
 class PathSupport:
     """Lengths, edge support and shortfall of a path set under a budget x.
 
-    A path is its edge sequence (a :class:`Path`'s ``edge_seq``, or an SA
-    walk's edges). ``x`` starts as a :func:`budget_array` copy of the given
-    vector (zeros when None), so :meth:`copy` and :meth:`block`'s vector
-    copy its buffer; ``lengths[i]`` is path i's length under x, ``support``
-    maps each edge to the indices of the paths using it and ``gap`` =
-    sum(T - min(T, length)) = |P| * T - D, which is 0 exactly when x blocks
-    every path. A caller can keep one support at x = 0, :meth:`extend` it
+    A path is its edge tuple (a sweep's path or an SA walk). ``x`` starts
+    as a :func:`budget_array` copy of the given vector (zeros when None), so
+    :meth:`copy` and :meth:`block`'s vector copy its buffer; ``lengths[i]``
+    is path i's length under x, ``support`` maps each edge to the indices
+    of the paths using it and ``gap`` = sum(T - min(T, length)) = |P| * T
+    - D, which is 0 exactly when x blocks every path. A caller can keep one support at x = 0, :meth:`extend` it
     as its path set grows and block each round on a :meth:`copy`, which
     shares nothing it mutates.
 

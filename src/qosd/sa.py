@@ -5,8 +5,9 @@ Walks are steered toward each sink's shortest-path tree with bias alpha;
 the exact probability of every produced walk is tracked so feasible
 samples can be importance-weighted. :func:`run_sa` draws a round's walks
 together in numpy (``_RoundWalker``) from one generator, only over the
-pairs still below T, and hands the estimator each distinct feasible walk's
-edge sequence, weighted by how often it was drawn over its probability.
+pairs still below T, and hands the estimator each distinct feasible walk
+as its edge tuple (a path is its edge tuple throughout the library),
+weighted by how often it was drawn over its probability.
 The walker keeps the sinks' distance rows and tree parents for the whole
 run and, after each chunk, sweeps again only the rows the chunk can move.
 :func:`sample_path` draws one walk at a time, the walker's reference.
@@ -26,20 +27,21 @@ import numpy as np
 from .errors import ConfigError, GammaZeroError, InfeasibleBoxError
 from .framework import potential_paths
 from .instance import Graph, QosdInstance, concave_ratio
-from .pathcore import BudgetVector, Path, PathSupport, budget_array, distances, edge_lengths
+from .pathcore import BudgetVector, PathSupport, budget_array, distances, edge_lengths
 from .report import Deadline, RunReport
 
 
 @dataclass(frozen=True)
 class SampledPath:
-    """One walk outcome with its exact sampling probability.
+    """One walk outcome, its edge tuple from the pair's source, with its
+    exact sampling probability.
 
     ``feasible`` is True only for walks that reached their sink with
     initial-weight length below T (truncated and dead-end walks count
     zero in the estimator but still carry their probability).
     """
 
-    path: Path
+    edges: tuple[int, ...]
     rho: float
     feasible: bool
 
@@ -106,10 +108,9 @@ def sample_path(
     """
     lengths, threshold = edge_lengths(instance, x), instance.threshold
     out_nodes, out_edges = _out_arrays(instance.graph)
-    pair_index = rng.randrange(instance.k)
-    s, t = instance.pairs[pair_index]
+    s, t = instance.pairs[rng.randrange(instance.k)]
     parent = trees[t]
-    rho, nodes, edges, visited, u = 1.0 / instance.k, [s], [], {s}, s
+    rho, edges, visited, u = 1.0 / instance.k, [], {s}, s
     current = initial = 0
     while u != t and current < threshold:
         avail = [(v, ei) for v, ei in zip(out_nodes[u].tolist(), out_edges[u].tolist())
@@ -131,14 +132,11 @@ def sample_path(
             v, ei = avail[choice]
             rho *= probs[choice]
         visited.add(v)
-        nodes.append(v)
         edges.append(ei)
         current += lengths[ei]
         initial += instance.weights[ei].table[0]
         u = v
-    feasible = u == t and initial < threshold
-    path = Path(tuple(nodes), tuple(edges), initial, pair_index)
-    return SampledPath(path, rho, feasible)
+    return SampledPath(tuple(edges), rho, u == t and initial < threshold)
 
 
 # walks advanced together: a block's visited mask has this many rows of n
@@ -217,7 +215,7 @@ class _RoundWalker:
         """``count`` walks under the kept lengths and parents from pairs drawn
         uniformly among ``live``: per block, ``rng`` draws the pairs, then each
         step's draws in walk order. Returns the distinct feasible walks' edge
-        sequences in first-seen order and their estimator weights,
+        tuples in first-seen order and their estimator weights,
         (times drawn) * (1 / count) / rho."""
         paths, counts, rhos, seen = [], [], [], {}
         for start in range(0, count, _WALK_BLOCK):
@@ -310,7 +308,7 @@ def sample_count(instance: QosdInstance, q: int, epsilon: float, delta_round: fl
 def greedy_chunk(instance: QosdInstance, paths: list[tuple[int, ...]], weights: Sequence[float],
                  x: BudgetVector, q: int) -> BudgetVector:
     """Up to q greedy steps on the estimator's marginal gain, restricted to
-    edges of the sampled feasible walks ``paths`` (edge sequences, each
+    edges of the sampled feasible walks ``paths`` (edge tuples, each
     weighted by ``weights``) with box room left: IG's step rule
     (:meth:`PathSupport.best_step`), so a flat next increment is crossed by
     the best-ratio chunk instead of ending the chunk."""
@@ -394,8 +392,7 @@ def run_sa(
             if chunk.norm > 0:
                 break
         else:
-            paths = potential_paths(instance, x)
-            edge, amount, _ = PathSupport(instance, [p.edge_seq for p in paths], x).best_step()
+            edge, amount, _ = PathSupport(instance, potential_paths(instance, x), x).best_step()
             if edge < 0:
                 raise InfeasibleBoxError("no unit or chunk improves the current shortest paths")
             chunk = BudgetVector.unit(instance.graph.m, edge, amount)

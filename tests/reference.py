@@ -12,7 +12,7 @@ import random
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from qosd import BudgetVector, Deadline, Graph, Path, QosdError, QosdInstance, WeightFunction, potential_paths
+from qosd import BudgetVector, Deadline, Graph, QosdError, QosdInstance, WeightFunction, potential_paths
 from qosd.framework import _generate
 from qosd.instance import _concave_table, _convex_table, _linear_table
 from qosd.pathcore import distances
@@ -39,26 +39,25 @@ def in_adj(graph: Graph) -> list[list[tuple[int, int]]]:
 
 def full_graph_paths(
     instance: QosdInstance, lengths: Sequence[float], bound: float
-) -> list[Path | None]:
-    """Every pair's shortest path strictly below ``bound`` under ``lengths``
-    (None when there is none), from one sweep over the whole graph, each
-    rebuilt from t along the lowest-index tight in-edge of all the graph's."""
+) -> list[tuple[int, ...] | None]:
+    """Every pair's shortest path strictly below ``bound`` under ``lengths``,
+    as its edge tuple (None when there is none), from one sweep over the
+    whole graph, each rebuilt from t along the lowest-index tight in-edge of
+    all the graph's."""
     rows = distances(instance, lengths, instance.sources, bound=bound)
     into = in_adj(instance.graph)
     paths = []
-    for i, ((s, t), r) in enumerate(zip(instance.pairs, instance.source_row.tolist())):
+    for (s, t), r in zip(instance.pairs, instance.source_row.tolist()):
         dist = rows[r]
         if not dist[t] < bound:
             paths.append(None)
             continue
-        nodes, edges = [t], []
-        while nodes[-1] != s:
-            dv = dist[nodes[-1]]
-            u, e = next((u, e) for u, e in into[nodes[-1]] if dist[u] + lengths[e] == dv)
-            nodes.append(u)
+        v, edges = t, []
+        while v != s:
+            dv = dist[v]
+            v, e = next((u, e) for u, e in into[v] if dist[u] + lengths[e] == dv)
             edges.append(e)
-        initial = sum(instance.weights[e].table[0] for e in edges)
-        paths.append(Path(tuple(reversed(nodes)), tuple(reversed(edges)), initial, i))
+        paths.append(tuple(reversed(edges)))
     return paths
 
 
@@ -76,38 +75,42 @@ def fresh_support_run(instance: QosdInstance, blocker) -> tuple[BudgetVector, in
     return x, rounds, len(steps), len(paths)
 
 
-def path_of(instance: QosdInstance, edges: Sequence[int]) -> Path:
-    """The :class:`Path` along ``edges`` (at least one), serving no pair."""
-    ends = instance.graph.edges
+def path_nodes(graph: Graph, edges: Sequence[int]) -> tuple[int, ...]:
+    """The nodes that the edge tuple ``edges`` (at least one edge) visits in
+    order; ``AssertionError`` unless each edge starts where the last one
+    ended and no node is visited twice."""
+    ends = graph.edges
     nodes = (ends[edges[0]][0],) + tuple(ends[e][1] for e in edges)
-    return Path(nodes, tuple(edges), sum(instance.weights[e].table[0] for e in edges))
+    assert all(ends[e][0] == u for e, u in zip(edges, nodes)), f"{edges} is not a walk"
+    assert len(set(nodes)) == len(nodes), f"{edges} revisits a node"
+    return nodes
 
 
 def chunk_inputs(samples: Sequence[SampledPath]) -> tuple[list[tuple[int, ...]], list[float]]:
     """``greedy_chunk``'s paths and weights for independent draws: each
     feasible sample's edges, weighted 1 * (1 / len(samples)) / rho."""
     live = [sp for sp in samples if sp.feasible]
-    return [sp.path.edge_seq for sp in live], [1 * (1.0 / len(samples)) / sp.rho for sp in live]
+    return [sp.edges for sp in live], [1 * (1.0 / len(samples)) / sp.rho for sp in live]
 
 
-def r_value(instance: QosdInstance, path: Path, x: BudgetVector) -> int:
-    """Path length under x, capped at the threshold."""
+def r_value(instance: QosdInstance, path: Sequence[int], x: BudgetVector) -> int:
+    """Length under x of the path with edges ``path``, capped at the threshold."""
     threshold = instance.threshold
     weights = instance.weights
     total = 0
-    for e in path.edge_seq:
+    for e in path:
         total += weights[e].table[x.values[e]]
         if total >= threshold:
             return threshold
     return total
 
 
-def d_value(instance: QosdInstance, paths: Iterable[Path], x: BudgetVector) -> int:
+def d_value(instance: QosdInstance, paths: Iterable[Sequence[int]], x: BudgetVector) -> int:
     """Sum of capped lengths; equals |P| * T exactly when x blocks all of P."""
     return sum(r_value(instance, p, x) for p in paths)
 
 
-def blocks_all(instance: QosdInstance, paths: Sequence[Path], x: BudgetVector) -> bool:
+def blocks_all(instance: QosdInstance, paths: Sequence[Sequence[int]], x: BudgetVector) -> bool:
     return d_value(instance, paths, x) == len(paths) * instance.threshold
 
 
@@ -125,7 +128,7 @@ def estimate_B(instance: QosdInstance, samples: list[SampledPath], x: BudgetVect
     total = 0.0
     for sp in samples:
         if sp.feasible:
-            total += r_value(instance, sp.path, x) / sp.rho
+            total += r_value(instance, sp.edges, x) / sp.rho
     return total / len(samples)
 
 

@@ -12,9 +12,7 @@ from statistics import mean
 
 from qosd import (
     BudgetVector,
-    CandidateSet,
     Graph,
-    Path,
     QosdInstance,
     SaConfig,
     WeightFunction,
@@ -111,13 +109,13 @@ def test_c02_oracle_optimality_gap():
                 ratios[alg].append(report.norm / opt)
         # replay the trading run to recover its final candidate set and chunks
         x = BudgetVector.zeros(inst.graph.m)
-        candidates = CandidateSet()
+        candidates = {}
         trace = []
         while True:
             fresh = potential_paths(inst, x)
             if not fresh:
                 break
-            candidates.add_all(fresh)
+            candidates.update(dict.fromkeys(fresh))
             trace = []
             x = block_adaptive(inst, candidates, trace=trace)
         max_chunk = max((z for _, z, _ in trace), default=0)
@@ -182,9 +180,7 @@ def test_c04_concavity_lemma_property_suite():
         paths = []
         for _ in range(rng.randint(1, 3)):
             size = rng.randint(1, m)
-            edges = tuple(sorted(rng.sample(range(m), size)))
-            initial = sum(weights[e].table[0] for e in edges)
-            paths.append(Path(tuple(range(size + 1)), edges, initial))
+            paths.append(tuple(sorted(rng.sample(range(m), size))))
         for _ in range(25):
             if checked >= 10_000:
                 break
@@ -224,14 +220,14 @@ def test_c05_estimator_unbiasedness():
     ]
     estimate = estimate_B(inst, samples, x)
     per_sample = [
-        (min(inst.threshold, sp.path.initial_length) / sp.rho) if sp.feasible else 0.0
+        (min(inst.threshold, sum(inst.weights[e].table[0] for e in sp.edges)) / sp.rho) if sp.feasible else 0.0
         for sp in samples
     ]
     se = math.sqrt(
         sum((v - estimate) ** 2 for v in per_sample) / (draws - 1) / draws
     )
     bias_ok = abs(estimate - 4.0) <= 3 * se
-    freq = sum(1 for sp in samples if sp.path.edge_seq == (0, 1)) / draws
+    freq = sum(1 for sp in samples if sp.edges == (0, 1)) / draws
     sigma = math.sqrt(0.8 * 0.2 / draws)
     freq_ok = abs(freq - 0.8) <= 3 * sigma
     elapsed = time.perf_counter() - t0

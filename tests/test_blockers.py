@@ -8,7 +8,6 @@ from qosd import (
     BudgetVector,
     Graph,
     InfeasibleBoxError,
-    Path,
     QosdInstance,
     WeightFunction,
     block_adaptive,
@@ -24,10 +23,7 @@ from reference import blocks_all, d_value
 
 
 def diamond_paths(inst):
-    return [
-        Path((0, 1, 3), (0, 1), 2, 0),
-        Path((0, 2, 3), (2, 3), 2, 0),
-    ]
+    return [(0, 1), (2, 3)]
 
 
 class TestBlockGreedy:
@@ -37,13 +33,13 @@ class TestBlockGreedy:
 
     def test_single_path_one_unit(self, inst_a):
         trace = []
-        x = block_greedy(inst_a, [Path((0, 1, 3), (0, 1), 2, 0)], trace=trace)
+        x = block_greedy(inst_a, [(0, 1)], trace=trace)
         assert x == BudgetVector([1, 0, 0, 0])
         assert len(trace) == 1
 
     def test_already_blocked(self):
         inst = single_edge_instance((3, 4), 3)
-        x = block_greedy(inst, [Path((0, 1), (0,), 3, 0)])
+        x = block_greedy(inst, [(0,)])
         assert x.norm == 0
 
     def test_strictly_increasing_d(self, inst_a):
@@ -66,7 +62,7 @@ class TestBlockGreedy:
         # no unit step has gain across the zero increment: the step is the 2-unit chunk
         inst = single_edge_instance((1, 1, 3), 2)
         trace = []
-        x = block_greedy(inst, [Path((0, 1), (0,), 1, 0)], trace=trace)
+        x = block_greedy(inst, [(0,)], trace=trace)
         assert x == BudgetVector([2])
         assert trace == [(0, 2, 1)]
 
@@ -74,7 +70,7 @@ class TestBlockGreedy:
         # the table stays flat up to its cap, so no step lengthens the path
         inst = QosdInstance(Graph(2, [(0, 1)]), [WeightFunction((1, 1, 1))], [(0, 1)], 2, validate_box=False)
         with pytest.raises(InfeasibleBoxError):
-            block_greedy(inst, [Path((0, 1), (0,), 1, 0)])
+            block_greedy(inst, [(0,)])
 
     def test_gap_strictly_decreasing(self):
         inst = make_er_instance(15, 0.3, 4, 3, "convex", seed=2)
@@ -96,7 +92,7 @@ class TestBlockAdaptive:
         # table [1,2,5]: z=2 has gain 3 ratio 3/2, z=1 gain 1 ratio 1
         inst = single_edge_instance((1, 2, 5), 4)
         trace = []
-        x = block_adaptive(inst, [Path((0, 1), (0,), 1, 0)], trace=trace)
+        x = block_adaptive(inst, [(0,)], trace=trace)
         assert x == BudgetVector([2])
         assert trace == [(0, 2, 3)]
 
@@ -106,11 +102,11 @@ class TestBlockAdaptive:
 
     def test_already_blocked(self):
         inst = single_edge_instance((3, 4), 3)
-        assert block_adaptive(inst, [Path((0, 1), (0,), 3, 0)]).norm == 0
+        assert block_adaptive(inst, [(0,)]).norm == 0
 
     def test_crosses_flat_increment(self):
         inst = single_edge_instance((1, 1, 3), 2)
-        x = block_adaptive(inst, [Path((0, 1), (0,), 1, 0)])
+        x = block_adaptive(inst, [(0,)])
         assert x == BudgetVector([2])
 
     def test_every_chunk_has_maximal_ratio(self):
@@ -120,25 +116,25 @@ class TestBlockAdaptive:
         block_adaptive(inst, paths, trace=trace)
         # replay: re-scan all chunks before each applied step
         x = [0] * inst.graph.m
-        lengths = {p.key: p.initial_length for p in paths}
+        lengths = {p: sum(inst.weights[e].table[0] for e in p) for p in paths}
         for edge, amount, gain in trace:
             assert gain >= 1
             best = 0.0
-            for e in {e for p in paths for e in p.edge_seq}:
+            for e in {e for p in paths for e in p}:
                 for z in range(1, inst.box[e] - x[e] + 1):
                     delta = inst.weights[e].table[x[e] + z] - inst.weights[e].table[x[e]]
                     g = sum(
-                        min(inst.threshold - lengths[p.key], delta)
+                        min(inst.threshold - lengths[p], delta)
                         for p in paths
-                        if e in p.edge_seq and lengths[p.key] < inst.threshold
+                        if e in p and lengths[p] < inst.threshold
                     )
                     best = max(best, g / z)
             assert gain / amount == pytest.approx(best)
             delta = inst.weights[edge].table[x[edge] + amount] - inst.weights[edge].table[x[edge]]
             x[edge] += amount
             for p in paths:
-                if edge in p.edge_seq:
-                    lengths[p.key] += delta
+                if edge in p:
+                    lengths[p] += delta
 
 
 class TestEquivalenceAtGammaOne:

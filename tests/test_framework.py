@@ -3,6 +3,7 @@ import pytest
 from qosd import (
     BudgetVector,
     ConfigError,
+    Deadline,
     IterationLimitError,
     QosdInstance,
     SolverTimeout,
@@ -17,6 +18,7 @@ from qosd import (
     run_iterative,
     unseparated_pairs,
 )
+from qosd.framework import _generate
 from qosd.lr import LpSolution
 
 from conftest import diamond_instance, single_edge_instance
@@ -26,11 +28,11 @@ from reference import fresh_support_run
 class TestPotentialPaths:
     def test_initial_shortest_only(self, inst_a):
         paths = potential_paths(inst_a, BudgetVector.zeros(4))
-        assert [p.edge_seq for p in paths] == [(0, 1)]
+        assert paths == [(0, 1)]
 
     def test_reroutes_after_budget(self, inst_a):
         paths = potential_paths(inst_a, BudgetVector([2, 0, 0, 0]))
-        assert [p.edge_seq for p in paths] == [(2, 3)]
+        assert paths == [(2, 3)]
 
     def test_empty_when_separated(self, inst_a):
         assert potential_paths(inst_a, BudgetVector([1, 0, 1, 0])) == []
@@ -38,8 +40,9 @@ class TestPotentialPaths:
     def test_pair_indices_tagged(self):
         inst = diamond_instance()
         inst2 = QosdInstance(inst.graph, inst.weights, [(0, 3), (1, 3)], 3)
+        # each pair's path, in pair order: (0, 3) over 0-1-3, then (1, 3)
         paths = potential_paths(inst2, BudgetVector.zeros(4))
-        assert [p.pair_index for p in paths] == [0, 1]
+        assert paths == [(0, 1), (1,)]
 
 
 class TestRunIterative:
@@ -160,3 +163,18 @@ class TestSharedLoop:
     def test_stall_when_solve_keeps_zero_start(self, name, inst_a, monkeypatch):
         with pytest.raises(StallError, match="re-proposed only known paths"):
             _stalling(name, monkeypatch)(inst_a)
+
+    def test_round_adds_a_repeated_path_once(self, inst_a):
+        # round 0 proposes (0, 1) twice, round 1 one new path among known
+        # ones: each is kept once, in first-seen order, and neither stalls
+        proposals = iter([[(0, 1), (2, 3), (0, 1)], [(2, 3), (1,), (0, 1), (1,)], []])
+        solved = []
+
+        def solve(paths):
+            solved.append(list(paths))
+            return len(solved)
+
+        x, paths, rounds = _generate(inst_a, 0, lambda x: next(proposals), solve,
+                                     deadline=Deadline.ensure(None), cap=None, what="dedup")
+        assert list(paths) == [(0, 1), (2, 3), (1,)] and rounds == 2 and x == 2
+        assert solved == [[(0, 1), (2, 3)], [(0, 1), (2, 3), (1,)]]

@@ -8,13 +8,11 @@ from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
 from qosd import (
     BudgetVector,
-    CandidateSet,
     ConfigError,
     Graph,
     InfeasibleBoxError,
     IterationLimitError,
     NonlinearWeightsError,
-    Path,
     QosdError,
     QosdInstance,
     WeightFunction,
@@ -36,9 +34,7 @@ from conftest import diamond_instance
 
 
 def diamond_candidates():
-    return CandidateSet(
-        [Path((0, 1, 3), (0, 1), 2, 0), Path((0, 2, 3), (2, 3), 2, 0)]
-    )
+    return dict.fromkeys([(0, 1), (2, 3)])
 
 
 class TestSolveLp:
@@ -47,7 +43,7 @@ class TestSolveLp:
         assert lp.objective == pytest.approx(2.0, abs=1e-6)
 
     def test_single_path_objective_one(self, inst_a):
-        lp = solve_lp(inst_a, [Path((0, 1, 3), (0, 1), 2, 0)])
+        lp = solve_lp(inst_a, [(0, 1)])
         assert lp.objective == pytest.approx(1.0, abs=1e-6)
 
     def test_vacuous_constraint_ignored(self):
@@ -55,13 +51,13 @@ class TestSolveLp:
         g = Graph(3, [(0, 1), (1, 2)])
         weights = [WeightFunction((2, 3), "linear")] * 2
         inst = QosdInstance(g, weights, [(0, 2)], 4)
-        lp = solve_lp(inst, [Path((0, 1, 2), (0, 1), 4, 0)])
+        lp = solve_lp(inst, [(0, 1)])
         assert lp.objective == 0.0
 
     def test_constraints_satisfied(self, inst_a):
         lp = solve_lp(inst_a, diamond_candidates())
         for p in lp.constraint_paths:
-            total = sum(1 * lp.fractional[e] + 1 for e in p.edge_seq)
+            total = sum(1 * lp.fractional[e] + 1 for e in p)
             assert total >= inst_a.threshold - 1e-6
 
     def test_nonlinear_rejected(self):
@@ -147,11 +143,11 @@ def _dense_rows(instance, paths, columns, width):
     HiGHS must equal."""
     rows, need = [], []
     for p in paths:
-        gap = instance.threshold - sum(instance.weights[e].table[0] for e in p.edge_seq)
+        gap = instance.threshold - sum(instance.weights[e].table[0] for e in p)
         if gap <= 0:
             continue
         row = np.zeros(width)
-        for e in p.edge_seq:
+        for e in p:
             for j, coeff in columns[e]:
                 row[j] += coeff
         rows.append(row)
@@ -162,7 +158,7 @@ def _dense_rows(instance, paths, columns, width):
 def _lp_columns(instance, paths):
     """:func:`solve_lp`'s columns: one per support edge, coefficient beta_e."""
     betas, _ = instance.affine_coeffs()
-    support = sorted({e for p in paths for e in p.edge_seq})
+    support = sorted({e for p in paths for e in p})
     return {e: [(j, betas[e])] for j, e in enumerate(support)}, len(support)
 
 
@@ -170,7 +166,7 @@ def _oracle_columns(instance, paths):
     """:func:`min_budget_to_block`'s columns: one per budget unit of each
     support edge, coefficient f_e(i) - f_e(i-1) (0 on a flat step)."""
     columns, width = {}, 0
-    for e in sorted({e for p in paths for e in p.edge_seq}):
+    for e in sorted({e for p in paths for e in p}):
         table = instance.weights[e].table
         columns[e] = [(width + i - 1, table[i] - table[i - 1]) for i in range(1, instance.box[e] + 1)]
         width += instance.box[e]
@@ -206,7 +202,7 @@ def _flat_and_vacuous():
     weights = [WeightFunction((1, 1, 1), "linear"), WeightFunction((1, 2, 3), "linear"),
                WeightFunction((2, 3), "linear"), WeightFunction((2, 3), "linear")]
     inst = QosdInstance(g, weights, [(0, 3)], 4, validate_box=False)
-    return inst, Path((0, 1, 3), (0, 1), 2, 0), Path((0, 2, 3), (2, 3), 4, 0)
+    return inst, (0, 1), (2, 3)
 
 
 def _handed_to_highs(monkeypatch, layout, instance, paths):
@@ -241,9 +237,8 @@ class TestPathRows:
         # T=10 concave tables have flat steps, so the oracle layout has zero coefficients
         inst = make_er_instance(30, 0.15, 10, 6, model, seed=seed)
         # distinct paths: solve_lp keeps one row per path, the oracle one per list entry
-        paths = CandidateSet(potential_paths(inst, BudgetVector.zeros(inst.graph.m)))
-        paths.add_all(potential_paths(inst, BudgetVector([min(1, b) for b in inst.box])))
-        paths = list(paths)
+        paths = list(dict.fromkeys(potential_paths(inst, BudgetVector.zeros(inst.graph.m))
+                                   + potential_paths(inst, BudgetVector([min(1, b) for b in inst.box]))))
         [(columns, lower, upper, ub, integral)], _ = _handed_to_highs(monkeypatch, layout, inst, paths)
         csc, *bounds = (_lp_model if layout is _lp_columns else _oracle_model)(inst, paths)
         assert columns == [csc.indptr.tolist(), csc.indices.tolist(), csc.data.tolist()]
@@ -373,7 +368,7 @@ class TestLpRows:
 
         inst = make_er_instance(60, 0.1, 5, 10, "linear", seed=seed)
         betas, alphas = inst.affine_coeffs()
-        solutions, lengths = [LpSolution([0.0] * inst.graph.m, 0.0, CandidateSet())], []
+        solutions, lengths = [LpSolution([0.0] * inst.graph.m, 0.0, {})], []
         solve_lp = qosd.lr.solve_lp
 
         def solving(*args, **kwargs):
@@ -449,7 +444,7 @@ class TestConstraintGeneration:
         lp = constraint_generation(inst_a)
         assert lp.rounds == 2
         assert lp.objective == pytest.approx(2.0, abs=1e-6)
-        assert sorted(p.edge_seq for p in lp.constraint_paths) == [(0, 1), (2, 3)]
+        assert sorted(lp.constraint_paths) == [(0, 1), (2, 3)]
 
     def test_iteration_cap(self, inst_a):
         with pytest.raises(IterationLimitError):
@@ -482,7 +477,7 @@ class TestConstraintGeneration:
         for seed in range(5):
             inst = make_er_instance(25, 0.2, 4, 5, "linear", seed=seed)
             lp = constraint_generation(inst)
-            keys = [p.edge_seq for p in lp.constraint_paths]
+            keys = list(lp.constraint_paths)
             assert len(keys) == len(set(keys))
 
 
@@ -507,7 +502,7 @@ class TestEta:
 
 class TestRoundSolution:
     def _lp(self, inst, fractional):
-        return LpSolution(fractional, sum(fractional), CandidateSet())
+        return LpSolution(fractional, sum(fractional), {})
 
     def test_integral_passthrough(self, inst_a):
         lp = self._lp(inst_a, [1.0, 0.0, 2.0, 0.0])
@@ -534,6 +529,43 @@ class TestRoundSolution:
         lp = self._lp(inst_a, [1.0 - 1e-12, 0.0, 0.0, 0.0])
         x = round_solution(inst_a, lp, 100.0, random.Random(0))
         assert x[0] == 1
+
+    @staticmethod
+    def _list_rounding(inst, lp, eta_value, rng):
+        """``round_solution``'s rounding collected in a list, edge by edge."""
+        values = []
+        for e, xe in enumerate(lp.fractional):
+            nearest = round(xe)
+            if abs(xe - nearest) <= 1e-9:
+                v = int(nearest)
+            elif eta_value * (xe - math.floor(xe)) >= 1.0 or rng.random() < eta_value * (xe - math.floor(xe)):
+                v = math.ceil(xe)
+            else:
+                v = math.floor(xe)
+            values.append(min(v, inst.box[e]))
+        return values
+
+    # er60-lr instances whose last LP optima are fractional, and the diamond
+    # with caps of 299, whose budget buffers hold 8 bytes an entry
+    @pytest.mark.parametrize("seed", [1005, 1027, 1055, None])
+    def test_in_place_build_equals_the_list_build(self, seed):
+        if seed is None:
+            graph = Graph(4, [(0, 1), (1, 3), (0, 2), (2, 3)])
+            inst = QosdInstance(graph, build_weights(graph, "linear", 300), [(0, 3)], 300)
+            lp = self._lp(inst, [255.5, 0.25, 299.0, 3.7])
+        else:
+            inst = make_er_instance(60, 0.1, 5, 10, "linear", seed=seed)
+            lp = constraint_generation(inst)
+        assert any(v != round(v) for v in lp.fractional)
+        for eta_value in (0.5, 4.0, math.inf):
+            got_rng, want_rng = random.Random(0), random.Random(0)
+            got = round_solution(inst, lp, eta_value, got_rng)
+            want = BudgetVector(self._list_rounding(inst, lp, eta_value, want_rng))
+            assert got.values.typecode == want.values.typecode
+            assert got.values.tobytes() == want.values.tobytes()
+            assert got.norm == want.norm
+            # the same draws, in the same order
+            assert got_rng.getstate() == want_rng.getstate()
 
 
 class TestRunLr:

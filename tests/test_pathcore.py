@@ -13,12 +13,10 @@ from qosd import (
     block_adaptive,
     block_greedy,
     run_sa,
-    CandidateSet,
     Graph,
     make_er_instance,
     oracle_opt,
     pair_shortest_paths,
-    Path,
     PathSupport,
     QosdError,
     QosdInstance,
@@ -37,7 +35,7 @@ from qosd.lr import FEAS_TOL
 from qosd.pathcore import corridor, distances, edge_lengths
 
 from conftest import diamond_instance
-from reference import d_value, full_graph_paths, out_adj, path_of, plus, r_value
+from reference import d_value, full_graph_paths, out_adj, path_nodes, plus, r_value
 
 
 class TestBudgetVector:
@@ -134,35 +132,15 @@ def _support_x(values, cap):
     return x
 
 
-class TestPathAndCandidateSet:
-    def test_path_shape_checked(self):
-        with pytest.raises(QosdError):
-            Path((0, 1), (0, 1), 2)
-        with pytest.raises(QosdError):
-            Path((0, 1, 0), (0, 1), 2)
-
-    def test_dedup_by_edge_seq(self):
-        p1 = Path((0, 1, 3), (0, 1), 2, 0)
-        p2 = Path((0, 1, 3), (0, 1), 2, 0)
-        p3 = Path((0, 2, 3), (2, 3), 2, 0)
-        cs = CandidateSet()
-        assert cs.add(p1) is True
-        assert cs.add(p2) is False
-        assert cs.add(p3) is True
-        assert len(cs) == 2
-
-
 class TestMetrics:
     def test_r_below_cap(self, inst_a):
-        p = Path((0, 1, 3), (0, 1), 2, 0)
-        assert r_value(inst_a, p, BudgetVector.zeros(4)) == 2
+        assert r_value(inst_a, (0, 1), BudgetVector.zeros(4)) == 2
 
     def test_r_capped_at_threshold(self, inst_a):
-        p = Path((0, 1, 3), (0, 1), 2, 0)
-        assert r_value(inst_a, p, BudgetVector([2, 2, 0, 0])) == 3
+        assert r_value(inst_a, (0, 1), BudgetVector([2, 2, 0, 0])) == 3
 
     def test_d_on_diamond(self, inst_a):
-        both = [Path((0, 1, 3), (0, 1), 2, 0), Path((0, 2, 3), (2, 3), 2, 0)]
+        both = [(0, 1), (2, 3)]
         assert d_value(inst_a, both, BudgetVector.zeros(4)) == 4
         assert d_value(inst_a, both, BudgetVector([1, 0, 0, 0])) == 5
         assert d_value(inst_a, both, BudgetVector(inst_a.box)) == 2 * 3
@@ -174,8 +152,8 @@ class TestMetrics:
         caps = inst.box
         xs = [data.draw(st.integers(0, c)) for c in caps]
         ys = [data.draw(st.integers(v, c)) for v, c in zip(xs, caps)]
-        p = Path((0, 1, 3), (0, 1), 2, 0)
-        both = [p, Path((0, 2, 3), (2, 3), 2, 0)]
+        p = (0, 1)
+        both = [p, (2, 3)]
         assert r_value(inst, p, BudgetVector(xs)) <= r_value(inst, p, BudgetVector(ys))
         assert d_value(inst, both, BudgetVector(xs)) <= d_value(inst, both, BudgetVector(ys))
 
@@ -183,8 +161,8 @@ class TestMetrics:
 class TestShortestPath:
     def test_diamond_tie_break(self, inst_a):
         p = pair_shortest_paths(inst_a, BudgetVector.zeros(4))[0]
-        assert p.node_seq == (0, 1, 3)
-        assert p.edge_seq == (0, 1)
+        assert p == (0, 1)
+        assert path_nodes(inst_a.graph, p) == (0, 1, 3)
 
     def test_blocked_returns_none(self, inst_a):
         assert pair_shortest_paths(inst_a, BudgetVector([1, 0, 1, 0]))[0] is None
@@ -196,14 +174,14 @@ class TestShortestPath:
 
     def test_budget_shifts_route(self, inst_a):
         p = pair_shortest_paths(inst_a, BudgetVector([2, 0, 0, 0]))[0]
-        assert p.node_seq == (0, 2, 3)
+        assert p == (2, 3)
 
     def test_bound_is_strict(self, inst_a):
         # both diamond routes have length 2 at x = 0
         x = BudgetVector.zeros(4)
         assert pair_shortest_paths(inst_a, x, bound=2)[0] is None
-        assert pair_shortest_paths(inst_a, x, bound=2.5)[0].edge_seq == (0, 1)
-        assert pair_shortest_paths(inst_a, None, lengths=[1.5, 1.0, 1.0, 1.0], bound=2.5)[0].edge_seq == (2, 3)
+        assert pair_shortest_paths(inst_a, x, bound=2.5)[0] == (0, 1)
+        assert pair_shortest_paths(inst_a, None, lengths=[1.5, 1.0, 1.0, 1.0], bound=2.5)[0] == (2, 3)
         assert pair_shortest_paths(inst_a, None, lengths=[1.5, 1.0, 1.0, 1.5], bound=2.5)[0] is None
 
     def test_sweep_without_budget_or_lengths_is_a_qosd_error(self, inst_a):
@@ -264,7 +242,7 @@ def test_dijkstra_matches_enumeration(seed, n, threshold):
     else:
         assert found is not None
         lengths = edge_lengths(inst, x)
-        assert sum(lengths[e] for e in found.edge_seq) == expected
+        assert sum(lengths[e] for e in found) == expected
 
 
 @settings(max_examples=60, deadline=None)
@@ -282,13 +260,6 @@ def test_prune_soundness(seed):
         assert d_pruned == d_full
     else:
         assert d_pruned >= inst.threshold
-
-
-def _contiguous_path(weights, edges):
-    # build a Path over a chain graph from an edge subset (nodes relabeled)
-    nodes = tuple(range(len(edges) + 1))
-    initial = sum(weights[e].table[0] for e in edges)
-    return Path(nodes, tuple(edges), initial)
 
 
 def test_lemma_concavity_quick():
@@ -310,7 +281,7 @@ def test_lemma_concavity_quick():
         for _ in range(rng.randint(1, 3)):
             size = rng.randint(1, m)
             edges = sorted(rng.sample(range(m), size))
-            paths.append(_contiguous_path(weights, edges))
+            paths.append(tuple(edges))
         gamma = concave_ratio(weights)
         caps = inst.box
         x = [rng.randint(0, c) for c in caps]
@@ -406,8 +377,9 @@ def test_shortest_path_takes_lowest_index_tight_in_edge(seed):
     if dist[t] >= inst.threshold:
         assert found is None
         return
-    assert found.node_seq[0] == s and found.node_seq[-1] == t
-    for e in found.edge_seq:
+    nodes = path_nodes(inst.graph, found)
+    assert nodes[0] == s and nodes[-1] == t
+    for e in found:
         head = edges[e][1]
         tight = [f for f, (u, v) in enumerate(edges) if v == head and dist[u] + lengths[f] == dist[v]]
         assert e == min(tight)
@@ -430,12 +402,23 @@ def test_fractional_shortest_path_takes_lowest_index_tight_in_edge(seed):
     if not dist[t] < bound:
         assert found is None
         return
-    assert found.node_seq[0] == s and found.node_seq[-1] == t
-    assert sum(lengths[e] for e in found.edge_seq) == dist[t]
-    for e in found.edge_seq:
+    nodes = path_nodes(inst.graph, found)
+    assert nodes[0] == s and nodes[-1] == t
+    assert sum(lengths[e] for e in found) == dist[t]
+    for e in found:
         head = edges[e][1]
         tight = [f for f, (u, v) in enumerate(edges) if v == head and dist[u] + lengths[f] == dist[v]]
         assert e == min(tight)
+
+
+def _assert_simple_pair_paths(inst, paths, lengths, bound):
+    """Each edge tuple found links its pair's s to t over the graph's edges,
+    visits no node twice and is strictly shorter than ``bound``."""
+    for (s, t), path in zip(inst.pairs, paths, strict=True):
+        if path is not None:
+            nodes = path_nodes(inst.graph, path)
+            assert (nodes[0], nodes[-1]) == (s, t)
+            assert sum(lengths[e] for e in path) < bound
 
 
 @settings(max_examples=40, deadline=None)
@@ -451,8 +434,11 @@ def test_pair_sweep_equals_per_pair_queries(seed, quarters):
     else:
         swept = pair_shortest_paths(inst, None, lengths=lengths, bound=bound)
         assert swept == full_graph_paths(inst, lengths, bound)
+        _assert_simple_pair_paths(inst, swept, lengths, bound)
     x = BudgetVector([rng.randint(0, cap) for cap in inst.box])
-    assert pair_shortest_paths(inst, x) == full_graph_paths(inst, edge_lengths(inst, x), inst.threshold)
+    swept = pair_shortest_paths(inst, x)
+    assert swept == full_graph_paths(inst, edge_lengths(inst, x), inst.threshold)
+    _assert_simple_pair_paths(inst, swept, edge_lengths(inst, x), inst.threshold)
 
 
 @settings(max_examples=150, deadline=None)
@@ -472,12 +458,7 @@ def test_sp_tree_next_hop_is_lowest_id_on_a_shortest_route(seed):
         assert tree[w] == (min(hops) if hops else None)
 
 
-def _edge_seqs(paths: list[Path]) -> list[tuple[int, ...]]:
-    """The paths as :class:`PathSupport` takes them."""
-    return [p.edge_seq for p in paths]
-
-
-def _random_paths(inst: QosdInstance, rng: random.Random) -> list[Path]:
+def _random_paths(inst: QosdInstance, rng: random.Random) -> list[tuple[int, ...]]:
     # simple walks from random nodes; PathSupport does not care which pair a path serves
     graph = inst.graph
     paths = []
@@ -492,8 +473,7 @@ def _random_paths(inst: QosdInstance, rng: random.Random) -> list[Path]:
             nodes.append(u)
             edges.append(e)
         if edges:
-            initial = sum(inst.weights[e].table[0] for e in edges)
-            paths.append(Path(tuple(nodes), tuple(edges), initial))
+            paths.append(tuple(edges))
     return paths
 
 
@@ -501,7 +481,7 @@ def _brute_best_unit(inst, paths, x, path_weight):
     """Argmax over support edges of the weighted rise in capped path lengths
     from one more unit, lowest edge on ties; (-1, 0) when nothing rises."""
     best_edge, best_gain = -1, 0
-    for e in sorted({e for p in paths for e in p.edge_seq}):
+    for e in sorted({e for p in paths for e in p}):
         if x[e] >= inst.box[e]:
             continue
         bumped = plus(x, BudgetVector.unit(len(x), e))
@@ -525,7 +505,7 @@ def _brute_best_chunk(inst, paths, x):
     nothing rises."""
     base = d_value(inst, paths, x)
     best, best_key = (-1, 0, 0), None
-    for e in sorted({e for p in paths for e in p.edge_seq}):
+    for e in sorted({e for p in paths for e in p}):
         edge_best = None  # (ratio, amount, gain)
         for z in range(1, inst.box[e] - x[e] + 1):
             gain = d_value(inst, paths, plus(x, BudgetVector.unit(len(x), e, z))) - base
@@ -545,7 +525,7 @@ def _check_support(inst, support, paths, path_weight):
     unit steps with AT's chunks so ``apply`` also sees amounts > 1, and
     taking chunks once flat unit steps leave no unit gain."""
     x = BudgetVector(support.x)
-    assert support.lengths == [sum(inst.weights[e].table[x[e]] for e in p.edge_seq) for p in paths]
+    assert support.lengths == [sum(inst.weights[e].table[x[e]] for e in p) for p in paths]
     assert support.gap == len(paths) * inst.threshold - d_value(inst, paths, x)
     edge, gain = support.best_unit()
     assert (edge, gain) == _brute_best_unit(inst, paths, x, path_weight)
@@ -567,7 +547,7 @@ def test_path_support_matches_brute_force(weighted, max_cap, seed):
     paths = _random_paths(inst, rng)
     # quarter weights are exact in binary and still tie
     path_weight = [rng.randint(1, 12) / 4 for _ in paths] if weighted else None
-    support = PathSupport(inst, _edge_seqs(paths), x, path_weight)
+    support = PathSupport(inst, paths, x, path_weight)
     step = 0
     while True:
         edge, amount = _check_support(inst, support, paths, path_weight)(step)
@@ -596,13 +576,13 @@ def test_path_support_extend_and_copy_match_brute_force(weighted, seed):
     rng = random.Random(seed)
     paths = _random_paths(inst, rng)
     path_weight = [rng.randint(1, 12) / 4 for _ in paths] if weighted else None
-    support = PathSupport(inst, _edge_seqs(paths), x, path_weight)
+    support = PathSupport(inst, paths, x, path_weight)
     for step in range(2):
         edge, amount = _check_support(inst, support, paths, path_weight)(step)
         if edge >= 0:
             support.apply(edge, amount)
     more = _random_paths(inst, rng)
-    support.extend(_edge_seqs(more))
+    support.extend(more)
     paths = paths + more
     if weighted:
         path_weight += [1] * len(more)
@@ -614,7 +594,7 @@ def test_path_support_extend_and_copy_match_brute_force(weighted, seed):
     if edge >= 0:
         twin.apply(edge, amount)
     late = _random_paths(inst, rng)
-    twin.extend(_edge_seqs(late))
+    twin.extend(late)
     twin_weight = path_weight + [1] * len(late) if weighted else None
     _run_to_end(inst, twin, paths + late, twin_weight, 1)
 
@@ -632,8 +612,8 @@ def test_path_support_breaks_cross_edge_ties():
     graph = Graph(12, [(2 * i, 2 * i + 1) for i in range(6)])
     inst = QosdInstance(graph, [WeightFunction(t) for t in tables],
                         [(2 * i, 2 * i + 1) for i in range(6)], 6, validate_box=False)
-    paths = [Path((2 * i, 2 * i + 1), (i,), 1, i) for i in range(6)]
-    support = PathSupport(inst, _edge_seqs(paths))
+    paths = [(i,) for i in range(6)]
+    support = PathSupport(inst, paths)
     picks = []
     while (chunk := support.best_chunk())[0] >= 0:
         assert chunk == _brute_best_chunk(inst, paths, BudgetVector(support.x))
@@ -641,7 +621,7 @@ def test_path_support_breaks_cross_edge_ties():
         support.apply(*chunk[:2])
     assert picks == [(1, 2, 4), (2, 2, 4), (0, 1, 2), (3, 1, 2), (5, 3, 1), (4, 7, 2)]
     # units: edges 0 and 3 gain 2, edges 1 and 2 gain 1, then 3 after their first
-    support = PathSupport(inst, _edge_seqs(paths))
+    support = PathSupport(inst, paths)
     units = []
     while (unit := support.best_unit())[0] >= 0:
         assert unit == _brute_best_unit(inst, paths, BudgetVector(support.x), None)
@@ -661,13 +641,13 @@ def _wide_cap_instance() -> QosdInstance:
 
 def test_wide_caps_fit_every_solver(monkeypatch):
     inst = _wide_cap_instance()
-    paths = [Path((0, 1, 3), (0, 1), 2, 0), Path((0, 2, 3), (2, 3), 2, 0)]
-    assert PathSupport(inst, _edge_seqs(paths)).x.typecode == "q"
+    paths = [(0, 1), (2, 3)]
+    assert PathSupport(inst, paths).x.typecode == "q"
     # each blocker's picks, replayed from its trace, against the brute force
     for blocker, pick in ((block_greedy, PathSupport.best_step), (block_adaptive, PathSupport.best_chunk)):
         trace = []
         x = blocker(inst, paths, trace=trace)
-        support = PathSupport(inst, _edge_seqs(paths))
+        support = PathSupport(inst, paths)
         for step in trace:
             _check_support(inst, support, paths, None)
             assert step == pick(support)
@@ -681,7 +661,9 @@ def test_wide_caps_fit_every_solver(monkeypatch):
     class CheckedSupport(PathSupport):
         def __init__(self, instance, paths, x=None, path_weight=None):
             super().__init__(instance, paths, x, path_weight)
-            self.checked = ([path_of(inst, edges) for edges in paths], path_weight)
+            for edges in paths:
+                path_nodes(inst.graph, edges)  # asserts a simple path of the graph
+            self.checked = (list(paths), path_weight)
 
         def best_step(self):
             _check_support(inst, self, *self.checked)
@@ -799,7 +781,7 @@ def test_sink_off_the_corridor_is_separated():
     assert sorted(area.local) == [0, 1, 2] and sorted(area.edges.tolist()) == [0, 1]
     x = BudgetVector.zeros(4)
     paths = pair_shortest_paths(inst, x)
-    assert [p and p.edge_seq for p in paths] == [(0, 1), None]
+    assert paths == [(0, 1), None]
     assert unseparated_pairs(inst, x) == [0]
     assert pair_shortest_paths(inst, x)[1] is None
 
@@ -812,7 +794,7 @@ def test_source_without_corridor_edges_is_separated():
     assert sorted(area.local) == [0, 1, 2, 3] and area.in_edges[row] == ()
     assert area.matrix.indptr[row] == area.matrix.indptr[row + 1]
     x = BudgetVector.zeros(4)
-    assert [p and p.edge_seq for p in pair_shortest_paths(inst, x)] == [(0, 1), None, None]
+    assert pair_shortest_paths(inst, x) == [(0, 1), None, None]
     assert unseparated_pairs(inst, x) == [0]
     assert pair_shortest_paths(inst, x)[1] is None
 
@@ -822,7 +804,7 @@ def test_sweep_rejects_a_budget_above_a_corridor_cap():
     with pytest.raises(QosdError, match="cap"):
         pair_shortest_paths(inst, BudgetVector([0, 2, 0, 0]))
     # off the corridor a budget is never read
-    assert pair_shortest_paths(inst, BudgetVector([0, 0, 0, 2]))[0].edge_seq == (0, 1)
+    assert pair_shortest_paths(inst, BudgetVector([0, 0, 0, 2]))[0] == (0, 1)
 
 
 def test_sweep_rejects_a_bound_above_t():
@@ -830,7 +812,7 @@ def test_sweep_rejects_a_bound_above_t():
     x = BudgetVector.zeros(4)
     with pytest.raises(QosdError, match="exceeds T"):
         pair_shortest_paths(inst, x, bound=inst.threshold + 0.5)
-    assert pair_shortest_paths(inst, x, bound=inst.threshold)[0].edge_seq == (0, 1)
+    assert pair_shortest_paths(inst, x, bound=inst.threshold)[0] == (0, 1)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -867,4 +849,4 @@ def test_candidate_paths_lie_in_the_corridor(seed, monkeypatch):
     for solve in (lambda: run_iterative(inst, "ig"), lambda: run_iterative(inst, "at"), lambda: oracle_opt(inst)):
         found.clear()
         assert solve().feasible
-        assert found and all(set(p.edge_seq) <= inside for p in found)
+        assert found and all(set(p) <= inside for p in found)

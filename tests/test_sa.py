@@ -33,7 +33,7 @@ from qosd.pathcore import budget_array, distances, edge_lengths
 from qosd.sa import _WALK_BLOCK, SampledPath, _RoundWalker
 
 from conftest import diamond_instance, single_edge_instance
-from reference import _derived_rng, chunk_inputs, estimate_B, out_adj
+from reference import _derived_rng, chunk_inputs, estimate_B, out_adj, path_nodes
 
 
 class TestBuildSpTree:
@@ -63,7 +63,7 @@ class TestSamplePath:
                 inst_a, BudgetVector.zeros(4), trees, 0.8, random.Random(i)
             )
             assert sp.feasible
-            seen[sp.path.edge_seq] = sp.rho
+            seen[sp.edges] = sp.rho
         assert seen == {(0, 1): 0.8, (2, 3): pytest.approx(0.2)}
 
     def test_empirical_branch_frequency(self, inst_a):
@@ -74,7 +74,7 @@ class TestSamplePath:
             sp = sample_path(
                 inst_a, BudgetVector.zeros(4), trees, 0.8, _derived_rng(99, 0, 0, i)
             )
-            hits += sp.path.edge_seq == (0, 1)
+            hits += sp.edges == (0, 1)
         sigma = math.sqrt(0.8 * 0.2 / n)
         assert abs(hits / n - 0.8) <= 3 * sigma
 
@@ -85,7 +85,7 @@ class TestSamplePath:
         for i in range(50):
             sp = sample_path(inst_a, x, trees, 0.8, random.Random(i))
             assert not sp.feasible
-            assert len(sp.path.edge_seq) == 1  # stopped after one heavy step
+            assert len(sp.edges) == 1  # stopped after one heavy step
 
     def test_dead_end_infeasible(self):
         # 0 -> 1 -> 2 with a trap edge 1 -> 3 (3 has no exits), pair (0, 2)
@@ -96,9 +96,9 @@ class TestSamplePath:
         outcomes = set()
         for i in range(300):
             sp = sample_path(inst, BudgetVector.zeros(3), trees, 0.8, random.Random(i))
-            outcomes.add((sp.path.node_seq, sp.feasible))
-        assert ((0, 1, 2), True) in outcomes
-        assert ((0, 1, 3), False) in outcomes  # dead end contributes zero
+            outcomes.add((sp.edges, sp.feasible))
+        assert ((0, 1), True) in outcomes  # over nodes 0, 1, 2
+        assert ((0, 2), False) in outcomes  # over 0, 1, 3: a dead end contributes zero
 
     def test_rho_lower_bound_per_sample(self):
         alpha = 0.8
@@ -163,10 +163,12 @@ def _tally(blocks):
 
 
 def _assert_round_matches_sample_path(inst, x, alpha, count, seed=0, rng=None):
-    """The batched walker's blocks equal sample_path walk by walk: same pair,
-    nodes, edges, feasibility and a rho equal under ==; returns sample_path's
-    walks. Walk i draws its pair and then its steps from ``rng(i)``
-    (``_derived_rng(seed, 3, 1, i)`` when None)."""
+    """The batched walker's blocks equal sample_path walk by walk: same
+    edges, feasibility and a rho equal under ==, sample_path's edges linking
+    the drawn pair's source onward without revisiting a node (to its sink
+    when feasible); returns sample_path's walks. Walk i draws its pair and
+    then its steps from ``rng(i)`` (``_derived_rng(seed, 3, 1, i)`` when
+    None)."""
     rng = rng or (lambda i: _derived_rng(seed, 3, 1, i))
     walker = _walker_round(inst, x, alpha)
     batched = []
@@ -181,9 +183,10 @@ def _assert_round_matches_sample_path(inst, x, alpha, count, seed=0, rng=None):
     wanted = []
     for i, (pair_index, edge_seq, rho, feasible) in enumerate(batched):
         want = sample_path(inst, x, trees, alpha, rng(i))
-        nodes = (inst.pairs[pair_index][0], *(inst.graph.edges[e][1] for e in edge_seq))
-        assert nodes == want.path.node_seq, i
-        assert (edge_seq, pair_index) == (want.path.edge_seq, want.path.pair_index), i
+        s, t = inst.pairs[pair_index]
+        nodes = path_nodes(inst.graph, want.edges) if want.edges else (s,)
+        assert nodes[0] == s and (nodes[-1] == t or not want.feasible), i
+        assert edge_seq == want.edges, i
         assert feasible == want.feasible, i
         assert rho == want.rho, i
         wanted.append(want)
@@ -230,7 +233,7 @@ class TestRoundWalker:
         inst = QosdInstance(g, build_weights(g, "linear", 3), [(0, 11)], 3)
         walks = _assert_round_matches_sample_path(
             inst, BudgetVector.zeros(g.m), 0.8, 3, rng=lambda i: TopDraw(i))
-        assert {sp.path.node_seq for sp in walks} == {(0, 10)}
+        assert {sp.edges for sp in walks} == {(9,)}  # edge 9 is (0, 10)
 
     @pytest.mark.parametrize("alpha", [0.0, 0.8])
     def test_er240_nonzero_budget_over_several_blocks(self, alpha):
@@ -453,15 +456,11 @@ def _walk_tree_mass(inst, x, trees, pair_index, alpha):
 
 class TestEstimateB:
     def test_exact_arithmetic_single_sample(self, inst_a):
-        from qosd import Path
-
-        sp = SampledPath(Path((0, 2, 3), (2, 3), 2, 0), 0.2, True)
+        sp = SampledPath((2, 3), 0.2, True)
         assert estimate_B(inst_a, [sp], BudgetVector.zeros(4)) == pytest.approx(10.0)
 
     def test_all_infeasible_gives_zero(self, inst_a):
-        from qosd import Path
-
-        sp = SampledPath(Path((0, 1), (0,), 1, 0), 0.8, False)
+        sp = SampledPath((0,), 0.8, False)
         assert estimate_B(inst_a, [sp], BudgetVector.zeros(4)) == 0.0
 
     def test_empty_sample_set_rejected(self, inst_a):
