@@ -14,8 +14,7 @@ from .experiment import ExperimentConfig, derive_seed, parse_config, run_algorit
 from .framework import potential_paths, run_iterative
 from .ig import block_greedy
 from .instance import (Graph, QosdInstance, WeightFunction, build_weights, concave_ratio, generate_er,
-                       load_edge_list, load_instance, make_er_instance, make_layered_flat_instance,
-                       sample_pairs, save_instance)
+                       load_edge_list, load_instance, make_er_instance, sample_pairs, save_instance)
 from .lr import LpSolution, constraint_generation, eta, round_solution, run_lr, solve_lp
 from .pathcore import BudgetVector, PathSupport, edge_lengths, pair_shortest_paths, unseparated_pairs
 from .report import Deadline, RunReport

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from array import array
 
 from .errors import (
     ConfigError,
@@ -58,8 +59,8 @@ def read_vector(path: str) -> BudgetVector:
         raise ParseError(f"missing header {VECTOR_HEADER!r}", 1)
     try:
         m = int(lines[1])
-        values = [int(tok) for tok in " ".join(lines[2:]).split()]
-    except (IndexError, ValueError):
+        values = array("q", map(int, " ".join(lines[2:]).split()))
+    except (IndexError, ValueError, OverflowError):  # OverflowError: an entry of 2**63 or more
         raise ParseError("malformed vector file") from None
     if len(values) != m:
         raise ParseError(f"expected {m} components, found {len(values)}")

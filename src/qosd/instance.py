@@ -182,9 +182,9 @@ class QosdInstance:
         return self._affine
 
     def _check_box_feasible(self) -> None:
-        from .pathcore import BudgetVector, unseparated_pairs
+        from .pathcore import BudgetVector, budget_array, unseparated_pairs
 
-        remaining = unseparated_pairs(self, BudgetVector(self.box))
+        remaining = unseparated_pairs(self, BudgetVector(budget_array(self, self.box)))
         if remaining:
             raise InfeasibleBoxError(
                 f"infeasible-box: pairs {remaining} stay connected below T "
@@ -367,46 +367,6 @@ def make_er_instance(
     weights = build_weights(graph, model, threshold, seed=seed + 1)
     pairs = sample_pairs(graph, k, seed + 2)
     return QosdInstance(graph, weights, pairs, threshold)
-
-
-def make_layered_flat_instance(seed: int) -> QosdInstance:
-    """Two-layer instance for the concave-ratio sensitivity experiment.
-
-    Eight sources connect to ten middle nodes with linear edges; middle-to-
-    sink edges (eight sinks) carry a flat-then-jump table (1, 1, T) whose
-    zero increment followed by a positive one forces concave ratio 0. Each
-    possible edge is present with probability 0.45; T = 6 and five pairs.
-    Every source-sink path is linear-then-staircase, so unit-greedy blocking
-    can never exploit the cheap final jump while amount-aware blocking can.
-    """
-    side, middle, rho, threshold, k = 8, 10, 0.45, 6, 5
-    rng = random.Random(seed)
-    linear = WeightFunction(tuple(range(1, threshold + 1)), "linear")
-    stair = WeightFunction((1, 1, threshold))
-    edges: list[tuple[int, int]] = []
-    tables: list[WeightFunction] = []
-    for s in range(side):
-        for mid in range(middle):
-            if rng.random() < rho:
-                edges.append((s, side + mid))
-                tables.append(linear)
-    for mid in range(middle):
-        for t in range(side):
-            if rng.random() < rho:
-                edges.append((side + mid, side + middle + t))
-                tables.append(stair)
-    graph = Graph(side + middle + side, edges)
-    pairs: list[tuple[int, int]] = []
-    tries = 0
-    while len(pairs) < k:
-        tries += 1
-        if tries > 100_000:
-            raise InvalidInstanceError("could not sample enough source-sink pairs")
-        s = rng.randrange(side)
-        t = side + middle + rng.randrange(side)
-        if (s, t) not in pairs:
-            pairs.append((s, t))
-    return QosdInstance(graph, tables, pairs, threshold)
 
 
 def save_instance(instance: QosdInstance, stream: IO[str]) -> None:

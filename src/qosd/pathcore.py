@@ -36,9 +36,8 @@ from __future__ import annotations
 import copy
 import math
 from array import array
-from bisect import bisect_left
 from heapq import heapify, heappop, heappush
-from itertools import accumulate, chain
+from itertools import chain
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -259,6 +258,22 @@ def unseparated_pairs(instance: "QosdInstance", x: BudgetVector) -> list[int]:
     return [i for i, p in enumerate(pair_shortest_paths(instance, x)) if p is not None]
 
 
+def chunk_amounts(table: Sequence[int]) -> list[tuple[tuple[int, int], ...]]:
+    """For each budget level x of ``table``, the ``(z, delta)`` pairs, delta =
+    table[x + z] - table[x], whose average increment delta / z is positive
+    and strictly above that of every smaller amount, in rising z."""
+    levels = []
+    for x, base in enumerate(table):
+        best_z, best_delta, tries = 1, 0, []
+        for z in range(1, len(table) - x):
+            delta = table[x + z] - base
+            if delta * best_z > best_delta * z:
+                best_z, best_delta = z, delta
+                tries.append((z, delta))
+        levels.append(tuple(tries))
+    return levels
+
+
 class PathSupport:
     """Lengths, edge support and shortfall of a path set under a budget x.
 
@@ -301,6 +316,7 @@ class PathSupport:
         self._unit_gains, self._chunks, self._unit_heap, self._chunk_heap = {}, {}, [], []
         self._unit_dirty, self._chunk_dirty = set(), set()
         self._ratio_scale = 0  # lcm(1..max box), set by the first chunk pick
+        self._amounts: dict = {}  # best_chunk's chunk_amounts by table, shared by copies
         self.extend(paths)
         if path_weight is not None:
             self.path_weight = list(path_weight)
@@ -386,44 +402,45 @@ class PathSupport:
         L = lcm(1..max box): every amount divides L, so the first field is
         the ratio scaled by L, exactly.
 
-        Per edge, with the positive shortfalls sorted and ``pre`` their prefix
-        sums, amount z with delta = table[x + z] - table[x] gains
-        pre[k] + delta * (n - k), where k shortfalls lie below delta. Deltas
-        never fall, so a z whose delta equals the previous one's has the same
-        gain at more units and cannot strictly improve the ratio, and once
-        delta reaches the largest shortfall the gain is maximal and every
-        later z has a lower ratio.
+        Amount z with delta = table[x + z] - table[x] gains the capped sum of
+        min(shortfall, delta) over the edge's paths. Only the amounts of
+        :func:`chunk_amounts` are tried, those whose delta / z beats every
+        smaller amount's: if delta_z / z <= delta_w / w for some w < z, then
+        path by path min(s, delta_z) / z <= min(s, delta_w) / w, so z never
+        strictly improves on w. Where the remaining increments do not rise
+        (every level of a linear or concave table) there is at most one such
+        amount, and its gain is one capped sum, with no sort.
         """
         threshold, lengths = self.threshold, self.lengths
-        weights, box, x, support = self.weights, self.box, self.x, self.support
-        chunks = self._chunks
+        weights, x, support = self.weights, self.x, self.support
+        chunks, amounts = self._chunks, self._amounts
         if not self._ratio_scale:
-            self._ratio_scale = math.lcm(*range(1, max(box, default=0) + 1))
+            self._ratio_scale = math.lcm(*range(1, max(self.box, default=0) + 1))
         scale = self._ratio_scale
         pushed = []
         for e in self._chunk_dirty:
-            xe = x[e]
-            shorts = sorted(s for s in (threshold - lengths[pi] for pi in support[e]) if s > 0)
+            table = weights[e].table
+            levels = amounts.get(table)
+            if levels is None:
+                levels = amounts[table] = chunk_amounts(table)
+            tries = levels[x[e]]
             edge_gain = edge_z = 0
-            if shorts:
-                table = weights[e].table
-                base = table[xe]
-                pre = list(accumulate(shorts, initial=0))
-                n, top = len(shorts), shorts[-1]
-                last = 0
-                for z in range(1, box[e] - xe + 1):
-                    delta = table[xe + z] - base
-                    if delta == last:
-                        continue
-                    last = delta
-                    k = bisect_left(shorts, delta)
-                    gain = pre[k] + delta * (n - k)
+            if len(tries) == 1:
+                (z, delta), = tries
+                for pi in support[e]:
+                    short = threshold - lengths[pi]
+                    if short > 0:
+                        edge_gain += short if delta > short else delta
+                if edge_gain:
+                    edge_z = z
+            elif tries:
+                shorts = [s for s in (threshold - lengths[pi] for pi in support[e]) if s > 0]
+                for z, delta in tries:
+                    gain = sum(s if delta > s else delta for s in shorts)
                     # keep the smallest z among equal ratios: strict improvement only
-                    if edge_z == 0 or gain * edge_z > edge_gain * z:
+                    if gain and (edge_z == 0 or gain * edge_z > edge_gain * z):
                         edge_gain = gain
                         edge_z = z
-                    if delta >= top:
-                        break
             entry = (edge_z, edge_gain)
             if entry != chunks[e]:
                 chunks[e] = entry

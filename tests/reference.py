@@ -3,8 +3,8 @@ their sum D over a path set, vector addition, the out- and in-adjacency in
 edge-index order, every pair's path from a sweep over the whole graph, the
 lazy IG/AT loop with each round's support built from scratch, SA's
 estimator of B, its chunk's inputs from independent walks and per-walk
-random streams, and the per-edge instance generators that the library's
-batched ones must match."""
+random streams, the per-edge instance generators that the library's
+batched ones must match, and C08's layered flat-step instances."""
 
 from __future__ import annotations
 
@@ -12,7 +12,8 @@ import random
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from qosd import BudgetVector, Deadline, Graph, QosdError, QosdInstance, WeightFunction, potential_paths
+from qosd import (BudgetVector, Deadline, Graph, InvalidInstanceError, QosdError, QosdInstance, WeightFunction,
+                  potential_paths)
 from qosd.framework import _generate
 from qosd.instance import _concave_table, _convex_table, _linear_table
 from qosd.pathcore import distances
@@ -153,3 +154,43 @@ def heterogeneous_per_edge(graph: Graph, threshold: int, seed: int) -> list[Weig
     rng = random.Random(seed)
     build = {"linear": _linear_table, "convex": _convex_table, "concave": _concave_table}
     return [build[rng.choice(("linear", "convex", "concave"))](threshold) for _ in range(graph.m)]
+
+
+def make_layered_flat_instance(seed: int) -> QosdInstance:
+    """Two-layer instance for the concave-ratio sensitivity experiment.
+
+    Eight sources connect to ten middle nodes with linear edges; middle-to-
+    sink edges (eight sinks) carry a flat-then-jump table (1, 1, T) whose
+    zero increment followed by a positive one forces concave ratio 0. Each
+    possible edge is present with probability 0.45; T = 6 and five pairs.
+    Every source-sink path is linear-then-staircase, so unit-greedy blocking
+    can never exploit the cheap final jump while amount-aware blocking can.
+    """
+    side, middle, rho, threshold, k = 8, 10, 0.45, 6, 5
+    rng = random.Random(seed)
+    linear = WeightFunction(tuple(range(1, threshold + 1)), "linear")
+    stair = WeightFunction((1, 1, threshold))
+    edges: list[tuple[int, int]] = []
+    tables: list[WeightFunction] = []
+    for s in range(side):
+        for mid in range(middle):
+            if rng.random() < rho:
+                edges.append((s, side + mid))
+                tables.append(linear)
+    for mid in range(middle):
+        for t in range(side):
+            if rng.random() < rho:
+                edges.append((side + mid, side + middle + t))
+                tables.append(stair)
+    graph = Graph(side + middle + side, edges)
+    pairs: list[tuple[int, int]] = []
+    tries = 0
+    while len(pairs) < k:
+        tries += 1
+        if tries > 100_000:
+            raise InvalidInstanceError("could not sample enough source-sink pairs")
+        s = rng.randrange(side)
+        t = side + middle + rng.randrange(side)
+        if (s, t) not in pairs:
+            pairs.append((s, t))
+    return QosdInstance(graph, tables, pairs, threshold)

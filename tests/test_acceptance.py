@@ -23,7 +23,6 @@ from qosd import (
     concave_ratio,
     constraint_generation,
     make_er_instance,
-    make_layered_flat_instance,
     oracle_opt,
     potential_paths,
     run_cc,
@@ -35,7 +34,7 @@ from qosd import (
     unseparated_pairs,
 )
 
-from reference import _derived_rng, d_value, estimate_B, plus
+from reference import _derived_rng, d_value, estimate_B, make_layered_flat_instance, plus
 
 
 def _report(tag: str, ok: bool, detail: str) -> None:

@@ -346,6 +346,16 @@ class TestCli:
         assert main(["validate", "--instance", str(inst_file), "--vector", str(vec_file)]) == 1
         assert "invalid input: budget components must be nonnegative" in capsys.readouterr().err
 
+    def test_vector_entry_beyond_64_bits_exits_1(self, tmp_path, capsys):
+        inst_file = tmp_path / "inst.txt"
+        vec_file = tmp_path / "x.txt"
+        inst_file.write_text(
+            "qosd-instance v1\nn 2\nm 1\nT 3\nk 1\nedge 0 1 linear 1 2 3\npair 0 1\n"
+        )
+        vec_file.write_text(f"qosd-vector v1\n1\n{2 ** 63}\n")
+        assert main(["validate", "--instance", str(inst_file), "--vector", str(vec_file)]) == 1
+        assert "invalid input: malformed vector file" in capsys.readouterr().err
+
     @pytest.mark.parametrize("knobs", [
         ["--algorithm", "sa", "--q", "0"],
         ["--algorithm", "sa", "--alpha", "1.0"],

@@ -1,6 +1,7 @@
 import random
 from array import array
 from fractions import Fraction
+from itertools import accumulate, product
 
 import numpy as np
 import pytest
@@ -30,9 +31,9 @@ from qosd import (
     unseparated_pairs,
 )
 from qosd import sa
-from qosd.instance import WEIGHT_MODELS
+from qosd.instance import WEIGHT_MODELS, _concave_table, _convex_table, _linear_table
 from qosd.lr import FEAS_TOL
-from qosd.pathcore import corridor, distances, edge_lengths
+from qosd.pathcore import chunk_amounts, corridor, distances, edge_lengths
 
 from conftest import diamond_instance
 from reference import d_value, full_graph_paths, out_adj, path_nodes, plus, r_value
@@ -628,6 +629,60 @@ def test_path_support_breaks_cross_edge_ties():
         units.append(unit)
         support.apply(unit[0], 1)
     assert units == [(0, 2), (3, 2), (1, 1), (1, 3), (2, 1), (2, 3)]
+
+
+def _beats_every_smaller(table, x):
+    """Level x's ``(amount, delta)`` pairs whose average increment is
+    positive and strictly above every smaller amount's."""
+    ratios = [Fraction(table[x + z] - table[x], z) for z in range(1, len(table) - x)]
+    return tuple(
+        (z, table[x + z] - table[x]) for z, r in enumerate(ratios, 1)
+        if r > 0 and all(r > q for q in ratios[: z - 1])
+    )
+
+
+def test_chunk_amounts_on_every_small_table():
+    # every table with increments in {0, 1, 2, 3} and a cap of at most 5
+    for cap in range(6):
+        for incs in product(range(4), repeat=cap):
+            table = tuple(accumulate(incs, initial=1))
+            levels = chunk_amounts(table)
+            assert levels == [_beats_every_smaller(table, x) for x in range(cap + 1)]
+            for x in range(cap + 1):
+                # remaining increments that do not rise leave one amount at most
+                if all(a >= b for a, b in zip(incs[x:], incs[x + 1:])):
+                    assert len(levels[x]) <= 1
+
+
+@pytest.mark.parametrize("threshold", range(2, 41))
+def test_chunk_amounts_on_generated_tables(threshold):
+    for build in (_linear_table, _concave_table, _convex_table):
+        table = build(threshold).table
+        levels = chunk_amounts(table)
+        assert levels == [_beats_every_smaller(table, x) for x in range(len(table))]
+    linear = chunk_amounts(_linear_table(threshold).table)
+    assert linear == [((1, 1),)] * (threshold - 1) + [()]
+
+
+def test_best_chunk_on_a_concave_head_and_convex_tail():
+    # edge 0 carries (1, 3, 4, 4, 9), whose levels try 1, 2, 1, 1 and 0
+    # amounts; four paths run through it with 0, 1, 2 and 4 more length on
+    # fixed edges, so only edge 0 can spend and every pick is its own scan
+    table = (1, 3, 4, 4, 9)
+    assert [len(level) for level in chunk_amounts(table)] == [1, 2, 1, 1, 0]
+    graph = Graph(5, [(0, 1), (1, 2), (1, 3), (1, 4)])
+    weights = [WeightFunction(table)] + [WeightFunction((w,)) for w in (1, 2, 4)]
+    paths = [(0,), (0, 1), (0, 2), (0, 3)]
+    amounts = set()
+    for threshold in range(2, 16):
+        inst = QosdInstance(graph, weights, [(0, 4)], threshold, validate_box=False)
+        for x in range(len(table)):
+            budget = BudgetVector.unit(4, 0, x)
+            chunk = PathSupport(inst, paths, budget).best_chunk()
+            assert chunk == _brute_best_chunk(inst, paths, budget)
+            amounts.add((x, chunk[1]))
+    # at level 1 both of its amounts win for some T
+    assert {(1, 1), (1, 3)} <= amounts
 
 
 def _wide_cap_instance() -> QosdInstance:
