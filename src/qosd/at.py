@@ -19,11 +19,11 @@ def block_adaptive(
     support: PathSupport | None = None,
 ) -> BudgetVector:
     """Blocks every candidate path by repeatedly adding the best-ratio chunk
-    (:meth:`PathSupport.best_chunk` holds the exact ratio and tie rules; with
-    concave or linear tables the run matches the greedy blocker bit for bit).
-    ``support``, when given, is a zero-budget support of ``paths`` to start
-    from (:meth:`PathSupport.block` leaves its x as it is).
+    (:meth:`PathSupport.best`'s chunk rule holds the exact ratio and tie rules;
+    with concave or linear tables the run matches the greedy blocker bit for
+    bit). ``support``, when given, is a zero-budget ``chunks=True`` support of
+    ``paths`` to start from (:meth:`PathSupport.block` leaves its x as it is).
     """
     if support is None:
-        support = PathSupport(instance, paths)
-    return support.block(PathSupport.best_chunk, Deadline.ensure(deadline), "adaptive trading", trace)
+        support = PathSupport(instance, paths, chunks=True)
+    return support.block(Deadline.ensure(deadline), "adaptive trading", trace)

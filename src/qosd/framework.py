@@ -83,15 +83,15 @@ def run_iterative(
 
     ``blocker`` is "ig" (:func:`ig.block_greedy`) or "at"
     (:func:`at.block_adaptive`); anything else is a ``ConfigError``. Each
-    round blocks from the run's one zero-budget :class:`PathSupport`,
-    extended by the round's new paths. The loop ends only when a sweep
-    under the final x finds no path below T, so the report is feasible.
+    round blocks from the run's one zero-budget :class:`PathSupport` of the
+    blocker's rule, extended by the round's new paths. The loop ends only
+    when a sweep under the final x finds no path below T: the report is feasible.
     ``threads`` is accepted and ignored.
     """
     if blocker not in ("ig", "at"):
         raise ConfigError(f"unknown blocker {blocker!r}")
     blocker_fn = ig.block_greedy if blocker == "ig" else at.block_adaptive
-    support = PathSupport(instance, ())
+    support = PathSupport(instance, (), chunks=blocker == "at")
     deadline = Deadline.ensure(deadline)
     start = time.perf_counter()
     inner = 0

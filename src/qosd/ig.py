@@ -24,11 +24,11 @@ def block_greedy(
     Only edges on candidate paths can change D, so the scan is restricted
     to that support. Ties go to the lowest edge index. When flat weight
     increments leave no unit with positive gain, the step is the best-ratio
-    chunk instead (:meth:`PathSupport.best_step`); ``InfeasibleBoxError``
+    chunk instead (:meth:`PathSupport.best`'s default rule); ``InfeasibleBoxError``
     only when no chunk has positive gain either while some path is still
     below T. ``support``, when given, is a zero-budget support of ``paths``
     to start from (:meth:`PathSupport.block` leaves its x as it is).
     """
     if support is None:
         support = PathSupport(instance, paths)
-    return support.block(PathSupport.best_step, Deadline.ensure(deadline), "greedy blocking", trace)
+    return support.block(Deadline.ensure(deadline), "greedy blocking", trace)

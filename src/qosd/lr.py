@@ -252,8 +252,9 @@ def run_lr(
     """
     deadline = Deadline.ensure(deadline)
     start = time.perf_counter()
-    # all-flat tables leave beta_max 0 and nothing to round; floor it at 1
-    eta_value = eta(instance.graph.n, instance.hop_bound, max(max(instance.affine_coeffs()[0]), 1), delta)
+    # all-flat tables (or no edge) leave beta_max 0 and nothing to round; floor it at 1
+    beta_max = max(max(instance.affine_coeffs()[0], default=1), 1)
+    eta_value = eta(instance.graph.n, instance.hop_bound, beta_max, delta)
     if eta_override is not None:
         if not eta_override > 0:
             raise ConfigError("eta must be positive")

@@ -24,9 +24,11 @@ fixed by the lengths alone, and all but LR's fractional lengths are exact
 integers.
 
 :class:`PathSupport` is the one place where a blocker's path lengths, edge
-support and capped-gain scan live: IG's unit steps, AT's best-ratio
-chunks, SA's estimator-weighted chunk and the exact steps all pick their
-increments from it, rescanning only the entries a step changed. Its ``x``,
+support and capped-gain scan live. Each support takes one step rule for
+its life: AT's best-ratio chunks, or the unit steps (crossing a flat
+increment by the best chunk) of IG, SA's estimator-weighted chunk and
+SA's exact step. It keeps one entry per edge and one heap, and rescans
+only the entries a step changed. Its ``x``,
 SA's and CC's budgets and :class:`BudgetVector` share one buffer
 representation, so no per-round step walks all m edges in Python.
 """
@@ -275,7 +277,8 @@ def chunk_amounts(table: Sequence[int]) -> list[tuple[tuple[int, int], ...]]:
 
 
 class PathSupport:
-    """Lengths, edge support and shortfall of a path set under a budget x.
+    """Lengths, edge support and shortfall of a path set under a budget x,
+    and the next step of the one step rule the support was built with.
 
     A path is its edge tuple (a sweep's path or an SA walk). ``x`` starts
     as a :func:`budget_array` copy of the given vector (zeros when None), so
@@ -286,16 +289,19 @@ class PathSupport:
     as its path set grows and block each round on a :meth:`copy`, which
     shares nothing it mutates.
 
-    Each edge's best unit gain and best chunk are cached, and each cache
-    rescans only its dirty edges. An edge's entry reads only its own x and
-    table and the shortfalls of its paths, and :meth:`apply` on e changes
-    only x[e] and the lengths of e's paths. A path already at T or above
-    keeps a shortfall of 0, so ``apply`` dirties e and the edges of e's
-    paths that were below T (none more when the step adds no length), and
-    ``extend`` the edges of the new paths. Every other entry is what a full
-    rescan would compute, for any table. A rescan that changes an entry
-    pushes it onto a lazy heap whose least key is the pick; a pick pops the
-    tops that no longer match their edge's entry and reads the next one.
+    ``chunks=True`` is AT's rule, the best-ratio chunk every step; the
+    default is IG's, the best unit or, where flat increments leave no unit
+    with gain, the best chunk (IG, SA's chunk and SA's exact step). Each
+    edge caches one entry, and only dirty edges are rescanned. An edge's
+    entry reads only its own x and table and the shortfalls of its paths,
+    and :meth:`apply` on e changes only x[e] and the lengths of e's paths.
+    A path already at T or above keeps a shortfall of 0, so ``apply``
+    dirties e and the edges of e's paths that were below T (none more when
+    the step adds no length), and ``extend`` the edges of the new paths.
+    Every other entry is what a full rescan would compute, for any table. A
+    rescan that changes an entry pushes its key onto one lazy heap whose
+    least key is the pick; a pick pops the tops that no longer match their
+    edge's entry and reads the next one.
     """
 
     def __init__(
@@ -304,19 +310,21 @@ class PathSupport:
         paths: Iterable[Sequence[int]],
         x: BudgetVector | None = None,
         path_weight: Sequence[float] | None = None,
+        *,
+        chunks: bool = False,
     ):
         self.threshold = instance.threshold
         self.weights = instance.weights
         self.box = instance.box
+        self.chunks = chunks
         self.x = budget_array(instance, None if x is None else x.values)
         self.path_edges, self.lengths, self.path_weight = [], [], []
         self.support: dict[int, tuple[int, ...]] = {}
         self.gap = 0
-        # per-edge caches, their lazy heaps and their dirty edges
-        self._unit_gains, self._chunks, self._unit_heap, self._chunk_heap = {}, {}, [], []
-        self._unit_dirty, self._chunk_dirty = set(), set()
-        self._ratio_scale = 0  # lcm(1..max box), set by the first chunk pick
-        self._amounts: dict = {}  # best_chunk's chunk_amounts by table, shared by copies
+        # per-edge entries, their lazy heap and the edges to rescan
+        self._entries, self._heap, self._dirty = {}, [], set()
+        self._ratio_scale = 0  # lcm(1..max box), set by the first chunk scan
+        self._amounts: dict = {}  # chunk_amounts by table, shared by copies
         self.extend(paths)
         if path_weight is not None:
             self.path_weight = list(path_weight)
@@ -335,137 +343,126 @@ class PathSupport:
             self.lengths.append(ln)
             self.path_weight.append(1)
             dirty.update(edges)
-        for e in dirty - self._unit_gains.keys():
-            self._unit_gains[e], self._chunks[e] = 0, (0, 0)
-        self._unit_dirty |= dirty
-        self._chunk_dirty |= dirty
+        for e in dirty - self._entries.keys():
+            self._entries[e] = 0
+        self._dirty |= dirty
 
     def copy(self) -> "PathSupport":
         twin = copy.copy(self)
-        for name in ("x", "path_edges", "lengths", "path_weight", "support", "_unit_gains",
-                     "_chunks", "_unit_heap", "_chunk_heap", "_unit_dirty", "_chunk_dirty"):
+        for name in ("x", "path_edges", "lengths", "path_weight", "support", "_entries", "_heap", "_dirty"):
             setattr(twin, name, copy.copy(getattr(self, name)))
         return twin
 
-    @staticmethod
-    def _top(heap: list, pushed: list, cache: dict) -> tuple | None:
-        """Add ``pushed`` to ``heap`` (heapified when empty) and pop stale tops;
-        entries end with (edge, cache value). An entry that matches its edge
-        is never popped, so an unchanged rescan need not push it again."""
+    def best(self) -> tuple[int, int, float]:
+        """The rule's next ``(edge, amount, gain)``; ``(-1, 0, 0)`` when no
+        step has positive gain.
+
+        A unit gains the capped length increase times ``path_weight`` (1 by
+        default), summed over the edge's paths below T; a chunk of z units,
+        delta = table[x + z] - table[x], gains the unweighted sum of
+        min(shortfall, delta). The default rule keys an edge whose next
+        increment rises by its unit, ``(0, -gain, edge)``, and one whose
+        next increment is flat by its best chunk, as below; the chunk rule
+        keys every edge by its best chunk. So a unit with gain comes first,
+        ties to the lowest edge, and a chunk only when no unit has gain (with
+        positive weights, an edge that rises but gains nothing has all its
+        paths at T, so no chunk with gain either).
+
+        An edge's best chunk has the best gain per unit over its spendable
+        amounts, the smallest of equal ratios kept (by integer
+        cross-multiplication), so on concave or linear tables it is the unit
+        step. Across edges the key ``(1, -(gain * L // amount), -gain,
+        amount, edge)``, L = lcm(1..max box), orders by ratio (exactly:
+        every amount divides L), then higher gain, smaller amount, lower
+        edge. Only :func:`chunk_amounts`' amounts are tried: if delta_z / z
+        <= delta_w / w for some w < z, then path by path min(s, delta_z) / z
+        <= min(s, delta_w) / w, so z never strictly beats w. Where the
+        remaining increments do not rise (a linear or concave table) that
+        leaves one amount at most, whose gain is one capped sum, no sort.
+        """
+        threshold, lengths, path_weight = self.threshold, self.lengths, self.path_weight
+        weights, box, x, support = self.weights, self.box, self.x, self.support
+        entries, pushed = self._entries, []
+        if self.chunks:
+            chunked = self._dirty
+        else:
+            chunked = []  # edges whose next increment is flat
+            for e in self._dirty:
+                xe = x[e]
+                gain = 0
+                if xe < box[e]:
+                    table = weights[e].table
+                    delta = table[xe + 1] - table[xe]
+                    if not delta:
+                        chunked.append(e)
+                        continue
+                    for pi in support[e]:
+                        short = threshold - lengths[pi]
+                        if short > 0:
+                            gain += (short if delta > short else delta) * path_weight[pi]
+                if gain != entries[e]:
+                    entries[e] = gain
+                    if gain > 0:
+                        pushed.append((0, -gain, e, gain))
+        if chunked:
+            amounts = self._amounts
+            if not self._ratio_scale:
+                self._ratio_scale = math.lcm(*range(1, max(box, default=0) + 1))
+            scale = self._ratio_scale
+            for e in chunked:
+                table = weights[e].table
+                levels = amounts.get(table)
+                if levels is None:
+                    levels = amounts[table] = chunk_amounts(table)
+                tries = levels[x[e]]
+                edge_gain = edge_z = 0
+                if len(tries) == 1:
+                    (z, delta), = tries
+                    for pi in support[e]:
+                        short = threshold - lengths[pi]
+                        if short > 0:
+                            edge_gain += short if delta > short else delta
+                    if edge_gain:
+                        edge_z = z
+                elif tries:
+                    shorts = [s for s in (threshold - lengths[pi] for pi in support[e]) if s > 0]
+                    for z, delta in tries:
+                        gain = sum(s if delta > s else delta for s in shorts)
+                        # keep the smallest z among equal ratios: strict improvement only
+                        if gain and (edge_z == 0 or gain * edge_z > edge_gain * z):
+                            edge_gain = gain
+                            edge_z = z
+                entry = (edge_z, edge_gain)
+                if entry != entries[e]:
+                    entries[e] = entry
+                    if edge_z:
+                        pushed.append((1, -(edge_gain * scale // edge_z), -edge_gain, edge_z, e, entry))
+        self._dirty.clear()
+        heap = self._heap
         if heap:
-            for entry in pushed:
-                heappush(heap, entry)
+            for key in pushed:
+                heappush(heap, key)
         else:
             heap[:] = pushed
             heapify(heap)
-        while heap and cache[heap[0][-2]] != heap[0][-1]:
+        # a key that matches its edge's entry is never popped, so an
+        # unchanged rescan need not push it again
+        while heap and entries[heap[0][-2]] != heap[0][-1]:
             heappop(heap)
-        return heap[0] if heap else None
+        if not heap:
+            return -1, 0, 0
+        top = heap[0]
+        return (top[-2], *top[-1]) if top[0] else (top[2], 1, top[3])
 
-    def best_unit(self) -> tuple[int, float]:
-        """The unit increment with the largest gain: the sum, over the edge's
-        paths still below T, of the capped length increase times the path's
-        weight (1 when no ``path_weight`` was given). Ties go to the lowest
-        edge (heap key ``(-gain, edge)``); ``(-1, 0)`` when no unit has
-        positive gain."""
-        threshold, lengths, path_weight = self.threshold, self.lengths, self.path_weight
-        weights, box, x, support = self.weights, self.box, self.x, self.support
-        gains = self._unit_gains
-        pushed = []
-        for e in self._unit_dirty:
-            xe = x[e]
-            delta = weights[e].table[xe + 1] - weights[e].table[xe] if xe < box[e] else 0
-            gain = 0
-            if delta:
-                for pi in support[e]:
-                    short = threshold - lengths[pi]
-                    if short > 0:
-                        gain += (short if delta > short else delta) * path_weight[pi]
-            if gain != gains[e]:
-                gains[e] = gain
-                if gain > 0:
-                    pushed.append((-gain, e, gain))
-        self._unit_dirty.clear()
-        top = self._top(self._unit_heap, pushed, gains)
-        return top[1:] if top else (-1, 0)
-
-    def best_chunk(self) -> tuple[int, int, int]:
-        """The ``(edge, amount, gain)`` chunk with the best gain-per-unit ratio
-        over every spendable amount; ``(-1, 0, 0)`` when none has positive gain.
-
-        Gains are unweighted (``path_weight`` does not apply). Per edge the
-        smallest of equal-ratio amounts is kept (ratios compared by integer
-        cross-multiplication), so with concave or linear tables this is
-        :meth:`best_unit`'s step; across edges ties go to the higher gain,
-        then the smaller amount, then the lower edge. That order is the heap
-        key ``(-(gain * L // amount), -gain, amount, edge)`` with
-        L = lcm(1..max box): every amount divides L, so the first field is
-        the ratio scaled by L, exactly.
-
-        Amount z with delta = table[x + z] - table[x] gains the capped sum of
-        min(shortfall, delta) over the edge's paths. Only the amounts of
-        :func:`chunk_amounts` are tried, those whose delta / z beats every
-        smaller amount's: if delta_z / z <= delta_w / w for some w < z, then
-        path by path min(s, delta_z) / z <= min(s, delta_w) / w, so z never
-        strictly improves on w. Where the remaining increments do not rise
-        (every level of a linear or concave table) there is at most one such
-        amount, and its gain is one capped sum, with no sort.
-        """
-        threshold, lengths = self.threshold, self.lengths
-        weights, x, support = self.weights, self.x, self.support
-        chunks, amounts = self._chunks, self._amounts
-        if not self._ratio_scale:
-            self._ratio_scale = math.lcm(*range(1, max(self.box, default=0) + 1))
-        scale = self._ratio_scale
-        pushed = []
-        for e in self._chunk_dirty:
-            table = weights[e].table
-            levels = amounts.get(table)
-            if levels is None:
-                levels = amounts[table] = chunk_amounts(table)
-            tries = levels[x[e]]
-            edge_gain = edge_z = 0
-            if len(tries) == 1:
-                (z, delta), = tries
-                for pi in support[e]:
-                    short = threshold - lengths[pi]
-                    if short > 0:
-                        edge_gain += short if delta > short else delta
-                if edge_gain:
-                    edge_z = z
-            elif tries:
-                shorts = [s for s in (threshold - lengths[pi] for pi in support[e]) if s > 0]
-                for z, delta in tries:
-                    gain = sum(s if delta > s else delta for s in shorts)
-                    # keep the smallest z among equal ratios: strict improvement only
-                    if gain and (edge_z == 0 or gain * edge_z > edge_gain * z):
-                        edge_gain = gain
-                        edge_z = z
-            entry = (edge_z, edge_gain)
-            if entry != chunks[e]:
-                chunks[e] = entry
-                if edge_z:
-                    pushed.append((-(edge_gain * scale // edge_z), -edge_gain, edge_z, e, entry))
-        self._chunk_dirty.clear()
-        top = self._top(self._chunk_heap, pushed, chunks)
-        return (top[3], *top[4]) if top else (-1, 0, 0)
-
-    def best_step(self) -> tuple[int, int, float]:
-        """:meth:`best_unit`'s ``(edge, 1, gain)``, or :meth:`best_chunk`'s
-        ``(edge, amount, gain)`` when a flat next increment leaves no unit
-        with positive gain; ``(-1, 0, 0)`` when neither has one."""
-        edge, gain = self.best_unit()
-        return (edge, 1, gain) if edge >= 0 else self.best_chunk()
-
-    def block(self, pick, deadline, what: str, trace: list | None = None) -> BudgetVector:
-        """x after applying ``pick``'s steps (:meth:`best_step` or
-        :meth:`best_chunk`) on a copy until every path reaches T, each
-        after ``deadline.check(what)`` and appended to ``trace``;
-        ``InfeasibleBoxError`` when none has positive gain before then."""
+    def block(self, deadline, what: str, trace: list | None = None) -> BudgetVector:
+        """x after applying :meth:`best`'s steps on a copy until every path
+        reaches T, each after ``deadline.check(what)`` and appended to
+        ``trace``; ``InfeasibleBoxError`` when none has positive gain before
+        then."""
         support = self
         while support.gap > 0:
             deadline.check(what)
-            edge, amount, gain = pick(support)
+            edge, amount, gain = support.best()
             if edge < 0:
                 raise InfeasibleBoxError(f"{what}: no step improves D while paths remain below T")
             if support is self:
@@ -492,5 +489,4 @@ class PathSupport:
                 dirty.update(self.path_edges[pi])
             lengths[pi] = ln + delta
         self.gap -= closed
-        self._unit_dirty |= dirty
-        self._chunk_dirty |= dirty
+        self._dirty |= dirty

@@ -309,15 +309,15 @@ def greedy_chunk(instance: QosdInstance, paths: list[tuple[int, ...]], weights: 
                  x: BudgetVector, q: int) -> BudgetVector:
     """Up to q greedy steps on the estimator's marginal gain, restricted to
     edges of the sampled feasible walks ``paths`` (edge tuples, each
-    weighted by ``weights``) with box room left: IG's step rule
-    (:meth:`PathSupport.best_step`), so a flat next increment is crossed by
-    the best-ratio chunk instead of ending the chunk."""
+    weighted by ``weights``) with box room left: IG's step rule (the
+    default rule of :meth:`PathSupport.best`), so a flat next increment is
+    crossed by the best-ratio chunk instead of ending the chunk."""
     if not paths or q <= 0:
         return BudgetVector.zeros(instance.graph.m)
     support = PathSupport(instance, paths, x, weights)
     chunk = budget_array(instance)
     for _ in range(q):
-        edge, amount, _ = support.best_step()
+        edge, amount, _ = support.best()
         if edge < 0:
             break
         support.apply(edge, amount)
@@ -392,7 +392,7 @@ def run_sa(
             if chunk.norm > 0:
                 break
         else:
-            edge, amount, _ = PathSupport(instance, potential_paths(instance, x), x).best_step()
+            edge, amount, _ = PathSupport(instance, potential_paths(instance, x), x).best()
             if edge < 0:
                 raise InfeasibleBoxError("no unit or chunk improves the current shortest paths")
             chunk = BudgetVector.unit(instance.graph.m, edge, amount)

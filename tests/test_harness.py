@@ -9,11 +9,11 @@ from pathlib import Path
 import pytest
 
 from qosd import (
-    ConfigError, ExperimentConfig, SaConfig, derive_seed, make_er_instance, parse_config, rows_to_csv,
-    run_experiment, run_iterative, save_instance,
+    ConfigError, ExperimentConfig, SaConfig, derive_seed, load_instance, make_er_instance, parse_config,
+    rows_to_csv, run_experiment, run_iterative, save_instance,
 )
 from qosd.cli import main
-from qosd.experiment import CSV_COLUMNS
+from qosd.experiment import CSV_COLUMNS, run_algorithm
 
 
 CONFIG_TEXT = """qosd-config v1
@@ -275,6 +275,18 @@ class TestCli:
         )
         assert main(["solve", "--instance", str(inst_file), "--algorithm", "ig"]) == 2
         assert "infeasible-box" in capsys.readouterr().err
+
+    def test_edgeless_instance_solves_with_every_algorithm(self, tmp_path, capsys):
+        # no edge, so no path and nothing to block; LR's beta_max has no entry
+        inst_file = tmp_path / "inst.txt"
+        inst_file.write_text("qosd-instance v1\nn 3\nm 0\nT 3\nk 1\npair 0 2\n")
+        with open(inst_file) as handle:
+            inst = load_instance(handle)
+        for algorithm in ("ig", "at", "sa", "lr", "cc", "oracle"):
+            report = run_algorithm(inst, algorithm)
+            assert report.budget.norm == 0 and report.feasible, algorithm
+        assert main(["solve", "--instance", str(inst_file), "--algorithm", "lr"]) == 0
+        assert "feasible=true" in capsys.readouterr().out
 
     def test_self_loop_instance_exits_1(self, tmp_path, capsys):
         inst_file = tmp_path / "inst.txt"

@@ -520,19 +520,34 @@ def _brute_best_chunk(inst, paths, x):
     return best
 
 
-def _check_support(inst, support, paths, path_weight):
-    """Asserts the support's state and both picks against the brute force;
-    returns the step the brute-force tests take next, ``step`` alternating
-    unit steps with AT's chunks so ``apply`` also sees amounts > 1, and
-    taking chunks once flat unit steps leave no unit gain."""
-    x = BudgetVector(support.x)
-    assert support.lengths == [sum(inst.weights[e].table[x[e]] for e in p) for p in paths]
-    assert support.gap == len(paths) * inst.threshold - d_value(inst, paths, x)
-    edge, gain = support.best_unit()
-    assert (edge, gain) == _brute_best_unit(inst, paths, x, path_weight)
-    chunk = support.best_chunk()
-    assert chunk == _brute_best_chunk(inst, paths, x)
+def _supports(inst, paths, x=None, path_weight=None):
+    """A support of each step rule on the same paths: the default, then chunks."""
+    return [PathSupport(inst, paths, x, path_weight, chunks=chunks) for chunks in (False, True)]
+
+
+def _check_support(inst, supports, paths, path_weight):
+    """Asserts the state and the pick of each of ``supports`` (all at one x)
+    against the brute force: the default rule picks the weighted unit when
+    one has positive gain, else the unweighted chunk; the chunk rule picks
+    the chunk. Returns the step the brute-force tests take next, ``step``
+    alternating unit steps with AT's chunks so ``apply`` also sees amounts
+    > 1, and taking chunks once flat unit steps leave no unit gain."""
+    x = BudgetVector(supports[0].x)
+    edge, gain = _brute_best_unit(inst, paths, x, path_weight)
+    chunk = _brute_best_chunk(inst, paths, x)
+    for support in supports:
+        assert BudgetVector(support.x) == x
+        assert support.lengths == [sum(inst.weights[e].table[x[e]] for e in p) for p in paths]
+        assert support.gap == len(paths) * inst.threshold - d_value(inst, paths, x)
+        # the base class's pick, so a subclass may check from its own best()
+        expected = chunk if support.chunks or edge < 0 else (edge, 1, gain)
+        assert PathSupport.best(support) == expected
     return lambda step: chunk[:2] if step % 2 or edge < 0 else (edge, 1)
+
+
+def _apply(supports, edge, amount):
+    for support in supports:
+        support.apply(edge, amount)
 
 
 @pytest.mark.parametrize(
@@ -548,22 +563,15 @@ def test_path_support_matches_brute_force(weighted, max_cap, seed):
     paths = _random_paths(inst, rng)
     # quarter weights are exact in binary and still tie
     path_weight = [rng.randint(1, 12) / 4 for _ in paths] if weighted else None
-    support = PathSupport(inst, paths, x, path_weight)
-    step = 0
-    while True:
-        edge, amount = _check_support(inst, support, paths, path_weight)(step)
-        if edge < 0:
-            break
-        support.apply(edge, amount)
-        step += 1
+    _run_to_end(inst, _supports(inst, paths, x, path_weight), paths, path_weight)
 
 
-def _run_to_end(inst, support, paths, path_weight, step=0):
+def _run_to_end(inst, supports, paths, path_weight, step=0):
     while True:
-        edge, amount = _check_support(inst, support, paths, path_weight)(step)
+        edge, amount = _check_support(inst, supports, paths, path_weight)(step)
         if edge < 0:
             return
-        support.apply(edge, amount)
+        _apply(supports, edge, amount)
         step += 1
 
 
@@ -577,30 +585,32 @@ def test_path_support_extend_and_copy_match_brute_force(weighted, seed):
     rng = random.Random(seed)
     paths = _random_paths(inst, rng)
     path_weight = [rng.randint(1, 12) / 4 for _ in paths] if weighted else None
-    support = PathSupport(inst, paths, x, path_weight)
+    supports = _supports(inst, paths, x, path_weight)
     for step in range(2):
-        edge, amount = _check_support(inst, support, paths, path_weight)(step)
+        edge, amount = _check_support(inst, supports, paths, path_weight)(step)
         if edge >= 0:
-            support.apply(edge, amount)
+            _apply(supports, edge, amount)
     more = _random_paths(inst, rng)
-    support.extend(more)
+    for support in supports:
+        support.extend(more)
     paths = paths + more
     if weighted:
         path_weight += [1] * len(more)
-    _check_support(inst, support, paths, path_weight)
-    x_before = list(support.x)
+    _check_support(inst, supports, paths, path_weight)
+    x_before = list(supports[0].x)
 
-    twin = support.copy()
-    edge, amount = _check_support(inst, twin, paths, path_weight)(0)
+    twins = [support.copy() for support in supports]
+    edge, amount = _check_support(inst, twins, paths, path_weight)(0)
     if edge >= 0:
-        twin.apply(edge, amount)
+        _apply(twins, edge, amount)
     late = _random_paths(inst, rng)
-    twin.extend(late)
+    for twin in twins:
+        twin.extend(late)
     twin_weight = path_weight + [1] * len(late) if weighted else None
-    _run_to_end(inst, twin, paths + late, twin_weight, 1)
+    _run_to_end(inst, twins, paths + late, twin_weight, 1)
 
-    assert list(support.x) == x_before
-    _run_to_end(inst, support, paths, path_weight)
+    assert all(list(support.x) == x_before for support in supports)
+    _run_to_end(inst, supports, paths, path_weight)
 
 
 def test_path_support_breaks_cross_edge_ties():
@@ -614,21 +624,23 @@ def test_path_support_breaks_cross_edge_ties():
     inst = QosdInstance(graph, [WeightFunction(t) for t in tables],
                         [(2 * i, 2 * i + 1) for i in range(6)], 6, validate_box=False)
     paths = [(i,) for i in range(6)]
-    support = PathSupport(inst, paths)
+    support = PathSupport(inst, paths, chunks=True)
     picks = []
-    while (chunk := support.best_chunk())[0] >= 0:
-        assert chunk == _brute_best_chunk(inst, paths, BudgetVector(support.x))
+    while (chunk := support.best())[0] >= 0:
+        _check_support(inst, [support], paths, None)
         picks.append(chunk)
         support.apply(*chunk[:2])
     assert picks == [(1, 2, 4), (2, 2, 4), (0, 1, 2), (3, 1, 2), (5, 3, 1), (4, 7, 2)]
-    # units: edges 0 and 3 gain 2, edges 1 and 2 gain 1, then 3 after their first
+    # units: edges 0 and 3 gain 2, edges 1 and 2 gain 1, then 3 after their
+    # first; then only flat steps are left, crossed by the same two chunks
     support = PathSupport(inst, paths)
-    units = []
-    while (unit := support.best_unit())[0] >= 0:
-        assert unit == _brute_best_unit(inst, paths, BudgetVector(support.x), None)
-        units.append(unit)
-        support.apply(unit[0], 1)
-    assert units == [(0, 2), (3, 2), (1, 1), (1, 3), (2, 1), (2, 3)]
+    steps = []
+    while (step := support.best())[0] >= 0:
+        _check_support(inst, [support], paths, None)
+        steps.append(step)
+        support.apply(*step[:2])
+    assert steps == [(0, 1, 2), (3, 1, 2), (1, 1, 1), (1, 1, 3), (2, 1, 1), (2, 1, 3),
+                     (5, 3, 1), (4, 7, 2)]
 
 
 def _beats_every_smaller(table, x):
@@ -678,7 +690,7 @@ def test_best_chunk_on_a_concave_head_and_convex_tail():
         inst = QosdInstance(graph, weights, [(0, 4)], threshold, validate_box=False)
         for x in range(len(table)):
             budget = BudgetVector.unit(4, 0, x)
-            chunk = PathSupport(inst, paths, budget).best_chunk()
+            chunk = PathSupport(inst, paths, budget, chunks=True).best()
             assert chunk == _brute_best_chunk(inst, paths, budget)
             amounts.add((x, chunk[1]))
     # at level 1 both of its amounts win for some T
@@ -699,15 +711,15 @@ def test_wide_caps_fit_every_solver(monkeypatch):
     paths = [(0, 1), (2, 3)]
     assert PathSupport(inst, paths).x.typecode == "q"
     # each blocker's picks, replayed from its trace, against the brute force
-    for blocker, pick in ((block_greedy, PathSupport.best_step), (block_adaptive, PathSupport.best_chunk)):
+    for blocker, rule in ((block_greedy, 0), (block_adaptive, 1)):
         trace = []
         x = blocker(inst, paths, trace=trace)
-        support = PathSupport(inst, paths)
+        supports = _supports(inst, paths)
         for step in trace:
-            _check_support(inst, support, paths, None)
-            assert step == pick(support)
-            support.apply(*step[:2])
-        assert support.gap == 0 and BudgetVector(support.x) == x
+            _check_support(inst, supports, paths, None)
+            assert step == supports[rule].best()
+            _apply(supports, *step[:2])
+        assert all(s.gap == 0 and BudgetVector(s.x) == x for s in supports)
         assert x[0] == 256 and x.values.typecode == "q" and x.within_box(inst.box)
         assert run_iterative(inst, "ig" if blocker is block_greedy else "at").budget == x
     # SA: every estimator-weighted support it steps on, against the brute force
@@ -720,10 +732,10 @@ def test_wide_caps_fit_every_solver(monkeypatch):
                 path_nodes(inst.graph, edges)  # asserts a simple path of the graph
             self.checked = (list(paths), path_weight)
 
-        def best_step(self):
-            _check_support(inst, self, *self.checked)
+        def best(self):
+            _check_support(inst, [self], *self.checked)
             checked.append(self)
-            return super().best_step()
+            return super().best()
 
     monkeypatch.setattr(sa, "PathSupport", CheckedSupport)
     for seed in range(3):

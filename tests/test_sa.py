@@ -577,7 +577,7 @@ def test_round_weights_unbiased_with_a_separated_pair(case, monkeypatch):
     support = PathSupport(inst, paths, x, weights)
     best = max(range(graph.m), key=lambda e: (sum(w * _rise(inst, p, x, e)
                                                   for p, w in zip(paths, weights)), -e))
-    assert support.best_unit()[0] == best
+    assert support.best()[0] == best
 
 
 class TestSampleCount:
