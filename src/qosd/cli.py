@@ -12,15 +12,7 @@ import argparse
 import sys
 from array import array
 
-from .errors import (
-    ConfigError,
-    InfeasibleBoxError,
-    InvalidInstanceError,
-    NonlinearWeightsError,
-    ParseError,
-    QosdError,
-    SolverTimeout,
-)
+from .errors import ConfigError, ParseError, QosdError
 from .experiment import ALGORITHMS, parse_config, run_algorithm, run_experiment, rows_to_csv
 from .instance import (
     WEIGHT_MODELS,
@@ -42,8 +34,6 @@ VECTOR_HEADER = "qosd-vector v1"
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INFEASIBLE = 2
-EXIT_TIMEOUT = 3
-EXIT_INTERNAL = 4
 
 
 def write_vector(vector: BudgetVector, path: str) -> None:
@@ -220,18 +210,12 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except SolverTimeout as exc:
-        print(f"timeout: {exc}", file=sys.stderr)
-        return EXIT_TIMEOUT
-    except (InfeasibleBoxError, NonlinearWeightsError) as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except (InvalidInstanceError, ParseError, ConfigError, OSError, UnicodeDecodeError) as exc:
+    except QosdError as exc:  # each error class declares its exit code and prefix
+        print(f"{exc.prefix}: {exc}", file=sys.stderr)
+        return exc.exit_code
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except QosdError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

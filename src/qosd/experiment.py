@@ -9,7 +9,7 @@ import json
 from dataclasses import dataclass, field, replace
 
 from .baselines import oracle_opt, run_cc
-from .errors import ConfigError, NonlinearWeightsError, QosdError, SolverTimeout
+from .errors import ConfigError, QosdError
 from .framework import run_iterative
 from .instance import QosdInstance, load_instance, make_er_instance
 from .lr import run_lr
@@ -148,13 +148,13 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
     """Every (threshold, repetition, algorithm) cell as one CSV-ready row.
 
     Each budget vector is re-verified by an independent separation check.
-    Every ``QosdError`` a solver raises becomes a per-row error (``timeout``,
-    ``nonlinear-weights``, else ``"<Class>: <msg>"``), and an instance that
+    Every ``QosdError`` a solver raises becomes a per-row error (the label
+    its class declares, else ``"<Class>: <msg>"``), and an instance that
     cannot be read or built an ``instance: <msg>`` row per algorithm, never a
     batch failure; a failed oracle gets its own error row and the other
-    algorithms run without ``opt``. A row's T and k are those of the
-    instance it solved: for ``source = file``, the file's, whatever T lists;
-    the file is read once.
+    algorithms run without ``opt``. A row's n, m, T and k are those of the
+    instance it solved or failed on: for ``source = file``, the file's,
+    whatever T lists; the file is read once.
     """
     rows: list[dict] = []
     model = config.model if config.source == "er" else "file"
@@ -163,15 +163,15 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
         for repetition in range(config.repetitions):
             instance = _build_instance(config, threshold, repetition) if loaded is None else loaded
             if isinstance(instance, str):
-                for alg in config.algorithms:
-                    rows.append(_error_row(config, alg, model, threshold, config.k, 0, instance))
+                cell = (config.er_n if config.source == "er" else "", "", threshold, config.k)
+                rows += [_row(alg, model, cell, 0, None, {"error": instance}) for alg in config.algorithms]
                 continue
+            cell = (instance.graph.n, instance.graph.m, instance.threshold, instance.k)
             oracle = (
                 _attempt(instance, "oracle", deadline=Deadline(config.time_limit))
                 if "oracle" in config.algorithms
                 else None
             )
-            opt_norm = oracle.norm if isinstance(oracle, RunReport) else None
             for alg_index, alg in enumerate(config.algorithms):
                 seed = derive_seed(config.master_seed, threshold, repetition, alg_index)
                 if alg == "oracle":
@@ -180,30 +180,13 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
                     report = _attempt(instance, alg, seed=seed, deadline=Deadline(config.time_limit),
                                       sa=config.sa)
                 if isinstance(report, str):
-                    rows.append(_error_row(config, alg, model, instance.threshold, instance.k, seed, report))
+                    rows.append(_row(alg, model, cell, seed, None, {"error": report}))
                     continue
-                verified = not unseparated_pairs(instance, report.budget)
-                extras = dict(report.extras)
-                extras["verified"] = verified
-                if opt_norm is not None:
-                    extras["opt"] = opt_norm
-                rows.append(
-                    {
-                        "algorithm": report.algorithm,
-                        "n": instance.graph.n,
-                        "m": instance.graph.m,
-                        "model": model,
-                        "T": instance.threshold,
-                        "k": instance.k,
-                        "seed": report.seed if report.seed is not None else seed,
-                        "norm": report.norm,
-                        "outer_iters": report.outer_iterations,
-                        "inner_iters": report.inner_iterations,
-                        "wall_time_s": f"{report.wall_time:.6f}",
-                        "feasible": str(bool(report.feasible and verified)).lower(),
-                        "extras": json.dumps(extras, sort_keys=True),
-                    }
-                )
+                extras = dict(report.extras, verified=not unseparated_pairs(instance, report.budget))
+                if isinstance(oracle, RunReport):
+                    extras["opt"] = oracle.norm
+                seed = seed if report.seed is None else report.seed
+                rows.append(_row(alg, model, cell, seed, report, extras))
     return rows
 
 
@@ -211,22 +194,29 @@ def _attempt(instance: QosdInstance, algorithm: str, **knobs) -> RunReport | str
     """The solver's report, or the per-row error label of the QosdError it raised."""
     try:
         return run_algorithm(instance, algorithm, **knobs)
-    except SolverTimeout:
-        return "timeout"
-    except NonlinearWeightsError:
-        return "nonlinear-weights"
     except QosdError as exc:
-        return f"{type(exc).__name__}: {exc}"
+        return exc.label or f"{type(exc).__name__}: {exc}"
 
 
-def _error_row(config, alg, model, threshold, k, seed, message) -> dict:
-    row = dict.fromkeys(CSV_COLUMNS, "")
-    row.update(
-        algorithm=alg, n=config.er_n if config.source == "er" else "",
-        model=model, T=threshold, k=k, seed=seed,
-        feasible="false", extras=json.dumps({"error": message}),
-    )
-    return row
+def _row(algorithm: str, model: str, cell: tuple, seed: int, report: RunReport | None, extras: dict) -> dict:
+    """One CSV row, in ``CSV_COLUMNS`` order: ``cell`` is the row's (n, m, T,
+    k), and a failed run has no ``report`` and its error in ``extras``."""
+    n, m, threshold, k = cell
+    return {
+        "algorithm": algorithm,
+        "n": n,
+        "m": m,
+        "model": model,
+        "T": threshold,
+        "k": k,
+        "seed": seed,
+        "norm": report.norm if report else "",
+        "outer_iters": report.outer_iterations if report else "",
+        "inner_iters": report.inner_iterations if report else "",
+        "wall_time_s": f"{report.wall_time:.6f}" if report else "",
+        "feasible": str(bool(report and report.feasible and extras["verified"])).lower(),
+        "extras": json.dumps(extras, sort_keys=True),
+    }
 
 
 def rows_to_csv(rows: list[dict]) -> str:

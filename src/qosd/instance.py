@@ -54,7 +54,7 @@ class Graph:
         self.n = n
         self.edges = list(map(tuple, edges))  # keeps the given tuples
         self.max_out_degree = max(out_degree)
-        self._csr: dict = {}  # pathcore.csr_view's CSR views and sa._out_arrays' padded arrays
+        self._csr: dict = {}  # pathcore's csr_view and out_view arrays, by key
 
     @property
     def m(self) -> int:
@@ -117,7 +117,7 @@ class QosdInstance:
 
     __slots__ = (
         "graph", "weights", "pairs", "threshold", "min_initial_weight", "hop_bound", "box",
-        "sources", "source_row", "_affine", "_corridor", "_budget_code",
+        "sources", "source_row", "sinks", "sink_row", "budget_code", "_affine", "_corridor",
     )
 
     def __init__(
@@ -143,22 +143,29 @@ class QosdInstance:
         self.graph = graph
         self.weights = list(weights)
         self.pairs = [(s, t) for s, t in pairs]
-        # the sorted distinct pair sources, and each pair's position among them
+        # the sorted distinct pair sources and sinks, and each pair's position among them
         self.sources, self.source_row = np.unique([s for s, _ in self.pairs], return_inverse=True)
+        self.sinks, self.sink_row = np.unique([t for _, t in self.pairs], return_inverse=True)
         self.threshold = threshold
         self.box = []
         lowest = lowest_top = math.inf
+        widest = 0
         for w in self.weights:
             table = w.table
-            self.box.append(len(table) - 1)
+            cap = len(table) - 1
+            self.box.append(cap)
+            if cap > widest:
+                widest = cap
             if table[0] < lowest:
                 lowest = table[0]
             if table[-1] < lowest_top:
                 lowest_top = table[-1]
         self.min_initial_weight = lowest if self.weights else 1
+        # pathcore.budget_array's typecode: one byte per edge unless some cap is 256 or more
+        self.budget_code = "B" if widest < 256 else "q"
         self.hop_bound = math.ceil(threshold / self.min_initial_weight)
         self._affine: tuple[list[int], list[int]] | None = None
-        self._corridor = self._budget_code = None  # kept by pathcore.corridor and budget_array
+        self._corridor = None  # kept by pathcore.corridor
         # a pair has s != t, so each of its paths has an edge that alone reaches T
         if validate_box and lowest_top < threshold:
             self._check_box_feasible()

@@ -109,9 +109,7 @@ class BudgetVector:
 def budget_array(instance: "QosdInstance", values: array | None = None) -> array:
     """A writable copy of ``values`` (zeros when None) that holds any entry
     within the box: one byte per edge unless some cap is 256 or more."""
-    if instance._budget_code is None:  # one pass over the box per instance
-        instance._budget_code = "B" if max(instance.box, default=0) < 256 else "q"
-    code = instance._budget_code
+    code = instance.budget_code
     return array(code, [0]) * instance.graph.m if values is None else array(code, values)
 
 
@@ -121,17 +119,32 @@ def edge_lengths(instance: "QosdInstance", x: BudgetVector) -> list[int]:
 
 
 def csr_view(graph: "Graph", reverse: bool) -> tuple[csr_matrix, np.ndarray, np.ndarray]:
-    """The graph (its transpose when ``reverse``) as a CSR matrix with entries in
-    (row, column) order, and each entry's edge index and row. Cached on the graph
-    on first use; callers refill ``data``, so calls on one graph must not overlap."""
+    """The graph (its transpose when ``reverse``) as a CSR matrix with each row's
+    entries in edge-index order, and each entry's edge index and row. Cached on
+    the graph on first use; callers refill ``data``, so calls on one graph must
+    not overlap."""
     if reverse not in graph._csr:
         ends = np.array(graph.edges, dtype=np.int32).reshape(-1, 2).T
         rows, cols = ends[::-1] if reverse else ends
-        perm = np.lexsort((cols, rows))
+        perm = np.argsort(rows, kind="stable")
         indptr = np.r_[0, np.cumsum(np.bincount(rows, minlength=graph.n))].astype(np.int32)
         matrix = csr_matrix((np.zeros(len(perm)), cols[perm], indptr), shape=(graph.n, graph.n))
         graph._csr[reverse] = (matrix, perm, rows[perm])
     return graph._csr[reverse]
+
+
+def out_view(graph: "Graph") -> tuple[np.ndarray, np.ndarray]:
+    """Each node's out-neighbours and out-edges in edge-index order (the rows
+    of the forward :func:`csr_view`), as two n x max(1, max_out_degree)
+    arrays padded with -1; cached on the graph next to that view."""
+    if "out" not in graph._csr:
+        matrix, perm, tails = csr_view(graph, False)
+        slot = np.arange(len(perm)) - matrix.indptr[tails]
+        nodes = np.full((graph.n, max(1, graph.max_out_degree)), -1, dtype=np.int32)
+        edges = np.full_like(nodes, -1)
+        nodes[tails, slot], edges[tails, slot] = matrix.indices, perm
+        graph._csr["out"] = (nodes, edges)
+    return graph._csr["out"]
 
 
 def distances(
@@ -175,16 +188,15 @@ def corridor(instance: "QosdInstance") -> Corridor:
     limit = instance.threshold
     base = np.array([wf.table[0] for wf in instance.weights], dtype=np.float64)
     full, perm, tails = csr_view(instance.graph, False)
-    sinks, sink_row = np.unique([t for _, t in instance.pairs], return_inverse=True)
     from_sources = distances(instance, base, instance.sources, bound=limit)
-    to_sinks = distances(instance, base, sinks, bound=limit, reverse=True)
+    to_sinks = distances(instance, base, instance.sinks, bound=limit, reverse=True)
     keep, entry_lengths = np.zeros(len(perm), dtype=bool), base[perm]
-    for r, c in zip(instance.source_row.tolist(), sink_row.tolist()):
+    for r, c in zip(instance.source_row.tolist(), instance.sink_row.tolist()):
         keep |= from_sources[r][tails] + entry_lengths + to_sinks[c][full.indices] < limit
     edges, tails, heads = perm[keep], tails[keep], full.indices[keep]
     nodes = np.unique(np.concatenate((tails, heads, instance.sources)))
     n = len(nodes)
-    # labels keep the id order, so the entries stay sorted by (tail, head)
+    # labels keep the id order, so the entries stay grouped by tail, in edge-index order
     tails, heads = (np.searchsorted(nodes, ends).astype(np.int32) for ends in (tails, heads))
     indptr = np.r_[0, np.cumsum(np.bincount(tails, minlength=n))].astype(np.int32)
     matrix = csr_matrix((np.zeros(len(edges)), heads, indptr), shape=(n, n))

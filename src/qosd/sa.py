@@ -27,7 +27,7 @@ import numpy as np
 from .errors import ConfigError, GammaZeroError, InfeasibleBoxError
 from .framework import potential_paths
 from .instance import Graph, QosdInstance, concave_ratio
-from .pathcore import BudgetVector, PathSupport, budget_array, distances, edge_lengths
+from .pathcore import BudgetVector, PathSupport, budget_array, distances, edge_lengths, out_view
 from .report import Deadline, RunReport
 
 
@@ -74,7 +74,7 @@ def _tree_parents(graph: Graph, lengths: np.ndarray, rows: np.ndarray, row, at) 
     out-neighbour v on a tight out-edge e, lengths[e] + d(v) == d(u); n when
     the sink is out of reach. Lengths are >= 1 and end with an inf for the -1
     padding."""
-    (out_nodes, out_edges), to_u = _out_arrays(graph), rows[row, at]
+    (out_nodes, out_edges), to_u = out_view(graph), rows[row, at]
     cand = out_nodes[at]
     to_cand = rows[np.reshape(row, (-1, 1)), cand]
     tight = (to_u < np.inf)[:, None] & (lengths[out_edges[at]] + to_cand == to_u[:, None])
@@ -107,7 +107,7 @@ def sample_path(
     Forced steps (a single unvisited neighbor) consume no randomness.
     """
     lengths, threshold = edge_lengths(instance, x), instance.threshold
-    out_nodes, out_edges = _out_arrays(instance.graph)
+    out_nodes, out_edges = out_view(instance.graph)
     s, t = instance.pairs[rng.randrange(instance.k)]
     parent = trees[t]
     rho, edges, visited, u = 1.0 / instance.k, [], {s}, s
@@ -143,28 +143,11 @@ def sample_path(
 _WALK_BLOCK = 512
 
 
-def _out_arrays(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """Each node's out-neighbours and out-edges in edge-index order, as two
-    n x max(1, max_out_degree) arrays padded with -1; cached on the graph
-    next to :func:`pathcore.csr_view`'s CSR."""
-    if "out" not in graph._csr:
-        tails, heads = np.array(graph.edges, dtype=np.int32).reshape(-1, 2).T
-        order = np.argsort(tails, kind="stable")  # by tail, edge index within a tail
-        start = np.r_[0, np.cumsum(np.bincount(tails, minlength=graph.n))]
-        tail = tails[order]
-        slot = np.arange(len(order)) - start[tail]
-        nodes = np.full((graph.n, max(1, graph.max_out_degree)), -1, dtype=np.int32)
-        edges = np.full_like(nodes, -1)
-        nodes[tail, slot], edges[tail, slot] = heads[order], order
-        graph._csr["out"] = (nodes, edges)
-    return graph._csr["out"]
-
-
 class _RoundWalker:
     """:func:`sample_path`'s walks for a whole round, advanced together in
     numpy a block at a time, and the run's state: edge ``lengths`` f_e(x_e)
-    (an inf last), the reverse distance ``rows`` to the ``sinks`` and their
-    tree ``parents``, built at zero budget and kept by :meth:`raise_edges`.
+    (an inf last), the reverse distance ``rows`` to the instance's sinks and
+    their tree ``parents``, built at zero budget and kept by :meth:`raise_edges`.
 
     Fed ``sample_path``'s streams (the pair, then ``random()`` on each
     non-forced step), every walk of :meth:`block` is bit-identical to it:
@@ -179,15 +162,13 @@ class _RoundWalker:
         self.instance = instance
         self.alpha = alpha
         self.deadline = Deadline.ensure(deadline)
-        self.out_nodes, self.out_edges = _out_arrays(instance.graph)
+        self.out_nodes, self.out_edges = out_view(instance.graph)
         self.initial = np.array([wf.table[0] for wf in instance.weights], dtype=np.float64)
-        # each pair's source, and its sink's row in sinks
-        self.sources = instance.sources[instance.source_row]
-        self.sinks, self.sink_row = np.unique([t for _, t in instance.pairs], return_inverse=True)
+        self.sources = instance.sources[instance.source_row]  # each pair's source
         self.lengths = np.append(self.initial, np.inf)
-        self.rows = distances(instance, self.lengths, self.sinks, reverse=True)
+        self.rows = distances(instance, self.lengths, instance.sinks, reverse=True)
         self.parents = np.array([_tree_parents(instance.graph, self.lengths, self.rows, r, slice(None))
-                                 for r in range(len(self.sinks))], dtype=np.int32)
+                                 for r in range(len(instance.sinks))], dtype=np.int32)
 
     def raise_edges(self, edges: list[int], values: Sequence[int]) -> None:
         """Sets the ``edges``' lengths to f_e(values[e]), none shorter, and
@@ -204,7 +185,7 @@ class _RoundWalker:
         self.parents[row, tails[j]] = _tree_parents(graph, lengths, rows, row, tails[j])
         swept = np.unique(row[self.parents[row, tails[j]] == graph.n])
         if swept.size:
-            fresh = distances(self.instance, lengths, self.sinks[swept], reverse=True)
+            fresh = distances(self.instance, lengths, self.instance.sinks[swept], reverse=True)
             moved = fresh != rows[swept]
             rows[swept] = fresh
             row, at = np.nonzero(moved | moved[:, self.out_nodes].any(axis=2))
@@ -240,8 +221,8 @@ class _RoundWalker:
         sink with initial-weight length below T."""
         alpha, threshold, n = self.alpha, self.instance.threshold, self.instance.graph.n
         count = len(pair)
-        sink_row = self.sink_row[pair]
-        sink = self.sinks[sink_row]
+        sink_row = self.instance.sink_row[pair]
+        sink = self.instance.sinks[sink_row]
         u = self.sources[pair]
         rho, current, initial = np.full(count, rho0), np.zeros(count), np.zeros(count)
         # every step adds at least 1 to the current length, and a walk ends at T
@@ -378,7 +359,7 @@ def run_sa(
     rounds = samples_drawn = escalations = fallbacks = 0
     while True:
         deadline.check("sampling round")
-        live = np.flatnonzero(walker.rows[walker.sink_row, walker.sources] < instance.threshold)
+        live = np.flatnonzero(walker.rows[instance.sink_row, walker.sources] < instance.threshold)
         if not live.size:
             break
         for attempt in range(4):  # base try plus three doublings

@@ -184,6 +184,37 @@ class TestRunExperiment:
         assert [(row["algorithm"], row["T"], row["feasible"]) for row in rows] == [
             ("ig", 5, "true"), ("sa", 5, "true")] * 4
 
+    def test_error_row_carries_the_instance_it_failed_on(self, tmp_path):
+        # LR fails on convex tables; its row has the cell's n, m, T and k as IG's has
+        config = ExperimentConfig(er_n=10, er_rho=0.3, thresholds=[5], k=2, algorithms=["lr", "ig"],
+                                  model="convex", repetitions=1)
+        lr, ig = run_experiment(config)
+        assert json.loads(lr["extras"]) == {"error": "nonlinear-weights"}
+        assert ig["feasible"] == "true"
+        shape = ("n", "m", "model", "T", "k")
+        assert [lr[c] for c in shape] == [ig[c] for c in shape] == [10, ig["m"], "convex", 5, 2]
+        assert ig["m"] > 0
+        # the same from a file, where the config names no n
+        inst = make_er_instance(10, 0.3, 5, 2, "convex", seed=1)
+        path = tmp_path / "inst.txt"
+        with open(path, "w") as handle:
+            save_instance(inst, handle)
+        config = ExperimentConfig(source="file", instance_file=str(path), thresholds=[3],
+                                  algorithms=["lr"], repetitions=1)
+        (row,) = run_experiment(config)
+        assert json.loads(row["extras"]) == {"error": "nonlinear-weights"}
+        assert [row[c] for c in shape] == [10, inst.graph.m, "file", 5, 2]
+
+    def test_error_row_of_an_unbuilt_instance_keeps_the_config_fields(self):
+        # 3 nodes have 6 ordered pairs, so k = 7 cannot be sampled: no instance, no m
+        config = ExperimentConfig(er_n=3, er_rho=0.5, thresholds=[4], k=7, algorithms=["ig", "sa"],
+                                  repetitions=1)
+        rows = run_experiment(config)
+        assert [list(row.values())[:7] for row in rows] == [
+            ["ig", 3, "", "linear", 4, 7, 0], ["sa", 3, "", "linear", 4, 7, 0]]
+        assert all(json.loads(row["extras"])["error"].startswith("instance: k=7 exceeds") for row in rows)
+        assert all(row[c] == "" for row in rows for c in ("norm", "outer_iters", "inner_iters", "wall_time_s"))
+
     def test_file_instance_error_row_says_file(self, tmp_path):
         path = tmp_path / "inst.txt"
         path.write_text("not an instance\n")
@@ -301,6 +332,19 @@ class TestCli:
         assert main(["solve", "--algorithm", "nonsense"]) == 1
         assert main(["bogus-command"]) == 1
         assert main(["solve", "--algorithm", "ig"]) == 1  # no instance source
+
+    def test_theoretical_sa_at_concave_ratio_zero_exits_1(self, tmp_path, capsys):
+        # flat concave increments at T=10 give concave ratio 0, where theoretical
+        # sample sizing diverges: the user's choice of mode, so invalid input
+        inst_file = tmp_path / "inst.txt"
+        assert main(["gen", "--n", "30", "--rho", "0.2", "--threshold", "10", "--pairs", "3",
+                     "--weight-model", "concave", "--output", str(inst_file)]) == 0
+        capsys.readouterr()
+        assert main(["solve", "--instance", str(inst_file), "--algorithm", "sa",
+                     "--sample-mode", "theoretical"]) == 1
+        assert capsys.readouterr().err == (
+            "invalid input: theoretical sample sizing diverges at concave ratio 0; use practical mode\n"
+        )
 
     def test_oracle_subcommand(self, tmp_path, capsys):
         inst_file = tmp_path / "inst.txt"

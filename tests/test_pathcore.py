@@ -33,7 +33,7 @@ from qosd import (
 from qosd import sa
 from qosd.instance import WEIGHT_MODELS, _concave_table, _convex_table, _linear_table
 from qosd.lr import FEAS_TOL
-from qosd.pathcore import chunk_amounts, corridor, distances, edge_lengths
+from qosd.pathcore import chunk_amounts, corridor, csr_view, distances, edge_lengths, out_view
 
 from conftest import diamond_instance
 from reference import d_value, full_graph_paths, out_adj, path_nodes, plus, r_value
@@ -343,6 +343,26 @@ def test_kernel_distances_both_directions(seed):
     reverse = [(v, u) for u, v in graph.edges]
     assert distances(inst, lengths, [s])[0].tolist() == _bellman_ford(graph.n, graph.edges, lengths, s)
     assert distances(inst, lengths, [t], reverse=True)[0].tolist() == _bellman_ford(graph.n, reverse, lengths, t)
+
+
+@pytest.mark.parametrize("n, edges", [
+    # unsorted tails, and nodes 2 and 4 without out-edges
+    (5, [(3, 1), (0, 2), (3, 0), (1, 4), (0, 1), (3, 4), (1, 0)]),
+    (1, []),
+])
+def test_out_view_follows_edge_index_order(n, edges):
+    graph = Graph(n, edges)
+    nodes, out_edges = out_view(graph)
+    width = max(1, graph.max_out_degree)
+    adj = out_adj(graph)
+    assert nodes.shape == out_edges.shape == (n, width)
+    assert nodes.tolist() == [[v for v, _ in a] + [-1] * (width - len(a)) for a in adj]
+    assert out_edges.tolist() == [[e for _, e in a] + [-1] * (width - len(a)) for a in adj]
+    # the forward CSR view that out_view is built from holds each row in edge-index order
+    matrix, perm, rows = csr_view(graph, False)
+    assert perm.tolist() == [e for a in adj for _, e in a]
+    assert matrix.indices.tolist() == [v for a in adj for v, _ in a]
+    assert rows.tolist() == [u for u, a in enumerate(adj) for _ in a]
 
 
 @settings(max_examples=150, deadline=None)

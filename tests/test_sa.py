@@ -193,21 +193,6 @@ def _assert_round_matches_sample_path(inst, x, alpha, count, seed=0, rng=None):
     return wanted
 
 
-@pytest.mark.parametrize("n, edges", [
-    # unsorted tails, and nodes 2 and 4 without out-edges
-    (5, [(3, 1), (0, 2), (3, 0), (1, 4), (0, 1), (3, 4), (1, 0)]),
-    (1, []),
-])
-def test_out_arrays_follow_edge_index_order(n, edges):
-    graph = Graph(n, edges)
-    nodes, out_edges = sa._out_arrays(graph)
-    width = max(1, graph.max_out_degree)
-    adj = out_adj(graph)
-    assert nodes.shape == out_edges.shape == (n, width)
-    assert nodes.tolist() == [[v for v, _ in a] + [-1] * (width - len(a)) for a in adj]
-    assert out_edges.tolist() == [[e for _, e in a] + [-1] * (width - len(a)) for a in adj]
-
-
 class TestRoundWalker:
     @pytest.mark.parametrize("alpha", [0.0, 0.8])
     def test_diamond(self, inst_a, alpha):
@@ -247,7 +232,7 @@ class TestRoundWalker:
         # (3, 0) has no path, so only (0, 3) is live and every walk reaches 3
         inst = QosdInstance(inst_a.graph, inst_a.weights, [(0, 3), (3, 0)], 3)
         walker = _walker_round(inst, BudgetVector.zeros(4), 0.8)
-        live = np.flatnonzero(walker.rows[walker.sink_row, walker.sources] < inst.threshold)
+        live = np.flatnonzero(walker.rows[inst.sink_row, walker.sources] < inst.threshold)
         assert live.tolist() == [0]
         blocks = _recording_blocks(walker)
         paths, weights = walker.walks(live, 700, np.random.default_rng(0))
@@ -265,7 +250,7 @@ class TestRoundWalker:
         inst = make_er_instance(240, 0.05, 5, 5, "heterogeneous", seed=0)
         x = BudgetVector([min(1, cap) if e % 3 == 0 else 0 for e, cap in enumerate(inst.box)])
         walker = _walker_round(inst, x, 0.8)
-        live = np.flatnonzero(walker.rows[walker.sink_row, walker.sources] < inst.threshold)
+        live = np.flatnonzero(walker.rows[inst.sink_row, walker.sources] < inst.threshold)
         blocks = _recording_blocks(walker)
         count = 2 * _WALK_BLOCK + 37
         paths, weights = walker.walks(live, count, np.random.default_rng([4, 2, 0]))
@@ -307,8 +292,8 @@ def _fresh_state(walker, x):
     walker built from scratch at budget x holds."""
     inst, n = walker.instance, walker.instance.graph.n
     lengths = edge_lengths(inst, x) + [np.inf]
-    parents = [[n if v is None else v for v in build_sp_tree(inst, x, t)] for t in walker.sinks.tolist()]
-    return lengths, distances(inst, lengths, walker.sinks, reverse=True), parents
+    parents = [[n if v is None else v for v in build_sp_tree(inst, x, t)] for t in inst.sinks.tolist()]
+    return lengths, distances(inst, lengths, inst.sinks, reverse=True), parents
 
 
 def _assert_state_is_fresh(walker, x):
@@ -536,7 +521,7 @@ def test_round_weights_unbiased_with_a_separated_pair(case, monkeypatch):
         pairs, x = [(0, 3), (2, 3)], BudgetVector([0, 0, 0, 2])
     inst = QosdInstance(graph, build_weights(graph, "linear", 3), pairs, 3)
     walker = _walker_round(inst, x, 0.8)
-    live = np.flatnonzero(walker.rows[walker.sink_row, walker.sources] < inst.threshold)
+    live = np.flatnonzero(walker.rows[inst.sink_row, walker.sources] < inst.threshold)
     assert live.tolist() == [0]
     drawn = 50_000
     blocks = _recording_blocks(walker)
@@ -635,7 +620,7 @@ class TestGreedyChunk:
         inst = make_er_instance(240, 0.05, 5, 5, "heterogeneous", seed=seed)
         x = BudgetVector.zeros(inst.graph.m)
         walker = _walker_round(inst, x, 0.8)
-        live = np.flatnonzero(walker.rows[walker.sink_row, walker.sources] < inst.threshold)
+        live = np.flatnonzero(walker.rows[inst.sink_row, walker.sources] < inst.threshold)
         blocks = _recording_blocks(walker)
         count = max(100, 10 * inst.k)
         paths, weights = walker.walks(live, count, np.random.default_rng([seed, 0, 0]))
