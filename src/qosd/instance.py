@@ -426,6 +426,8 @@ def load_instance(stream: IO[str]) -> QosdInstance:
                 raise ParseError(f"unknown record {key!r}", line_no)
         except (IndexError, ValueError):
             raise ParseError(f"malformed record {stripped!r}", line_no) from None
+        except InvalidInstanceError as err:  # a bad weight table
+            raise InvalidInstanceError(f"line {line_no}: {err}") from None
     for field_name in ("n", "m", "T", "k"):
         if field_name not in header:
             raise ParseError(f"missing header field {field_name!r}")

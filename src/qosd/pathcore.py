@@ -78,12 +78,6 @@ class BudgetVector:
     def zeros(cls, m: int) -> "BudgetVector":
         return cls(array("B", bytes(m)))
 
-    @classmethod
-    def unit(cls, m: int, edge: int, amount: int = 1) -> "BudgetVector":
-        vals = array("q", bytes(8 * m))
-        vals[edge] = amount
-        return cls(vals)
-
     def within_box(self, box: Sequence[int]) -> bool:
         return len(self.values) == len(box) and all(v <= c for v, c in zip(self.values, box))
 

@@ -286,24 +286,23 @@ def sample_count(instance: QosdInstance, q: int, epsilon: float, delta_round: fl
     return math.ceil(scale * max(first, second))
 
 
-def greedy_chunk(instance: QosdInstance, paths: list[tuple[int, ...]], weights: Sequence[float],
-                 x: BudgetVector, q: int) -> BudgetVector:
-    """Up to q greedy steps on the estimator's marginal gain, restricted to
-    edges of the sampled feasible walks ``paths`` (edge tuples, each
-    weighted by ``weights``) with box room left: IG's step rule (the
-    default rule of :meth:`PathSupport.best`), so a flat next increment is
-    crossed by the best-ratio chunk instead of ending the chunk."""
-    if not paths or q <= 0:
-        return BudgetVector.zeros(instance.graph.m)
+def greedy_chunk(instance: QosdInstance, paths: list[tuple[int, ...]], weights: Sequence[float] | None,
+                 x: BudgetVector, q: int) -> list[tuple[int, int]]:
+    """Up to q greedy steps on the estimator's marginal gain over the edges
+    of ``paths`` (edge tuples, weighted by ``weights``, 1 when None) with box
+    room left, as their ``(edge, amount)`` list in order, empty when no step
+    gains: IG's step rule (:meth:`PathSupport.best`'s default), so a flat
+    increment is crossed by the best-ratio chunk. SA's exact fallback is this
+    on the round's shortest paths, unweighted, with q = 1."""
     support = PathSupport(instance, paths, x, weights)
-    chunk = budget_array(instance)
+    steps = []
     for _ in range(q):
         edge, amount, _ = support.best()
         if edge < 0:
             break
         support.apply(edge, amount)
-        chunk[edge] += amount
-    return BudgetVector(chunk)
+        steps.append((edge, amount))
+    return steps
 
 
 def run_sa(
@@ -321,10 +320,10 @@ def run_sa(
     attempt) draws the round's walks
     (:class:`_RoundWalker`) over the live pairs only, which keeps the gain
     estimate unbiased (a separated pair gains nothing on any edge), and the
-    greedy chunk is added. A zero chunk escalates by doubling the sample
-    count up to three times, then falls back to one exact step on the
-    round's shortest paths below T (a unit, or the best-ratio chunk across a
-    flat increment), so progress is unconditional and the report feasible.
+    greedy chunk's steps are added. An empty chunk escalates by doubling
+    the sample count up to three times, then falls back to one exact step,
+    :func:`greedy_chunk` on the round's shortest paths below T, unweighted,
+    with q = 1, so progress is unconditional and the report feasible.
     ``threads`` is accepted and ignored. ``deadline`` is checked before each
     round and each block of walks. ``config`` is checked first, the sample
     mode before the other knobs.
@@ -363,25 +362,22 @@ def run_sa(
         if not live.size:
             break
         for attempt in range(4):  # base try plus three doublings
-            if attempt > 0:
-                escalations += 1
             count = base_count * (2**attempt)
             rng = np.random.default_rng([config.seed, rounds, attempt])
             paths, weights = walker.walks(live, count, rng)
             samples_drawn += count
-            chunk = greedy_chunk(instance, paths, weights, x, config.q)
-            if chunk.norm > 0:
+            steps = greedy_chunk(instance, paths, weights, x, config.q)
+            if steps:
                 break
         else:
-            edge, amount, _ = PathSupport(instance, potential_paths(instance, x), x).best()
-            if edge < 0:
+            steps = greedy_chunk(instance, potential_paths(instance, x), None, x, 1)
+            if not steps:
                 raise InfeasibleBoxError("no unit or chunk improves the current shortest paths")
-            chunk = BudgetVector.unit(instance.graph.m, edge, amount)
             fallbacks += 1
-        edges = np.flatnonzero(chunk.values).tolist()
-        for e in edges:
-            values[e] += chunk[e]
-        walker.raise_edges(edges, values)
+        escalations += attempt
+        for edge, amount in steps:
+            values[edge] += amount
+        walker.raise_edges(sorted({edge for edge, _ in steps}), values)
         x = BudgetVector(values)
         rounds += 1
 

@@ -1,14 +1,15 @@
 """Reference helpers that only the tests use: capped path lengths r and
-their sum D over a path set, vector addition, the out- and in-adjacency in
-edge-index order, every pair's path from a sweep over the whole graph, the
-lazy IG/AT loop with each round's support built from scratch, SA's
-estimator of B, its chunk's inputs from independent walks and per-walk
-random streams, the per-edge instance generators that the library's
-batched ones must match, and C08's layered flat-step instances."""
+their sum D over a path set, unit vectors and vector addition, the out-
+and in-adjacency in edge-index order, every pair's path from a sweep over
+the whole graph, the lazy IG/AT loop with each round's support built from
+scratch, SA's estimator of B, its chunk's inputs from independent walks
+and per-walk random streams, the per-edge instance generators that the
+library's batched ones must match, and C08's layered flat-step instances."""
 
 from __future__ import annotations
 
 import random
+from array import array
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -113,6 +114,13 @@ def d_value(instance: QosdInstance, paths: Iterable[Sequence[int]], x: BudgetVec
 
 def blocks_all(instance: QosdInstance, paths: Sequence[Sequence[int]], x: BudgetVector) -> bool:
     return d_value(instance, paths, x) == len(paths) * instance.threshold
+
+
+def unit(m: int, edge: int, amount: int = 1) -> BudgetVector:
+    """The length-m vector with ``amount`` on ``edge`` and 0 elsewhere."""
+    values = array("q", bytes(8 * m))
+    values[edge] = amount
+    return BudgetVector(values)
 
 
 def plus(x: BudgetVector, y: BudgetVector) -> BudgetVector:

@@ -34,7 +34,7 @@ from qosd import (
     unseparated_pairs,
 )
 
-from reference import _derived_rng, d_value, estimate_B, make_layered_flat_instance, plus
+from reference import _derived_rng, d_value, estimate_B, make_layered_flat_instance, plus, unit
 
 
 def _report(tag: str, ok: bool, detail: str) -> None:
@@ -189,7 +189,7 @@ def test_c04_concavity_lemma_property_suite():
             if not free:
                 continue
             bx, by = BudgetVector(x), BudgetVector(y)
-            s = BudgetVector.unit(m, rng.choice(free))
+            s = unit(m, rng.choice(free))
             lhs_unit = d_value(inst, paths, plus(bx, s)) - d_value(inst, paths, bx)
             rhs_unit = d_value(inst, paths, plus(by, s)) - d_value(inst, paths, by)
             z = BudgetVector([rng.randint(0, c - v) for v, c in zip(y, caps)])

@@ -11,8 +11,8 @@ import qosd.cli
 import qosd.experiment
 from qosd import (
     ConfigError, GammaZeroError, Graph, InfeasibleBoxError, InvalidInstanceError, IterationLimitError,
-    NonlinearWeightsError, ParseError, QosdError, QosdInstance, SolverTimeout, StallError, build_weights,
-    load_edge_list, load_instance, parse_config, run_algorithm, sample_count, sample_pairs,
+    NonlinearWeightsError, ParseError, QosdError, QosdInstance, SolverTimeout, StallError, WeightFunction,
+    build_weights, load_edge_list, load_instance, parse_config, run_algorithm, sample_count, sample_pairs,
 )
 from qosd.cli import main, read_vector
 from qosd.experiment import CSV_COLUMNS, _attempt
@@ -61,10 +61,11 @@ BAD_INSTANCE_FILES = [
     ("n 2\nm 1\nT 3\nk 1", "edge 0 5 custom 1 3\npair 0 1", InvalidInstanceError, "endpoint out of range"),
     ("n 3\nm 2\nT 3\nk 1", "edge 0 1 custom 1 3\nedge 0 1 custom 1 3\npair 0 2",
      InvalidInstanceError, "duplicate edge (0, 1)"),
-    ("n 2\nm 1\nT 3\nk 1", "edge 0 1 custom\npair 0 1", InvalidInstanceError, "weight table is empty"),
+    ("n 2\nm 1\nT 3\nk 1", "edge 0 1 custom\npair 0 1", InvalidInstanceError, "line 6: weight table is empty"),
     ("n 2\nm 1\nT 3\nk 1", "edge 0 1 custom 0 3\npair 0 1", InvalidInstanceError,
-     "initial weight must be positive"),
-    ("n 2\nm 1\nT 3\nk 1", "edge 0 1 custom 3 1\npair 0 1", InvalidInstanceError, "must be nondecreasing"),
+     "line 6: initial weight must be positive"),
+    ("n 2\nm 1\nT 3\nk 1", "edge 0 1 custom 3 1\npair 0 1", InvalidInstanceError,
+     "line 6: weight table must be nondecreasing"),
     ("n 2\nm 1\nT 1\nk 1", "edge 0 1 custom 1 3\npair 0 1", InvalidInstanceError, "threshold must be at least 2"),
     ("n 2\nm 1\nT 3\nk 1", "edge 0 1 custom 1 3\npair 0 5", InvalidInstanceError, "pair (0, 5) out of node range"),
     ("n 2\nm 1\nT 3\nk 1", "edge 0 1 custom 1 3\nbogus 1\npair 0 1", ParseError, "line 7: unknown record 'bogus'"),
@@ -101,6 +102,22 @@ def test_bad_instance_file(tmp_path, capsys, header, records, error, fragment):
 def test_library_failure(call, error, fragment):
     with pytest.raises(error, match=re.escape(fragment)):
         call()
+
+
+@pytest.mark.parametrize("algorithm, fragment", [
+    ("ig", "greedy blocking: no step improves D"),
+    ("at", "adaptive trading: no step improves D"),
+    ("sa", "no unit or chunk improves the current shortest paths"),
+    ("lr", "no optimum within the box"),
+    ("cc", "all edges on remaining short paths are saturated"),
+    ("oracle", "no optimum within the box"),
+])
+def test_box_infeasible_instance(algorithm, fragment):
+    # at full budget the one path is 2 + 2 = 4 long, short of T = 5
+    graph = Graph(3, [(0, 1), (1, 2)])
+    inst = QosdInstance(graph, [WeightFunction((1, 2))] * 2, [(0, 2)], 5, validate_box=False)
+    with pytest.raises(InfeasibleBoxError, match=re.escape(fragment)):
+        run_algorithm(inst, algorithm)
 
 
 DIAMOND_EDGES = "0 1\n1 3\n0 2\n2 3\n"

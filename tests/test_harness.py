@@ -390,7 +390,7 @@ class TestCli:
             "qosd-instance v1\nn 2\nm 1\nT 3\nk 1\nedge 0 1 linear 1 2 4\npair 0 1\n"
         )
         assert main(["solve", "--instance", str(inst_file), "--algorithm", "ig"]) == 1
-        assert "invalid input: linear table is not affine" in capsys.readouterr().err
+        assert "invalid input: line 6: linear table is not affine" in capsys.readouterr().err
 
     def test_negative_vector_entry_exits_1(self, tmp_path, capsys):
         inst_file = tmp_path / "inst.txt"

@@ -107,6 +107,8 @@ class TestWeightFunction:
         assert WeightFunction((1, 2, 4)).affine_coeffs() is None
         assert WeightFunction((2, 4, 6), "linear").affine_coeffs() == (2, 2)
         assert WeightFunction((3, 3), "linear").affine_coeffs() == (0, 3)
+        # cap 0: no budget can move it, and LP-based solving reads slope 1
+        assert WeightFunction((4,)).affine_coeffs() == (1, 4)
 
 
 class TestBuildWeights:
@@ -304,6 +306,16 @@ class TestRoundTrip:
             load_instance(io.StringIO(head + "edge 0 1 linear 3\n"))
         loaded = load_instance(io.StringIO(head + "edge 0 1 linear 1 2 3\n"))
         assert loaded.affine_coeffs() == ([1], [1])
+
+    def test_blank_and_comment_lines_between_records_skipped(self):
+        head = "qosd-instance v1\nn 3\nm 2\nT 3\nk 1\n"
+        records = "edge 0 1 linear 1 2 3\nedge 1 2 custom 1 3\npair 0 2\n"
+        spaced = "\n# two edges\n" + records.replace("\n", "\n  \n   # next record\n", 2)
+        plain, loaded = (load_instance(io.StringIO(head + text)) for text in (records, spaced))
+        assert spaced.count("#") == 3
+        assert loaded.graph.edges == plain.graph.edges == [(0, 1), (1, 2)]
+        assert [w.table for w in loaded.weights] == [(1, 2, 3), (1, 3)]
+        assert loaded.pairs == plain.pairs and loaded.threshold == 3
 
     @pytest.mark.parametrize("value", ["0", "2"])
     def test_only_directed_one_accepted(self, value):

@@ -633,6 +633,17 @@ class TestRunLr:
         with pytest.raises(ConfigError):
             run_lr(inst_a, **knobs)
 
+    def test_cap_zero_edge_gets_no_budget(self):
+        # 0 -> 1 -> 2 is blocked by two units; the one-entry edge 0 -> 2 already
+        # reaches T and can hold none
+        graph = Graph(3, [(0, 1), (1, 2), (0, 2)])
+        weights = [WeightFunction((1, 2, 3), "linear")] * 2 + [WeightFunction((4,))]
+        inst = QosdInstance(graph, weights, [(0, 2)], 4)
+        report = run_lr(inst, delta=0.2, seed=0)
+        assert report.feasible and report.budget.within_box(inst.box)
+        assert report.budget[2] == 0 and report.norm == 2
+        assert not unseparated_pairs(inst, report.budget)
+
     def test_flat_tables_give_zero_vector(self):
         # every affine table is flat (beta_max 0) and x = 0 already separates
         graph = Graph(3, [(1, 2), (2, 1)])

@@ -36,7 +36,7 @@ from qosd.lr import FEAS_TOL
 from qosd.pathcore import chunk_amounts, corridor, csr_view, distances, edge_lengths, out_view
 
 from conftest import diamond_instance
-from reference import d_value, full_graph_paths, out_adj, path_nodes, plus, r_value
+from reference import d_value, full_graph_paths, out_adj, path_nodes, plus, r_value, unit
 
 
 class TestBudgetVector:
@@ -113,9 +113,9 @@ class TestBudgetVector:
     def test_zeros_and_unit_are_byte_arrays_until_an_entry_needs_more(self):
         assert BudgetVector.zeros(5) == BudgetVector([0] * 5)
         assert BudgetVector.zeros(5).values.typecode == "B" and BudgetVector.zeros(0).norm == 0
-        assert BudgetVector.unit(4, 2) == BudgetVector([0, 0, 1, 0])
-        assert BudgetVector.unit(4, 1, 7).values.typecode == "B"
-        wide = BudgetVector.unit(3, 0, 300)
+        assert unit(4, 2) == BudgetVector([0, 0, 1, 0])
+        assert unit(4, 1, 7).values.typecode == "B"
+        wide = unit(3, 0, 300)
         assert wide == BudgetVector([300, 0, 0]) and wide.values.typecode == "q" and wide.norm == 300
 
 
@@ -291,7 +291,7 @@ def test_lemma_concavity_quick():
         if not free:
             continue
         edge = rng.choice(free)
-        s = BudgetVector.unit(m, edge)
+        s = unit(m, edge)
         bx, by = BudgetVector(x), BudgetVector(y)
         dx = d_value(inst, paths, plus(bx, s)) - d_value(inst, paths, bx)
         dy = d_value(inst, paths, plus(by, s)) - d_value(inst, paths, by)
@@ -505,7 +505,7 @@ def _brute_best_unit(inst, paths, x, path_weight):
     for e in sorted({e for p in paths for e in p}):
         if x[e] >= inst.box[e]:
             continue
-        bumped = plus(x, BudgetVector.unit(len(x), e))
+        bumped = plus(x, unit(len(x), e))
         if path_weight is None:
             gain = d_value(inst, paths, bumped) - d_value(inst, paths, x)
         else:
@@ -529,7 +529,7 @@ def _brute_best_chunk(inst, paths, x):
     for e in sorted({e for p in paths for e in p}):
         edge_best = None  # (ratio, amount, gain)
         for z in range(1, inst.box[e] - x[e] + 1):
-            gain = d_value(inst, paths, plus(x, BudgetVector.unit(len(x), e, z))) - base
+            gain = d_value(inst, paths, plus(x, unit(len(x), e, z))) - base
             if gain > 0 and (edge_best is None or Fraction(gain, z) > edge_best[0]):
                 edge_best = (Fraction(gain, z), z, gain)
         if edge_best is not None:
@@ -709,7 +709,7 @@ def test_best_chunk_on_a_concave_head_and_convex_tail():
     for threshold in range(2, 16):
         inst = QosdInstance(graph, weights, [(0, 4)], threshold, validate_box=False)
         for x in range(len(table)):
-            budget = BudgetVector.unit(4, 0, x)
+            budget = unit(4, 0, x)
             chunk = PathSupport(inst, paths, budget, chunks=True).best()
             assert chunk == _brute_best_chunk(inst, paths, budget)
             amounts.add((x, chunk[1]))
