@@ -14,17 +14,8 @@ from array import array
 
 from .errors import ConfigError, ParseError, QosdError
 from .experiment import ALGORITHMS, parse_config, run_algorithm, run_experiment, rows_to_csv
-from .instance import (
-    WEIGHT_MODELS,
-    QosdInstance,
-    build_weights,
-    load_edge_list,
-    load_instance,
-    make_er_instance,
-    read_int_pairs,
-    sample_pairs,
-    save_instance,
-)
+from .instance import (WEIGHT_MODELS, QosdInstance, build_weights, load_edge_list, load_instance,
+                       make_er_instance, read_int_pairs, sample_pairs, save_instance)
 from .pathcore import BudgetVector, unseparated_pairs
 from .report import Deadline
 from .sa import SAMPLE_MODES, SaConfig

@@ -46,6 +46,7 @@ class ExperimentConfig:
     output: str | None = None
 
     def __post_init__(self):
+        Deadline(self.time_limit)  # a NaN limit fails here, before any instance is built
         if self.repetitions < 1:
             raise ConfigError("repetitions must be at least 1")
         if self.source not in ("er", "file"):
@@ -121,10 +122,7 @@ def run_algorithm(
     if algorithm == "sa":
         return run_sa(instance, replace(sa, seed=seed), deadline=deadline)
     if algorithm == "lr":
-        return run_lr(
-            instance, delta=sa.delta, seed=seed,
-            eta_override=eta_override, deadline=deadline,
-        )
+        return run_lr(instance, delta=sa.delta, seed=seed, eta_override=eta_override, deadline=deadline)
     if algorithm == "cc":
         return run_cc(instance, deadline=deadline, seed=seed)
     if algorithm == "oracle":

@@ -5,7 +5,8 @@ Constraint generation caches each path's covering row once, when the path
 enters the candidate set (:class:`_PathRows`), and hands each round's LP
 from that cache to the one HiGHS solver the cache keeps. The exact oracle's
 integer program (:func:`baselines.min_budget_to_block`) builds its columns
-from the same cache, and :func:`_solve_highs` solves both models cold."""
+from the same cache, and :func:`_solve_highs` solves both models cold on
+scipy's private HiGHS binding, which loads with the first model."""
 
 from __future__ import annotations
 
@@ -14,12 +15,11 @@ import random
 import time
 from bisect import insort
 from dataclasses import dataclass
+from functools import cache
 from itertools import islice
 from typing import Collection, Iterable, Sequence
 
 import numpy as np
-# scipy's private HiGHS binding: tests/test_lr.py checks it against linprog and milp
-from scipy.optimize._highspy import _core as highs
 
 from .errors import ConfigError, InfeasibleBoxError, QosdError
 from .framework import Candidates, _generate
@@ -45,20 +45,28 @@ class LpSolution:
     rounds: int = 0
 
 
-def _highs_options(integral: bool) -> highs.HighsOptions:
-    """The options ``linprog`` passes HiGHS: presolve on, dual simplex, no
-    debug checks or log; integral runs add ``mip_rel_gap = 0``."""
-    options = highs.HighsOptions()
-    options.presolve, options.output_flag, options.log_to_console = "on", False, False
-    options.simplex_strategy = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
-    options.highs_debug_level = highs.HighsDebugLevel.kHighsDebugLevelNone
-    if integral:
-        options.mip_rel_gap = 0.0
-    return options
+@cache
+def _binding():
+    """scipy's private HiGHS binding (the tests check it against ``linprog``
+    and ``milp``) and the LP and MIP options ``linprog`` passes it: presolve
+    on, dual simplex, no debug checks or log; the MIP's add ``mip_rel_gap = 0``.
+    Built once: passOptions copies the options into the solver."""
+    from scipy.optimize._highspy import _core as highs
+    lp, mip = highs.HighsOptions(), highs.HighsOptions()
+    for options in (lp, mip):
+        options.presolve, options.output_flag, options.log_to_console = "on", False, False
+        options.simplex_strategy = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+        options.highs_debug_level = highs.HighsDebugLevel.kHighsDebugLevelNone
+    mip.mip_rel_gap = 0.0
+    return highs, lp, mip
 
 
-# built once: passOptions copies them into the solver before each solve
-_LP_OPTIONS, _MIP_OPTIONS = _highs_options(False), _highs_options(True)
+def __getattr__(name: str):
+    """``highs``, ``_LP_OPTIONS`` and ``_MIP_OPTIONS`` load on first use (PEP 562)."""
+    names = ("highs", "_LP_OPTIONS", "_MIP_OPTIONS")
+    if name in names:
+        return _binding()[names.index(name)]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _solve_highs(
@@ -77,6 +85,7 @@ def _solve_highs(
     ``columns`` is A column-wise, as the ``(indptr, indices, data)`` of a
     CSC matrix with ``len(lower)`` rows and ``len(ub)`` columns. Infeasible
     raises ``InfeasibleBoxError``, any other non-optimum ``QosdError``."""
+    highs, lp_options, mip_options = _binding()
     num_row, num_col = len(lower), len(ub)
     lp = highs.HighsLp()
     matrix = lp.a_matrix_
@@ -87,7 +96,7 @@ def _solve_highs(
     lp.row_lower_, lp.row_upper_ = lower, upper
     if integral:
         lp.integrality_ = [highs.HighsVarType.kInteger] * num_col
-    solver.passOptions(_MIP_OPTIONS if integral else _LP_OPTIONS)
+    solver.passOptions(mip_options if integral else lp_options)
     solver.passModel(lp)
     solver.run()
     status = solver.getModelStatus()
@@ -111,7 +120,7 @@ class _PathRows:
 
     def __init__(self, instance: QosdInstance):
         self.instance = instance
-        self.solver = highs._Highs()
+        self.solver = _binding()[0]._Highs()
         self.read = 0
         self.support: list[int] = []
         self.rows: dict[int, list[int]] = {}

@@ -5,7 +5,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .errors import SolverTimeout
+from .errors import ConfigError, SolverTimeout
 from .pathcore import BudgetVector
 
 
@@ -37,6 +37,8 @@ class Deadline:
     """Wall-clock budget polled between iterations (no hard kills)."""
 
     def __init__(self, seconds: float | None):
+        if seconds != seconds:  # NaN: no clock reading is ever past it
+            raise ConfigError("time limit must be a number, not nan")
         self.seconds = seconds
         self._expiry = None if seconds is None else time.monotonic() + seconds
 

@@ -3,14 +3,15 @@ import importlib.util
 import inspect
 import io
 import json
+import math
 import sys
 from pathlib import Path
 
 import pytest
 
 from qosd import (
-    ConfigError, ExperimentConfig, SaConfig, derive_seed, load_instance, make_er_instance, parse_config,
-    rows_to_csv, run_experiment, run_iterative, save_instance,
+    ConfigError, Deadline, ExperimentConfig, SaConfig, SolverTimeout, derive_seed, load_instance, make_er_instance,
+    parse_config, rows_to_csv, run_experiment, run_iterative, save_instance,
 )
 from qosd.cli import main
 from qosd.experiment import CSV_COLUMNS, run_algorithm
@@ -56,6 +57,19 @@ class TestConfigParsing:
         # an empty list would silently make an empty batch
         with pytest.raises(ConfigError, match="at least one"):
             parse_config(f"qosd-config v1\n{key} = {value}\n")
+
+    @pytest.mark.parametrize("value", ["nan", "-NaN"])
+    def test_nan_time_limit_rejected(self, value):
+        # monotonic() > nan never holds: the batch would run every cell unbounded
+        with pytest.raises(ConfigError, match="time limit must be a number"):
+            parse_config(f"qosd-config v1\ntime_limit = {value}\n")
+        with pytest.raises(ConfigError):
+            ExperimentConfig(time_limit=float(value))
+
+    def test_zero_time_limit_times_out_every_cell(self):
+        config = parse_config("qosd-config v1\ner_n = 8\nk = 2\nrepetitions = 1\ntime_limit = 0\n")
+        rows = run_experiment(config)
+        assert [json.loads(row["extras"]) for row in rows] == [{"error": "timeout"}] * 2
 
     def test_derive_seed_documented_formula(self):
         import hashlib
@@ -446,6 +460,21 @@ class TestCli:
         capsys.readouterr()
         assert main(["solve", "--instance", str(inst_file), "--algorithm", "ig", "--time-limit", "-1"]) == 3
         assert capsys.readouterr().err.startswith("timeout: ")
+
+    @pytest.mark.parametrize("limit, code, prefix", [("nan", 1, "invalid input: "), ("0", 3, "timeout: ")])
+    def test_time_limit_nan_is_invalid_zero_expires(self, tmp_path, capsys, limit, code, prefix):
+        inst_file = tmp_path / "inst.txt"
+        main(["gen", "--n", "30", "--rho", "0.2", "--threshold", "5", "--output", str(inst_file)])
+        capsys.readouterr()
+        assert main(["solve", "--instance", str(inst_file), "--algorithm", "ig", "--time-limit", limit]) == code
+        assert capsys.readouterr().err.startswith(prefix)
+
+    def test_deadline_rejects_nan(self):
+        with pytest.raises(ConfigError, match="not nan"):
+            Deadline(math.nan)
+        Deadline(None).check()
+        with pytest.raises(SolverTimeout):
+            Deadline(-1.0).check()
 
     def test_validate_vector_above_cap_exits_2(self, tmp_path, capsys):
         # table (1, 2, 3) caps the edge at 2; a vector of 3 exceeds the box

@@ -1,5 +1,9 @@
+import json
 import math
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -19,6 +23,7 @@ from qosd import (
     build_weights,
     constraint_generation,
     eta,
+    load_instance,
     make_er_instance,
     min_budget_to_block,
     oracle_opt,
@@ -652,3 +657,56 @@ class TestRunLr:
         assert report.budget == BudgetVector.zeros(2)
         assert report.feasible
         assert not unseparated_pairs(inst, report.budget)
+
+
+# Run in a fresh interpreter: this module imports linprog, and with it
+# scipy.optimize, at collection. IG, AT, SA and CC solve through the CLI
+# without the HiGHS binding; LR's first LP and the oracle's first MILP load
+# it, and the vectors they print are compared with this process's.
+_FOOTPRINT_SCRIPT = """
+import json, sys
+import qosd, qosd.cli
+from qosd import BudgetVector, load_instance, potential_paths
+path = sys.argv[1]
+assert qosd.cli.main(["gen", "--n", "30", "--rho", "0.2", "--threshold", "5", "--pairs", "5",
+                      "--output", path]) == 0
+for algorithm in ("ig", "at", "sa", "cc"):
+    assert qosd.cli.main(["solve", "--instance", path, "--algorithm", algorithm]) == 0
+assert "scipy.optimize" not in sys.modules
+with open(path) as handle:
+    inst = load_instance(handle)
+lr = qosd.run_lr(inst, seed=3)
+assert "scipy.optimize" in sys.modules
+paths = potential_paths(inst, BudgetVector.zeros(inst.graph.m))
+print(json.dumps({
+    "lr": list(lr.budget), "oracle": list(qosd.oracle_opt(inst).budget),
+    "lp": qosd.solve_lp(inst, paths).fractional, "milp": list(qosd.min_budget_to_block(inst, paths)),
+}))
+"""
+
+
+class TestBindingLoad:
+    def test_only_lp_solvers_load_the_binding(self, tmp_path):
+        import qosd
+
+        path = tmp_path / "inst.txt"
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qosd.__file__)))
+        done = subprocess.run([sys.executable, "-c", _FOOTPRINT_SCRIPT, str(path)], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        got = json.loads(done.stdout.splitlines()[-1])
+        with open(path) as handle:
+            inst = load_instance(handle)
+        paths = potential_paths(inst, BudgetVector.zeros(inst.graph.m))
+        assert got["lr"] == list(run_lr(inst, seed=3).budget)
+        assert got["oracle"] == list(oracle_opt(inst).budget)
+        assert got["lp"] == solve_lp(inst, paths).fractional
+        assert got["milp"] == list(min_budget_to_block(inst, paths))
+
+    def test_lazy_names_are_cached(self):
+        import qosd.lr
+
+        assert qosd.lr.highs is highs
+        assert qosd.lr._LP_OPTIONS is qosd.lr._LP_OPTIONS is not qosd.lr._MIP_OPTIONS
+        with pytest.raises(AttributeError, match="no attribute 'missing'"):
+            qosd.lr.missing
