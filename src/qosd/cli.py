@@ -72,8 +72,7 @@ def _load_cli_instance(args) -> QosdInstance:
 def _add_instance_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--instance", help="qosd-instance v1 file")
     parser.add_argument("--edges", help="SNAP-style edge list file")
-    parser.add_argument("--undirected", action="store_true",
-                        help="treat the edge list as undirected")
+    parser.add_argument("--undirected", action="store_true", help="treat the edge list as undirected")
     parser.add_argument("--threshold", type=int, help="distance threshold T")
     parser.add_argument("--weight-model", default="linear", choices=WEIGHT_MODELS)
     parser.add_argument("--pairs-file", help="file of 's t' lines")
@@ -123,17 +122,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_solve(args) -> int:
+    Deadline(args.time_limit)  # a NaN limit fails before the load; the limit bounds the solve alone
     instance = _load_cli_instance(args)
     knobs = SaConfig(q=args.q, alpha=args.alpha, epsilon=args.epsilon, delta=args.delta,
                      sample_mode=args.sample_mode, samples_per_round=args.samples or None)
     report = run_algorithm(instance, args.algorithm, seed=args.seed, deadline=Deadline(args.time_limit),
                            sa=knobs, eta_override=args.eta)
-    print(
-        f"algorithm={report.algorithm} norm={report.norm} "
-        f"feasible={str(report.feasible).lower()} "
-        f"outer={report.outer_iterations} inner={report.inner_iterations} "
-        f"wall_time={report.wall_time:.3f}s seed={report.seed}"
-    )
+    print(f"algorithm={report.algorithm} norm={report.norm} feasible={str(report.feasible).lower()} "
+          f"outer={report.outer_iterations} inner={report.inner_iterations} "
+          f"wall_time={report.wall_time:.3f}s seed={report.seed}")
     for key, value in sorted(report.extras.items()):
         print(f"  {key}={value}")
     if args.output:
@@ -160,9 +157,7 @@ def _cmd_validate(args) -> int:
     instance = _load_cli_instance(args)
     vector = read_vector(args.vector)
     if len(vector) != instance.graph.m:
-        raise ConfigError(
-            f"vector has {len(vector)} components, instance has {instance.graph.m} edges"
-        )
+        raise ConfigError(f"vector has {len(vector)} components, instance has {instance.graph.m} edges")
     if not vector.within_box(instance.box):
         print("feasible=false (vector exceeds the box)")
         return EXIT_INFEASIBLE
@@ -175,15 +170,11 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    instance = make_er_instance(
-        args.n, args.rho, args.threshold, args.pairs, args.weight_model, args.seed
-    )
+    instance = make_er_instance(args.n, args.rho, args.threshold, args.pairs, args.weight_model, args.seed)
     with open(args.output, "w") as handle:
         save_instance(instance, handle)
-    print(
-        f"wrote instance n={instance.graph.n} m={instance.graph.m} T={args.threshold} "
-        f"k={instance.k} to {args.output}"
-    )
+    print(f"wrote instance n={instance.graph.n} m={instance.graph.m} T={args.threshold} "
+          f"k={instance.k} to {args.output}")
     return EXIT_OK
 
 
@@ -193,12 +184,7 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
-    handlers = {
-        "solve": _cmd_solve,
-        "experiment": _cmd_experiment,
-        "validate": _cmd_validate,
-        "gen": _cmd_gen,
-    }
+    handlers = {"solve": _cmd_solve, "experiment": _cmd_experiment, "validate": _cmd_validate, "gen": _cmd_gen}
     try:
         return handlers[args.command](args)
     except QosdError as exc:  # each error class declares its exit code and prefix

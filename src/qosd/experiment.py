@@ -107,15 +107,8 @@ def derive_seed(master_seed: int, threshold: int, repetition: int, algorithm_ind
     return int.from_bytes(digest[:8], "big") % (2**31)
 
 
-def run_algorithm(
-    instance: QosdInstance,
-    algorithm: str,
-    *,
-    seed: int = 0,
-    deadline: Deadline | float | None = None,
-    sa: SaConfig = SaConfig(),
-    eta_override: float | None = None,
-) -> RunReport:
+def run_algorithm(instance: QosdInstance, algorithm: str, *, seed: int = 0, deadline: Deadline | float | None = None,
+                  sa: SaConfig = SaConfig(), eta_override: float | None = None) -> RunReport:
     """Dispatch one named solver; SA runs ``sa`` under ``seed``, LR reads its ``delta``."""
     if algorithm in ("ig", "at"):
         return run_iterative(instance, algorithm, deadline=deadline, seed=seed)
@@ -165,11 +158,8 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
                 rows += [_row(alg, model, cell, 0, None, {"error": instance}) for alg in config.algorithms]
                 continue
             cell = (instance.graph.n, instance.graph.m, instance.threshold, instance.k)
-            oracle = (
-                _attempt(instance, "oracle", deadline=Deadline(config.time_limit))
-                if "oracle" in config.algorithms
-                else None
-            )
+            oracle = (_attempt(instance, "oracle", deadline=Deadline(config.time_limit))
+                      if "oracle" in config.algorithms else None)
             for alg_index, alg in enumerate(config.algorithms):
                 seed = derive_seed(config.master_seed, threshold, repetition, alg_index)
                 if alg == "oracle":
@@ -200,21 +190,11 @@ def _row(algorithm: str, model: str, cell: tuple, seed: int, report: RunReport |
     """One CSV row, in ``CSV_COLUMNS`` order: ``cell`` is the row's (n, m, T,
     k), and a failed run has no ``report`` and its error in ``extras``."""
     n, m, threshold, k = cell
-    return {
-        "algorithm": algorithm,
-        "n": n,
-        "m": m,
-        "model": model,
-        "T": threshold,
-        "k": k,
-        "seed": seed,
-        "norm": report.norm if report else "",
-        "outer_iters": report.outer_iterations if report else "",
-        "inner_iters": report.inner_iterations if report else "",
-        "wall_time_s": f"{report.wall_time:.6f}" if report else "",
-        "feasible": str(bool(report and report.feasible and extras["verified"])).lower(),
-        "extras": json.dumps(extras, sort_keys=True),
-    }
+    run = ("",) * 4 if report is None else (
+        report.norm, report.outer_iterations, report.inner_iterations, f"{report.wall_time:.6f}")
+    feasible = str(bool(report and report.feasible and extras["verified"])).lower()
+    return dict(zip(CSV_COLUMNS, (algorithm, n, m, model, threshold, k, seed, *run, feasible,
+                                  json.dumps(extras, sort_keys=True))))
 
 
 def rows_to_csv(rows: list[dict]) -> str:

@@ -57,16 +57,12 @@ def _generate(
         known = len(paths)
         paths.update(dict.fromkeys(fresh))
         if len(paths) == known:
-            raise StallError(
-                f"{what} round {rounds} re-proposed only known paths; "
-                "its last solve left a candidate path below T"
-            )
+            raise StallError(f"{what} round {rounds} re-proposed only known paths; "
+                             "its last solve left a candidate path below T")
         rounds += 1
         if rounds > cap:
-            raise IterationLimitError(
-                f"{what} exceeded {cap} rounds "
-                f"(|P|={len(paths)}, k={instance.k}, h={instance.hop_bound})"
-            )
+            raise IterationLimitError(f"{what} exceeded {cap} rounds "
+                                      f"(|P|={len(paths)}, k={instance.k}, h={instance.hop_bound})")
         x = solve(paths)
 
 

@@ -31,7 +31,7 @@ class Graph:
     Node ids live in ``[0, n)``; ``edges[i]`` is the (src, dst) pair of
     edge ``i`` and that position never changes. Self-loops and duplicate
     edges are rejected (loaders drop them before construction). Adjacency
-    arrays are built in numpy on first use and cached in ``_csr``.
+    arrays and lists are built on first use and cached in ``_csr``.
     """
 
     __slots__ = ("n", "edges", "max_out_degree", "_csr")
@@ -54,7 +54,7 @@ class Graph:
         self.n = n
         self.edges = list(map(tuple, edges))  # keeps the given tuples
         self.max_out_degree = max(out_degree)
-        self._csr: dict = {}  # pathcore's csr_view and out_view arrays, by key
+        self._csr: dict = {}  # pathcore's csr_view, out_view and adjacency caches, by key
 
     @property
     def m(self) -> int:
@@ -98,12 +98,8 @@ class WeightFunction:
         """
         if self.cap == 0:
             return (1, self.table[0])
-        beta = self.table[1] - self.table[0]
-        alpha = self.table[0]
-        for i, value in enumerate(self.table):
-            if value != beta * i + alpha:
-                return None
-        return (beta, alpha)
+        alpha, beta = self.table[0], self.table[1] - self.table[0]
+        return (beta, alpha) if all(v == beta * i + alpha for i, v in enumerate(self.table)) else None
 
 
 class QosdInstance:
@@ -181,10 +177,8 @@ class QosdInstance:
         if self._affine is None:
             coeffs = [wf.affine_coeffs() for wf in self.weights]
             if None in coeffs:
-                raise NonlinearWeightsError(
-                    f"edge {coeffs.index(None)} has a non-affine weight table; LP "
-                    "solving needs linear (or cutting) weights"
-                )
+                raise NonlinearWeightsError(f"edge {coeffs.index(None)} has a non-affine weight table; LP "
+                                            "solving needs linear (or cutting) weights")
             self._affine = ([c[0] for c in coeffs], [c[1] for c in coeffs])
         return self._affine
 
@@ -193,16 +187,12 @@ class QosdInstance:
 
         remaining = unseparated_pairs(self, BudgetVector(budget_array(self, self.box)))
         if remaining:
-            raise InfeasibleBoxError(
-                f"infeasible-box: pairs {remaining} stay connected below T "
-                "even with every edge at its cap"
-            )
+            raise InfeasibleBoxError(f"infeasible-box: pairs {remaining} stay connected below T "
+                                     "even with every edge at its cap")
 
     def __repr__(self) -> str:
-        return (
-            f"QosdInstance(n={self.graph.n}, m={self.graph.m}, "
-            f"k={self.k}, T={self.threshold}, h={self.hop_bound})"
-        )
+        g = self.graph
+        return f"QosdInstance(n={g.n}, m={g.m}, k={self.k}, T={self.threshold}, h={self.hop_bound})"
 
 
 def read_int_pairs(lines: Iterable[str]) -> list[tuple[int, int]]:
@@ -326,8 +316,7 @@ def sample_pairs(graph: Graph, k: int, seed: int) -> list[tuple[int, int]]:
     chosen: set[tuple[int, int]] = set()
     out: list[tuple[int, int]] = []
     while len(out) < k:
-        s = rng.randrange(n)
-        t = rng.randrange(n)
+        s, t = rng.randrange(n), rng.randrange(n)
         if s != t and (s, t) not in chosen:
             chosen.add((s, t))
             out.append((s, t))
@@ -343,17 +332,13 @@ def concave_ratio(weights: Sequence[WeightFunction]) -> Fraction:
     """
     gamma = Fraction(1)
     for wf in weights:
-        t = wf.table
-        prefix_min: int | None = None
-        for i in range(len(t) - 1):
-            inc = t[i + 1] - t[i]
-            prefix_min = inc if prefix_min is None else min(prefix_min, inc)
+        prefix_min = math.inf
+        for inc in (b - a for a, b in zip(wf.table, wf.table[1:])):
+            prefix_min = min(prefix_min, inc)
             if inc > 0:
                 if prefix_min == 0:
                     return Fraction(0)
-                ratio = Fraction(prefix_min, inc)
-                if ratio < gamma:
-                    gamma = ratio
+                gamma = min(gamma, Fraction(prefix_min, inc))
     return gamma
 
 
@@ -379,12 +364,7 @@ def make_er_instance(
 def save_instance(instance: QosdInstance, stream: IO[str]) -> None:
     """Write the versioned round-trip text format (see README)."""
     g = instance.graph
-    stream.write(f"{INSTANCE_HEADER}\n")
-    stream.write("directed 1\n")
-    stream.write(f"n {g.n}\n")
-    stream.write(f"m {g.m}\n")
-    stream.write(f"T {instance.threshold}\n")
-    stream.write(f"k {instance.k}\n")
+    stream.write(f"{INSTANCE_HEADER}\ndirected 1\nn {g.n}\nm {g.m}\nT {instance.threshold}\nk {instance.k}\n")
     for (u, v), wf in zip(g.edges, instance.weights):
         table = " ".join(str(x) for x in wf.table)
         stream.write(f"edge {u} {v} {wf.model_tag} {table}\n")

@@ -10,8 +10,11 @@ scipy's private HiGHS binding, which loads with the first model."""
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
 import random
+import sys
 import time
 from bisect import insort
 from dataclasses import dataclass
@@ -98,7 +101,20 @@ def _solve_highs(
         lp.integrality_ = [highs.HighsVarType.kInteger] * num_col
     solver.passOptions(mip_options if integral else lp_options)
     solver.passModel(lp)
-    solver.run()
+    if integral:  # HiGHS's MIP code prints some lines to fd 1 whatever its options: point it at fd 2
+        sys.stdout.flush()
+        saved = os.dup(1)
+        os.dup2(2, 1)
+    try:
+        solver.run()
+    finally:
+        if integral:  # flush what went to Python's and C's stdout buffers before fd 1 comes back
+            sys.stdout.flush()
+            fflush = ctypes.CDLL(None).fflush
+            fflush.argtypes, fflush.restype = [ctypes.c_void_p], ctypes.c_int
+            fflush(None)  # NULL: every C output stream
+            os.dup2(saved, 1)
+            os.close(saved)
     status = solver.getModelStatus()
     if status != highs.HighsModelStatus.kOptimal:
         error = InfeasibleBoxError if status == highs.HighsModelStatus.kInfeasible else QosdError
@@ -279,8 +295,7 @@ def run_lr(
             break
     else:
         # an infinite eta takes the ceiling of every fractional component
-        retries = MAX_RETRIES
-        fallback = True
+        retries, fallback = MAX_RETRIES, True
         x = round_solution(instance, lp, math.inf, rng)
         feasible = not unseparated_pairs(instance, x)
 

@@ -4,8 +4,8 @@ blockers' gain structure. A path is the tuple of its edge ids from s to t.
 Every shortest-path search is one ``scipy.sparse.csgraph.dijkstra`` call
 from a batch of sources, stopped at a bound (only paths strictly shorter
 than T matter). :func:`distances` searches the whole graph through a CSR
-view cached on it (SA sweeps its sinks once a run, then only the rows a
-chunk can move, and its trees and walks read the kept rows); a pair sweep,
+view cached on it (SA sweeps its sinks once a run, then updates the kept
+rows in place, and its trees and walks read them); a pair sweep,
 :func:`pair_shortest_paths` (IG, AT, CC, the oracle, LR's separation, SA's
 exact fallback, every feasibility check), searches the instance's
 T-corridor: the edges (u, v) with d0(s, u) + table[0] + d0(v, t) < T for
@@ -139,6 +139,17 @@ def out_view(graph: "Graph") -> tuple[np.ndarray, np.ndarray]:
         nodes[tails, slot], edges[tails, slot] = matrix.indices, perm
         graph._csr["out"] = (nodes, edges)
     return graph._csr["out"]
+
+
+def adjacency(graph: "Graph") -> tuple[list[list[tuple[int, int]]], list[list[tuple[int, int]]]]:
+    """Each node's (head, edge) out-edges and (tail, edge) in-edges in edge-index
+    order, as Python lists; cached on the graph next to :func:`out_view`."""
+    if "adj" not in graph._csr:
+        graph._csr["adj"] = out_adj, in_adj = [[] for _ in range(graph.n)], [[] for _ in range(graph.n)]
+        for e, (u, v) in enumerate(graph.edges):
+            out_adj[u].append((v, e))
+            in_adj[v].append((u, e))
+    return graph._csr["adj"]
 
 
 def distances(

@@ -8,8 +8,8 @@ together in numpy (``_RoundWalker``) from one generator, only over the
 pairs still below T, and hands the estimator each distinct feasible walk
 as its edge tuple (a path is its edge tuple throughout the library),
 weighted by how often it was drawn over its probability.
-The walker keeps the sinks' distance rows and tree parents for the whole
-run and, after each chunk, sweeps again only the rows the chunk can move.
+The walker sweeps the sinks' distance rows once a run and keeps them and
+their tree parents, updated in place after each chunk where it moves nodes.
 :func:`sample_path` draws one walk at a time, the walker's reference.
 """
 
@@ -19,6 +19,7 @@ import math
 import random
 import time
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from itertools import accumulate
 from typing import Callable, Sequence
 
@@ -27,7 +28,7 @@ import numpy as np
 from .errors import ConfigError, GammaZeroError, InfeasibleBoxError
 from .framework import potential_paths
 from .instance import Graph, QosdInstance, concave_ratio
-from .pathcore import BudgetVector, PathSupport, budget_array, distances, edge_lengths, out_view
+from .pathcore import BudgetVector, PathSupport, adjacency, budget_array, distances, edge_lengths, out_view
 from .report import Deadline, RunReport
 
 
@@ -68,17 +69,23 @@ class SaConfig:
     seed: int = 0
 
 
-def _tree_parents(graph: Graph, lengths: np.ndarray, rows: np.ndarray, row, at) -> np.ndarray:
-    """Node ``at[i]``'s next hop toward the sink of the reverse distances
-    ``rows[row[i]]`` (``row`` may be one int and ``at`` a slice): the lowest-id
-    out-neighbour v on a tight out-edge e, lengths[e] + d(v) == d(u); n when
-    the sink is out of reach. Lengths are >= 1 and end with an inf for the -1
-    padding."""
-    (out_nodes, out_edges), to_u = out_view(graph), rows[row, at]
-    cand = out_nodes[at]
-    to_cand = rows[np.reshape(row, (-1, 1)), cand]
-    tight = (to_u < np.inf)[:, None] & (lengths[out_edges[at]] + to_cand == to_u[:, None])
-    return np.where(tight, cand, graph.n).min(axis=1)
+def _tree_parents(graph: Graph, lengths: np.ndarray, dist: np.ndarray) -> np.ndarray:
+    """Each node's next hop toward the sink of the reverse distances ``dist``:
+    the lowest-id out-neighbour v on a tight out-edge e, lengths[e] + d(v) ==
+    d(u); n when the sink is out of reach. ``lengths`` ends with an inf for
+    the -1 padding."""
+    out_nodes, out_edges = out_view(graph)
+    tight = (dist < np.inf)[:, None] & (lengths[out_edges] + dist[out_nodes] == dist[:, None])
+    return np.where(tight, out_nodes, graph.n).min(axis=1)
+
+
+def _next_hop(out: list[tuple[int, int]], lengths: list[float], dist: list[float], du: float, n: int) -> int:
+    """:func:`_tree_parents`' rule at one node at distance ``du``, with out-list ``out``."""
+    p = n
+    for v, e in out:
+        if lengths[e] + dist[v] == du < math.inf and v < p:
+            p = v
+    return p
 
 
 def build_sp_tree(instance: QosdInstance, x: BudgetVector, sink: int) -> list[int | None]:
@@ -87,17 +94,12 @@ def build_sp_tree(instance: QosdInstance, x: BudgetVector, sink: int) -> list[in
     sink and nodes that cannot reach it map to None."""
     lengths, n = np.array(edge_lengths(instance, x) + [np.inf]), instance.graph.n
     dist = distances(instance, lengths, [sink], reverse=True)
-    parents = _tree_parents(instance.graph, lengths, dist, 0, slice(None)).tolist()
+    parents = _tree_parents(instance.graph, lengths, dist[0]).tolist()
     return [None if v == n else v for v in parents]
 
 
-def sample_path(
-    instance: QosdInstance,
-    x: BudgetVector,
-    trees: dict[int, list[int | None]],
-    alpha: float,
-    rng: random.Random,
-) -> SampledPath:
+def sample_path(instance: QosdInstance, x: BudgetVector, trees: dict[int, list[int | None]], alpha: float,
+                rng: random.Random) -> SampledPath:
     """One biased self-avoiding walk for a uniformly chosen pair: the scalar
     form of :class:`_RoundWalker`'s walks, and their reference.
 
@@ -106,15 +108,13 @@ def sample_path(
     reaching the sink, on current-weight length >= T, or at a dead end.
     Forced steps (a single unvisited neighbor) consume no randomness.
     """
-    lengths, threshold = edge_lengths(instance, x), instance.threshold
-    out_nodes, out_edges = out_view(instance.graph)
+    lengths, threshold, (out_adj, _) = edge_lengths(instance, x), instance.threshold, adjacency(instance.graph)
     s, t = instance.pairs[rng.randrange(instance.k)]
     parent = trees[t]
     rho, edges, visited, u = 1.0 / instance.k, [], {s}, s
     current = initial = 0
     while u != t and current < threshold:
-        avail = [(v, ei) for v, ei in zip(out_nodes[u].tolist(), out_edges[u].tolist())
-                 if v >= 0 and v not in visited]
+        avail = [(v, ei) for v, ei in out_adj[u] if v not in visited]
         if not avail:
             break
         if len(avail) == 1:
@@ -147,7 +147,8 @@ class _RoundWalker:
     """:func:`sample_path`'s walks for a whole round, advanced together in
     numpy a block at a time, and the run's state: edge ``lengths`` f_e(x_e)
     (an inf last), the reverse distance ``rows`` to the instance's sinks and
-    their tree ``parents``, built at zero budget and kept by :meth:`raise_edges`.
+    their tree ``parents`` (n for none), built at zero budget and kept in
+    place by :meth:`raise_edges`, each with a Python list mirror it updates.
 
     Fed ``sample_path``'s streams (the pair, then ``random()`` on each
     non-forced step), every walk of :meth:`block` is bit-identical to it:
@@ -167,29 +168,60 @@ class _RoundWalker:
         self.sources = instance.sources[instance.source_row]  # each pair's source
         self.lengths = np.append(self.initial, np.inf)
         self.rows = distances(instance, self.lengths, instance.sinks, reverse=True)
-        self.parents = np.array([_tree_parents(instance.graph, self.lengths, self.rows, r, slice(None))
-                                 for r in range(len(instance.sinks))], dtype=np.int32)
+        self.parents = np.array([_tree_parents(instance.graph, self.lengths, row) for row in self.rows], np.int32)
+        # list mirrors of the three for raise_edges; the parents' share one int object per node id
+        self._lengths, self._rows, ids = self.lengths.tolist(), self.rows.tolist(), list(range(instance.graph.n + 1))
+        self._parents = [list(map(ids.__getitem__, row.tolist())) for row in self.parents]
 
     def raise_edges(self, edges: list[int], values: Sequence[int]) -> None:
-        """Sets the ``edges``' lengths to f_e(values[e]), none shorter, and
-        brings ``rows`` and ``parents`` up to date. A node keeps its distance
-        while it keeps a tight out-edge, since lengths are >= 1 and so that
-        edge's head is nearer and keeps its own. So only a tight changed
-        edge's tail can lose its parent, and only the rows where one has no
-        tight out-edge left are swept again, in one call; in those, parents
-        are recomputed where a node or an out-neighbour moved."""
-        rows, lengths, graph, old = self.rows, self.lengths, self.instance.graph, self.lengths[edges]
-        tails, heads = np.array([graph.edges[e] for e in edges], np.intp).reshape(-1, 2).T
-        lengths[edges] = [self.instance.weights[e].table[values[e]] for e in edges]
-        row, j = np.nonzero((rows[:, tails] < np.inf) & (rows[:, tails] == old + rows[:, heads]))
-        self.parents[row, tails[j]] = _tree_parents(graph, lengths, rows, row, tails[j])
-        swept = np.unique(row[self.parents[row, tails[j]] == graph.n])
-        if swept.size:
-            fresh = distances(self.instance, lengths, self.instance.sinks[swept], reverse=True)
-            moved = fresh != rows[swept]
-            rows[swept] = fresh
-            row, at = np.nonzero(moved | moved[:, self.out_nodes].any(axis=2))
-            self.parents[swept[row], at] = _tree_parents(graph, lengths, rows, swept[row], at)
+        """Sets the ``edges``' lengths to f_e(values[e]), none shorter, and updates
+        ``rows`` and ``parents`` in place where a raised edge was tight (Ramalingam
+        and Reps' increase-only update). Nearest first from those edges' tails, a
+        node moves when no tight out-edge leads to a node that keeps its distance,
+        and then its in-neighbours whose parent it was are tried. One Dijkstra among
+        the moved nodes, seeded from the others, re-settles them; only tried nodes
+        get new parents. Integer lengths keep every float64 sum exact."""
+        graph, lengths, n, inf = self.instance.graph, self._lengths, self.instance.graph.n, math.inf
+        out_adj, in_adj = adjacency(graph)
+        raised = []
+        for e in edges:
+            old, new = lengths[e], self.instance.weights[e].table[values[e]]
+            if new != old:
+                lengths[e] = self.lengths[e] = new
+                raised.append((*graph.edges[e], old))
+        for r, (dist, parent) in enumerate(zip(self._rows, self._parents)):
+            seen = {u for u, v, old in raised if dist[u] == old + dist[v] < inf}
+            if not seen:
+                continue
+            heap, moved, changed = sorted((dist[u], u) for u in seen), {}, {}
+            while heap:  # a moved node reads inf until it is re-settled
+                du, u = heappop(heap)
+                p = _next_hop(out_adj[u], lengths, dist, du, n)
+                if p == n:
+                    moved[u] = dist[u] = inf
+                    for w, _ in in_adj[u]:
+                        if parent[w] == u and w not in seen:
+                            seen.add(w)
+                            heappush(heap, (dist[w], w))
+                elif p != parent[u]:
+                    parent[u] = changed[u] = p
+            for u in moved:
+                for v, e in out_adj[u]:
+                    if dist[v] + lengths[e] < moved[u]:
+                        moved[u] = dist[v] + lengths[e]
+            heap = sorted((du, u) for u, du in moved.items())
+            while heap:
+                du, u = heappop(heap)
+                if du == moved[u]:  # else a stale entry
+                    dist[u], p = du, _next_hop(out_adj[u], lengths, dist, du, n)
+                    if p != parent[u]:
+                        parent[u] = changed[u] = p
+                    for w, e in in_adj[u]:
+                        if w in moved and du + lengths[e] < moved[w]:
+                            moved[w] = du + lengths[e]
+                            heappush(heap, (moved[w], w))
+            self.rows[r, list(moved)] = list(moved.values())
+            self.parents[r, list(changed)] = list(changed.values())
 
     def walks(self, live: np.ndarray, count: int,
               rng: np.random.Generator) -> tuple[list[tuple[int, ...]], list[float]]:

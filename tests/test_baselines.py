@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -231,3 +232,84 @@ def _vectors_of_norm(support, box, norm):
             acc[e] = 0
 
     yield from rec(0, norm, {})
+
+
+# solvers whose vector is fixed by the instance: gains are sums over paths and
+# ties break by edge index, so neither depends on pair order
+_ORDER_FREE = {
+    "ig": lambda inst: run_iterative(inst, "ig"),
+    "at": lambda inst: run_iterative(inst, "at"),
+    "cc": run_cc,
+}
+
+
+def _reordered(inst, order):
+    return QosdInstance(inst.graph, inst.weights, [inst.pairs[i] for i in order], inst.threshold)
+
+
+def _with_far_edges(inst, far):
+    """``inst`` with the ``(u, v, table)`` edges of ``far`` appended, each
+    starting at T or above, so on no path below T."""
+    graph = Graph(inst.graph.n, inst.graph.edges + [(u, v) for u, v, _ in far])
+    return QosdInstance(graph, inst.weights + [WeightFunction(t) for _, _, t in far], inst.pairs, inst.threshold)
+
+
+def _far_edges(data, inst, slopes=None):
+    """Edges between existing nodes, none already there, whose tables start
+    at T or above: affine with a slope from ``slopes`` when given, else any
+    nondecreasing table."""
+    n, taken = inst.graph.n, set(inst.graph.edges)
+    free = [(u, v) for u in range(n) for v in range(n) if u != v and (u, v) not in taken]
+    ends = data.draw(st.lists(st.sampled_from(free), unique=True, max_size=3)) if free else []
+    far = []
+    for u, v in ends:
+        start = inst.threshold + data.draw(st.integers(0, 2))
+        if slopes is None:
+            steps = data.draw(st.lists(st.integers(0, 3), max_size=3))
+        else:
+            steps = [data.draw(st.sampled_from(slopes))] * data.draw(st.integers(0, 3))
+        far.append((u, v, tuple(itertools.accumulate(steps, initial=start))))
+    return far
+
+
+@pytest.fixture(scope="module")
+def er240():
+    return make_er_instance(240, 0.05, 5, 5, "heterogeneous", seed=3)
+
+
+class TestMetamorphic:
+    @settings(max_examples=15, deadline=None)
+    @given(st.data())
+    def test_pair_order_moves_no_vector_and_no_optimum(self, data):
+        inst = _random_instance(data.draw(st.integers(0, 10**6)))
+        shuffled = _reordered(inst, data.draw(st.permutations(range(inst.k))))
+        for name, solve in _ORDER_FREE.items():
+            assert solve(shuffled).budget == solve(inst).budget, name
+        # the oracle's optimum may be another vector of the same norm
+        assert oracle_opt(shuffled).norm == oracle_opt(inst).norm
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.data())
+    def test_edges_at_or_above_t_are_ignored(self, data):
+        inst = _random_instance(data.draw(st.integers(0, 10**6)))
+        solvers = dict(_ORDER_FREE, oracle=oracle_opt)
+        slopes = None
+        if all(w.affine_coeffs() is not None for w in inst.weights):
+            # LR's rounding factor reads the largest slope of any edge
+            solvers["lr"] = lambda i: run_lr(i, delta=0.2, seed=1)
+            slopes = list(range(max(max(inst.affine_coeffs()[0]), 1) + 1))
+        far = _far_edges(data, inst, slopes)
+        grown = _with_far_edges(inst, far)
+        for name, solve in solvers.items():
+            assert list(solve(grown).budget) == list(solve(inst).budget) + [0] * len(far), name
+
+    def test_er240_pair_order_and_far_edges(self, er240):
+        shuffled = _reordered(er240, random.Random(0).sample(range(er240.k), er240.k))
+        taken = set(er240.graph.edges)
+        far = [(u, u + 1, (5, 6, 9)) for u in range(0, 240, 7) if (u, u + 1) not in taken][:10]
+        grown = _with_far_edges(er240, far)
+        assert grown.graph.m == er240.graph.m + 10 and shuffled.pairs != er240.pairs
+        for name, solve in _ORDER_FREE.items():
+            x = solve(er240).budget
+            assert solve(shuffled).budget == x, name
+            assert list(solve(grown).budget) == list(x) + [0] * 10, name

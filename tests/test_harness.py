@@ -4,6 +4,9 @@ import inspect
 import io
 import json
 import math
+import os
+import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -269,6 +272,66 @@ class TestRunExperiment:
         assert "opt" not in ig_extras
 
 
+# an instance on which HiGHS's MIP code prints to fd 1 whatever its output options
+MIP_PRINTING_INSTANCE = """qosd-instance v1
+directed 1
+n 8
+m 18
+T 7
+k 2
+edge 0 3 custom 5 6 13 13 20
+edge 0 5 custom 3 4 4 5 7
+edge 1 2 custom 3 4 4
+edge 1 3 custom 4
+edge 1 5 custom 2 3 4 5 6
+edge 1 6 custom 5 6 7
+edge 1 7 custom 3 6
+edge 2 1 custom 2 3 10
+edge 2 5 custom 1 1 8
+edge 2 7 custom 1
+edge 3 7 custom 3 3
+edge 4 0 custom 2 2 2 5 5 6
+edge 4 1 custom 4 11 13 14 14 15
+edge 4 6 custom 5
+edge 5 2 custom 2 3 4 6
+edge 6 7 custom 5 6 13 13 15 22
+edge 7 3 custom 2 3
+edge 7 4 custom 4 6 7 9 9 10
+pair 5 1
+pair 4 5
+"""
+
+
+class TestOutputStreams:
+    """The CLI's stdout holds its own output only, also when a solver's native
+    code prints: checked in a child process, whose fd 1 is a pipe."""
+
+    @staticmethod
+    def _run(tmp_path, *args):
+        import qosd
+
+        (tmp_path / "inst.txt").write_text(MIP_PRINTING_INSTANCE)
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qosd.__file__)))
+        done = subprocess.run([sys.executable, "-m", "qosd.cli", *args], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        return done.stdout
+
+    def test_solve_prints_its_summary_only(self, tmp_path):
+        out = self._run(tmp_path, "solve", "--instance", "inst.txt", "--algorithm", "oracle")
+        summary = r"algorithm=oracle norm=6 feasible=true outer=2 inner=2 wall_time=\d+\.\d{3}s seed=None"
+        assert re.fullmatch(summary + r"\n  constraint_paths=3\n", out), out
+
+    def test_experiment_prints_its_csv_only(self, tmp_path):
+        (tmp_path / "batch.txt").write_text(
+            "qosd-config v1\nsource = file\ninstance_file = inst.txt\nT = 7\nalgorithms = oracle\n")
+        out = self._run(tmp_path, "experiment", "batch.txt")
+        header, *rows = out.splitlines()
+        assert header == ",".join(CSV_COLUMNS)
+        table = list(csv.DictReader(io.StringIO(out)))
+        assert len(table) == len(rows) == 5 and {row["norm"] for row in table} == {"6"}
+
+
 class TestCli:
     def test_gen_solve_validate_round_trip(self, tmp_path, capsys):
         inst_file = tmp_path / "inst.txt"
@@ -468,6 +531,11 @@ class TestCli:
         capsys.readouterr()
         assert main(["solve", "--instance", str(inst_file), "--algorithm", "ig", "--time-limit", limit]) == code
         assert capsys.readouterr().err.startswith(prefix)
+
+    def test_time_limit_nan_fails_before_the_instance_loads(self, tmp_path, capsys):
+        missing = tmp_path / "missing.txt"
+        assert main(["solve", "--instance", str(missing), "--algorithm", "ig", "--time-limit", "nan"]) == 1
+        assert capsys.readouterr().err == "invalid input: time limit must be a number, not nan\n"
 
     def test_deadline_rejects_nan(self):
         with pytest.raises(ConfigError, match="not nan"):

@@ -29,7 +29,7 @@ from qosd import (
     unseparated_pairs,
 )
 from qosd import sa
-from qosd.pathcore import budget_array, distances, edge_lengths
+from qosd.pathcore import adjacency, budget_array, distances, edge_lengths
 from qosd.sa import _WALK_BLOCK, SampledPath, _RoundWalker
 
 from conftest import diamond_instance, single_edge_instance
@@ -297,10 +297,31 @@ def _fresh_state(walker, x):
 
 
 def _assert_state_is_fresh(walker, x):
+    """The kept state and its list mirrors equal a fresh walker's."""
     lengths, rows, parents = _fresh_state(walker, x)
-    assert walker.lengths.tolist() == lengths
-    assert np.array_equal(walker.rows, rows)
-    assert walker.parents.tolist() == parents
+    assert walker.lengths.tolist() == walker._lengths == lengths
+    assert np.array_equal(walker.rows, rows) and walker._rows == rows.tolist()
+    assert walker.parents.tolist() == walker._parents == parents
+
+
+def _spy_on_updates(monkeypatch, graph):
+    """Lists that collect the sources of every ``sa.distances`` call and the
+    node of every ``sa._next_hop`` call (a parent recomputed)."""
+    node_of = {id(out): u for u, out in enumerate(adjacency(graph)[0])}
+    swept, tried = [], []
+    distances_, next_hop = sa.distances, sa._next_hop
+
+    def counted(instance, lengths, sources, **kwargs):
+        swept.append(list(sources))
+        return distances_(instance, lengths, sources, **kwargs)
+
+    def spied(out, *args):
+        tried.append(node_of[id(out)])
+        return next_hop(out, *args)
+
+    monkeypatch.setattr(sa, "distances", counted)
+    monkeypatch.setattr(sa, "_next_hop", spied)
+    return swept, tried
 
 
 class TestRoundState:
@@ -364,9 +385,9 @@ class TestRoundState:
             _assert_state_is_fresh(walker, BudgetVector(values))
 
     def test_a_swept_row_refreshes_a_tail_that_kept_its_distance(self):
-        # one chunk raises (0, 1) and (4, 3): node 4 moves, so sink 3's row is
-        # swept, while node 0 keeps its distance over (0, 2) and nothing next to
-        # it moves; its parent still turns from 1 to 2
+        # one chunk raises (0, 1) and (4, 3): node 4 moves in sink 3's row,
+        # while node 0 keeps its distance over (0, 2) and nothing next to it
+        # moves; its parent still turns from 1 to 2
         g = Graph(5, [(0, 1), (0, 2), (1, 3), (2, 3), (4, 3)])
         inst = QosdInstance(g, [WeightFunction((1, 2))] * 5, [(0, 3), (4, 3)], 3, validate_box=False)
         walker, values = _RoundWalker(inst, 0.8), budget_array(inst)
@@ -376,26 +397,80 @@ class TestRoundState:
         assert walker.parents.tolist() == [[2, 3, 3, 5, 3]]
         _assert_state_is_fresh(walker, BudgetVector(values))
 
-    def test_only_rows_a_raise_can_move_are_swept(self, monkeypatch):
+    def test_a_raise_sweeps_nothing_and_leaves_rows_without_a_tight_raised_edge(self, monkeypatch):
         # sinks 3 and 4; (0, 2) is tight in neither row, (2, 3) is node 2's
         # only out-edge toward 3, and node 2 cannot reach 4
         g = Graph(5, [(0, 1), (1, 3), (0, 2), (2, 3), (1, 4)])
         weights = [WeightFunction(t) for t in [(1, 2), (1, 2), (1, 3), (2, 3), (1, 2)]]
         inst = QosdInstance(g, weights, [(0, 3), (0, 4)], 5, validate_box=False)
         walker, values = _RoundWalker(inst, 0.8), budget_array(inst)
-        swept = []
-
-        def counted(instance, lengths, sources, **kwargs):
-            swept.append(list(sources))
-            return distances(instance, lengths, sources, **kwargs)
-
-        monkeypatch.setattr(sa, "distances", counted)
-        for edge, sweeps in [(2, []), (3, [[3]]), (4, [[4]])]:
+        swept, tried = _spy_on_updates(monkeypatch, g)
+        # per raised edge, the sinks whose row moves and the nodes whose parent
+        # is recomputed: node 2 moves in sink 3's row, nodes 1 and 0 in sink 4's
+        for edge, moved_rows, parents_at in [(2, [], set()), (3, [3], {2}), (4, [4], {0, 1})]:
             values[edge] += 1
+            before = walker.rows.copy()
             swept.clear()
+            tried.clear()
             walker.raise_edges([edge], values)
-            assert swept == sweeps
+            kept = [old.tobytes() == new.tobytes() for old, new in zip(before, walker.rows)]
+            assert [t for t, same in zip(inst.sinks.tolist(), kept) if not same] == moved_rows
+            assert swept == [] and set(tried) == parents_at
             _assert_state_is_fresh(walker, BudgetVector(values))
+
+    def test_a_moved_node_resettles_through_other_moved_nodes(self):
+        # a chain 0 -> 1 -> 2 -> 3 into sink 3 and a long edge (0, 3): raising
+        # (2, 3) moves 2, 1 and 0, and node 0, first seeded over (0, 3) at 10,
+        # re-settles through the moved 1 at 7
+        g = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+        weights = [WeightFunction(t) for t in [(1,), (1,), (1, 5), (10,)]]
+        inst = QosdInstance(g, weights, [(0, 3)], 20, validate_box=False)
+        walker, values = _RoundWalker(inst, 0.8), budget_array(inst)
+        assert walker.rows.tolist() == [[3, 2, 1, 0]] and walker.parents.tolist() == [[1, 2, 3, 4]]
+        values[2] = 1
+        walker.raise_edges([2], values)
+        assert walker.rows.tolist() == [[7, 6, 5, 0]] and walker.parents.tolist() == [[1, 2, 3, 4]]
+        _assert_state_is_fresh(walker, BudgetVector(values))
+
+    def test_an_unreachable_node_stays_at_inf_with_no_parent(self):
+        # node 4 has no out-edge, so it cannot reach sink 3: raising (2, 3)
+        # moves 2 and 0, node 2's seed over (2, 4) is inf and it re-settles
+        # over (2, 1); node 4 keeps +inf and parent n
+        g = Graph(5, [(0, 2), (2, 3), (2, 4), (2, 1), (1, 3)])
+        weights = [WeightFunction(t) for t in [(1,), (1, 9), (1,), (3,), (1,)]]
+        inst = QosdInstance(g, weights, [(0, 3)], 20, validate_box=False)
+        walker, values = _RoundWalker(inst, 0.8), budget_array(inst)
+        assert walker.rows.tolist() == [[2, 1, 1, 0, math.inf]] and walker.parents.tolist() == [[2, 3, 3, 5, 5]]
+        values[1] = 1
+        walker.raise_edges([1], values)
+        assert walker.rows.tolist() == [[5, 1, 4, 0, math.inf]] and walker.parents.tolist() == [[2, 3, 1, 5, 5]]
+        _assert_state_is_fresh(walker, BudgetVector(values))
+
+    def test_a_raise_over_a_flat_increment_moves_nothing(self, monkeypatch):
+        g = Graph(3, [(0, 1), (1, 2)])
+        inst = QosdInstance(g, [WeightFunction((1,)), WeightFunction((1, 1, 3))], [(0, 2)], 5, validate_box=False)
+        walker, values = _RoundWalker(inst, 0.8), budget_array(inst)
+        swept, tried = _spy_on_updates(monkeypatch, g)
+        values[1] = 1
+        walker.raise_edges([1], values)
+        assert walker.rows.tolist() == [[2, 1, 0]] and walker.parents.tolist() == [[1, 2, 3]]
+        assert swept == tried == []
+        values[1] = 2  # the next unit crosses to 3: both nodes move
+        walker.raise_edges([1], values)
+        assert walker.rows.tolist() == [[4, 3, 0]] and sorted(tried) == [0, 0, 1, 1]
+        _assert_state_is_fresh(walker, BudgetVector(values))
+
+    def test_an_unmoved_node_whose_parent_moved_takes_its_next_tight_hop(self):
+        # node 0 reaches sink 3 through 1 and 2 at length 2, parent 1: raising
+        # (1, 3) moves 1, and 0 keeps its distance through 2, its new parent
+        g = Graph(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
+        inst = QosdInstance(g, [WeightFunction((1, 2))] * 4, [(0, 3)], 5, validate_box=False)
+        walker, values = _RoundWalker(inst, 0.8), budget_array(inst)
+        assert walker.rows.tolist() == [[2, 1, 1, 0]] and walker.parents.tolist() == [[1, 3, 3, 4]]
+        values[2] = 1
+        walker.raise_edges([2], values)
+        assert walker.rows.tolist() == [[2, 2, 1, 0]] and walker.parents.tolist() == [[2, 3, 3, 4]]
+        _assert_state_is_fresh(walker, BudgetVector(values))
 
 
 def _k4_instance():
