@@ -93,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--epsilon", type=float, default=defaults.epsilon)
     solve.add_argument("--delta", type=float, default=defaults.delta)
     solve.add_argument("--samples", type=int, default=defaults.samples_per_round,
-                       help="samples per round (unset or 0: max(100, 10k))")
+                       help="samples per round (unset or 0: q × max(100, 10k))")
     solve.add_argument("--sample-mode", default=defaults.sample_mode, choices=SAMPLE_MODES)
     solve.add_argument("--eta", type=float, default=None,
                        help="expert override of the rounding inflation factor")

@@ -55,12 +55,12 @@ class SaConfig:
     """The sampling solver's knobs and the defaults of every front door (LR
     reads ``delta``); :func:`run_sa` checks them all, whatever the mode.
 
-    ``samples_per_round=None`` uses the practical default max(100, 10k);
-    theoretical mode sizes rounds with :func:`sample_count` instead and is
-    usually astronomically larger.
+    ``samples_per_round=None`` draws q * max(100, 10k) walks a round, the
+    sample its up to q greedy steps share; theoretical mode sizes rounds with
+    :func:`sample_count` instead and is usually astronomically larger.
     """
 
-    q: int = 1
+    q: int = 8
     alpha: float = 0.8
     epsilon: float = 0.3
     delta: float = 0.2
@@ -382,7 +382,7 @@ def run_sa(
             instance, config.q, config.epsilon, config.delta / max(total_box, 1)
         )
     else:
-        base_count = config.samples_per_round or max(100, 10 * instance.k)
+        base_count = config.samples_per_round or config.q * max(100, 10 * instance.k)
 
     values = budget_array(instance)  # x's entries, raised in place each round
     x = BudgetVector(values)

@@ -659,8 +659,20 @@ class TestSampleCount:
 
     def test_practical_default_scales_with_pairs(self):
         inst = make_er_instance(60, 0.15, 3, 100, "linear", seed=0)
-        report = run_sa(inst, SaConfig(seed=0))
+        report = run_sa(inst, SaConfig(seed=0, q=1))
         assert report.extras["samples_per_round"] == 1000
+
+    @pytest.mark.parametrize("knobs, walks", [
+        ({}, 8000),  # the default round shares q * max(100, 10k) walks among its q = 8 steps
+        ({"q": 1, "samples_per_round": 777}, 777),  # an explicit size is used as given
+        ({"q": 3, "samples_per_round": 777}, 777),
+        ({"samples_per_round": 777}, 777),
+    ])
+    def test_round_size(self, knobs, walks):
+        inst = make_er_instance(60, 0.15, 3, 100, "linear", seed=0)
+        report = run_sa(inst, SaConfig(seed=0, **knobs))
+        assert report.extras["samples_per_round"] == walks
+        assert report.extras["samples_drawn"] % walks == 0
 
 
 class TestGreedyChunk:
@@ -743,7 +755,7 @@ class TestRunSa:
 
     def test_theoretical_mode_smoke(self, inst_a):
         report = run_sa(
-            inst_a, SaConfig(seed=1, sample_mode="theoretical", epsilon=0.9, delta=0.9)
+            inst_a, SaConfig(q=1, seed=1, sample_mode="theoretical", epsilon=0.9, delta=0.9)
         )
         assert report.feasible
         assert report.extras["samples_per_round"] == 15973
@@ -783,17 +795,24 @@ class TestRunSa:
             assert unseparated_pairs(inst, report.budget) == []
 
     @pytest.mark.parametrize("instance_args, config, rounds, extras, digest", [
-        pytest.param((60, 0.1, 5, 10, "linear", 1000), SaConfig(seed=0), 93,
+        pytest.param((60, 0.1, 5, 10, "linear", 1000), SaConfig(seed=0, q=1), 93,
                      {"samples_drawn": 9300, "escalations": 0, "fallbacks": 0},
                      "d18afec949293018c03d8cf5d0fc140dd9b473d20f353b3c1d84172a2e38252a", id="linear"),
         # flat increments: chunks cross them
-        pytest.param((60, 0.1, 10, 5, "concave", 0), SaConfig(seed=0), 142,
+        pytest.param((60, 0.1, 10, 5, "concave", 0), SaConfig(seed=0, q=1), 142,
                      {"samples_drawn": 14200, "escalations": 0, "fallbacks": 0},
                      "a0c7956b6ca7808b078a171e0a0c7d9665cca77432f7dac4b0daf2aee0313d03", id="concave"),
         # one walk a round: escalations (test_escalation_and_fallback reaches a fallback)
-        pytest.param((60, 0.1, 5, 10, "linear", 1), SaConfig(seed=1, samples_per_round=1), 111,
+        pytest.param((60, 0.1, 5, 10, "linear", 1), SaConfig(seed=1, q=1, samples_per_round=1), 111,
                      {"samples_drawn": 217, "escalations": 46, "fallbacks": 0},
                      "9c8b7b29078efd5ce0b5f41b3c5b40d50d34ec9ccb47474b165df00f8a5077b1", id="one-walk"),
+        # the default: up to 8 steps a round on 8 * 100 walks
+        pytest.param((60, 0.1, 5, 10, "linear", 1000), SaConfig(seed=0), 11,
+                     {"samples_drawn": 8800, "escalations": 0, "fallbacks": 0},
+                     "5ebdf1a366cb76fc1d8e042d1971ef89d382e39220d6c99e434ba7829274d7a3", id="linear-default"),
+        pytest.param((60, 0.1, 10, 5, "concave", 0), SaConfig(seed=0), 20,
+                     {"samples_drawn": 16000, "escalations": 0, "fallbacks": 0},
+                     "7421f65e5e308a61325e0f6f2e28801ef456de6874c275cec62883155b484377", id="concave-default"),
     ])
     def test_pinned_outputs(self, instance_args, config, rounds, extras, digest):
         # the budget vectors of one generator per round over the live pairs;
