@@ -145,11 +145,12 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
     batch failure; a failed oracle gets its own error row and the other
     algorithms run without ``opt``. A row's n, m, T and k are those of the
     instance it solved or failed on: for ``source = file``, the file's,
-    whatever T lists; the file is read once.
+    whatever T lists; the file is read and its oracle solved once.
     """
     rows: list[dict] = []
     model = config.model if config.source == "er" else "file"
     loaded = _build_instance(config, 0, 0) if config.source == "file" else None
+    oracle = None  # a file's one instance has one optimum, solved once
     for threshold in config.thresholds:
         for repetition in range(config.repetitions):
             instance = _build_instance(config, threshold, repetition) if loaded is None else loaded
@@ -158,8 +159,8 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
                 rows += [_row(alg, model, cell, 0, None, {"error": instance}) for alg in config.algorithms]
                 continue
             cell = (instance.graph.n, instance.graph.m, instance.threshold, instance.k)
-            oracle = (_attempt(instance, "oracle", deadline=Deadline(config.time_limit))
-                      if "oracle" in config.algorithms else None)
+            if "oracle" in config.algorithms and (oracle is None or loaded is None):
+                oracle = _attempt(instance, "oracle", deadline=Deadline(config.time_limit))
             for alg_index, alg in enumerate(config.algorithms):
                 seed = derive_seed(config.master_seed, threshold, repetition, alg_index)
                 if alg == "oracle":

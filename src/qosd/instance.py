@@ -113,7 +113,7 @@ class QosdInstance:
 
     __slots__ = (
         "graph", "weights", "pairs", "threshold", "min_initial_weight", "hop_bound", "box",
-        "sources", "source_row", "sinks", "sink_row", "budget_code", "_affine", "_corridor",
+        "sources", "source_row", "sinks", "sink_row", "budget_code", "_affine", "_corridor", "_reduced",
     )
 
     def __init__(
@@ -160,8 +160,7 @@ class QosdInstance:
         # pathcore.budget_array's typecode: one byte per edge unless some cap is 256 or more
         self.budget_code = "B" if widest < 256 else "q"
         self.hop_bound = math.ceil(threshold / self.min_initial_weight)
-        self._affine: tuple[list[int], list[int]] | None = None
-        self._corridor = None  # kept by pathcore.corridor
+        self._affine = self._corridor = self._reduced = None  # kept by affine_coeffs, pathcore's corridor and reduce
         # a pair has s != t, so each of its paths has an edge that alone reaches T
         if validate_box and lowest_top < threshold:
             self._check_box_feasible()

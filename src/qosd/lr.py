@@ -27,7 +27,7 @@ import numpy as np
 from .errors import ConfigError, InfeasibleBoxError, QosdError
 from .framework import Candidates, _generate
 from .instance import QosdInstance
-from .pathcore import BudgetVector, budget_array, pair_shortest_paths, unseparated_pairs
+from .pathcore import BudgetVector, budget_array, corridor, pair_shortest_paths, unseparated_pairs
 from .report import Deadline, RunReport
 
 FEAS_TOL = 1e-6
@@ -277,8 +277,8 @@ def run_lr(
     """
     deadline = Deadline.ensure(deadline)
     start = time.perf_counter()
-    # all-flat tables (or no edge) leave beta_max 0 and nothing to round; floor it at 1
-    beta_max = max(max(instance.affine_coeffs()[0], default=1), 1)
+    # the largest slope on a path below T (a corridor edge's), floored at 1 for flat tables or none
+    beta_max = max(np.take(instance.affine_coeffs()[0], corridor(instance).edges).tolist() + [1])
     eta_value = eta(instance.graph.n, instance.hop_bound, beta_max, delta)
     if eta_override is not None:
         if not eta_override > 0:

@@ -3,20 +3,19 @@ blockers' gain structure. A path is the tuple of its edge ids from s to t.
 
 Every shortest-path search is one ``scipy.sparse.csgraph.dijkstra`` call
 from a batch of sources, stopped at a bound (only paths strictly shorter
-than T matter). :func:`distances` searches the whole graph through a CSR
-view cached on it (SA sweeps its sinks once a run, then updates the kept
-rows in place, and its trees and walks read them); a pair sweep,
-:func:`pair_shortest_paths` (IG, AT, CC, the oracle, LR's separation, SA's
-exact fallback, every feasibility check), searches the instance's
-T-corridor: the edges (u, v) with d0(s, u) + table[0] + d0(v, t) < T for
-some pair, d0 the zero-budget distance. Lengths never fall below
-table[0], so every prefix and suffix of a path below T is at least its
-zero-budget length: each of its edges is in the corridor, distances are
-exact along it and its tight in-edges are the full graph's. No sweep is
-bounded above T. The first one builds the corridor (one bounded search
-forward from the sources, one back from the sinks) with its nodes
-relabelled, its own in-edges and its edges' tables end to end, and keeps
-it on the instance, so no later sweep step scales with n or m. Each
+than T matter). :func:`distances` searches a whole graph through a CSR
+view cached on it (SA's rows); a pair sweep, :func:`pair_shortest_paths`
+(IG, AT, CC, the oracle, LR's separation, SA's exact fallback, every
+feasibility check), searches the instance's T-corridor: the edges (u, v)
+with d0(s, u) + table[0] + d0(v, t) < T for some pair, d0 the zero-budget
+distance. Lengths never fall below table[0], so every prefix and suffix
+of a path below T is at least its zero-budget length: each of its edges
+is in the corridor, distances are exact along it and its tight in-edges
+are the full graph's, so the instance on its corridor (:func:`reduce`,
+SA's sub-instance) is the same problem. No sweep is bounded above T. The
+first one builds the corridor (one bounded search each way) with its
+nodes relabelled, its own in-edges and its edges' tables end to end, and
+keeps it on the instance, so no later sweep step scales with n or m. Each
 pair's path (:func:`shortest_path`) is rebuilt backward from t along the
 lowest-index tight in-edge and SA's tree parent is the lowest-id tight
 next hop; both rules read only the float64 distances, so every output is
@@ -28,9 +27,9 @@ support and capped-gain scan live. Each support takes one step rule for
 its life: AT's best-ratio chunks, or the unit steps (crossing a flat
 increment by the best chunk) of IG, SA's estimator-weighted chunk and
 SA's exact step. It keeps one entry per edge and one heap, and rescans
-only the entries a step changed. Its ``x``,
-SA's and CC's budgets and :class:`BudgetVector` share one buffer
-representation, so no per-round step walks all m edges in Python.
+only the entries a step changed. Its ``x``, SA's and CC's budgets and
+:class:`BudgetVector` share one buffer representation, so no per-round
+step walks all m edges in Python.
 """
 
 from __future__ import annotations
@@ -40,16 +39,14 @@ import math
 from array import array
 from heapq import heapify, heappop, heappush
 from itertools import chain
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra as csgraph_dijkstra
 
 from .errors import InfeasibleBoxError, QosdError
-
-if TYPE_CHECKING:
-    from .instance import Graph, QosdInstance
+from .instance import Graph, QosdInstance
 
 _INF = float("inf")
 
@@ -215,6 +212,23 @@ def corridor(instance: "QosdInstance") -> Corridor:
     local = dict(zip(nodes.tolist(), range(n)))
     instance._corridor = Corridor(matrix, edges, local, in_edges, flat, np.cumsum(sizes) - sizes, sizes - 1)
     return instance._corridor
+
+
+def reduce(instance: "QosdInstance") -> tuple["QosdInstance", np.ndarray]:
+    """The instance on its :func:`corridor`, built without a box check, and
+    the kept edge ids: the corridor's edges in edge-id order on their nodes
+    and every pair endpoint, relabelled in id order, so every tie rule by
+    lowest id or index carries over. Its vector y lifts to x[kept] = y, 0
+    elsewhere. Built by the first call and kept on the instance."""
+    if instance._reduced is None:
+        kept = np.sort(corridor(instance).edges)
+        ends = np.array(instance.graph.edges, dtype=np.int64).reshape(-1, 2)[kept]
+        nodes = np.unique(np.concatenate((ends.ravel(), instance.sources, instance.sinks)))
+        graph = Graph(len(nodes), np.searchsorted(nodes, ends).tolist())
+        pairs = np.searchsorted(nodes, instance.pairs).tolist()
+        instance._reduced = QosdInstance(graph, [instance.weights[e] for e in kept.tolist()], pairs,
+                                         instance.threshold, validate_box=False), kept
+    return instance._reduced
 
 
 def shortest_path(

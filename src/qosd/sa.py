@@ -3,14 +3,14 @@ estimator of the blocking metric, with a biased self-avoiding walk sampler.
 
 Walks are steered toward each sink's shortest-path tree with bias alpha;
 the exact probability of every produced walk is tracked so feasible
-samples can be importance-weighted. :func:`run_sa` draws a round's walks
-together in numpy (``_RoundWalker``) from one generator, only over the
-pairs still below T, and hands the estimator each distinct feasible walk
-as its edge tuple (a path is its edge tuple throughout the library),
-weighted by how often it was drawn over its probability.
-The walker sweeps the sinks' distance rows once a run and keeps them and
-their tree parents, updated in place after each chunk where it moves nodes.
-:func:`sample_path` draws one walk at a time, the walker's reference.
+samples can be importance-weighted. :func:`run_sa` walks on the T-corridor
+sub-instance (:func:`pathcore.reduce`), where every edge lies on a walk
+below T, and draws a round's walks together in numpy (``_RoundWalker``)
+from one generator, only over the pairs still below T. The estimator gets
+each distinct feasible walk as its edge tuple, weighted by how often it
+was drawn over its probability. The walker keeps the sinks' rows and tree
+parents, updated in place where a chunk moves nodes; :func:`sample_path`
+draws one walk at a time, the walker's reference.
 """
 
 from __future__ import annotations
@@ -27,20 +27,17 @@ import numpy as np
 
 from .errors import ConfigError, GammaZeroError, InfeasibleBoxError
 from .framework import potential_paths
-from .instance import Graph, QosdInstance, concave_ratio
-from .pathcore import BudgetVector, PathSupport, adjacency, budget_array, distances, edge_lengths, out_view
+from .instance import QosdInstance, concave_ratio
+from .pathcore import BudgetVector, PathSupport, adjacency, budget_array, distances, edge_lengths, out_view, reduce
 from .report import Deadline, RunReport
 
 
 @dataclass(frozen=True)
 class SampledPath:
-    """One walk outcome, its edge tuple from the pair's source, with its
-    exact sampling probability.
-
-    ``feasible`` is True only for walks that reached their sink with
-    initial-weight length below T (truncated and dead-end walks count
-    zero in the estimator but still carry their probability).
-    """
+    """One walk outcome: its edge tuple from the pair's source, its exact
+    sampling probability and ``feasible``, true only when it reached its sink
+    with initial-weight length below T (a truncated or dead-end walk counts
+    zero in the estimator but still carries its probability)."""
 
     edges: tuple[int, ...]
     rho: float
@@ -69,18 +66,10 @@ class SaConfig:
     seed: int = 0
 
 
-def _tree_parents(graph: Graph, lengths: np.ndarray, dist: np.ndarray) -> np.ndarray:
-    """Each node's next hop toward the sink of the reverse distances ``dist``:
-    the lowest-id out-neighbour v on a tight out-edge e, lengths[e] + d(v) ==
-    d(u); n when the sink is out of reach. ``lengths`` ends with an inf for
-    the -1 padding."""
-    out_nodes, out_edges = out_view(graph)
-    tight = (dist < np.inf)[:, None] & (lengths[out_edges] + dist[out_nodes] == dist[:, None])
-    return np.where(tight, out_nodes, graph.n).min(axis=1)
-
-
 def _next_hop(out: list[tuple[int, int]], lengths: list[float], dist: list[float], du: float, n: int) -> int:
-    """:func:`_tree_parents`' rule at one node at distance ``du``, with out-list ``out``."""
+    """The tree parent of a node at distance ``du`` from the sink of the reverse distances
+    ``dist``, with (head, edge) out-list ``out``: the lowest-id head v on a tight
+    out-edge e, lengths[e] + dist[v] == du; n when the sink is out of reach."""
     p = n
     for v, e in out:
         if lengths[e] + dist[v] == du < math.inf and v < p:
@@ -89,12 +78,11 @@ def _next_hop(out: list[tuple[int, int]], lengths: list[float], dist: list[float
 
 
 def build_sp_tree(instance: QosdInstance, x: BudgetVector, sink: int) -> list[int | None]:
-    """Next hop toward ``sink`` on a shortest path under f_e(x_e), per node:
-    :class:`_RoundWalker`'s tree parent, found for all nodes at once. The
-    sink and nodes that cannot reach it map to None."""
-    lengths, n = np.array(edge_lengths(instance, x) + [np.inf]), instance.graph.n
-    dist = distances(instance, lengths, [sink], reverse=True)
-    parents = _tree_parents(instance.graph, lengths, dist[0]).tolist()
+    """Next hop toward ``sink`` on a shortest path under f_e(x_e), per node, None at the
+    sink and where it is out of reach: :class:`_RoundWalker`'s tree parent."""
+    lengths, n, (out_adj, _) = edge_lengths(instance, x), instance.graph.n, adjacency(instance.graph)
+    dist = distances(instance, lengths, [sink], reverse=True)[0].tolist()
+    parents = [_next_hop(out_adj[u], lengths, dist, dist[u], n) for u in range(n)]
     return [None if v == n else v for v in parents]
 
 
@@ -147,8 +135,8 @@ class _RoundWalker:
     """:func:`sample_path`'s walks for a whole round, advanced together in
     numpy a block at a time, and the run's state: edge ``lengths`` f_e(x_e)
     (an inf last), the reverse distance ``rows`` to the instance's sinks and
-    their tree ``parents`` (n for none), built at zero budget and kept in
-    place by :meth:`raise_edges`, each with a Python list mirror it updates.
+    their tree ``parents`` (:func:`_next_hop`, n for none), built at zero
+    budget and kept in place by :meth:`raise_edges` with their list mirrors.
 
     Fed ``sample_path``'s streams (the pair, then ``random()`` on each
     non-forced step), every walk of :meth:`block` is bit-identical to it:
@@ -156,22 +144,19 @@ class _RoundWalker:
     out-neighbour slots, which adds in sequence with +0.0 for a visited or
     padding slot, so every comparison and every ``rho`` product is the
     scalar loop's float operation. ``deadline`` is checked before each
-    block, so a huge round still stops in time.
-    """
+    block, so a huge round still stops in time."""
 
     def __init__(self, instance: QosdInstance, alpha: float, deadline: Deadline | None = None):
-        self.instance = instance
-        self.alpha = alpha
-        self.deadline = Deadline.ensure(deadline)
+        self.instance, self.alpha, self.deadline = instance, alpha, Deadline.ensure(deadline)
         self.out_nodes, self.out_edges = out_view(instance.graph)
         self.initial = np.array([wf.table[0] for wf in instance.weights], dtype=np.float64)
         self.sources = instance.sources[instance.source_row]  # each pair's source
         self.lengths = np.append(self.initial, np.inf)
         self.rows = distances(instance, self.lengths, instance.sinks, reverse=True)
-        self.parents = np.array([_tree_parents(instance.graph, self.lengths, row) for row in self.rows], np.int32)
-        # list mirrors of the three for raise_edges; the parents' share one int object per node id
-        self._lengths, self._rows, ids = self.lengths.tolist(), self.rows.tolist(), list(range(instance.graph.n + 1))
-        self._parents = [list(map(ids.__getitem__, row.tolist())) for row in self.parents]
+        self._lengths, self._rows = self.lengths.tolist(), self.rows.tolist()  # list mirrors for raise_edges
+        out_adj, n = adjacency(instance.graph)[0], instance.graph.n
+        self._parents = [[_next_hop(out_adj[u], self._lengths, d, d[u], n) for u in range(n)] for d in self._rows]
+        self.parents = np.array(self._parents, np.int32)
 
     def raise_edges(self, edges: list[int], values: Sequence[int]) -> None:
         """Sets the ``edges``' lengths to f_e(values[e]), none shorter, and updates
@@ -344,21 +329,22 @@ def run_sa(
     threads: int = 1,
     deadline: Deadline | float | None = None,
 ) -> RunReport:
-    """Sampling rounds until separation.
-
-    The walker's kept reverse rows from the sinks give the live pairs, whose
-    source is below T from the sink, and its kept tree parents steer the
-    walks; no live pair ends the run. Else one generator per (seed, round,
-    attempt) draws the round's walks
-    (:class:`_RoundWalker`) over the live pairs only, which keeps the gain
-    estimate unbiased (a separated pair gains nothing on any edge), and the
-    greedy chunk's steps are added. An empty chunk escalates by doubling
-    the sample count up to three times, then falls back to one exact step,
-    :func:`greedy_chunk` on the round's shortest paths below T, unweighted,
-    with q = 1, so progress is unconditional and the report feasible.
-    ``threads`` is accepted and ignored. ``deadline`` is checked before each
-    round and each block of walks. ``config`` is checked first, the sample
-    mode before the other knobs.
+    """Sampling rounds until separation, on :func:`pathcore.reduce`'s
+    sub-instance, whose vector the report lifts back to the instance's m
+    edges; theoretical round sizes (:func:`sample_count`) read the instance
+    as given. The walker's kept reverse rows from the sinks give the live
+    pairs, whose source is below T from the sink, and its kept tree parents
+    steer the walks; no live pair ends the run. Else one generator per
+    (seed, round, attempt) draws the round's walks (:class:`_RoundWalker`)
+    over the live pairs only, which keeps the gain estimate unbiased (a
+    separated pair gains nothing on any edge), and the greedy chunk's steps
+    are added. An empty chunk escalates by doubling the sample count up to
+    three times, then falls back to one exact step, :func:`greedy_chunk` on
+    the round's shortest paths below T, unweighted, with q = 1, so progress
+    is unconditional and the report feasible. ``threads`` is accepted and
+    ignored. ``deadline`` is checked before each round and each block of
+    walks. ``config`` is checked first, the sample mode before the other
+    knobs.
     """
     config = config or SaConfig()
     if config.sample_mode not in SAMPLE_MODES:
@@ -375,22 +361,19 @@ def run_sa(
         raise ConfigError("seed must be nonnegative")
     deadline = Deadline.ensure(deadline)
     start = time.perf_counter()
-
     if config.sample_mode == "theoretical":
-        total_box = sum(instance.box)
-        base_count = sample_count(
-            instance, config.q, config.epsilon, config.delta / max(total_box, 1)
-        )
+        base_count = sample_count(instance, config.q, config.epsilon, config.delta / max(sum(instance.box), 1))
     else:
         base_count = config.samples_per_round or config.q * max(100, 10 * instance.k)
 
-    values = budget_array(instance)  # x's entries, raised in place each round
+    sub, kept = reduce(instance)
+    values = budget_array(sub)  # x's entries on the sub-instance, raised in place each round
     x = BudgetVector(values)
-    walker = _RoundWalker(instance, config.alpha, deadline)
+    walker = _RoundWalker(sub, config.alpha, deadline)
     rounds = samples_drawn = escalations = fallbacks = 0
     while True:
         deadline.check("sampling round")
-        live = np.flatnonzero(walker.rows[instance.sink_row, walker.sources] < instance.threshold)
+        live = np.flatnonzero(walker.rows[sub.sink_row, walker.sources] < sub.threshold)
         if not live.size:
             break
         for attempt in range(4):  # base try plus three doublings
@@ -398,11 +381,11 @@ def run_sa(
             rng = np.random.default_rng([config.seed, rounds, attempt])
             paths, weights = walker.walks(live, count, rng)
             samples_drawn += count
-            steps = greedy_chunk(instance, paths, weights, x, config.q)
+            steps = greedy_chunk(sub, paths, weights, x, config.q)
             if steps:
                 break
         else:
-            steps = greedy_chunk(instance, potential_paths(instance, x), None, x, 1)
+            steps = greedy_chunk(sub, potential_paths(sub, x), None, x, 1)
             if not steps:
                 raise InfeasibleBoxError("no unit or chunk improves the current shortest paths")
             fallbacks += 1
@@ -413,7 +396,9 @@ def run_sa(
         x = BudgetVector(values)
         rounds += 1
 
+    lifted = budget_array(instance)
+    np.frombuffer(lifted, lifted.typecode)[kept] = values
     return RunReport.finish(
-        "sa", x, start, rounds, x.norm, seed=config.seed, samples_drawn=samples_drawn,
+        "sa", BudgetVector(lifted), start, rounds, x.norm, seed=config.seed, samples_drawn=samples_drawn,
         escalations=escalations, fallbacks=fallbacks, samples_per_round=base_count,
     )

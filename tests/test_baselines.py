@@ -254,9 +254,9 @@ def _with_far_edges(inst, far):
     return QosdInstance(graph, inst.weights + [WeightFunction(t) for _, _, t in far], inst.pairs, inst.threshold)
 
 
-def _far_edges(data, inst, slopes=None):
+def _far_edges(data, inst, affine=False):
     """Edges between existing nodes, none already there, whose tables start
-    at T or above: affine with a slope from ``slopes`` when given, else any
+    at T or above: affine (any slope up to 60) when ``affine``, else any
     nondecreasing table."""
     n, taken = inst.graph.n, set(inst.graph.edges)
     free = [(u, v) for u in range(n) for v in range(n) if u != v and (u, v) not in taken]
@@ -264,10 +264,10 @@ def _far_edges(data, inst, slopes=None):
     far = []
     for u, v in ends:
         start = inst.threshold + data.draw(st.integers(0, 2))
-        if slopes is None:
-            steps = data.draw(st.lists(st.integers(0, 3), max_size=3))
+        if affine:
+            steps = [data.draw(st.integers(0, 60))] * data.draw(st.integers(0, 3))
         else:
-            steps = [data.draw(st.sampled_from(slopes))] * data.draw(st.integers(0, 3))
+            steps = data.draw(st.lists(st.integers(0, 3), max_size=3))
         far.append((u, v, tuple(itertools.accumulate(steps, initial=start))))
     return far
 
@@ -292,16 +292,18 @@ class TestMetamorphic:
     @given(st.data())
     def test_edges_at_or_above_t_are_ignored(self, data):
         inst = _random_instance(data.draw(st.integers(0, 10**6)))
-        solvers = dict(_ORDER_FREE, oracle=oracle_opt)
-        slopes = None
-        if all(w.affine_coeffs() is not None for w in inst.weights):
-            # LR's rounding factor reads the largest slope of any edge
+        # SA's practical rounds walk the T-corridor, so they never meet such an edge
+        solvers = dict(_ORDER_FREE, oracle=oracle_opt, sa=lambda i: run_sa(i, SaConfig(seed=1)))
+        affine = all(w.affine_coeffs() is not None for w in inst.weights)
+        if affine:
+            # LR's rounding factor reads the largest slope of a corridor edge only
             solvers["lr"] = lambda i: run_lr(i, delta=0.2, seed=1)
-            slopes = list(range(max(max(inst.affine_coeffs()[0]), 1) + 1))
-        far = _far_edges(data, inst, slopes)
+        far = _far_edges(data, inst, affine)
         grown = _with_far_edges(inst, far)
         for name, solve in solvers.items():
-            assert list(solve(grown).budget) == list(solve(inst).budget) + [0] * len(far), name
+            before, after = solve(inst), solve(grown)
+            assert list(after.budget) == list(before.budget) + [0] * len(far), name
+            assert after.extras.get("eta") == before.extras.get("eta"), name
 
     def test_er240_pair_order_and_far_edges(self, er240):
         shuffled = _reordered(er240, random.Random(0).sample(range(er240.k), er240.k))
@@ -313,3 +315,6 @@ class TestMetamorphic:
             x = solve(er240).budget
             assert solve(shuffled).budget == x, name
             assert list(solve(grown).budget) == list(x) + [0] * 10, name
+        # SA draws its walks by pair index, so only the far edges leave it alone
+        x = run_sa(er240, SaConfig(seed=3)).budget
+        assert list(run_sa(grown, SaConfig(seed=3)).budget) == list(x) + [0] * 10

@@ -14,7 +14,7 @@ import pytest
 
 from qosd import (
     ConfigError, Deadline, ExperimentConfig, SaConfig, SolverTimeout, derive_seed, load_instance, make_er_instance,
-    parse_config, rows_to_csv, run_experiment, run_iterative, save_instance,
+    oracle_opt, parse_config, rows_to_csv, run_experiment, run_iterative, save_instance,
 )
 from qosd.cli import main
 from qosd.experiment import CSV_COLUMNS, run_algorithm
@@ -200,6 +200,29 @@ class TestRunExperiment:
         assert calls == [str(path)]
         assert [(row["algorithm"], row["T"], row["feasible"]) for row in rows] == [
             ("ig", 5, "true"), ("sa", 5, "true")] * 4
+
+    def test_file_instance_oracle_is_solved_once(self, tmp_path, monkeypatch):
+        import qosd.experiment
+
+        inst = make_er_instance(12, 0.3, 5, 3, "linear", seed=2)
+        path = tmp_path / "inst.txt"
+        with open(path, "w") as handle:
+            save_instance(inst, handle)
+        calls, solve = [], qosd.experiment.oracle_opt
+
+        def counted(instance, **kwargs):
+            calls.append(instance.threshold)
+            return solve(instance, **kwargs)
+
+        monkeypatch.setattr(qosd.experiment, "oracle_opt", counted)
+        config = ExperimentConfig(source="file", instance_file=str(path), thresholds=[3, 9],
+                                  algorithms=["oracle", "ig"], repetitions=2)
+        rows = run_experiment(config)
+        # one solve serves the four cells: every row carries its optimum
+        assert calls == [5]
+        opt = oracle_opt(inst).norm
+        assert [row["norm"] for row in rows[::2]] == [opt] * 4
+        assert all(json.loads(row["extras"])["opt"] == opt for row in rows)
 
     def test_error_row_carries_the_instance_it_failed_on(self, tmp_path):
         # LR fails on convex tables; its row has the cell's n, m, T and k as IG's has

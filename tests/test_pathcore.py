@@ -33,7 +33,7 @@ from qosd import (
 from qosd import sa
 from qosd.instance import WEIGHT_MODELS, _concave_table, _convex_table, _linear_table
 from qosd.lr import FEAS_TOL
-from qosd.pathcore import chunk_amounts, corridor, csr_view, distances, edge_lengths, out_view
+from qosd.pathcore import chunk_amounts, corridor, csr_view, distances, edge_lengths, out_view, reduce
 
 from conftest import diamond_instance
 from reference import d_value, full_graph_paths, out_adj, path_nodes, plus, r_value, unit
@@ -854,6 +854,50 @@ def test_corridor_holds_the_zero_budget_corridor_edges(seed, model):
         assert tuple(area.tables[start:start + cap + 1].tolist()) == inst.weights[e].table
 
 
+def _lifted(inst, kept, values) -> BudgetVector:
+    x = [0] * inst.graph.m
+    for e, v in zip(kept.tolist(), values):
+        x[e] = v
+    return BudgetVector(x)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from(WEIGHT_MODELS + ("custom",)))
+def test_reduce_keeps_the_corridor_with_its_nodes_and_every_pair_endpoint(seed, model):
+    inst = _corridor_instance(seed, model)
+    sub, kept = reduce(inst)
+    ids, ends = kept.tolist(), inst.graph.edges
+    # the corridor's edges in edge-id order, with their tables, under the same T
+    assert ids == sorted(ids) == sorted(_zero_budget_corridor(inst))
+    assert sub.weights == [inst.weights[e] for e in ids] and sub.threshold == inst.threshold
+    # label i is the i-th lowest kept node: the relabelling keeps the id order
+    nodes = sorted({v for e in ids for v in ends[e]} | {v for pair in inst.pairs for v in pair})
+    assert sub.graph.n == len(nodes)
+    assert [(nodes[u], nodes[v]) for u, v in sub.graph.edges] == [ends[e] for e in ids]
+    assert [(nodes[s], nodes[t]) for s, t in sub.pairs] == inst.pairs
+    # a vector on the sub-instance, lifted, leaves the same pairs unseparated
+    rng = random.Random(seed)
+    y = [rng.randint(0, cap) for cap in sub.box]
+    assert unseparated_pairs(inst, _lifted(inst, kept, y)) == unseparated_pairs(sub, BudgetVector(y))
+    assert reduce(inst)[0] is sub and inst._reduced[0] is sub
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_reduce_lifts_vectors_that_separate_the_full_instance(seed):
+    inst = make_er_instance(60, 0.1, 5, 10, "heterogeneous", seed=seed)
+    sub, kept = reduce(inst)
+    assert sub.graph.m < inst.graph.m
+    # IG and AT break ties by the lowest edge and node ids, which the relabelling keeps
+    for blocker in ("ig", "at"):
+        lifted = _lifted(inst, kept, run_iterative(sub, blocker).budget)
+        assert lifted == run_iterative(inst, blocker).budget
+        assert unseparated_pairs(inst, lifted) == []
+    # SA walks on the sub-instance and reports the lifted vector
+    report = run_sa(inst, SaConfig(seed=seed))
+    assert len(report.budget) == inst.graph.m and unseparated_pairs(inst, report.budget) == []
+    assert not any(report.budget[e] for e in set(range(inst.graph.m)) - set(kept.tolist()))
+
+
 def _relabel_instance(pairs) -> QosdInstance:
     # 0 -> 1 -> 2 is the only walk below T; 3 -> 4 and 2 -> 0 lie on none
     graph = Graph(5, [(0, 1), (1, 2), (3, 4), (2, 0)])
@@ -884,6 +928,14 @@ def test_source_without_corridor_edges_is_separated():
     assert pair_shortest_paths(inst, x) == [(0, 1), None, None]
     assert unseparated_pairs(inst, x) == [0]
     assert pair_shortest_paths(inst, x)[1] is None
+
+
+def test_reduce_without_corridor_edges_keeps_the_pair_endpoints():
+    # node 4 reaches nothing, so no walk runs from 4 to 3
+    inst = _relabel_instance([(4, 3)])
+    sub, kept = reduce(inst)
+    assert (sub.graph.n, sub.graph.m, sub.pairs, kept.tolist()) == (2, 0, [(1, 0)], [])
+    assert run_sa(inst).budget == BudgetVector.zeros(4)
 
 
 def test_sweep_rejects_a_budget_above_a_corridor_cap():

@@ -29,7 +29,7 @@ from qosd import (
     unseparated_pairs,
 )
 from qosd import sa
-from qosd.pathcore import adjacency, budget_array, distances, edge_lengths
+from qosd.pathcore import adjacency, budget_array, distances, edge_lengths, reduce
 from qosd.sa import _WALK_BLOCK, SampledPath, _RoundWalker
 
 from conftest import diamond_instance, single_edge_instance
@@ -349,7 +349,7 @@ class TestRoundState:
             inst, config = diamond_instance(), SaConfig(q=2)
         else:
             g = Graph(4, [(0, 1), (1, 2), (1, 3)])
-            inst = QosdInstance(g, build_weights(g, "linear", 3), [(0, 2)], 3)
+            inst = QosdInstance(g, build_weights(g, "linear", 3), [(0, 2), (0, 3)], 3)
             config = SaConfig(alpha=0.0, samples_per_round=1)
         report = run_sa(inst, config)
         assert report.feasible and len(raised) == report.outer_iterations > 0
@@ -742,11 +742,12 @@ class TestRunSa:
         assert all(v in (0, 1) for v in report.budget)
 
     def test_escalation_and_fallback(self):
-        # at alpha 0 every walk leaves node 1 for the dead end 3, never for
-        # its tree parent 2, so whatever the stream the round escalates three
-        # times and falls back to one exact unit
+        # at alpha 0 every walk leaves node 1 for the other pair's sink, a dead
+        # end, never for its tree parent, so whatever the stream the round
+        # escalates three times and falls back to one exact unit; both dead
+        # ends are sinks, so they lie on the T-corridor the walks run on
         g = Graph(4, [(0, 1), (1, 2), (1, 3)])
-        inst = QosdInstance(g, build_weights(g, "linear", 3), [(0, 2)], 3)
+        inst = QosdInstance(g, build_weights(g, "linear", 3), [(0, 2), (0, 3)], 3)
         report = run_sa(inst, SaConfig(alpha=0.0, samples_per_round=1))
         assert report.feasible
         assert report.norm == 1
@@ -770,6 +771,17 @@ class TestRunSa:
         with pytest.raises(SolverTimeout, match="sampling round"):
             run_sa(inst, config, deadline=0.5)
         assert time.perf_counter() - start < 5.0
+
+    def test_theoretical_rounds_are_sized_on_the_given_instance(self):
+        # the edge 3 -> 4 starts at T, so the walks run on the diamond alone;
+        # the round size still reads the fifth node and that edge's box
+        graph = Graph(5, diamond_instance().graph.edges + [(3, 4)])
+        inst = QosdInstance(graph, diamond_instance().weights + [WeightFunction((3, 4, 5))], [(0, 3)], 3)
+        sub = reduce(inst)[0]
+        want = sample_count(inst, 1, 0.9, 0.9 / sum(inst.box))
+        assert sub.graph.n == 4 and want != sample_count(sub, 1, 0.9, 0.9 / sum(sub.box))
+        report = run_sa(inst, SaConfig(q=1, seed=1, sample_mode="theoretical", epsilon=0.9, delta=0.9))
+        assert report.feasible and report.extras["samples_per_round"] == want
 
     @pytest.mark.parametrize("knobs", [
         {"sample_mode": "bogus"}, {"q": 0}, {"alpha": 1.0}, {"epsilon": 5.0}, {"delta": 7.0},
@@ -795,28 +807,28 @@ class TestRunSa:
             assert unseparated_pairs(inst, report.budget) == []
 
     @pytest.mark.parametrize("instance_args, config, rounds, extras, digest", [
-        pytest.param((60, 0.1, 5, 10, "linear", 1000), SaConfig(seed=0, q=1), 93,
-                     {"samples_drawn": 9300, "escalations": 0, "fallbacks": 0},
-                     "d18afec949293018c03d8cf5d0fc140dd9b473d20f353b3c1d84172a2e38252a", id="linear"),
+        pytest.param((60, 0.1, 5, 10, "linear", 1000), SaConfig(seed=0, q=1), 95,
+                     {"samples_drawn": 9500, "escalations": 0, "fallbacks": 0},
+                     "b50c2b3f338de8ae46856b6d9099456edc74c4352bbf8d3b2974f764d47125f1", id="linear"),
         # flat increments: chunks cross them
         pytest.param((60, 0.1, 10, 5, "concave", 0), SaConfig(seed=0, q=1), 142,
                      {"samples_drawn": 14200, "escalations": 0, "fallbacks": 0},
                      "a0c7956b6ca7808b078a171e0a0c7d9665cca77432f7dac4b0daf2aee0313d03", id="concave"),
         # one walk a round: escalations (test_escalation_and_fallback reaches a fallback)
-        pytest.param((60, 0.1, 5, 10, "linear", 1), SaConfig(seed=1, q=1, samples_per_round=1), 111,
-                     {"samples_drawn": 217, "escalations": 46, "fallbacks": 0},
-                     "9c8b7b29078efd5ce0b5f41b3c5b40d50d34ec9ccb47474b165df00f8a5077b1", id="one-walk"),
+        pytest.param((60, 0.1, 5, 10, "linear", 1), SaConfig(seed=1, q=1, samples_per_round=1), 117,
+                     {"samples_drawn": 257, "escalations": 61, "fallbacks": 0},
+                     "68de229869eb699a061d8202714c256d369de6f99fe7767e5fa90556b8ca37e9", id="one-walk"),
         # the default: up to 8 steps a round on 8 * 100 walks
         pytest.param((60, 0.1, 5, 10, "linear", 1000), SaConfig(seed=0), 11,
                      {"samples_drawn": 8800, "escalations": 0, "fallbacks": 0},
-                     "5ebdf1a366cb76fc1d8e042d1971ef89d382e39220d6c99e434ba7829274d7a3", id="linear-default"),
+                     "2fe17bc5a0bc47af4db24252ea9abe102aeba3925eafdfeb4ff4d1a6cce59198", id="linear-default"),
         pytest.param((60, 0.1, 10, 5, "concave", 0), SaConfig(seed=0), 20,
                      {"samples_drawn": 16000, "escalations": 0, "fallbacks": 0},
                      "7421f65e5e308a61325e0f6f2e28801ef456de6874c275cec62883155b484377", id="concave-default"),
     ])
     def test_pinned_outputs(self, instance_args, config, rounds, extras, digest):
-        # the budget vectors of one generator per round over the live pairs;
-        # a faster sampler must keep them
+        # the budget vectors of one generator per round over the live pairs, with
+        # the walks on the T-corridor sub-instance; a faster sampler must keep them
         n, rho, threshold, k, model, seed = instance_args
         report = run_sa(make_er_instance(n, rho, threshold, k, model, seed=seed), config)
         assert report.outer_iterations == rounds
