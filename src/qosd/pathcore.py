@@ -27,9 +27,9 @@ support and capped-gain scan live. Each support takes one step rule for
 its life: AT's best-ratio chunks, or the unit steps (crossing a flat
 increment by the best chunk) of IG, SA's estimator-weighted chunk and
 SA's exact step. It keeps one entry per edge and one heap, and rescans
-only the entries a step changed. Its ``x``, SA's and CC's budgets and
-:class:`BudgetVector` share one buffer representation, so no per-round
-step walks all m edges in Python.
+only the entries a step changed. Its ``x``,
+SA's and CC's budgets and :class:`BudgetVector` share one buffer
+representation, so no per-round step walks all m edges in Python.
 """
 
 from __future__ import annotations

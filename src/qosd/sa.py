@@ -144,7 +144,8 @@ class _RoundWalker:
     out-neighbour slots, which adds in sequence with +0.0 for a visited or
     padding slot, so every comparison and every ``rho`` product is the
     scalar loop's float operation. ``deadline`` is checked before each
-    block, so a huge round still stops in time."""
+    block, so a huge round still stops in time.
+    """
 
     def __init__(self, instance: QosdInstance, alpha: float, deadline: Deadline | None = None):
         self.instance, self.alpha, self.deadline = instance, alpha, Deadline.ensure(deadline)

@@ -2,9 +2,10 @@
 their sum D over a path set, unit vectors and vector addition, the out-
 and in-adjacency in edge-index order, every pair's path from a sweep over
 the whole graph, the lazy IG/AT loop with each round's support built from
-scratch, SA's estimator of B, its chunk's inputs from independent walks
-and per-walk random streams, the per-edge instance generators that the
-library's batched ones must match, and C08's layered flat-step instances."""
+scratch, SA's estimator of B, its chunk's inputs from independent walks,
+per-walk random streams and tree parents found for all nodes at once, the
+per-edge instance generators that the library's batched ones must match,
+and C08's layered flat-step instances."""
 
 from __future__ import annotations
 
@@ -13,11 +14,13 @@ from array import array
 from functools import lru_cache
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from qosd import (BudgetVector, Deadline, Graph, InvalidInstanceError, QosdError, QosdInstance, WeightFunction,
                   potential_paths)
 from qosd.framework import _generate
 from qosd.instance import _concave_table, _convex_table, _linear_table
-from qosd.pathcore import distances
+from qosd.pathcore import distances, out_view
 from qosd.sa import SampledPath
 
 
@@ -139,6 +142,16 @@ def estimate_B(instance: QosdInstance, samples: list[SampledPath], x: BudgetVect
         if sp.feasible:
             total += r_value(instance, sp.edges, x) / sp.rho
     return total / len(samples)
+
+
+def tree_parents(graph: Graph, lengths: np.ndarray, dist: np.ndarray) -> np.ndarray:
+    """Each node's next hop toward the sink of the reverse distances ``dist``,
+    vectorised over all nodes: the lowest-id out-neighbour v on a tight
+    out-edge e, lengths[e] + d(v) == d(u); n when the sink is out of reach.
+    ``lengths`` ends with an inf for the -1 padding."""
+    out_nodes, out_edges = out_view(graph)
+    tight = (dist < np.inf)[:, None] & (lengths[out_edges] + dist[out_nodes] == dist[:, None])
+    return np.where(tight, out_nodes, graph.n).min(axis=1)
 
 
 def _derived_rng(master: int, round_idx: int, attempt: int, index: int) -> random.Random:

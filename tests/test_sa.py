@@ -33,7 +33,7 @@ from qosd.pathcore import adjacency, budget_array, distances, edge_lengths, redu
 from qosd.sa import _WALK_BLOCK, SampledPath, _RoundWalker
 
 from conftest import diamond_instance, single_edge_instance
-from reference import _derived_rng, chunk_inputs, estimate_B, out_adj, path_nodes
+from reference import _derived_rng, chunk_inputs, estimate_B, out_adj, path_nodes, tree_parents
 
 
 class TestBuildSpTree:
@@ -289,11 +289,14 @@ class TestRoundWalker:
 
 def _fresh_state(walker, x):
     """The lengths, reverse sink rows and tree parents (n for none) that a
-    walker built from scratch at budget x holds."""
+    walker built from scratch at budget x holds, the parents from the
+    vectorised reference rule, which ``build_sp_tree`` must match."""
     inst, n = walker.instance, walker.instance.graph.n
     lengths = edge_lengths(inst, x) + [np.inf]
-    parents = [[n if v is None else v for v in build_sp_tree(inst, x, t)] for t in inst.sinks.tolist()]
-    return lengths, distances(inst, lengths, inst.sinks, reverse=True), parents
+    rows = distances(inst, lengths, inst.sinks, reverse=True)
+    parents = [tree_parents(inst.graph, np.array(lengths), row).tolist() for row in rows]
+    assert parents == [[n if v is None else v for v in build_sp_tree(inst, x, t)] for t in inst.sinks.tolist()]
+    return lengths, rows, parents
 
 
 def _assert_state_is_fresh(walker, x):
@@ -333,6 +336,10 @@ class TestRoundState:
         raised = []
 
         class Checked(_RoundWalker):
+            def __init__(self, *args):
+                super().__init__(*args)
+                _assert_state_is_fresh(self, BudgetVector.zeros(self.instance.graph.m))
+
             def raise_edges(self, edges, values):
                 super().raise_edges(edges, values)
                 _assert_state_is_fresh(self, BudgetVector(values))
@@ -375,6 +382,7 @@ class TestRoundState:
         pairs = data.draw(st.lists(st.sampled_from(ordered), min_size=1, max_size=4))
         inst = QosdInstance(Graph(n, edges), weights, pairs, 8, validate_box=False)
         walker, values = _RoundWalker(inst, 0.8), budget_array(inst)
+        _assert_state_is_fresh(walker, BudgetVector(values))
         for _ in range(data.draw(st.integers(1, 4))):
             # a chunk of any size, some of it on edges out of one tail
             chunk = data.draw(st.lists(st.sampled_from(range(len(edges))), min_size=1, unique=True))
