@@ -25,6 +25,7 @@ CSV_COLUMNS = [
 ]
 
 ALGORITHMS = ("ig", "at", "sa", "lr", "cc", "oracle")
+DETERMINISTIC = ("ig", "at", "cc", "oracle")  # their outputs do not depend on the seed
 
 
 @dataclass
@@ -145,12 +146,13 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
     batch failure; a failed oracle gets its own error row and the other
     algorithms run without ``opt``. A row's n, m, T and k are those of the
     instance it solved or failed on: for ``source = file``, the file's,
-    whatever T lists; the file is read and its oracle solved once.
+    whatever T lists; the file is read, and each deterministic solver (IG,
+    AT, CC, the oracle) run on it, once, each row keeping its derived seed.
     """
     rows: list[dict] = []
     model = config.model if config.source == "er" else "file"
     loaded = _build_instance(config, 0, 0) if config.source == "file" else None
-    oracle = None  # a file's one instance has one optimum, solved once
+    solved: dict[str, RunReport | str] = {}  # the cell's deterministic runs (the file's, in file mode)
     for threshold in config.thresholds:
         for repetition in range(config.repetitions):
             instance = _build_instance(config, threshold, repetition) if loaded is None else loaded
@@ -159,22 +161,25 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
                 rows += [_row(alg, model, cell, 0, None, {"error": instance}) for alg in config.algorithms]
                 continue
             cell = (instance.graph.n, instance.graph.m, instance.threshold, instance.k)
-            if "oracle" in config.algorithms and (oracle is None or loaded is None):
-                oracle = _attempt(instance, "oracle", deadline=Deadline(config.time_limit))
+            if loaded is None:
+                solved = {}
+            if "oracle" in config.algorithms and "oracle" not in solved:
+                solved["oracle"] = _attempt(instance, "oracle", deadline=Deadline(config.time_limit))
+            oracle = solved.get("oracle")
             for alg_index, alg in enumerate(config.algorithms):
                 seed = derive_seed(config.master_seed, threshold, repetition, alg_index)
-                if alg == "oracle":
-                    report = oracle
-                else:
+                report = solved.get(alg)
+                if report is None:
                     report = _attempt(instance, alg, seed=seed, deadline=Deadline(config.time_limit),
                                       sa=config.sa)
+                    if alg in DETERMINISTIC:
+                        solved[alg] = report
                 if isinstance(report, str):
                     rows.append(_row(alg, model, cell, seed, None, {"error": report}))
                     continue
                 extras = dict(report.extras, verified=not unseparated_pairs(instance, report.budget))
                 if isinstance(oracle, RunReport):
                     extras["opt"] = oracle.norm
-                seed = seed if report.seed is None else report.seed
                 rows.append(_row(alg, model, cell, seed, report, extras))
     return rows
 

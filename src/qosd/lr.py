@@ -1,33 +1,28 @@
 """LP relaxation with lazy constraint generation and randomized rounding,
 for instances whose weight tables are affine in the budget.
 
-Constraint generation caches each path's covering row once, when the path
-enters the candidate set (:class:`_PathRows`), and hands each round's LP
-from that cache to the one HiGHS solver the cache keeps. The exact oracle's
-integer program (:func:`baselines.min_budget_to_block`) builds its columns
-from the same cache, and :func:`_solve_highs` solves both models cold on
-scipy's private HiGHS binding, which loads with the first model."""
+Constraint generation grows one HiGHS model (:class:`_LpModel`, on scipy's
+private binding, which loads with the first model) by each round's new
+columns and rows and re-solves it from the last optimal basis. The rounded
+vector then gives back (:func:`pathcore.prune`) the units that rounding
+added and no pair needs."""
 
 from __future__ import annotations
 
-import ctypes
 import math
-import os
 import random
-import sys
 import time
-from bisect import insort
 from dataclasses import dataclass
 from functools import cache
 from itertools import islice
-from typing import Collection, Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from .errors import ConfigError, InfeasibleBoxError, QosdError
 from .framework import Candidates, _generate
 from .instance import QosdInstance
-from .pathcore import BudgetVector, budget_array, corridor, pair_shortest_paths, unseparated_pairs
+from .pathcore import BudgetVector, budget_array, corridor, pair_shortest_paths, prune, unseparated_pairs
 from .report import Deadline, RunReport
 
 FEAS_TOL = 1e-6
@@ -72,49 +67,10 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _solve_highs(
-    columns: tuple[Sequence[int], Sequence[int], Sequence[float]],
-    lower: Sequence[float],
-    upper: Sequence[float],
-    ub: Sequence[float],
-    *,
-    solver: highs._Highs,
-    integral: bool = False,
-) -> tuple[np.ndarray, float]:
-    """``(y, objective)`` of min sum(y) s.t. lower <= A y <= upper, 0 <= y <= ub
-    (y integral when asked) by one cold run of ``solver``: passModel drops the
-    last model's basis and solution, so the vertex is a fresh solver's.
-
-    ``columns`` is A column-wise, as the ``(indptr, indices, data)`` of a
-    CSC matrix with ``len(lower)`` rows and ``len(ub)`` columns. Infeasible
+def _optimum(solver: highs._Highs) -> tuple[np.ndarray, float]:
+    """``(column values, objective)`` of the solver's last run: infeasible
     raises ``InfeasibleBoxError``, any other non-optimum ``QosdError``."""
-    highs, lp_options, mip_options = _binding()
-    num_row, num_col = len(lower), len(ub)
-    lp = highs.HighsLp()
-    matrix = lp.a_matrix_
-    lp.num_row_, lp.num_col_ = matrix.num_row_, matrix.num_col_ = num_row, num_col
-    matrix.format_ = highs.MatrixFormat.kColwise
-    matrix.start_, matrix.index_, matrix.value_ = columns
-    lp.col_cost_, lp.col_lower_, lp.col_upper_ = [1.0] * num_col, [0.0] * num_col, ub
-    lp.row_lower_, lp.row_upper_ = lower, upper
-    if integral:
-        lp.integrality_ = [highs.HighsVarType.kInteger] * num_col
-    solver.passOptions(mip_options if integral else lp_options)
-    solver.passModel(lp)
-    if integral:  # HiGHS's MIP code prints some lines to fd 1 whatever its options: point it at fd 2
-        sys.stdout.flush()
-        saved = os.dup(1)
-        os.dup2(2, 1)
-    try:
-        solver.run()
-    finally:
-        if integral:  # flush what went to Python's and C's stdout buffers before fd 1 comes back
-            sys.stdout.flush()
-            fflush = ctypes.CDLL(None).fflush
-            fflush.argtypes, fflush.restype = [ctypes.c_void_p], ctypes.c_int
-            fflush(None)  # NULL: every C output stream
-            os.dup2(saved, 1)
-            os.close(saved)
+    highs = _binding()[0]
     status = solver.getModelStatus()
     if status != highs.HighsModelStatus.kOptimal:
         error = InfeasibleBoxError if status == highs.HighsModelStatus.kInfeasible else QosdError
@@ -122,71 +78,51 @@ def _solve_highs(
     return np.array(solver.getSolution().col_value), solver.getObjectiveValue()
 
 
-class _PathRows:
-    """The covering rows of a growing candidate set, cached as paths enter it:
-    LR's LP and the oracle's integer program are both built from them.
+class _LpModel:
+    """One HiGHS LP that grows with a candidate set and keeps its basis: the
+    ``columns`` of the edges read so far, in order of entry, and ``read`` paths."""
 
-    A path (its edge tuple) has a fixed row, so :meth:`extend` reads each
-    new path once. Its edges join the sorted ``support`` (the edges of
-    vacuous paths included). A path still short at zero budget becomes the
-    next row: its ``need = T - sum_{e in p} f_e(0)`` is appended to
-    ``need`` and its row number to ``rows[e]`` for each of its edges. Each
-    model turns the rows into its own columns and solves them on ``solver``.
-    """
-
-    def __init__(self, instance: QosdInstance):
-        self.instance = instance
-        self.solver = _binding()[0]._Highs()
+    def __init__(self):
+        highs, options, _ = _binding()
+        self.solver = highs._Highs()
+        self.solver.passOptions(options)
+        self.columns: dict[int, int] = {}
         self.read = 0
-        self.support: list[int] = []
-        self.rows: dict[int, list[int]] = {}
-        self.need: list[float] = []
-
-    def extend(self, paths: Collection[tuple[int, ...]]) -> None:
-        """Cache the paths added to ``paths`` since the last call."""
-        weights, rows = self.instance.weights, self.rows
-        for p in islice(paths, self.read, None):
-            gap = self.instance.threshold - sum(weights[e].table[0] for e in p)
-            for e in p:
-                if e not in rows:
-                    rows[e] = []
-                    insort(self.support, e)
-                if gap > 0:
-                    rows[e].append(len(self.need))
-            if gap > 0:
-                self.need.append(float(gap))
-        self.read = len(paths)
 
 
-def solve_lp(
-    instance: QosdInstance, paths: Iterable[tuple[int, ...]], *, rows: _PathRows | None = None
-) -> LpSolution:
+def solve_lp(instance: QosdInstance, paths: Iterable[tuple[int, ...]], *, model: _LpModel | None = None) -> LpSolution:
     """min sum(x) s.t. sum_{e in p} beta_e x_e >= T - sum_{e in p} alpha_e
     for every path, 0 <= x_e <= b_e; deterministic for fixed input.
 
-    ``rows`` is the cache that earlier calls on the same growing candidate
-    set filled (constraint generation passes one); a fresh one otherwise."""
-    betas = instance.affine_coeffs()[0]
+    The paths not yet read join ``model`` (constraint generation passes one
+    for all its rounds; a fresh one otherwise), which re-solves by dual
+    simplex from its last basis; a first solve has none, so HiGHS presolves
+    it. An edge's column (cost 1) enters with the first path through it;
+    a path still short at zero budget adds a row, beta_e on its edges."""
+    betas, alphas = instance.affine_coeffs()
     path_set = dict.fromkeys(paths)
-    if rows is None:
-        rows = _PathRows(instance)
-    rows.extend(path_set)
-    if not rows.need:
-        return LpSolution([0.0] * instance.graph.m, 0.0, path_set)
-    # linprog's A_ub form -A y <= -need, one column per support edge (empty
-    # when beta_e = 0): the form decides which optimal vertex HiGHS returns
-    start, index, value = [0], [], []
-    for e in rows.support:
-        if betas[e]:
-            index += rows.rows[e]
-            value += [-float(betas[e])] * len(rows.rows[e])
-        start.append(len(index))
-    y, objective = _solve_highs(
-        (start, index, value), [-math.inf] * len(rows.need), [-need for need in rows.need],
-        [instance.box[e] for e in rows.support], solver=rows.solver,
-    )
-    fractional = np.zeros(instance.graph.m)
-    fractional[rows.support] = y
+    model = model or _LpModel()
+    columns, solver, entered = model.columns, model.solver, len(model.columns)
+    starts, index, value, need = [], [], [], []
+    for p in islice(path_set, model.read, None):
+        for e in p:
+            columns.setdefault(e, len(columns))
+        gap = instance.threshold - sum(alphas[e] for e in p)
+        if gap > 0:
+            starts.append(len(index))
+            index += [columns[e] for e in p if betas[e]]
+            value += [float(betas[e]) for e in p if betas[e]]
+            need.append(float(gap))
+    model.read = len(path_set)
+    if len(columns) > entered:
+        ub = np.array([instance.box[e] for e in islice(columns, entered, None)], dtype=float)
+        solver.addCols(len(ub), np.ones(len(ub)), np.zeros(len(ub)), ub, 0, [], [], [])
+    if need:
+        solver.addRows(len(need), need, [math.inf] * len(need), len(index), starts, index, value)
+    fractional, objective = np.zeros(instance.graph.m), 0.0
+    if solver.getNumRow():
+        solver.run()
+        fractional[list(columns)], objective = _optimum(solver)
     return LpSolution(fractional.tolist(), objective, path_set)
 
 
@@ -205,12 +141,12 @@ def constraint_generation(
     corridor needs), bounded by T * (1 - FEAS_TOL). A path
     enters each node by its lowest-index tight in-edge, tested by the same
     float64 sum that gave the distances, so fractional ties resolve exactly
-    as the kernel's. Every round reuses one :class:`_PathRows` and its solver.
+    as the kernel's. Every round re-solves one :class:`_LpModel`.
     """
     betas, alphas = (np.array(c, dtype=float) for c in instance.affine_coeffs())
     m = instance.graph.m
     cutoff = instance.threshold * (1.0 - FEAS_TOL)
-    rows = _PathRows(instance)
+    model = _LpModel()
 
     def separate(solution: LpSolution) -> list[tuple[int, ...]]:
         # the sweep needs every length >= alpha = table[0]: clip any negative LP noise
@@ -219,7 +155,7 @@ def constraint_generation(
 
     solution, _, rounds = _generate(
         instance, LpSolution([0.0] * m, 0.0, {}), separate,
-        lambda paths: solve_lp(instance, paths, rows=rows),
+        lambda paths: solve_lp(instance, paths, model=model),
         deadline=Deadline.ensure(deadline), cap=iteration_cap, what="constraint generation",
     )
     solution.rounds = rounds
@@ -269,7 +205,10 @@ def run_lr(
     deadline: Deadline | float | None = None,
 ) -> RunReport:
     """Constraint generation, then rounding with retries and a ceiling
-    fallback, so the returned vector is always feasible.
+    fallback, so the returned vector is always feasible, then
+    :func:`pathcore.prune` on the edges that rounding raised above the LP
+    optimum y, so x >= floor(y) still holds; ``unpruned_norm`` is the norm
+    before it.
 
     :func:`eta` checks ``delta`` before any LP, also when a positive
     ``eta_override`` replaces its factor. ``threads`` is accepted and
@@ -298,8 +237,12 @@ def run_lr(
         retries, fallback = MAX_RETRIES, True
         x = round_solution(instance, lp, math.inf, rng)
         feasible = not unseparated_pairs(instance, x)
+    # the edges rounded up, x_e = ceil(y_e) > y_e: each may give back its unit
+    raised = np.flatnonzero(np.asarray(x.values) > np.add(lp.fractional, SNAP_TOL))
+    pruned = prune(instance, x, raised.tolist())
 
     return RunReport.finish(
-        "lr", x, start, lp.rounds, retries + 1, feasible=feasible, seed=seed, retries=retries,
+        "lr", pruned, start, lp.rounds, retries + 1, feasible=feasible, seed=seed, retries=retries,
         fallback=fallback, lp_objective=lp.objective, eta=eta_value, constraint_paths=len(lp.constraint_paths),
+        unpruned_norm=x.norm,
     )

@@ -291,6 +291,19 @@ def unseparated_pairs(instance: "QosdInstance", x: BudgetVector) -> list[int]:
     return [i for i, p in enumerate(pair_shortest_paths(instance, x)) if p is not None]
 
 
+def prune(instance: "QosdInstance", x: BudgetVector, edges: Iterable[int]) -> BudgetVector:
+    """Reverse delete: in order of falling x_e, then lowest id, each listed
+    edge with budget gives back one unit where every pair stays separated
+    without it. A feasible x stays feasible; no other edge moves."""
+    values = budget_array(instance, x.values)
+    for e in sorted(set(edges), key=lambda e: (-x[e], e)):
+        if values[e]:
+            values[e] -= 1
+            if unseparated_pairs(instance, BudgetVector(values)):
+                values[e] += 1
+    return BudgetVector(values)
+
+
 def chunk_amounts(table: Sequence[int]) -> list[tuple[tuple[int, int], ...]]:
     """For each budget level x of ``table``, the ``(z, delta)`` pairs, delta =
     table[x + z] - table[x], whose average increment delta / z is positive

@@ -3,7 +3,7 @@ import math
 import random
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qosd import (
@@ -19,6 +19,8 @@ from qosd import (
     min_budget_to_block,
     oracle_opt,
     potential_paths,
+    prune,
+    round_solution,
     run_cc,
     run_iterative,
     run_lr,
@@ -217,6 +219,27 @@ def test_solvers_against_exhaustive_optimum(seed):
         assert report.feasible == _separates(inst, report.budget), name
         assert report.feasible, name
         assert report.norm >= opt.norm, name
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_prune_gives_back_only_listed_units(data):
+    inst = _random_instance(data.draw(st.integers(0, 10_000)))
+    assume(all(w.affine_coeffs() is not None for w in inst.weights))
+    m = inst.graph.m
+    # the ceiling of LR's LP optimum and the full box both separate every pair
+    ceiling = round_solution(inst, constraint_generation(inst), math.inf, random.Random(0))
+    x = data.draw(st.sampled_from([ceiling, BudgetVector(inst.box)]))
+    edges = data.draw(st.lists(st.integers(0, m - 1), max_size=2 * m))
+    pruned = prune(inst, x, edges)
+    assert pruned.norm <= x.norm
+    assert _separates(inst, pruned)
+    for e in range(m):
+        assert x[e] - pruned[e] in ((0, 1) if e in edges else (0,)), e
+    # a listed edge that kept its units could not spare one even now
+    for e in set(edges):
+        if pruned[e] == x[e] > 0:
+            assert not _separates(inst, [v - (f == e) for f, v in enumerate(pruned)]), e
 
 
 def _vectors_of_norm(support, box, norm):

@@ -224,6 +224,33 @@ class TestRunExperiment:
         assert [row["norm"] for row in rows[::2]] == [opt] * 4
         assert all(json.loads(row["extras"])["opt"] == opt for row in rows)
 
+    def test_file_instance_deterministic_solvers_run_once(self, tmp_path, monkeypatch):
+        import qosd.experiment
+
+        path = tmp_path / "inst.txt"
+        with open(path, "w") as handle:
+            save_instance(make_er_instance(12, 0.3, 5, 3, "linear", seed=2), handle)
+        calls = []
+        for name in ("run_iterative", "run_cc", "run_sa", "run_lr"):
+            solve = getattr(qosd.experiment, name)
+            # run_iterative's blocker names the algorithm; SA's second argument is its config
+            monkeypatch.setattr(qosd.experiment, name, lambda *args, _name=name, _solve=solve, **kwargs: (
+                calls.append((_name, *args[1:2]) if _name == "run_iterative" else (_name,))
+                or _solve(*args, **kwargs)))
+        algorithms = ["ig", "at", "cc", "sa", "lr"]
+        config = ExperimentConfig(source="file", instance_file=str(path), thresholds=[3, 9],
+                                  algorithms=algorithms, repetitions=2, master_seed=7)
+        rows = run_experiment(config)
+        # IG, AT and CC once for the file; SA and LR, whose draws follow the seed, once per cell
+        assert sorted(calls) == sorted([("run_iterative", "ig"), ("run_iterative", "at"), ("run_cc",)]
+                                       + [("run_sa",), ("run_lr",)] * 4)
+        cells = [(t, r) for t in (3, 9) for r in range(2)]
+        assert [(row["algorithm"], row["seed"]) for row in rows] == [
+            (alg, derive_seed(7, t, r, i)) for t, r in cells for i, alg in enumerate(algorithms)]
+        assert all(row["feasible"] == "true" for row in rows)
+        for i in range(3):
+            assert len({(row["norm"], row["wall_time_s"], row["extras"]) for row in rows[i::5]}) == 1
+
     def test_error_row_carries_the_instance_it_failed_on(self, tmp_path):
         # LR fails on convex tables; its row has the cell's n, m, T and k as IG's has
         config = ExperimentConfig(er_n=10, er_rho=0.3, thresholds=[5], k=2, algorithms=["lr", "ig"],

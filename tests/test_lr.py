@@ -33,7 +33,8 @@ from qosd import (
     solve_lp,
     unseparated_pairs,
 )
-from qosd.lr import LpSolution, _solve_highs, highs
+from qosd.baselines import _solve_highs
+from qosd.lr import FEAS_TOL, LpSolution, _LpModel, highs
 
 from conftest import diamond_instance
 
@@ -98,25 +99,57 @@ def _colwise(A):
     return csc.indptr, csc.indices, csc.data
 
 
+def _two_budget_paths(instance):
+    """The distinct shortest paths below T at zero budget and at one unit per edge."""
+    return list(dict.fromkeys(potential_paths(instance, BudgetVector.zeros(instance.graph.m))
+                              + potential_paths(instance, BudgetVector([min(1, b) for b in instance.box]))))
+
+
+def _held(solver):
+    """``[columns, lower, upper, ub]`` of the LP ``solver`` holds (``getLp``),
+    ``columns`` as the CSC ``[indptr, indices, data]``: every column has cost
+    1 and lower bound 0, and none is integral."""
+    lp = solver.getLp()
+    matrix = lp.a_matrix_
+    assert matrix.format_ == highs.MatrixFormat.kColwise
+    assert list(lp.col_cost_) == [1.0] * lp.num_col_ and list(lp.col_lower_) == [0.0] * lp.num_col_
+    assert not list(lp.integrality_)
+    return [[list(matrix.start_), list(matrix.index_), list(matrix.value_)],
+            list(lp.row_lower_), list(lp.row_upper_), list(lp.col_upper_)]
+
+
+def _linprog_optimum(instance, paths):
+    """``(y in order of entry, objective)`` from ``linprog`` on the dense rows of ``paths``."""
+    columns, width = _lp_columns(instance, paths)
+    dense, need = _dense_rows(instance, paths, columns, width)
+    ref = linprog(np.ones(width), A_ub=-dense, b_ub=-need,
+                  bounds=[(0.0, instance.box[e]) for e in columns], method="highs")
+    assert ref.success
+    return ref.x, ref.fun
+
+
 class TestSolveHighs:
-    """``_solve_highs`` drives scipy's private HiGHS binding directly; these
-    pin it to the public ``linprog`` and ``milp``, so a scipy release that
-    changes the binding fails here instead of moving LR's outputs."""
+    """LR's LP model and the oracle's ``_solve_highs`` drive scipy's private
+    HiGHS binding directly; these pin them to the public ``linprog`` and
+    ``milp``, so a scipy release that changes the binding fails here instead
+    of moving LR's or the oracle's outputs."""
 
     @pytest.mark.parametrize("seed", range(20))
     def test_lp_matches_linprog(self, seed):
-        A, need, ub = _random_model(seed, 8, 12)
-        y, objective = _solve_highs(_colwise(-A), np.full(len(need), -np.inf), -need, ub, solver=highs._Highs())
-        ref = linprog(np.ones(len(ub)), A_ub=-A, b_ub=-need, bounds=[(0.0, u) for u in ub], method="highs")
-        assert ref.success
-        assert np.array_equal(y, ref.x)
-        assert objective == ref.fun
+        # a fresh model's first solve (presolved, no basis yet) is linprog's
+        inst = make_er_instance(30, 0.15, 5, 6, "linear" if seed % 2 else "cutting", seed=seed)
+        paths = _two_budget_paths(inst)
+        lp = solve_lp(inst, paths)
+        want, objective = _linprog_optimum(inst, paths)
+        support = list(_lp_columns(inst, paths)[0])
+        assert np.array(lp.fractional)[support].tobytes() == want.tobytes()
+        assert lp.objective == objective
+        assert all(lp.fractional[e] == 0.0 for e in set(range(inst.graph.m)) - set(support))
 
     @pytest.mark.parametrize("seed", range(10))
     def test_mip_matches_milp(self, seed):
         A, need, ub = _random_model(seed, 6, 8)
-        y, objective = _solve_highs(
-            _colwise(A), need, np.full(len(need), np.inf), ub, solver=highs._Highs(), integral=True)
+        y, objective = _solve_highs(_colwise(A), need, np.full(len(need), np.inf), ub)
         ref = milp(
             np.ones(len(ub)), integrality=np.ones(len(ub)), bounds=Bounds(0, ub),
             constraints=LinearConstraint(A, need, np.inf), options={"mip_rel_gap": 0},
@@ -128,7 +161,9 @@ class TestSolveHighs:
     def test_infeasible_raises_infeasible_box(self):
         A = _colwise(np.array([[1.0, 1.0]]))
         with pytest.raises(InfeasibleBoxError, match="Infeasible"):
-            _solve_highs(A, np.array([3.0]), np.array([np.inf]), [1.0, 1.0], solver=highs._Highs())
+            _solve_highs(A, np.array([3.0]), np.array([np.inf]), [1.0, 1.0])
+        with pytest.raises(InfeasibleBoxError, match="Infeasible"):
+            solve_lp(_unblockable(), [(0, 1)])
 
     def test_other_status_raises_qosd_error(self, monkeypatch):
         class Stopped(highs._Highs):
@@ -137,9 +172,18 @@ class TestSolveHighs:
 
         monkeypatch.setattr(highs, "_Highs", Stopped)
         A = _colwise(np.array([[1.0, 1.0]]))
-        with pytest.raises(QosdError, match="Iteration limit") as info:
-            _solve_highs(A, np.array([1.0]), np.array([np.inf]), [1.0, 1.0], solver=highs._Highs())
-        assert not isinstance(info.value, InfeasibleBoxError)
+        for solve in (lambda: _solve_highs(A, np.array([1.0]), np.array([np.inf]), [1.0, 1.0]),
+                      lambda: solve_lp(diamond_instance(), diamond_candidates())):
+            with pytest.raises(QosdError, match="Iteration limit") as info:
+                solve()
+            assert not isinstance(info.value, InfeasibleBoxError)
+
+
+def _unblockable():
+    """A two-edge path 3 short of T = 5 whose two unit-slope edges hold one
+    unit each: its LP row cannot be met within the box."""
+    g = Graph(3, [(0, 1), (1, 2)])
+    return QosdInstance(g, [WeightFunction((1, 2), "linear")] * 2, [(0, 2)], 5, validate_box=False)
 
 
 def _dense_rows(instance, paths, columns, width):
@@ -161,9 +205,10 @@ def _dense_rows(instance, paths, columns, width):
 
 
 def _lp_columns(instance, paths):
-    """:func:`solve_lp`'s columns: one per support edge, coefficient beta_e."""
+    """:func:`solve_lp`'s columns: one per edge of the paths, in order of
+    entry, coefficient beta_e."""
     betas, _ = instance.affine_coeffs()
-    support = sorted({e for p in paths for e in p})
+    support = dict.fromkeys(e for p in paths for e in p)
     return {e: [(j, betas[e])] for j, e in enumerate(support)}, len(support)
 
 
@@ -179,12 +224,12 @@ def _oracle_columns(instance, paths):
 
 
 def _lp_model(instance, paths):
-    """``(csc, lower, upper, ub)`` that linprog's ``A_ub`` form of the LP
-    gives HiGHS: -A y <= -need over the support edges."""
+    """``(csc, lower, upper, ub)`` of the LP in milp's form need <= A y over
+    the paths' edges in order of entry."""
     columns, width = _lp_columns(instance, paths)
     dense, need = _dense_rows(instance, paths, columns, width)
-    return (sparse.csc_array(-dense), np.full(len(need), -np.inf), -need,
-            [float(instance.box[e]) for e in sorted(columns)])
+    return (sparse.csc_array(dense), need, np.full(len(need), np.inf),
+            [float(instance.box[e]) for e in columns])
 
 
 def _oracle_model(instance, paths):
@@ -211,26 +256,27 @@ def _flat_and_vacuous():
 
 
 def _handed_to_highs(monkeypatch, layout, instance, paths):
-    """The ``(columns, lower, upper, ub, integral)`` of each ``_solve_highs``
-    call that the layout's solver makes on ``paths``, and its result."""
+    """The ``(columns, lower, upper, ub)`` of each model that the layout's
+    solver hands HiGHS on ``paths``, and its result: the LP model
+    :func:`solve_lp` holds once it has run, the oracle's ``_solve_highs`` calls."""
     import qosd.baselines
 
-    calls = []
-    # the solver a call runs on is not part of its model
-    record = lambda columns, *bounds, integral=False, solver=None: [
-        [list(c) for c in columns], *map(list, bounds), integral]
     if layout is _lp_columns:
-        _recording(monkeypatch, "_solve_highs", calls, record)
-        result = solve_lp(instance, paths)
-    else:
-        _recording(monkeypatch, "_solve_highs", calls, record, module=qosd.baselines)
-        result = min_budget_to_block(instance, paths)
-    return calls, result
+        model = _LpModel()
+        result = solve_lp(instance, paths, model=model)
+        ran = model.solver.getModelStatus() != highs.HighsModelStatus.kNotset
+        return [_held(model.solver)] if ran else [], result
+    calls = []
+    _recording(monkeypatch, "_solve_highs", calls, lambda columns, *bounds: [[list(c) for c in columns],
+                                                                             *map(list, bounds)],
+               module=qosd.baselines)
+    return calls, min_budget_to_block(instance, paths)
 
 
 class TestPathRows:
-    """The one row cache, :class:`qosd.lr._PathRows`, gives each model the
-    column-wise matrix its public scipy wrapper built from dense rows."""
+    """Each model hands HiGHS the column-wise matrix its public scipy wrapper
+    builds from dense rows: LR's LP over the edges in order of entry, the
+    oracle's integer program over their budget units by edge id."""
 
     @pytest.mark.parametrize(
         "model,layout",
@@ -242,15 +288,13 @@ class TestPathRows:
         # T=10 concave tables have flat steps, so the oracle layout has zero coefficients
         inst = make_er_instance(30, 0.15, 10, 6, model, seed=seed)
         # distinct paths: solve_lp keeps one row per path, the oracle one per list entry
-        paths = list(dict.fromkeys(potential_paths(inst, BudgetVector.zeros(inst.graph.m))
-                                   + potential_paths(inst, BudgetVector([min(1, b) for b in inst.box]))))
-        [(columns, lower, upper, ub, integral)], _ = _handed_to_highs(monkeypatch, layout, inst, paths)
+        paths = _two_budget_paths(inst)
+        [(columns, lower, upper, ub)], _ = _handed_to_highs(monkeypatch, layout, inst, paths)
         csc, *bounds = (_lp_model if layout is _lp_columns else _oracle_model)(inst, paths)
         assert columns == [csc.indptr.tolist(), csc.indices.tolist(), csc.data.tolist()]
         assert all(v != 0 for v in columns[2])
         for got, want in zip([lower, upper, ub], bounds):
             assert np.array_equal(np.asarray(got, dtype=float), want)
-        assert integral == (layout is _oracle_columns)
         if model == "concave":
             coeffs = [c for terms in _oracle_columns(inst, paths)[0].values() for _, c in terms]
             assert 0 in coeffs
@@ -259,14 +303,13 @@ class TestPathRows:
         inst, short, vacuous = _flat_and_vacuous()
         [lp], solution = _handed_to_highs(monkeypatch, _lp_columns, inst, [short, vacuous])
         # columns 0..3 are edges 0..3: flat edge 0 and vacuous edges 2, 3 are empty
-        assert lp == [[[0, 0, 1, 1, 1], [0], [-1.0]], [-math.inf], [-2.0], [2, 2, 1, 1], False]
+        assert lp == [[[0, 0, 1, 1, 1], [0], [1.0]], [2.0], [math.inf], [2, 2, 1, 1]]
         assert solution.objective == 2.0
-        monkeypatch.undo()
         [milp_model], x = _handed_to_highs(monkeypatch, _oracle_columns, inst, [short, vacuous])
         # z0, z1 (flat edge 0) sit only on their ordering row 1; z2, z3 (edge 1)
         # on the path row 0 and ordering row 2; z4, z5 (vacuous edges) nowhere
         assert milp_model == [[[0, 1, 2, 4, 6, 6, 6], [1, 1, 0, 2, 0, 2], [1.0, -1.0, 1.0, 1.0, 1.0, -1.0]],
-                              [2.0, 0.0, 0.0], [math.inf] * 3, [1.0] * 6, True]
+                              [2.0, 0.0, 0.0], [math.inf] * 3, [1.0] * 6]
         assert x == BudgetVector([0, 2, 0, 0])
         for layout in (_lp_columns, _oracle_columns):
             for paths in ([vacuous], []):
@@ -299,8 +342,9 @@ def _recording(monkeypatch, name, calls, record=lambda *args, **kwargs: args, *,
 
 
 class TestLpRows:
-    """What LR hands HiGHS each round, built from rows cached as paths enter
-    the candidate set, is the model linprog built from dense rows."""
+    """After each round of constraint generation, LR's one warm model holds
+    the model linprog builds from the candidate set's dense rows, and its
+    optimum is linprog's."""
 
     INSTANCES = {
         "linear": lambda: make_er_instance(60, 0.1, 5, 10, "linear", seed=1000),
@@ -310,59 +354,66 @@ class TestLpRows:
 
     @pytest.mark.parametrize("name", INSTANCES)
     def test_every_round_matches_path_rows(self, name, monkeypatch):
+        import qosd.lr
+
         inst = self.INSTANCES[name]()
         betas, _ = inst.affine_coeffs()
-        solves, models = [], []
-        # the round's paths: the candidate set keeps growing after the call
-        _recording(monkeypatch, "solve_lp", solves, lambda instance, paths, **_: list(paths))
-        # copies: the cache keeps growing the list of row bounds it passes
-        _recording(monkeypatch, "_solve_highs", models, lambda *args, **_: [list(a) for a in args])
+        rounds, solve_lp = [], qosd.lr.solve_lp
+
+        def solving(instance, paths, *, model=None):
+            paths = list(paths)  # the round's paths: the candidate set keeps growing after the call
+            solution = solve_lp(instance, paths, model=model)
+            rounds.append((paths, _held(model.solver), solution, model))
+            return solution
+
+        monkeypatch.setattr(qosd.lr, "solve_lp", solving)
         lp = constraint_generation(inst)
-        # no round was all vacuous paths, so each solve ran HiGHS once
-        assert len(solves) == len(models) == lp.rounds >= 2
-        support, inserted = [], False
-        for paths, (columns, lower, upper, ub) in zip(solves, models):
+        assert len(rounds) == lp.rounds >= 2
+        assert len({id(model) for *_, model in rounds}) == 1
+        support = []
+        for paths, (columns, lower, upper, ub), solution, _ in rounds:
             layout, width = _lp_columns(inst, paths)
-            new = sorted(layout)
-            # a new support edge between two known ones moves later columns
-            inserted |= bool(support) and any(support[0] < e < support[-1] for e in set(new) - set(support))
-            support = new
+            # a column joins at the end when its edge enters: known columns keep their place
+            assert list(layout)[:len(support)] == support
+            support = list(layout)
             dense, need = _dense_rows(inst, paths, layout, width)
-            expected = sparse.csc_array(-dense)
-            assert [list(c) for c in columns] == [
-                expected.indptr.tolist(), expected.indices.tolist(), expected.data.tolist()]
-            assert np.array_equal(lower, np.full(len(need), -np.inf))
-            assert np.array_equal(upper, -need)
-            assert np.array_equal(np.asarray(ub, dtype=float), [float(inst.box[e]) for e in support])
-        assert inserted
+            expected = sparse.csc_array(dense)
+            assert columns == [expected.indptr.tolist(), expected.indices.tolist(), expected.data.tolist()]
+            assert np.array_equal(lower, need)
+            assert np.array_equal(upper, np.full(len(need), np.inf))
+            assert ub == [float(inst.box[e]) for e in support]
+            assert abs(solution.objective - _linprog_optimum(inst, paths)[1]) <= FEAS_TOL
+            y = np.array(solution.fractional)
+            assert np.all(dense @ y[support] >= need - FEAS_TOL)
+            assert np.all(y[support] <= ub) and np.all(y >= 0)
+            assert not y[list(set(range(inst.graph.m)) - set(support))].any()
         assert any(betas[e] == 0 for e in support) == (name == "flat-edges")
 
-    def test_plain_list_keeps_vacuous_edges_in_support(self, monkeypatch):
+    def test_plain_list_keeps_vacuous_edges_in_support(self):
+        # the vacuous path enters first: its edges take columns 0 and 1, with no entry
         inst, short, vacuous = _flat_and_vacuous()
-        models = []
-        _recording(monkeypatch, "_solve_highs", models)
-        lp = solve_lp(inst, [short, vacuous])
+        model = _LpModel()
+        lp = solve_lp(inst, [vacuous, short], model=model)
         assert lp.objective == 2.0
-        [(columns, lower, upper, ub)] = models
-        # columns 0..3 are edges 0..3: flat edge 0 and vacuous edges 2, 3 are empty
-        assert [list(c) for c in columns] == [[0, 0, 1, 1, 1], [0], [-1.0]]
-        assert list(ub) == [inst.box[e] for e in range(4)]
-        assert list(upper) == [-2.0]
+        assert list(model.columns) == [2, 3, 0, 1]
+        columns, lower, upper, ub = _held(model.solver)
+        assert columns == [[0, 0, 0, 0, 1], [0], [1.0]]
+        assert ub == [inst.box[e] for e in (2, 3, 0, 1)]
+        assert lower == [2.0] and upper == [math.inf]
+        assert lp.fractional == [0.0, 2.0, 0.0, 0.0]
 
     def test_shared_options_leak_no_state(self):
         import qosd.lr
 
+        inst = make_er_instance(30, 0.15, 5, 6, "linear", seed=3)
+        paths = _two_budget_paths(inst)
         A, need, ub = _random_model(3, 8, 12)
         gap = qosd.lr._LP_OPTIONS.mip_rel_gap
-
-        def relaxation():
-            return _solve_highs(_colwise(-A), np.full(len(need), -np.inf), -need, ub, solver=highs._Highs())
-
-        y, objective = relaxation()
-        _solve_highs(_colwise(A), need, np.full(len(need), np.inf), ub, solver=highs._Highs(), integral=True)
-        again, again_objective = relaxation()
-        assert y.tobytes() == again.tobytes()
-        assert np.float64(objective).tobytes() == np.float64(again_objective).tobytes()
+        lp = solve_lp(inst, paths)
+        _solve_highs(_colwise(A), need, np.full(len(need), np.inf), ub)
+        again = solve_lp(inst, paths)
+        assert np.array(lp.fractional).tobytes() == np.array(again.fractional).tobytes()
+        assert np.float64(lp.objective).tobytes() == np.float64(again.objective).tobytes()
         assert qosd.lr._LP_OPTIONS.mip_rel_gap == gap != 0.0
         assert qosd.lr._MIP_OPTIONS.mip_rel_gap == 0.0
 
@@ -394,8 +445,8 @@ class TestLpRows:
 
 
 class TestSolverReuse:
-    """Each run hands all its models to one solver; every solve is still cold,
-    so the run's outputs are those of a fresh solver per model."""
+    """Each constraint-generation run re-solves one model from its last basis;
+    it ends at the optimum that cold solves, a fresh model every round, reach."""
 
     @pytest.mark.parametrize("make", [
         *[lambda i=i: make_er_instance(60, 0.1, 5, 10, "linear", seed=1000 + i) for i in range(10)],
@@ -406,42 +457,58 @@ class TestSolverReuse:
         import qosd.lr
 
         inst = make()
-        reused = constraint_generation(inst)
-        original = qosd.lr._solve_highs
-        monkeypatch.setattr(qosd.lr, "_solve_highs", lambda *args, solver, integral=False: original(
-            *args, solver=highs._Highs(), integral=integral))
-        fresh = constraint_generation(inst)
-        assert reused.rounds == fresh.rounds >= 2
-        assert reused.fractional == fresh.fractional
-        assert reused.objective == fresh.objective
+        warm = constraint_generation(inst)
+        original = qosd.lr.solve_lp
+        monkeypatch.setattr(qosd.lr, "solve_lp", lambda instance, paths, model=None: original(instance, paths))
+        cold = constraint_generation(inst)
+        assert warm.rounds >= 2 and cold.rounds >= 2
+        # both stop once no path is below T (1 - FEAS_TOL): an optimum of the whole LP
+        assert abs(warm.objective - cold.objective) <= FEAS_TOL * inst.threshold
+        # the warm model's last optimum is a fresh model's on the same rows
+        assert abs(warm.objective - original(inst, warm.constraint_paths).objective) <= FEAS_TOL
 
     @pytest.mark.parametrize("integral", [False, True])
     def test_infeasible_model_leaves_no_state(self, integral):
-        A, need, ub = _random_model(5, 8, 12)
-        lower, upper = (need, np.full(len(need), np.inf)) if integral else (np.full(len(need), -np.inf), -need)
-        columns = _colwise(A if integral else -A)
-        solver = highs._Highs()
-        infeasible = _colwise(np.array([[1.0, 1.0]]))
+        if integral:
+            A, need, ub = _random_model(5, 8, 12)
+            infeasible = lambda: _solve_highs(_colwise(np.array([[1.0, 1.0]])), [3.0], [np.inf], [1.0, 1.0])
+            solve = lambda: _solve_highs(_colwise(A), need, np.full(len(need), np.inf), ub)
+        else:
+            inst = make_er_instance(30, 0.15, 5, 6, "linear", seed=5)
+            infeasible = lambda: solve_lp(_unblockable(), [(0, 1)])
+            solve = lambda: (np.array(solve_lp(inst, _two_budget_paths(inst)).fractional),
+                             solve_lp(inst, _two_budget_paths(inst)).objective)
+        want, want_objective = solve()
         with pytest.raises(InfeasibleBoxError):
-            _solve_highs(infeasible, [3.0], [np.inf], [1.0, 1.0], solver=solver, integral=integral)
-        y, objective = _solve_highs(columns, lower, upper, ub, solver=solver, integral=integral)
-        want, want_objective = _solve_highs(columns, lower, upper, ub, solver=highs._Highs(), integral=integral)
+            infeasible()
+        y, objective = solve()
         assert y.tobytes() == want.tobytes()
         assert np.float64(objective).tobytes() == np.float64(want_objective).tobytes()
 
-    def test_model_kinds_alternate_on_one_solver(self):
-        # each call gives the solver its model kind's options: a MILP's
-        # mip_rel_gap = 0 does not stay behind for the next LP, nor the reverse
+    def test_model_kinds_alternate_on_one_solver(self, monkeypatch):
+        # an integer program between two rounds neither changes the LP
+        # model's options (mip_rel_gap = 0 stays with the MIP) nor its path
+        import qosd.lr
+
+        inst = make_er_instance(60, 0.1, 5, 10, "linear", seed=1000)
         A, need, ub = _random_model(3, 8, 12)
-        lp = (_colwise(-A), np.full(len(need), -np.inf), -need, ub)
         mip = (_colwise(A), need, np.full(len(need), np.inf), ub)
-        solver = highs._Highs()
-        for model, integral in [(lp, False), (mip, True), (lp, False), (mip, True)]:
-            y, objective = _solve_highs(*model, solver=solver, integral=integral)
-            assert solver.getOptions().mip_rel_gap == (0.0 if integral else 1e-4)
-            want, want_objective = _solve_highs(*model, solver=highs._Highs(), integral=integral)
-            assert y.tobytes() == want.tobytes()
-            assert np.float64(objective).tobytes() == np.float64(want_objective).tobytes()
+        want, want_objective = _solve_highs(*mip)
+        plain = constraint_generation(inst)
+        solve_lp = qosd.lr.solve_lp
+
+        def interleaved(instance, paths, *, model=None):
+            y, objective = _solve_highs(*mip)
+            assert y.tobytes() == want.tobytes() and objective == want_objective
+            solution = solve_lp(instance, paths, model=model)
+            assert model.solver.getOptions().mip_rel_gap == 1e-4
+            return solution
+
+        monkeypatch.setattr(qosd.lr, "solve_lp", interleaved)
+        mixed = constraint_generation(inst)
+        assert mixed.rounds == plain.rounds >= 2
+        assert mixed.fractional == plain.fractional
+        assert mixed.objective == plain.objective
 
 
 class TestConstraintGeneration:
@@ -623,9 +690,22 @@ class TestRunLr:
         report = run_lr(inst, delta=0.1, seed=0, eta_override=1e-9)
         assert report.extras["retries"] == 10
         assert report.extras["fallback"] is True
-        assert report.norm == 3
+        assert report.extras["unpruned_norm"] == 3
+        # edge 0 gives its unit back; then every pair needs the other two: the cycle's cover
+        assert report.norm == 2 and report.budget == BudgetVector([0, 1, 1])
         assert report.feasible
         assert not unseparated_pairs(inst, report.budget)
+
+    def test_prune_keeps_norm_between_lp_bound_and_rounding(self):
+        pruned = 0
+        for seed in range(10):
+            inst = make_er_instance(60, 0.1, 5, 10, "linear", seed=1000 + seed)
+            report = run_lr(inst, delta=0.2, seed=seed)
+            unpruned, lp = report.extras["unpruned_norm"], report.extras["lp_objective"]
+            assert unpruned >= report.norm >= math.ceil(lp - FEAS_TOL)
+            assert report.feasible and not unseparated_pairs(inst, report.budget)
+            pruned += unpruned > report.norm
+        assert pruned
 
     @pytest.mark.parametrize("knobs", [{"delta": 1.5, "eta_override": 2.0}, {"eta_override": -1.0}])
     def test_bad_knob_raises_before_any_lp(self, inst_a, monkeypatch, knobs):
