@@ -2,8 +2,8 @@
 
 The oracle is shortest-path interdiction as an integer program (Israeli &
 Wood, 2002) with lazy path constraints: it solves the model on the paths
-found so far, adds every pair's shortest path still below T under that
-optimum, and stops when there is none, so the last optimum is exact."""
+found so far, adds :func:`pathcore.separating_paths` under that optimum,
+and stops when there is none, so the last optimum is exact."""
 
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ from .errors import InfeasibleBoxError
 from .framework import _generate, potential_paths
 from .instance import QosdInstance
 from .lr import _binding, _optimum
-from .pathcore import BudgetVector, budget_array
+from .pathcore import BudgetVector, budget_array, separating_paths
 from .report import Deadline, RunReport
 
 
@@ -147,7 +147,7 @@ def oracle_opt(instance: QosdInstance, *, deadline: Deadline | float | None = No
     path below T. Each round is one outer and one inner iteration."""
     start = time.perf_counter()
     x, active, rounds = _generate(
-        instance, BudgetVector.zeros(instance.graph.m), lambda x: potential_paths(instance, x),
+        instance, BudgetVector.zeros(instance.graph.m), lambda x: separating_paths(instance, x),
         lambda paths: min_budget_to_block(instance, paths),
         deadline=Deadline.ensure(deadline), cap=math.inf, what="oracle",
     )

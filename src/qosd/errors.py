@@ -40,7 +40,7 @@ class InfeasibleBoxError(QosdError):
 
 
 class StallError(QosdError):
-    """A path-generation round re-proposed only known paths (solve-step bug)."""
+    """A path-generation round re-proposed a known path (solve-step bug)."""
 
 
 class IterationLimitError(QosdError):

@@ -1,11 +1,11 @@
 """Lazy path generation (Israeli & Wood, 2002), shared by IG/AT's outer
 iteration, LR's constraint generation and the exact oracle.
 
-Each round separates: it finds every pair's path still below T under the
-current solution. The round adds those paths, each its edge tuple, to the
-candidate set, an insertion-ordered ``dict`` of them, and re-solves on the
-whole set, until no pair has a path below T. IG and AT re-block it from
-zero on one zero-budget support that each round extends by its new paths.
+Each round separates: :func:`pathcore.separating_paths` finds paths below T
+under the current solution whose blocking alone separates every pair. The
+round adds them, each its edge tuple, to the candidate set, an insertion-
+ordered ``dict``, and re-solves on the whole set, until no pair has a path
+below T.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Callable, TypeVar
 from . import at, ig
 from .errors import ConfigError, IterationLimitError, StallError
 from .instance import QosdInstance
-from .pathcore import BudgetVector, PathSupport, pair_shortest_paths
+from .pathcore import BudgetVector, PathSupport, pair_shortest_paths, separating_paths
 from .report import Deadline, RunReport
 
 S = TypeVar("S")
@@ -42,9 +42,9 @@ def _generate(
     """Alternate ``separate(x)`` and ``x = solve(paths)`` until separation
     finds no path; returns the last x, the candidate set and the rounds.
 
-    A round whose paths are all known means the last solve left one of
-    them below T: a logic error, raised as ``StallError`` rather than a
-    silent loop. ``cap`` bounds the rounds (None: 10 * k * h).
+    A round that re-proposes any known path means the last solve left it
+    below T: a logic error, raised as ``StallError`` rather than a silent
+    loop. ``cap`` bounds the rounds (None: 10 * k * h).
     """
     cap = 10 * instance.k * instance.hop_bound if cap is None else cap
     paths: Candidates = {}
@@ -54,11 +54,9 @@ def _generate(
         fresh = separate(x)
         if not fresh:
             return x, paths, rounds
-        known = len(paths)
+        if not paths.keys().isdisjoint(fresh):
+            raise StallError(f"{what} round {rounds} re-proposed a known path: the last solve left it below T")
         paths.update(dict.fromkeys(fresh))
-        if len(paths) == known:
-            raise StallError(f"{what} round {rounds} re-proposed only known paths; "
-                             "its last solve left a candidate path below T")
         rounds += 1
         if rounds > cap:
             raise IterationLimitError(f"{what} exceeded {cap} rounds "
@@ -102,7 +100,7 @@ def run_iterative(
         return x
 
     x, candidates, outer = _generate(
-        instance, BudgetVector.zeros(instance.graph.m), lambda x: potential_paths(instance, x), block,
+        instance, BudgetVector.zeros(instance.graph.m), lambda x: separating_paths(instance, x), block,
         deadline=deadline, cap=iteration_cap, what=blocker,
     )
     return RunReport.finish(blocker, x, start, outer, inner, seed=seed, candidate_paths=len(candidates))

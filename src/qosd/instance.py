@@ -60,9 +60,6 @@ class Graph:
     def m(self) -> int:
         return len(self.edges)
 
-    def __repr__(self) -> str:
-        return f"Graph(n={self.n}, m={self.m}, d={self.max_out_degree})"
-
 
 @dataclass(frozen=True)
 class WeightFunction:
@@ -163,7 +160,12 @@ class QosdInstance:
         self._affine = self._corridor = self._reduced = None  # kept by affine_coeffs, pathcore's corridor and reduce
         # a pair has s != t, so each of its paths has an edge that alone reaches T
         if validate_box and lowest_top < threshold:
-            self._check_box_feasible()
+            from .pathcore import BudgetVector, budget_array, unseparated_pairs
+
+            remaining = unseparated_pairs(self, BudgetVector(budget_array(self, self.box)))
+            if remaining:
+                raise InfeasibleBoxError(f"infeasible-box: pairs {remaining} stay connected below T "
+                                         "even with every edge at its cap")
 
     @property
     def k(self) -> int:
@@ -180,18 +182,6 @@ class QosdInstance:
                                             "solving needs linear (or cutting) weights")
             self._affine = ([c[0] for c in coeffs], [c[1] for c in coeffs])
         return self._affine
-
-    def _check_box_feasible(self) -> None:
-        from .pathcore import BudgetVector, budget_array, unseparated_pairs
-
-        remaining = unseparated_pairs(self, BudgetVector(budget_array(self, self.box)))
-        if remaining:
-            raise InfeasibleBoxError(f"infeasible-box: pairs {remaining} stay connected below T "
-                                     "even with every edge at its cap")
-
-    def __repr__(self) -> str:
-        g = self.graph
-        return f"QosdInstance(n={g.n}, m={g.m}, k={self.k}, T={self.threshold}, h={self.hop_bound})"
 
 
 def read_int_pairs(lines: Iterable[str]) -> list[tuple[int, int]]:

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ConfigError, InfeasibleBoxError, QosdError
 from .framework import Candidates, _generate
 from .instance import QosdInstance
-from .pathcore import BudgetVector, budget_array, corridor, pair_shortest_paths, prune, unseparated_pairs
+from .pathcore import BudgetVector, budget_array, corridor, prune, separating_paths, unseparated_pairs
 from .report import Deadline, RunReport
 
 FEAS_TOL = 1e-6
@@ -132,29 +132,27 @@ def constraint_generation(
     deadline: Deadline | float | None = None,
     iteration_cap: int | None = None,
 ) -> LpSolution:
-    """Grow the LP one round of violated shortest paths at a time until the
+    """Grow the LP one round of violated paths at a time until the
     fractional optimum keeps every pair at length >= T (within tolerance).
 
-    The separation oracle is IG and AT's sweep,
-    :func:`pathcore.pair_shortest_paths`, on the float lengths
-    alpha_e + beta_e max(x'_e, 0) (all >= alpha_e = table[0], as the sweep's
-    corridor needs), bounded by T * (1 - FEAS_TOL). A path
-    enters each node by its lowest-index tight in-edge, tested by the same
-    float64 sum that gave the distances, so fractional ties resolve exactly
-    as the kernel's. Every round re-solves one :class:`_LpModel`.
+    The separation oracle is IG and AT's, :func:`pathcore.separating_paths`,
+    on the float lengths alpha_e + beta_e max(x'_e, 0) (all >= alpha_e =
+    table[0], as the sweep's corridor needs), bounded by T * (1 - FEAS_TOL).
+    A path enters each node by its lowest-index tight in-edge, tested by
+    the same float64 sum that gave the distances, so fractional ties
+    resolve exactly as the kernel's. Every round re-solves one :class:`_LpModel`.
     """
     betas, alphas = (np.array(c, dtype=float) for c in instance.affine_coeffs())
-    m = instance.graph.m
     cutoff = instance.threshold * (1.0 - FEAS_TOL)
     model = _LpModel()
 
     def separate(solution: LpSolution) -> list[tuple[int, ...]]:
         # the sweep needs every length >= alpha = table[0]: clip any negative LP noise
         lengths = alphas + betas * np.maximum(solution.fractional, 0.0)
-        return [p for p in pair_shortest_paths(instance, None, lengths=lengths, bound=cutoff) if p is not None]
+        return separating_paths(instance, None, lengths=lengths, bound=cutoff)
 
     solution, _, rounds = _generate(
-        instance, LpSolution([0.0] * m, 0.0, {}), separate,
+        instance, LpSolution([0.0] * instance.graph.m, 0.0, {}), separate,
         lambda paths: solve_lp(instance, paths, model=model),
         deadline=Deadline.ensure(deadline), cap=iteration_cap, what="constraint generation",
     )

@@ -5,10 +5,11 @@ Every shortest-path search is one ``scipy.sparse.csgraph.dijkstra`` call
 from a batch of sources, stopped at a bound (only paths strictly shorter
 than T matter). :func:`distances` searches a whole graph through a CSR
 view cached on it (SA's rows); a pair sweep, :func:`pair_shortest_paths`
-(IG, AT, CC, the oracle, LR's separation, SA's exact fallback, every
-feasibility check), searches the instance's T-corridor: the edges (u, v)
-with d0(s, u) + table[0] + d0(v, t) < T for some pair, d0 the zero-budget
-distance. Lengths never fall below table[0], so every prefix and suffix
+(CC, SA's exact fallback, every feasibility check and each sweep of
+:func:`separating_paths`, the separation of IG, AT, LR and the oracle),
+searches the instance's T-corridor: the edges (u, v) with d0(s, u) +
+table[0] + d0(v, t) < T for some pair, d0 the zero-budget distance.
+Lengths never fall below table[0], so every prefix and suffix
 of a path below T is at least its zero-budget length: each of its edges
 is in the corridor, distances are exact along it and its tight in-edges
 are the full graph's, so the instance on its corridor (:func:`reduce`,
@@ -23,13 +24,9 @@ fixed by the lengths alone, and all but LR's fractional lengths are exact
 integers.
 
 :class:`PathSupport` is the one place where a blocker's path lengths, edge
-support and capped-gain scan live. Each support takes one step rule for
-its life: AT's best-ratio chunks, or the unit steps (crossing a flat
-increment by the best chunk) of IG, SA's estimator-weighted chunk and
-SA's exact step. It keeps one entry per edge and one heap, and rescans
-only the entries a step changed. Its ``x``,
-SA's and CC's budgets and :class:`BudgetVector` share one buffer
-representation, so no per-round step walks all m edges in Python.
+support and capped-gain scan live. Its ``x``, SA's and CC's budgets and
+:class:`BudgetVector` share one buffer representation, so no per-round
+step walks all m edges in Python.
 """
 
 from __future__ import annotations
@@ -47,9 +44,6 @@ from scipy.sparse.csgraph import dijkstra as csgraph_dijkstra
 
 from .errors import InfeasibleBoxError, QosdError
 from .instance import Graph, QosdInstance
-
-_INF = float("inf")
-
 
 class BudgetVector:
     """Length-m vector of nonnegative integer budget units, read-only; callers
@@ -151,7 +145,7 @@ def adjacency(graph: "Graph") -> tuple[list[list[tuple[int, int]]], list[list[tu
 
 def distances(
     instance: "QosdInstance", lengths: Sequence[float], sources: Sequence[int],
-    *, bound: float = _INF, reverse: bool = False,
+    *, bound: float = np.inf, reverse: bool = False,
 ) -> np.ndarray:
     """Row i holds the distances from ``sources[i]`` under ``lengths`` (to it
     when ``reverse``), from one ``scipy.sparse.csgraph.dijkstra`` call.
@@ -284,6 +278,26 @@ def pair_shortest_paths(
         shortest_path(pair, bound=bound, area=area, dist=dist[r])
         for pair, r in zip(instance.pairs, instance.source_row.tolist())
     ]
+
+
+def separating_paths(instance: "QosdInstance", x: BudgetVector | None, *, lengths: Sequence[float] | None = None,
+                     bound: float | None = None) -> list[tuple[int, ...]]:
+    """Distinct paths below ``bound`` (as in :func:`pair_shortest_paths`)
+    whose blocking alone separates every pair, in the order found: sweep,
+    raise the found paths' edges to at least the bound in a private copy of
+    the sweep's lengths (which only lengthens paths), and sweep again until
+    a sweep finds none. Each sweep raises edges not raised before."""
+    limit = instance.threshold if bound is None else bound
+    found: dict[tuple[int, ...], None] = {}
+    while fresh := [p for p in pair_shortest_paths(instance, x, lengths=lengths, bound=bound) if p is not None]:
+        if not found:  # the copy: sweeps read only the corridor's edges
+            area = corridor(instance)
+            lengths = np.full(instance.graph.m, np.inf)
+            lengths[area.edges] = area.matrix.data
+        found.update(dict.fromkeys(fresh))
+        edges = np.fromiter(chain.from_iterable(fresh), np.int64)
+        lengths[edges] = np.maximum(lengths[edges], limit)
+    return list(found)
 
 
 def unseparated_pairs(instance: "QosdInstance", x: BudgetVector) -> list[int]:

@@ -30,3 +30,13 @@ def single_edge_instance(table: tuple[int, ...], threshold: int, tag: str = "cus
     graph = Graph(2, [(0, 1)])
     weights = [WeightFunction(table, tag)]
     return QosdInstance(graph, weights, [(0, 1)], threshold)
+
+
+def shared_edge_instance() -> QosdInstance:
+    """Pair (0, 3) over a = 0->1, c = 1->3, or b = 0->2, d = 2->1, c (edges
+    0-3, c fixed at length 1), and pair (4, 5) over f = 4->5 (edge 4), T = 4.
+    Both routes of (0, 3) share c, so raising a blocks a c but leaves b d c
+    below T: the lazy loops need two rounds."""
+    graph = Graph(6, [(0, 1), (0, 2), (1, 3), (2, 1), (4, 5)])
+    tables = [(1, 3), (1, 2), (1,), (1, 2), (1, 5)]
+    return QosdInstance(graph, [WeightFunction(t) for t in tables], [(0, 3), (4, 5)], 4)

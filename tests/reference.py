@@ -16,11 +16,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from qosd import (BudgetVector, Deadline, Graph, InvalidInstanceError, QosdError, QosdInstance, WeightFunction,
-                  potential_paths)
+from qosd import BudgetVector, Deadline, Graph, InvalidInstanceError, QosdError, QosdInstance, WeightFunction
 from qosd.framework import _generate
 from qosd.instance import _concave_table, _convex_table, _linear_table
-from qosd.pathcore import distances, out_view
+from qosd.pathcore import distances, out_view, separating_paths
 from qosd.sa import SampledPath
 
 
@@ -73,7 +72,7 @@ def fresh_support_run(instance: QosdInstance, blocker) -> tuple[BudgetVector, in
     the candidate paths."""
     steps = []
     x, paths, rounds = _generate(
-        instance, BudgetVector.zeros(instance.graph.m), lambda x: potential_paths(instance, x),
+        instance, BudgetVector.zeros(instance.graph.m), lambda x: separating_paths(instance, x),
         lambda paths: blocker(instance, paths, trace=steps), deadline=Deadline.ensure(None), cap=None,
         what="fresh-support reference",
     )

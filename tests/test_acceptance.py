@@ -33,6 +33,7 @@ from qosd import (
     sample_path,
     unseparated_pairs,
 )
+from qosd.pathcore import separating_paths
 
 from reference import _derived_rng, d_value, estimate_B, make_layered_flat_instance, plus, unit
 
@@ -111,7 +112,7 @@ def test_c02_oracle_optimality_gap():
         candidates = {}
         trace = []
         while True:
-            fresh = potential_paths(inst, x)
+            fresh = separating_paths(inst, x)
             if not fresh:
                 break
             candidates.update(dict.fromkeys(fresh))

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -27,8 +28,11 @@ from qosd import (
     run_sa,
     unseparated_pairs,
 )
+from qosd.lr import FEAS_TOL
+from qosd.pathcore import pair_shortest_paths, separating_paths
 
 from conftest import single_edge_instance
+from reference import full_graph_paths, path_nodes
 from test_pathcore import _bellman_ford
 
 
@@ -341,3 +345,56 @@ class TestMetamorphic:
         # SA draws its walks by pair index, so only the far edges leave it alone
         x = run_sa(er240, SaConfig(seed=3)).budget
         assert list(run_sa(grown, SaConfig(seed=3)).budget) == list(x) + [0] * 10
+
+
+def _check_separating_paths(inst, x, lengths=None, bound=None):
+    """``separating_paths``' contract on one input, its separation checked
+    by a sweep over the whole graph."""
+    given = None if lengths is None else np.array(lengths)
+    paths = separating_paths(inst, x, lengths=lengths, bound=bound)
+    if lengths is None:
+        lengths = np.array([w.table[v] for w, v in zip(inst.weights, x)], dtype=float)
+    else:
+        assert np.array_equal(lengths, given)  # the caller's lengths are not written
+    bound = inst.threshold if bound is None else bound
+    first = potential_paths(inst, x) if x is not None else [
+        p for p in pair_shortest_paths(inst, None, lengths=lengths, bound=bound) if p is not None]
+    assert paths[:len(first)] == first
+    assert len(set(paths)) == len(paths)
+    ends = {(inst.graph.edges[p[0]][0], inst.graph.edges[p[-1]][1]) for p in paths}
+    assert ends <= set(inst.pairs)
+    for p in paths:
+        path_nodes(inst.graph, p)
+        assert sum(lengths[e] for e in p) < bound
+    # blocking the paths alone separates every pair
+    edges = [e for p in paths for e in p]
+    raised = lengths.copy()
+    raised[edges] = np.maximum(raised[edges], inst.threshold)
+    assert full_graph_paths(inst, raised, bound) == [None] * inst.k
+
+
+def _fractional_lengths(inst, fractions):
+    """Float lengths from table[0] up to the top of each table, as LR's are."""
+    return np.array([w.table[0] + f * (w.table[-1] - w.table[0]) for w, f in zip(inst.weights, fractions)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_separating_paths_block_every_pair(data):
+    inst = _random_instance(data.draw(st.integers(0, 10_000)))
+    x = BudgetVector([data.draw(st.integers(0, cap)) for cap in inst.box])
+    _check_separating_paths(inst, x)
+    fractions = data.draw(st.lists(st.floats(0, 1), min_size=inst.graph.m, max_size=inst.graph.m))
+    _check_separating_paths(inst, None, _fractional_lengths(inst, fractions), inst.threshold * (1 - FEAS_TOL))
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_separating_paths_block_every_pair_er240(er240, seed):
+    rng = np.random.default_rng(seed)
+    m, box = er240.graph.m, np.array(er240.box)
+    # budget on about one edge in ten: most pairs stay below T
+    x = BudgetVector((rng.integers(0, box + 1) * (rng.random(m) < 0.1)).tolist())
+    _check_separating_paths(er240, x)
+    _check_separating_paths(er240, None, _fractional_lengths(er240, rng.random(m) * 0.2),
+                            er240.threshold * (1 - FEAS_TOL))

@@ -21,7 +21,7 @@ from qosd import (
 from qosd.framework import _generate
 from qosd.lr import LpSolution
 
-from conftest import diamond_instance, single_edge_instance
+from conftest import diamond_instance, shared_edge_instance, single_edge_instance
 from reference import fresh_support_run
 
 
@@ -47,11 +47,12 @@ class TestPotentialPaths:
 
 class TestRunIterative:
     def test_diamond_ig_trace(self, inst_a):
+        # one round: its second sweep finds the other route once the first's edges reach T
         report = run_iterative(inst_a, "ig")
         assert report.budget == BudgetVector([1, 0, 1, 0])
         assert report.norm == 2
-        assert report.outer_iterations == 2
-        assert report.inner_iterations == 3
+        assert report.outer_iterations == 1
+        assert report.inner_iterations == 2
         assert report.feasible
 
     def test_vacuous_instance(self):
@@ -76,14 +77,20 @@ class TestRunIterative:
         with pytest.raises(StallError):
             run_iterative(inst_a, "ig")
 
-    def test_iteration_cap(self, inst_a, monkeypatch):
-        def one_unit_blocker(instance, paths, *, trace=None, deadline=None, support=None):
-            # blocks only the first candidate path, so P keeps growing
-            return block_greedy(instance, list(paths)[:1], trace=trace)
-
-        monkeypatch.setattr("qosd.ig.block_greedy", one_unit_blocker)
+    def test_iteration_cap(self):
+        inst = shared_edge_instance()
+        assert run_iterative(inst, "ig").outer_iterations == 2
         with pytest.raises(IterationLimitError):
-            run_iterative(inst_a, "ig", iteration_cap=1)
+            run_iterative(inst, "ig", iteration_cap=1)
+
+    def test_stall_on_a_known_path_among_new_ones(self, monkeypatch):
+        def second_pair_blocker(instance, paths, *, trace=None, deadline=None, support=None):
+            # leaves pair (4, 5)'s path f below T; pair (0, 3) then yields b d c
+            return block_greedy(instance, [p for p in paths if p != (4,)], trace=trace)
+
+        monkeypatch.setattr("qosd.ig.block_greedy", second_pair_blocker)
+        with pytest.raises(StallError, match="round 1 re-proposed a known path"):
+            run_iterative(shared_edge_instance(), "ig")
 
     @pytest.mark.parametrize("blocker", ["cc", "IG", "", None, block_greedy])
     def test_unknown_blocker_is_a_config_error(self, inst_a, blocker):
@@ -161,13 +168,13 @@ class TestSharedLoop:
 
     @pytest.mark.parametrize("name", LAZY_SOLVERS)
     def test_stall_when_solve_keeps_zero_start(self, name, inst_a, monkeypatch):
-        with pytest.raises(StallError, match="re-proposed only known paths"):
+        with pytest.raises(StallError, match="re-proposed a known path"):
             _stalling(name, monkeypatch)(inst_a)
 
     def test_round_adds_a_repeated_path_once(self, inst_a):
-        # round 0 proposes (0, 1) twice, round 1 one new path among known
-        # ones: each is kept once, in first-seen order, and neither stalls
-        proposals = iter([[(0, 1), (2, 3), (0, 1)], [(2, 3), (1,), (0, 1), (1,)], []])
+        # each round proposes one path twice: it is kept once, in first-seen
+        # order, and does not stall
+        proposals = iter([[(0, 1), (2, 3), (0, 1)], [(1,), (1,)], []])
         solved = []
 
         def solve(paths):

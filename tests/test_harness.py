@@ -322,11 +322,12 @@ class TestRunExperiment:
         assert "opt" not in ig_extras
 
 
-# an instance on which HiGHS's MIP code prints to fd 1 whatever its output options
+# an instance on which HiGHS's MIP code prints to fd 1 whatever its output
+# options: two lines from the oracle's one MILP solve
 MIP_PRINTING_INSTANCE = """qosd-instance v1
 directed 1
 n 8
-m 18
+m 17
 T 7
 k 2
 edge 0 3 custom 5 6 13 13 20
@@ -341,7 +342,6 @@ edge 2 5 custom 1 1 8
 edge 2 7 custom 1
 edge 3 7 custom 3 3
 edge 4 0 custom 2 2 2 5 5 6
-edge 4 1 custom 4 11 13 14 14 15
 edge 4 6 custom 5
 edge 5 2 custom 2 3 4 6
 edge 6 7 custom 5 6 13 13 15 22
@@ -369,8 +369,8 @@ class TestOutputStreams:
 
     def test_solve_prints_its_summary_only(self, tmp_path):
         out = self._run(tmp_path, "solve", "--instance", "inst.txt", "--algorithm", "oracle")
-        summary = r"algorithm=oracle norm=6 feasible=true outer=2 inner=2 wall_time=\d+\.\d{3}s seed=None"
-        assert re.fullmatch(summary + r"\n  constraint_paths=3\n", out), out
+        summary = r"algorithm=oracle norm=5 feasible=true outer=1 inner=1 wall_time=\d+\.\d{3}s seed=None"
+        assert re.fullmatch(summary + r"\n  constraint_paths=2\n", out), out
 
     def test_experiment_prints_its_csv_only(self, tmp_path):
         (tmp_path / "batch.txt").write_text(
@@ -379,7 +379,7 @@ class TestOutputStreams:
         header, *rows = out.splitlines()
         assert header == ",".join(CSV_COLUMNS)
         table = list(csv.DictReader(io.StringIO(out)))
-        assert len(table) == len(rows) == 5 and {row["norm"] for row in table} == {"6"}
+        assert len(table) == len(rows) == 5 and {row["norm"] for row in table} == {"5"}
 
 
 class TestCli:

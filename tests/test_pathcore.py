@@ -33,7 +33,8 @@ from qosd import (
 from qosd import sa
 from qosd.instance import WEIGHT_MODELS, _concave_table, _convex_table, _linear_table
 from qosd.lr import FEAS_TOL
-from qosd.pathcore import chunk_amounts, corridor, csr_view, distances, edge_lengths, out_view, reduce
+from qosd.pathcore import (chunk_amounts, corridor, csr_view, distances, edge_lengths, out_view, reduce,
+                           separating_paths)
 
 from conftest import diamond_instance
 from reference import d_value, full_graph_paths, out_adj, path_nodes, plus, r_value, unit
@@ -190,6 +191,15 @@ class TestShortestPath:
             pair_shortest_paths(inst_a, None)
         with pytest.raises(QosdError):
             pair_shortest_paths(inst_a, None, bound=2)
+
+    def test_separating_paths_sweep_until_their_blocking_separates(self, inst_a):
+        # the second sweep, with (0, 1) raised to T, finds the other route
+        assert separating_paths(inst_a, BudgetVector.zeros(4)) == [(0, 1), (2, 3)]
+        assert separating_paths(inst_a, BudgetVector([2, 0, 0, 0])) == [(2, 3)]
+        assert separating_paths(inst_a, BudgetVector([1, 0, 1, 0])) == []
+        assert separating_paths(inst_a, None, lengths=[1.5, 1.0, 1.0, 1.0], bound=2.5) == [(2, 3)]
+        with pytest.raises(QosdError, match="exceeds T"):
+            separating_paths(inst_a, BudgetVector.zeros(4), bound=3.5)
 
     def test_unseparated_lists(self, inst_a):
         assert unseparated_pairs(inst_a, BudgetVector.zeros(4)) == [0]
@@ -974,15 +984,15 @@ def test_candidate_paths_lie_in_the_corridor(seed, monkeypatch):
     import qosd.framework
 
     found = []
-    separate = qosd.framework.potential_paths
+    separate = qosd.framework.separating_paths
 
     def recording(*args, **kwargs):
         paths = separate(*args, **kwargs)
         found.extend(paths)
         return paths
 
-    monkeypatch.setattr(qosd.framework, "potential_paths", recording)
-    monkeypatch.setattr(qosd.baselines, "potential_paths", recording)
+    monkeypatch.setattr(qosd.framework, "separating_paths", recording)
+    monkeypatch.setattr(qosd.baselines, "separating_paths", recording)
     inst = make_er_instance(24, 0.15, 5, 6, "heterogeneous", seed=seed)
     inside = _zero_budget_corridor(inst)
     for solve in (lambda: run_iterative(inst, "ig"), lambda: run_iterative(inst, "at"), lambda: oracle_opt(inst)):
